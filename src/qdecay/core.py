@@ -5,11 +5,22 @@ expresses every rate and angular frequency in the inverse unit, so only
 products such as ``gamma * t`` are ever meaningful.  All types defined here
 are immutable values, safe to share between threads.
 
-Per-trajectory randomness comes from numpy's counter-based Philox generator
-keyed by ``(root_seed, stream_id)``.  Distinct stream ids give statistically
-independent substreams, and a fixed key reproduces the same bit stream on
-every platform and under any thread schedule, which is what makes full
-ensembles byte-reproducible regardless of worker count.
+Per-trajectory randomness comes from numpy's counter-based Philox4x64-10
+generator keyed by ``(root_seed, stream_id)`` (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11).  Distinct stream ids give
+statistically independent substreams, and a fixed key reproduces the same bit
+stream on every platform and under any thread schedule, which is what makes
+full ensembles byte-reproducible regardless of worker count.
+
+Because the generator is counter-based, draw ``p`` of stream ``(seed, i)``
+is a pure function of ``(seed, i, p)``: lane ``p % 4`` of the block for
+counter ``(p // 4 + 1, 0, 0, 0)``.  ``philox_uniforms`` evaluates those
+blocks for many ``(key, counter)`` pairs at once in numpy and returns the
+same doubles as ``RngStream.generator().random()``, bit for bit, so batched
+engines read the same positions of the same streams as the per-trajectory
+ones.  ``rekeyed_generators`` serves scalar loops that need a real
+``Generator``: it re-keys one bit generator per trajectory instead of
+building a new one.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -187,6 +198,141 @@ def as_generator(stream) -> np.random.Generator:
     if hasattr(stream, "random"):
         return stream
     raise TypeError(f"cannot interpret {type(stream).__name__} as a random stream")
+
+
+def rekeyed_generators(root_seed: int, stream_ids: Iterable[int]) -> Iterator[Tuple[int, np.random.Generator]]:
+    """Yield ``(i, generator)`` for each id, drawing what ``derive_stream(root_seed, i)`` would.
+
+    One Philox bit generator is re-keyed per id through its ``state`` dict
+    (key ``[root_seed, i]``, counter 0, empty output buffer, no cached half
+    word), which skips the entropy gathering of a fresh construction.  The
+    same ``Generator`` object is yielded every time, so it is only valid
+    until the next item is requested.
+    """
+    key = np.array([root_seed, 0], dtype=np.uint64)
+    bit_gen = np.random.Philox(key=key)
+    gen = np.random.Generator(bit_gen)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for i in stream_ids:
+        key[1] = i
+        bit_gen.state = state
+        yield i, gen
+
+
+# Philox4x64-10 constants (Random123): round multipliers and Weyl key bumps.
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
+_PHILOX_W0 = 0x9E3779B97F4A7C15
+_PHILOX_W1 = 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
+# (key, counter) pairs per kernel pass: the ten uint64 work rows stay in L2.
+_PHILOX_CHUNK = 8192
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_SHIFT11 = np.uint64(11)
+
+
+def _split_multiplier(m: int) -> Tuple[np.uint64, np.uint64, np.uint64]:
+    return np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+
+
+_MUL0 = _split_multiplier(_PHILOX_M0)
+_MUL1 = _split_multiplier(_PHILOX_M1)
+
+
+def _mulhilo(x: np.ndarray, mul, hi: np.ndarray, t0: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> None:
+    """In place: ``hi`` <- high word and ``x`` <- low word of the 128-bit ``x * m``.
+
+    numpy has no 128-bit multiply, so the high word is assembled from the
+    four 32x32-bit partial products; no intermediate sum can overflow 64 bits.
+    """
+    m, m_lo, m_hi = mul
+    np.bitwise_and(x, _LO32, out=t0)  # x_lo
+    np.right_shift(x, _SHIFT32, out=t1)  # x_hi
+    np.multiply(t1, m_hi, out=hi)  # x_hi * m_hi
+    np.multiply(t1, m_lo, out=t1)  # x_hi * m_lo
+    np.multiply(t0, m_hi, out=t2)  # x_lo * m_hi
+    np.multiply(t0, m_lo, out=t0)  # x_lo * m_lo
+    np.right_shift(t0, _SHIFT32, out=t0)
+    np.add(t1, t0, out=t1)  # x_hi*m_lo + carry-in from the low product
+    np.bitwise_and(t1, _LO32, out=t0)
+    np.add(t2, t0, out=t2)  # x_lo*m_hi + low half of the above
+    np.right_shift(t1, _SHIFT32, out=t1)
+    np.add(hi, t1, out=hi)
+    np.right_shift(t2, _SHIFT32, out=t2)
+    np.add(hi, t2, out=hi)
+    np.multiply(x, m, out=x)
+
+
+def philox_uniforms(root_seed: int, stream_ids, counters) -> np.ndarray:
+    """Doubles of the Philox4x64-10 blocks at many ``(key, counter)`` pairs.
+
+    ``stream_ids`` and ``counters`` broadcast together to a shape ``S``; the
+    result has shape ``S + (4,)`` and entry ``[..., lane]`` is draw
+    ``4 * (counter - 1) + lane`` of ``derive_stream(root_seed, stream_id)``,
+    i.e. lane ``lane`` of counter ``(counter, 0, 0, 0)`` under key
+    ``(root_seed, stream_id)`` mapped to ``(x >> 11) * 2**-53``, exactly as
+    ``Generator.random()`` maps it.  Pairs are processed in cache-sized
+    chunks with in-place ufuncs.
+    """
+    if not 0 <= int(root_seed) <= _U64_MAX:
+        raise ValueError(f"root_seed must fit in 64 bits, got {root_seed}")
+    ids, ctrs = np.broadcast_arrays(np.asarray(stream_ids, dtype=np.uint64), np.asarray(counters, dtype=np.uint64))
+    shape = ids.shape
+    ids = ids.reshape(-1)
+    ctrs = ctrs.reshape(-1)
+    n = ids.size
+    out = np.empty((n, 4))
+    keys0 = [np.uint64((int(root_seed) + r * _PHILOX_W0) & _U64_MAX) for r in range(_PHILOX_ROUNDS)]
+    bump1 = np.uint64(_PHILOX_W1)
+    work = np.empty((10, min(n, _PHILOX_CHUNK)), dtype=np.uint64)
+    for lo in range(0, n, _PHILOX_CHUNK):
+        hi = min(lo + _PHILOX_CHUNK, n)
+        v0, v1, v2, v3, k1, h0, h1, t0, t1, t2 = (row[: hi - lo] for row in work)
+        v0[...] = ctrs[lo:hi]
+        v1.fill(0)
+        v2.fill(0)
+        v3.fill(0)
+        k1[...] = ids[lo:hi]
+        for r in range(_PHILOX_ROUNDS):
+            if r:
+                np.add(k1, bump1, out=k1)
+            _mulhilo(v0, _MUL0, h0, t0, t1, t2)
+            _mulhilo(v2, _MUL1, h1, t0, t1, t2)
+            # (v0, v1, v2, v3) <- (hi1 ^ v1 ^ k0, lo1, hi0 ^ v3 ^ k1, lo0)
+            np.bitwise_xor(v1, h1, out=v1)
+            np.bitwise_xor(v1, keys0[r], out=v1)
+            np.bitwise_xor(v3, h0, out=v3)
+            np.bitwise_xor(v3, k1, out=v3)
+            v0, v1, v2, v3 = v1, v2, v3, v0
+        for lane, x in enumerate((v0, v1, v2, v3)):
+            np.right_shift(x, _SHIFT11, out=x)
+            np.multiply(x, 2.0**-53, out=out[lo:hi, lane])
+    return out.reshape(shape + (4,))
+
+
+def chunk_ranges(n: int, chunks: int) -> List[range]:
+    """Split ``range(n)`` into at most ``chunks`` contiguous, non-empty, ordered ranges."""
+    chunks = max(1, min(chunks, n))
+    bounds = np.linspace(0, n, chunks + 1).astype(int)
+    return [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+
+
+def run_chunks(work, ranges: List[range], threads: int) -> list:
+    """``[work(r) for r in ranges]``, on up to ``threads`` worker threads, in order."""
+    if threads <= 1 or len(ranges) == 1:
+        return [work(r) for r in ranges]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(work, ranges))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,13 @@ resolution.
 
 Draw order per trajectory (part of the reproducibility contract):
 
-* qmop / swf: one block of ``n_steps`` uniforms for the per-step jump checks,
-  then one extra uniform for the within-step attribution if a jump occurred.
+* qmop / swf: draws ``0 .. n_steps - 1`` are the per-step jump checks and
+  draw ``n_steps`` is the within-step attribution uniform if a jump
+  occurred.  The single-trajectory runners read them in that order from a
+  ``Generator``; ``run_decay_ensemble`` reads the same positions of the same
+  Philox4x64-10 streams through the batched ``core.philox_uniforms`` kernel,
+  stopping each trajectory's checks at its first hit, so both give identical
+  results.
 * nsm: alternating uniforms, one for each fluctuation gap and one for each
   reduction outcome; the attribution uniform is recovered from the outcome
   draw by conditioning, so no extra draw is consumed.
@@ -36,8 +41,11 @@ from .core import (
     TrajectoryEvent,
     TrajectoryRecord,
     as_generator,
-    derive_stream,
+    chunk_ranges,
     normalize,
+    philox_uniforms,
+    rekeyed_generators,
+    run_chunks,
 )
 
 NSM_BETA_ZERO_FLAG = "nsm_beta_zero_no_fluctuations"
@@ -258,6 +266,58 @@ def _single_step_decay(plan: _StepPlan, gen) -> Tuple[int, float]:
     v = float(gen.random())
     s = _truncated_exponential_time(plan.gamma, plan.dt, v)
     return k, k * plan.dt + s
+
+
+# Philox counters evaluated per lock-step block (live trajectories x counters
+# each), which bounds the engine's working memory to ~2 MB of uniforms.
+_LOCKSTEP_COUNTERS = 1 << 16
+# Trajectories per scalar attribution batch: short lists of Python floats keep
+# the allocator from holding on to arenas that would raise the peak RSS.
+_ATTRIBUTION_CHUNK = 4096
+
+
+def _lockstep_step_decay(plan: _StepPlan, seed: int, ids: range) -> Tuple[np.ndarray, np.ndarray]:
+    """``_single_step_decay`` for the streams ``(seed, i)``, ``i`` in ``ids``, batched.
+
+    Returns (decay_times, jump_steps) with the scalar engine's values: jump
+    check ``k`` reads draw ``k`` and the attribution reads draw ``n_steps``,
+    both straight from ``philox_uniforms``.  Groups of at most
+    ``_LOCKSTEP_COUNTERS`` trajectories advance in lock-step, a block of
+    counters at a time, and each trajectory leaves the live set at its first
+    hit, so it costs the draws up to its jump instead of all ``n_steps``.
+    Blocks grow as the live set shrinks, keeping live x block at or below
+    ``_LOCKSTEP_COUNTERS``.
+    """
+    n = len(ids)
+    times = np.full(n, math.nan)
+    steps = np.full(n, -1, dtype=np.int64)
+    # checks past the last nonzero probability never hit (u >= 0), so they
+    # are skipped; the zero padding up to whole counters never hits either
+    n_checks = int(np.flatnonzero(plan.jump_prob)[-1]) + 1 if plan.jump_prob.any() else 0
+    n_ctr = -(-n_checks // 4)
+    prob = np.zeros(4 * n_ctr)
+    prob[:n_checks] = plan.jump_prob[:n_checks]
+    attribution_ctr, attribution_lane = divmod(plan.n_steps, 4)
+    for lo in range(0, n, _LOCKSTEP_COUNTERS):
+        live = np.arange(lo, min(lo + _LOCKSTEP_COUNTERS, n))
+        ctr = 0
+        while live.size and ctr < n_ctr:
+            block = min(max(1, _LOCKSTEP_COUNTERS // live.size), n_ctr - ctr)
+            counters = np.arange(ctr + 1, ctr + block + 1)
+            u = philox_uniforms(seed, ids.start + live[:, None], counters).reshape(live.size, 4 * block)
+            hits = u < prob[4 * ctr : 4 * (ctr + block)]
+            hit = hits.any(axis=1)
+            steps[live[hit]] = 4 * ctr + np.argmax(hits[hit], axis=1)
+            live = live[~hit]
+            ctr += block
+    decayed = np.flatnonzero(steps >= 0)
+    for lo in range(0, decayed.size, _ATTRIBUTION_CHUNK):
+        part = decayed[lo : lo + _ATTRIBUTION_CHUNK]
+        v = philox_uniforms(seed, ids.start + part, attribution_ctr + 1)[:, attribution_lane]
+        # scalar math.log1p: np.log1p is not guaranteed to round the same way
+        s = [_truncated_exponential_time(plan.gamma, plan.dt, x) for x in v.tolist()]
+        times[part] = steps[part] * plan.dt + np.array(s)
+    return times, steps
 
 
 def _step_decay_record(
@@ -556,12 +616,6 @@ class EnsembleSummary:
         return self.decay_times[~np.isnan(self.decay_times)]
 
 
-def _chunk_ranges(n: int, chunks: int) -> List[range]:
-    chunks = max(1, min(chunks, n))
-    bounds = np.linspace(0, n, chunks + 1).astype(int)
-    return [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
 def _binned_occupation_step(plan: _StepPlan, jump_steps: np.ndarray, bin_steps: int):
     """Mean/var/se over trajectories of per-bin occupation means.
 
@@ -602,18 +656,8 @@ def run_decay_ensemble(
 
     if model in (Model.QMOP, Model.SWF):
         plan = _step_plan(params, initial, model)
-
-        def work(ids: range):
-            times = np.full(len(ids), math.nan)
-            steps = np.full(len(ids), -1, dtype=np.int64)
-            for j, i in enumerate(ids):
-                gen = derive_stream(params.seed, i).generator()
-                k, t_dec = _single_step_decay(plan, gen)
-                steps[j] = k
-                times[j] = t_dec
-            return times, steps
-
-        parts = _run_chunks(work, _chunk_ranges(n, threads), threads)
+        ranges = chunk_ranges(n, threads)
+        parts = run_chunks(lambda ids: _lockstep_step_decay(plan, params.seed, ids), ranges, threads)
         decay_times = np.concatenate([p[0] for p in parts])
         jump_steps = np.concatenate([p[1] for p in parts])
 
@@ -655,10 +699,10 @@ def run_decay_ensemble(
         drops: List[float] = []
         terminal: List[bool] = []
         vals = np.zeros((len(ids), n_bins)) if n_bins else None
-        for j, i in enumerate(ids):
-            gen = derive_stream(params.seed, i).generator()
-            if w_exc0 == 0.0:
-                continue
+        if w_exc0 == 0.0:
+            # pure ground input: nothing ever jumps and no draw is consumed
+            return times, rows, drops, terminal, vals
+        for j, (i, gen) in enumerate(rekeyed_generators(params.seed, ids)):
             t_dec, f_times, gaps, occ_before, jumped = _single_nsm(params, gen, w_exc0)
             times[j] = t_dec
             if n_bins:
@@ -679,7 +723,7 @@ def run_decay_ensemble(
                 terminal.append(is_term)
         return times, rows, drops, terminal, vals
 
-    parts = _run_chunks(work, _chunk_ranges(n, threads), threads)
+    parts = run_chunks(work, chunk_ranges(n, threads), threads)
     decay_times = np.concatenate([p[0] for p in parts])
     rows = [r for p in parts for r in p[1]]
     drops = np.array([d for p in parts for d in p[2]])
@@ -710,11 +754,3 @@ def run_decay_ensemble(
         summary.occupation_se = np.sqrt(summary.occupation_var / n)
     return summary
 
-
-def _run_chunks(work, ranges: List[range], threads: int):
-    if threads <= 1 or len(ranges) == 1:
-        return [work(r) for r in ranges]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, ranges))

@@ -32,7 +32,9 @@ from .core import (
     TrajectoryEvent,
     TrajectoryRecord,
     as_generator,
-    derive_stream,
+    chunk_ranges,
+    rekeyed_generators,
+    run_chunks,
 )
 from .models import NsmEvent, NsmOutcome, _truncated_exponential_time
 
@@ -419,8 +421,7 @@ def run_driven_ensemble(
         em_times: List[float] = []
         drops_all: List[float] = []
         drops_em: List[float] = []
-        for j, i in enumerate(ids):
-            gen = derive_stream(params.seed, i).generator()
+        for j, (i, gen) in enumerate(rekeyed_generators(params.seed, ids)):
             if params.model is Model.NSM:
                 emissions, em_drops, series, nsm_list = _single_driven_nsm(plan, gen)
                 drops_all.extend(ev.a_before for ev in nsm_list)
@@ -433,14 +434,7 @@ def run_driven_ensemble(
                 em_times.append(t)
         return vals, em_traj, em_times, drops_all, drops_em
 
-    ranges = _split(n, threads)
-    if threads > 1 and len(ranges) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, ranges))
-    else:
-        parts = [work(r) for r in ranges]
+    parts = run_chunks(work, chunk_ranges(n, threads), threads)
 
     # reduce over the merged per-trajectory matrix so the result does not
     # depend on how trajectories were grouped into worker chunks
@@ -461,12 +455,6 @@ def run_driven_ensemble(
         drop_all=np.array([a for p in parts for a in p[3]]),
         drop_emission=np.array([a for p in parts for a in p[4]]),
     )
-
-
-def _split(n: int, chunks: int) -> List[range]:
-    chunks = max(1, min(chunks, n))
-    bounds = np.linspace(0, n, chunks + 1).astype(int)
-    return [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
 @dataclass(frozen=True)

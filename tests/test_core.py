@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdecay.core import (
@@ -12,10 +12,14 @@ from qdecay.core import (
     RngStream,
     TrajectoryEvent,
     TrajectoryRecord,
+    chunk_ranges,
     derive_stream,
     normalize,
     occupation,
+    philox_uniforms,
     photon_packet_length,
+    rekeyed_generators,
+    run_chunks,
     sigma_x_expectation,
 )
 
@@ -150,6 +154,74 @@ class TestStreams:
             RngStream(-1, 0)
         with pytest.raises(ValueError, match="64 bits"):
             RngStream(2**64, 0)
+
+
+u64 = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 2, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+class TestPhiloxKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(u64, st.lists(u64, min_size=1, max_size=4), st.integers(0, 2100))
+    def test_matches_numpy_philox_draws(self, seed, ids, n_steps):
+        # every position up to n_steps (any residue mod 4), read from the
+        # blocks of counters 1 .. n_steps // 4 + 1, equals Generator.random()
+        n_ctr = n_steps // 4 + 1
+        u = philox_uniforms(seed, np.array(ids, dtype=np.uint64)[:, None], np.arange(1, n_ctr + 1))
+        assert u.shape == (len(ids), n_ctr, 4)
+        for row, i in zip(u, ids):
+            gen = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+            expected = gen.random(n_steps + 1)
+            assert np.array_equal(row.reshape(-1)[: n_steps + 1], expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(u64, st.lists(u64, min_size=1, max_size=50), st.integers(0, 2**40))
+    def test_any_counter_matches_a_skipped_stream(self, seed, ids, counter):
+        # counter c holds draws 4(c-1) .. 4(c-1)+3; advance numpy's counter to c-1
+        u = philox_uniforms(seed, ids, counter + 1)
+        for row, i in zip(u, ids):
+            bit_gen = np.random.Philox(key=np.array([seed, i], dtype=np.uint64), counter=counter)
+            assert np.array_equal(row, np.random.Generator(bit_gen).random(4))
+
+    def test_chunk_boundaries(self):
+        n = 3 * 8192 + 5
+        u = philox_uniforms(7, np.arange(n), 1)
+        for i in (0, 8191, 8192, 2 * 8192 + 1, n - 1):
+            assert np.array_equal(u[i], derive_stream(7, i).generator().random(4))
+
+    def test_empty_and_scalar(self):
+        assert philox_uniforms(1, np.array([], dtype=np.uint64), 1).shape == (0, 4)
+        assert np.array_equal(philox_uniforms(1, 2, 1), derive_stream(1, 2).generator().random(4))
+
+    def test_seed_validation(self):
+        with pytest.raises(ValueError, match="64 bits"):
+            philox_uniforms(2**64, 0, 1)
+
+
+class TestRekeyedGenerators:
+    def test_same_draws_as_fresh_generators(self):
+        ids = [5, 0, 2**64 - 1, 5]
+        for i, gen in rekeyed_generators(11, ids):
+            fresh = derive_stream(11, i).generator()
+            # a 32-bit integer draw leaves a cached half word behind, which
+            # the next re-key must clear
+            assert np.array_equal(gen.integers(0, 7, 3, dtype=np.int32), fresh.integers(0, 7, 3, dtype=np.int32))
+            assert np.array_equal(gen.random(9), fresh.random(9))
+            assert gen.standard_normal() == fresh.standard_normal()
+
+    def test_yields_in_order(self):
+        assert [i for i, _ in rekeyed_generators(0, range(3, 7))] == [3, 4, 5, 6]
+
+
+class TestChunks:
+    @given(st.integers(1, 500), st.integers(1, 12))
+    def test_ranges_partition_in_order(self, n, chunks):
+        ranges = chunk_ranges(n, chunks)
+        assert 1 <= len(ranges) <= chunks
+        assert [i for r in ranges for i in r] == list(range(n))
+
+    def test_run_chunks_keeps_order(self):
+        ranges = chunk_ranges(100, 7)
+        assert run_chunks(lambda r: r.start, ranges, 3) == [r.start for r in ranges]
 
 
 class TestPacketLength:

@@ -443,6 +443,46 @@ class TestNsmTrajectory:
         assert np.all(z <= 3.5)
 
 
+class TestBatchedStepEngine:
+    """The lock-step ensemble reads the same stream positions as the scalar runners."""
+
+    CASES = {
+        "pure_excited": (dict(t_max=25.0, n_traj=300, seed=2024), None),
+        "superposition": (dict(t_max=4.02, n_traj=300, seed=2**64 - 1), QubitState.superposition(0.6, 0.8j)),
+        "censored": (dict(t_max=0.37, n_traj=400, seed=5, dt=0.01), None),
+    }
+
+    @pytest.mark.parametrize("model,run", [("qmop", run_qmop_trajectory), ("swf", run_swf_trajectory)])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_ensemble_matches_scalar_trajectories(self, model, run, case):
+        kw, initial = self.CASES[case]
+        p = params(model=model, **kw)
+        expected = []
+        for i in range(p.n_traj):
+            rec = run(p, derive_stream(p.seed, i), initial_state=initial)
+            expected.append(math.nan if rec.decay_time is None else rec.decay_time)
+        expected = np.array(expected)
+        if case == "censored":
+            assert 0 < np.isnan(expected).sum() < p.n_traj
+        for threads in (1, 3):
+            s = run_decay_ensemble(p, initial_state=initial, threads=threads)
+            assert np.array_equal(s.decay_times, expected, equal_nan=True)
+            assert np.array_equal(s.events.traj_id, np.flatnonzero(~np.isnan(expected)))
+
+    def test_superposition_varies_jump_probability(self):
+        from qdecay.core import Model
+        from qdecay.models import _step_plan
+
+        kw, initial = self.CASES["superposition"]
+        plan = _step_plan(params(**kw), initial, Model.QMOP)
+        assert plan.jump_prob[0] > plan.jump_prob[-1] > 0.0
+
+    def test_never_jumping_inputs_are_all_censored(self):
+        for p, initial in ((params(gamma=0.0, n_traj=5), None), (params(n_traj=5), QubitState.ground())):
+            s = run_decay_ensemble(p, initial_state=initial)
+            assert s.n_censored == 5 and len(s.events) == 0
+
+
 class TestEnsembleDeterminism:
     @pytest.mark.parametrize("model,beta", [("qmop", 0.0), ("swf", 0.0), ("nsm", 1.5)])
     def test_thread_count_does_not_change_results(self, model, beta):
