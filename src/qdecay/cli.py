@@ -2,9 +2,12 @@
 
 Subcommands: ``decay | homodyne | rabi | analyze``.  A run validates its
 whole config before touching the filesystem, spawns trajectory workers up to
-``--threads``, merges results in trajectory order, and writes tables with
-shortest round-trip float formatting.  Identical (config, seed) therefore
-produce byte-identical outputs for any thread count.
+``--threads`` and merges results in trajectory order.  The engines hand their
+tables over as column blocks: tuples of columns (ndarrays or lists) in the
+order of ``SCHEMAS[name]``.  ``write_table`` is the one place that formats
+them, a bounded row slice at a time, with shortest round-trip float
+formatting.  Identical (config, seed) therefore produce byte-identical
+outputs for any thread count.
 
 Exit codes: 0 ok, 2 config/schema error, 3 I/O error, 4 analysis thresholds
 violated under ``--strict``.
@@ -242,34 +245,46 @@ def _provenance(cfg: Dict, command: str) -> Dict:
 # ---------------------------------------------------------------------------
 
 
-def _cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+# Rows formatted per write: bounds the Python objects alive at once.
+_ROWS_PER_SLICE = 4096
 
 
-def write_table(out_dir: str, name: str, header: Sequence[str], rows, fmt: str) -> str:
-    """Write one table as CSV (or a JSON array of row objects)."""
-    if fmt == "json":
-        path = os.path.join(out_dir, f"{name}.json")
-        parts = []
-        for row in rows:
-            obj = {
-                k: (v.item() if isinstance(v, np.generic) else v) for k, v in zip(header, row)
-            }
-            parts.append(json.dumps(obj))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("[\n" + ",\n".join(parts) + "\n]\n" if parts else "[]\n")
-        return path
-    path = os.path.join(out_dir, f"{name}.csv")
+def _row_slices(blocks):
+    """The column blocks cut into slices of at most ``_ROWS_PER_SLICE`` rows."""
+    for cols in blocks:
+        for lo in range(0, len(cols[0]), _ROWS_PER_SLICE):
+            yield [c[lo : lo + _ROWS_PER_SLICE] for c in cols]
+
+
+def _values(col) -> list:
+    """A column slice as Python values: ndarrays via ``tolist()``, lists as they are."""
+    return col.tolist() if isinstance(col, np.ndarray) else col
+
+
+def write_table(out_dir: str, name: str, blocks, fmt: str) -> str:
+    """Write the table ``name`` as CSV (or a JSON array of row objects).
+
+    ``blocks`` is an iterable of column blocks, each a tuple of equal-length
+    columns (ndarrays or lists) in the order of ``SCHEMAS[name]``.  Cells are
+    formatted with ``str``, which for Python floats is the shortest round-trip
+    ``repr``.  A slice's Python values are dropped before the next block is
+    requested, so a streamed table never holds more than one slice of them.
+    """
+    header = SCHEMAS[name]
+    path = os.path.join(out_dir, f"{name}.{fmt}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+        if fmt == "json":
+            sep = "[\n"
+            for cols in _row_slices(blocks):
+                rows = zip(*map(_values, cols), strict=True)
+                fh.write(sep + ",\n".join([json.dumps(dict(zip(header, row))) for row in rows]))
+                sep = ",\n"
+            fh.write("[]\n" if sep == "[\n" else "\n]\n")
+        else:
+            fh.write(",".join(header) + "\n")
+            for cols in _row_slices(blocks):
+                rows = zip(*[map(str, _values(c)) for c in cols], strict=True)
+                fh.write("\n".join(map(",".join, rows)) + "\n")
     return path
 
 
@@ -375,41 +390,33 @@ def cmd_decay(cfg: Dict) -> int:
         decay_times = np.array(
             [math.nan if r.decay_time is None else r.decay_time for r in records]
         )
-        event_rows = [
-            (r.traj_id, ev.t, ev.kind.value, ev.occupation_before, ev.occupation_after)
-            for r in records
-            for ev in r.events
-        ]
+        table = models.EventTable.from_records(records)
         drop_samples = np.array([ev.a_before for r in records for ev in r.nsm_events])
         flags = sorted({f for r in records for f in r.flags})
         n_censored = int(np.isnan(decay_times).sum())
     else:
         summary = models.run_decay_ensemble(params, threads=threads)
         decay_times = summary.decay_times
-        tbl = summary.events
-        event_rows = list(
-            zip(tbl.traj_id, tbl.t, tbl.kind, tbl.occupation_before, tbl.occupation_after)
-        )
+        table = summary.events
         drop_samples = summary.drop_samples
         flags = sorted(summary.flags)
         n_censored = summary.n_censored
 
     os.makedirs(out_dir, exist_ok=True)
     observed = ~np.isnan(decay_times)
+    write_table(out_dir, "decay_times", [(np.flatnonzero(observed), decay_times[observed])], fmt)
     write_table(
         out_dir,
-        "decay_times",
-        SCHEMAS["decay_times"],
-        zip(np.flatnonzero(observed), decay_times[observed]),
+        "events",
+        [(table.traj_id, table.t, table.kind, table.occupation_before, table.occupation_after)],
         fmt,
     )
-    write_table(out_dir, "events", SCHEMAS["events"], event_rows, fmt)
 
     payload = {
         "config": _provenance(cfg, "decay"),
         "n_censored": n_censored,
         "n_observed": int(observed.sum()),
-        "n_events": len(event_rows),
+        "n_events": len(table),
         "flags": list(flags),
     }
     if params.model is Model.NSM and drop_samples is not None and drop_samples.size >= 2:
@@ -452,7 +459,7 @@ def cmd_homodyne(cfg: Dict) -> int:
     os.makedirs(out_dir, exist_ok=True)
     acc = EnsembleAutocorrelation(params.n_steps, max_lag)
 
-    def rows():
+    def blocks():
         for rec in iter_homodyne_records(
             params,
             noise,
@@ -461,15 +468,14 @@ def cmd_homodyne(cfg: Dict) -> int:
             threads=int(cfg["threads"]),
         ):
             acc.add(rec.current)
-            for t, cur, sig in zip(rec.times, rec.current, rec.sigma_x):
-                yield (rec.traj_id, t, cur, sig)
+            yield np.full(rec.times.size, rec.traj_id), rec.times, rec.current, rec.sigma_x
 
-    write_table(out_dir, "signal", SCHEMAS["signal"], rows(), fmt)
+    write_table(out_dir, "signal", blocks(), fmt)
     zeta = acc.result()
     lags = np.arange(max_lag + 1) * params.dt
-    write_table(out_dir, "autocorrelation", SCHEMAS["autocorrelation"], zip(lags, zeta), fmt)
+    write_table(out_dir, "autocorrelation", [(lags, zeta)], fmt)
     spec = stats.power_spectrum(zeta, params.dt)
-    write_table(out_dir, "spectrum", SCHEMAS["spectrum"], zip(spec.frequencies, spec.power), fmt)
+    write_table(out_dir, "spectrum", [(spec.frequencies, spec.power)], fmt)
 
     resolved_kick = None
     if noise is NoiseModel.NSM_POINT_PROCESS:
@@ -509,11 +515,7 @@ def cmd_rabi(cfg: Dict) -> int:
         else np.zeros_like(series.bin_centers)
     )
     write_table(
-        out_dir,
-        "fluorescence",
-        SCHEMAS["fluorescence"],
-        zip(series.bin_centers, series.intensity, series.se, torrey),
-        fmt,
+        out_dir, "fluorescence", [(series.bin_centers, series.intensity, series.se, torrey)], fmt
     )
     payload = {
         "config": _provenance(cfg, "rabi"),
@@ -525,11 +527,7 @@ def cmd_rabi(cfg: Dict) -> int:
             ensemble.drop_emission, params.gamma, params.beta, 1.0 / int(cfg["drop_bins"])
         )
         write_table(
-            out_dir,
-            "drop_histogram",
-            SCHEMAS["drop_histogram"],
-            zip(hist.a_centers, hist.counts, hist.density_analytic),
-            fmt,
+            out_dir, "drop_histogram", [(hist.a_centers, hist.counts, hist.density_analytic)], fmt
         )
         payload["n_drop_samples"] = hist.n_samples
     write_summary(out_dir, payload)

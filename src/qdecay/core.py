@@ -325,14 +325,19 @@ def chunk_ranges(n: int, chunks: int) -> List[range]:
     return [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def run_chunks(work, ranges: List[range], threads: int) -> list:
-    """``[work(r) for r in ranges]``, on up to ``threads`` worker threads, in order."""
+def run_chunks(work, ranges: List[range], threads: int) -> Iterator:
+    """Yield ``work(r)`` for each of ``ranges``, in order, on up to ``threads`` worker threads.
+
+    With one thread each result is computed when it is requested, so a caller
+    that streams the results holds one at a time; a pool computes ahead.
+    """
     if threads <= 1 or len(ranges) == 1:
-        return [work(r) for r in ranges]
+        yield from map(work, ranges)
+        return
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, ranges))
+        yield from pool.map(work, ranges)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import ModelParams, QubitState, RngStream, as_generator, derive_stream
+from .core import ModelParams, QubitState, RngStream, as_generator, derive_stream, run_chunks
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -401,34 +401,21 @@ def iter_homodyne_records(
     rho0 = _initial_rho(initial_state)
     times = np.arange(params.n_steps) * params.dt
 
-    def run_block(lo: int, hi: int):
-        gens = [derive_stream(params.seed, i).generator() for i in range(lo, hi)]
+    def run_block(ids: range):
+        gens = [derive_stream(params.seed, i).generator() for i in ids]
         return _lockstep_run(params, noise_model, theta, kick_val, rho0, gens)
 
-    blocks = [(lo, min(lo + chunk, params.n_traj)) for lo in range(0, params.n_traj, chunk)]
-    if threads > 1 and len(blocks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(lambda b: run_block(*b), blocks)
-            for (lo, hi), (cur, sig, counts) in zip(blocks, results):
-                yield from _emit_records(lo, hi, times, cur, sig, counts, noise_model)
-    else:
-        for lo, hi in blocks:
-            cur, sig, counts = run_block(lo, hi)
-            yield from _emit_records(lo, hi, times, cur, sig, counts, noise_model)
-
-
-def _emit_records(lo, hi, times, cur, sig, counts, noise_model):
-    for j, i in enumerate(range(lo, hi)):
-        yield HomodyneRecord(
-            traj_id=i,
-            times=times,
-            current=cur[j],
-            sigma_x=sig[j],
-            noise_model=noise_model,
-            kick_counts=None if counts is None else counts[j],
-        )
+    blocks = [range(lo, min(lo + chunk, params.n_traj)) for lo in range(0, params.n_traj, chunk)]
+    for ids, (cur, sig, counts) in zip(blocks, run_chunks(run_block, blocks, threads)):
+        for j, i in enumerate(ids):
+            yield HomodyneRecord(
+                traj_id=i,
+                times=times,
+                current=cur[j],
+                sigma_x=sig[j],
+                noise_model=noise_model,
+                kick_counts=None if counts is None else counts[j],
+            )
 
 
 def run_homodyne_ensemble(params, noise_model, **kwargs) -> List[HomodyneRecord]:

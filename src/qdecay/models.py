@@ -157,18 +157,26 @@ def sample_fluctuation_gap(beta: float, stream, size: Optional[int] = None):
         raise ValueError(f"non-positive rate: beta must be > 0, got {beta}")
     gen = as_generator(stream)
     if size is None:
-        while True:
-            u = gen.random()
-            if u > 0.0:
-                gap = -math.log(u) / beta
-                if gap > 0.0:
-                    return gap
+        return _fluctuation_gap(gen, beta)
     u = np.asarray(gen.random(size))
     bad = u <= 0.0
     while bad.any():
         u[bad] = gen.random(int(bad.sum()))
         bad = u <= 0.0
     return -np.log(u) / beta
+
+
+def _fluctuation_gap(gen, beta: float) -> float:
+    """One gap -ln(u)/beta for ``beta > 0``, redrawing u until the gap is positive.
+
+    The unchecked core of ``sample_fluctuation_gap`` for the engines' hot loops.
+    """
+    while True:
+        u = gen.random()
+        if u > 0.0:
+            gap = -math.log(u) / beta
+            if gap > 0.0:
+                return gap
 
 
 def fluctuation_gap_density(beta: float, tau: float) -> float:
@@ -426,12 +434,7 @@ def _single_nsm(
         if forced is None:
             if not beta > 0.0:
                 break
-            while True:
-                u = gen.random()
-                if u > 0.0:
-                    gap = -math.log(u) / beta
-                    if gap > 0.0:
-                        break
+            gap = _fluctuation_gap(gen, beta)
             t_fluct = t_prev + gap
         else:
             if idx >= len(forced):
@@ -587,6 +590,19 @@ class EventTable:
     def __len__(self) -> int:
         return len(self.kind)
 
+    @classmethod
+    def from_records(cls, records: Sequence[TrajectoryRecord]) -> "EventTable":
+        """The events of ``records``, in record order, as columns."""
+        traj_id = [r.traj_id for r in records for _ in r.events]
+        events = [ev for r in records for ev in r.events]
+        return cls(
+            traj_id=np.array(traj_id, dtype=np.int64),
+            t=np.array([ev.t for ev in events]),
+            kind=[ev.kind.value for ev in events],
+            occupation_before=np.array([ev.occupation_before for ev in events]),
+            occupation_after=np.array([ev.occupation_after for ev in events]),
+        )
+
 
 @dataclass
 class EnsembleSummary:
@@ -657,7 +673,7 @@ def run_decay_ensemble(
     if model in (Model.QMOP, Model.SWF):
         plan = _step_plan(params, initial, model)
         ranges = chunk_ranges(n, threads)
-        parts = run_chunks(lambda ids: _lockstep_step_decay(plan, params.seed, ids), ranges, threads)
+        parts = list(run_chunks(lambda ids: _lockstep_step_decay(plan, params.seed, ids), ranges, threads))
         decay_times = np.concatenate([p[0] for p in parts])
         jump_steps = np.concatenate([p[1] for p in parts])
 
@@ -694,47 +710,47 @@ def run_decay_ensemble(
     edges = np.arange(n_bins + 1) * (bin_steps or 1)
 
     def work(ids: range):
+        # one entry per fluctuation, in trajectory order
         times = np.full(len(ids), math.nan)
-        rows: List[tuple] = []
+        traj_id: List[int] = []
+        t_fluct: List[float] = []
+        occ: List[float] = []
         drops: List[float] = []
         terminal: List[bool] = []
         vals = np.zeros((len(ids), n_bins)) if n_bins else None
         if w_exc0 == 0.0:
             # pure ground input: nothing ever jumps and no draw is consumed
-            return times, rows, drops, terminal, vals
+            return times, traj_id, t_fluct, occ, drops, terminal, vals
         for j, (i, gen) in enumerate(rekeyed_generators(params.seed, ids)):
             t_dec, f_times, gaps, occ_before, jumped = _single_nsm(params, gen, w_exc0)
             times[j] = t_dec
             if n_bins:
                 series = _nsm_occupation_series(params, w_exc0, f_times, gaps, occ_before, jumped)
                 vals[j] = np.add.reduceat(series[: params.n_steps], edges[:-1]) / bin_steps
-            for m, (t, gap, occ) in enumerate(zip(f_times, gaps, occ_before)):
-                is_term = jumped and m == len(f_times) - 1
-                rows.append(
-                    (
-                        i,
-                        t,
-                        EventKind.QUANTUM_JUMP.value if is_term else EventKind.FLUCTUATION_NO_JUMP.value,
-                        occ,
-                        0.0 if is_term else 1.0,
-                    )
-                )
-                drops.append(-math.expm1(-params.gamma * gap))
-                terminal.append(is_term)
-        return times, rows, drops, terminal, vals
+            traj_id.extend([i] * len(f_times))
+            t_fluct.extend(f_times)
+            occ.extend(occ_before)
+            drops.extend(-math.expm1(-params.gamma * gap) for gap in gaps)
+            terminal.extend([False] * len(f_times))
+            if jumped:
+                terminal[-1] = True
+        return times, traj_id, t_fluct, occ, drops, terminal, vals
 
-    parts = run_chunks(work, chunk_ranges(n, threads), threads)
+    parts = list(run_chunks(work, chunk_ranges(n, threads), threads))
     decay_times = np.concatenate([p[0] for p in parts])
-    rows = [r for p in parts for r in p[1]]
-    drops = np.array([d for p in parts for d in p[2]])
-    terminal = np.array([b for p in parts for b in p[3]], dtype=bool)
-    table = EventTable(
-        traj_id=np.array([r[0] for r in rows], dtype=np.int64),
-        t=np.array([r[1] for r in rows]),
-        kind=[r[2] for r in rows],
-        occupation_before=np.array([r[3] for r in rows]),
-        occupation_after=np.array([r[4] for r in rows]),
+    traj_id, t_fluct, occ, drops, terminal = (
+        [x for p in parts for x in p[k]] for k in range(1, 6)
     )
+    kinds = (EventKind.FLUCTUATION_NO_JUMP.value, EventKind.QUANTUM_JUMP.value)
+    terminal = np.array(terminal, dtype=bool)
+    table = EventTable(
+        traj_id=np.array(traj_id, dtype=np.int64),
+        t=np.array(t_fluct),
+        kind=[kinds[b] for b in terminal.tolist()],
+        occupation_before=np.array(occ),
+        occupation_after=np.where(terminal, 0.0, 1.0),
+    )
+    drops = np.array(drops)
     flags: Tuple[str, ...] = (NSM_BETA_ZERO_FLAG,) if params.beta == 0.0 else ()
     summary = EnsembleSummary(
         model=model,
@@ -747,7 +763,7 @@ def run_decay_ensemble(
         flags=flags,
     )
     if n_bins:
-        vals = np.vstack([p[4] for p in parts])
+        vals = np.vstack([p[6] for p in parts])
         summary.bin_centers = (edges[:-1] + edges[1:]) / 2.0 * params.dt
         summary.occupation_mean = vals.mean(axis=0)
         summary.occupation_var = vals.var(axis=0, ddof=1) if n > 1 else np.zeros(n_bins)

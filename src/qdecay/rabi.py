@@ -36,7 +36,7 @@ from .core import (
     rekeyed_generators,
     run_chunks,
 )
-from .models import NsmEvent, NsmOutcome, _truncated_exponential_time
+from .models import NsmEvent, NsmOutcome, _fluctuation_gap, _truncated_exponential_time
 
 MAX_DRIVEN_STEP = 0.05  # guard on dt * max(gamma, omega_rabi)
 
@@ -250,15 +250,6 @@ def _single_driven_step_model(plan: _DrivenPlan, gen):
     return emissions, series
 
 
-def _next_gap(gen, beta: float) -> float:
-    while True:
-        u = gen.random()
-        if u > 0.0:
-            gap = -math.log(u) / beta
-            if gap > 0.0:
-                return gap
-
-
 def _single_driven_nsm(plan: _DrivenPlan, gen):
     """Driven nsm trajectory.
 
@@ -285,7 +276,7 @@ def _single_driven_nsm(plan: _DrivenPlan, gen):
     k0 = 0
     t_prev = 0.0
     if beta > 0.0:
-        gap = _next_gap(gen, beta)
+        gap = _fluctuation_gap(gen, beta)
         t_c = t_prev + gap
         while t_c <= params.t_max:
             b = min(max(math.ceil(t_c / dt), k0), n)
@@ -313,7 +304,7 @@ def _single_driven_nsm(plan: _DrivenPlan, gen):
                 table = plan.from_ground
             k0 = b
             t_prev = t_c
-            gap = _next_gap(gen, beta)
+            gap = _fluctuation_gap(gen, beta)
             t_c = t_prev + gap
     series[k0:] = table.occ[: n - k0 + 1]
     return emissions, emission_drops, series, nsm_events
@@ -434,7 +425,7 @@ def run_driven_ensemble(
                 em_times.append(t)
         return vals, em_traj, em_times, drops_all, drops_em
 
-    parts = run_chunks(work, chunk_ranges(n, threads), threads)
+    parts = list(run_chunks(work, chunk_ranges(n, threads), threads))
 
     # reduce over the merged per-trajectory matrix so the result does not
     # depend on how trajectories were grouped into worker chunks

@@ -4,6 +4,8 @@ import os
 import pytest
 
 from qdecay.cli import main
+from qdecay.core import ModelParams, derive_stream
+from qdecay.models import run_nsm_trajectory, run_qmop_trajectory
 
 DECAY_CFG = {
     "model": "nsm",
@@ -98,6 +100,56 @@ class TestDecayCommand:
         assert main(["decay", "--config", cfg, "--out-dir", out, "--format", "json"]) == 0
         rows = json.loads(read_bytes(out, "decay_times.json"))
         assert rows and set(rows[0]) == {"traj_id", "t_decay"}
+
+
+class TestTableFormat:
+    @pytest.mark.parametrize(
+        "command, payload, tables",
+        [
+            ("decay", dict(DECAY_CFG, n_traj=50), ("decay_times", "events")),
+            ("homodyne", dict(HOMODYNE_CFG, n_traj=3), ("signal", "autocorrelation", "spectrum")),
+        ],
+    )
+    def test_json_rows_equal_csv_cells(self, tmp_path, command, payload, tables):
+        cfg = write_cfg(tmp_path, payload)
+        csv_out, json_out = str(tmp_path / "csv"), str(tmp_path / "json")
+        assert main([command, "--config", cfg, "--out-dir", csv_out]) == 0
+        assert main([command, "--config", cfg, "--out-dir", json_out, "--format", "json"]) == 0
+        for name in tables:
+            lines = read_bytes(csv_out, f"{name}.csv").decode().splitlines()
+            rows = json.loads(read_bytes(json_out, f"{name}.json"))
+            assert len(rows) == len(lines) - 1 > 0
+            header = lines[0].split(",")
+            for row, line in zip(rows, lines[1:]):
+                assert list(row) == header
+                assert [str(v) for v in row.values()] == line.split(",")
+                if "traj_id" in row:
+                    assert type(row["traj_id"]) is int and line.split(",")[0].isdigit()
+
+    def test_empty_tables(self, tmp_path):
+        cfg = write_cfg(tmp_path, dict(DECAY_CFG, model="qmop", gamma=0.0, n_traj=5, t_max=1.0))
+        csv_out, json_out = str(tmp_path / "csv"), str(tmp_path / "json")
+        assert main(["decay", "--config", cfg, "--out-dir", csv_out]) == 0
+        assert main(["decay", "--config", cfg, "--out-dir", json_out, "--format", "json"]) == 0
+        assert read_bytes(json_out, "events.json") == b"[]\n"
+        assert read_bytes(csv_out, "events.csv") == b"traj_id,t,kind,occupation_before,occupation_after\n"
+
+    @pytest.mark.parametrize("model, run", [("qmop", run_qmop_trajectory), ("nsm", run_nsm_trajectory)])
+    def test_record_steps_rows_are_trajectory_events(self, tmp_path, model, run):
+        payload = dict(DECAY_CFG, model=model, n_traj=4, t_max=2.0, record_steps=True)
+        cfg = write_cfg(tmp_path, payload)
+        out = str(tmp_path / "run")
+        assert main(["decay", "--config", cfg, "--out-dir", out]) == 0
+        params = ModelParams(
+            gamma=1.0, beta=1.0, dt=0.01, t_max=2.0, n_traj=4, seed=42, model=model
+        )
+        want = [
+            f"{i},{ev.t!r},{ev.kind.value},{ev.occupation_before!r},{ev.occupation_after!r}"
+            for i in range(params.n_traj)
+            for ev in run(params, derive_stream(params.seed, i), record_steps=True).events
+        ]
+        assert any(",step," in row for row in want) and any(",step," not in row for row in want)
+        assert read_bytes(out, "events.csv").decode().splitlines()[1:] == want
 
 
 class TestHomodyneCommand:

@@ -221,7 +221,14 @@ class TestChunks:
 
     def test_run_chunks_keeps_order(self):
         ranges = chunk_ranges(100, 7)
-        assert run_chunks(lambda r: r.start, ranges, 3) == [r.start for r in ranges]
+        assert list(run_chunks(lambda r: r.start, ranges, 3)) == [r.start for r in ranges]
+
+    def test_run_chunks_streams_on_one_thread(self):
+        calls = []
+        results = run_chunks(lambda r: calls.append(r.start) or r.start, chunk_ranges(10, 5), 1)
+        assert calls == []
+        assert next(results) == 0 and calls == [0]
+        assert next(results) == 2 and calls == [0, 2]
 
 
 class TestPacketLength:
