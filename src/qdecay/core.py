@@ -26,9 +26,10 @@ building a new one.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -329,7 +330,9 @@ def run_chunks(work, ranges: List[range], threads: int) -> Iterator:
     """Yield ``work(r)`` for each of ``ranges``, in order, on up to ``threads`` worker threads.
 
     With one thread each result is computed when it is requested, so a caller
-    that streams the results holds one at a time; a pool computes ahead.
+    that streams the results holds one at a time.  A pool computes ahead, but
+    keeps at most ``threads + 1`` ranges submitted and not yet yielded, so a
+    slow consumer holds a bounded number of results.
     """
     if threads <= 1 or len(ranges) == 1:
         yield from map(work, ranges)
@@ -337,7 +340,25 @@ def run_chunks(work, ranges: List[range], threads: int) -> Iterator:
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(work, ranges)
+        pending = deque()
+        for r in ranges:
+            pending.append(pool.submit(work, r))
+            if len(pending) > threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def run_ensemble(work, n: int, threads: int) -> Tuple[np.ndarray, ...]:
+    """Run ``work(ids)`` over the chunks of ``range(n)`` and join its columns in id order.
+
+    ``work`` returns a tuple of ndarray columns whose rows belong to the
+    trajectories ``ids`` (any number of rows per trajectory, in id order).
+    Column ``k`` of the result is column ``k`` of every chunk, concatenated
+    along the first axis, so it does not depend on ``threads``.
+    """
+    parts = list(run_chunks(work, chunk_ranges(n, threads), threads))
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
 @dataclass(frozen=True)
@@ -428,6 +449,3 @@ class TrajectoryRecord:
             last = ev.t
             if ev.kind is EventKind.QUANTUM_JUMP:
                 jumped = True
-
-
-StreamLike = Union[RngStream, np.random.Generator]

@@ -22,7 +22,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import ModelParams, QubitState, RngStream, as_generator, derive_stream, run_chunks
+from .core import ModelParams, QubitState, RngStream, as_generator, rekeyed_generators, run_chunks
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -260,15 +260,16 @@ def _initial_rho(initial_state: Optional[QubitState]) -> DensityMatrix2:
     return DensityMatrix2.from_state(initial_state)
 
 
-def _lockstep_run(params, noise_model, theta, kick, rho0, gens):
-    """Advance a block of trajectories in lock step, vectorized across them.
+def _lockstep_run(params, noise_model, theta, kick, rho0, m, gens):
+    """Advance a block of ``m`` trajectories in lock step, vectorized across them.
 
-    Every operation is elementwise over the block, so results per trajectory
-    are identical however trajectories are grouped into blocks.
+    ``gens`` yields the ``m`` trajectories' generators in order; each is read
+    to the end of its noise before the next is requested.  Every operation is
+    elementwise over the block, so results per trajectory are identical
+    however trajectories are grouped into blocks.
     """
     n_steps = params.n_steps
     dt = params.dt
-    m = len(gens)
     noise = np.empty((m, n_steps))
     counts = None
     if noise_model is NoiseModel.WHITE:
@@ -368,7 +369,7 @@ def run_homodyne_trajectory(
     kick_val = _resolve_kick(params, noise_model, kick)
     gen = as_generator(stream)
     rho0 = _initial_rho(initial_state)
-    cur, sig, counts = _lockstep_run(params, noise_model, theta, kick_val, rho0, [gen])
+    cur, sig, counts = _lockstep_run(params, noise_model, theta, kick_val, rho0, 1, [gen])
     times = np.arange(params.n_steps) * params.dt
     traj_id = stream.stream_id if isinstance(stream, RngStream) else 0
     return HomodyneRecord(
@@ -402,8 +403,8 @@ def iter_homodyne_records(
     times = np.arange(params.n_steps) * params.dt
 
     def run_block(ids: range):
-        gens = [derive_stream(params.seed, i).generator() for i in ids]
-        return _lockstep_run(params, noise_model, theta, kick_val, rho0, gens)
+        gens = (gen for _, gen in rekeyed_generators(params.seed, ids))
+        return _lockstep_run(params, noise_model, theta, kick_val, rho0, len(ids), gens)
 
     blocks = [range(lo, min(lo + chunk, params.n_traj)) for lo in range(0, params.n_traj, chunk)]
     for ids, (cur, sig, counts) in zip(blocks, run_chunks(run_block, blocks, threads)):

@@ -41,11 +41,10 @@ from .core import (
     TrajectoryEvent,
     TrajectoryRecord,
     as_generator,
-    chunk_ranges,
     normalize,
     philox_uniforms,
     rekeyed_generators,
-    run_chunks,
+    run_ensemble,
 )
 
 NSM_BETA_ZERO_FLAG = "nsm_beta_zero_no_fluctuations"
@@ -60,7 +59,12 @@ class NsmOutcome(str, Enum):
 class NsmEvent:
     """One vacuum-fluctuation reduction: gap since the previous one, the
     occupation drop ``a_before = 1 - exp(-gamma*gap)`` accumulated over that
-    gap, and the Born outcome."""
+    gap, and the Born outcome.
+
+    ``a_before`` may equal 1: in double precision ``1 - exp(-gamma*gap)``
+    rounds to exactly 1.0 once ``gamma*gap`` exceeds ~37.4, a gap that a
+    rate-``beta`` process reaches with probability ``exp(-37.4*beta/gamma)``.
+    """
 
     t: float
     gap: float
@@ -70,8 +74,8 @@ class NsmEvent:
     def __post_init__(self) -> None:
         if not self.gap > 0.0:
             raise ValueError(f"gap must be > 0, got {self.gap}")
-        if not 0.0 <= self.a_before < 1.0:
-            raise ValueError(f"a_before must lie in [0, 1), got {self.a_before}")
+        if not 0.0 <= self.a_before <= 1.0:
+            raise ValueError(f"a_before must lie in [0, 1], got {self.a_before}")
 
 
 @dataclass(frozen=True)
@@ -328,6 +332,20 @@ def _lockstep_step_decay(plan: _StepPlan, seed: int, ids: range) -> Tuple[np.nda
     return times, steps
 
 
+def _step_events(series, dt: float, n: int, taken) -> List[TrajectoryEvent]:
+    """STEP events at the ends of the first ``n`` grid steps, from ``series`` at step starts.
+
+    Grid times in ``taken`` are skipped: an event already logged there (a
+    fluctuation or emission landing exactly on the grid) keeps the time.
+    """
+    out = []
+    for j in range(n):
+        t = (j + 1) * dt
+        if t not in taken:
+            out.append(TrajectoryEvent(t, EventKind.STEP, float(series[j]), float(series[j + 1])))
+    return out
+
+
 def _step_decay_record(
     params: ModelParams,
     stream,
@@ -343,17 +361,8 @@ def _step_decay_record(
 
     terminal_kind = EventKind.PHOTON_DETECTION if model is Model.SWF else EventKind.QUANTUM_JUMP
     events: List[TrajectoryEvent] = []
-    last_step = plan.n_steps if k < 0 else k
     if record_steps:
-        for j in range(last_step):
-            events.append(
-                TrajectoryEvent(
-                    (j + 1) * plan.dt,
-                    EventKind.STEP,
-                    float(plan.occupation[j]),
-                    float(plan.occupation[j + 1]),
-                )
-            )
+        events = _step_events(plan.occupation, plan.dt, plan.n_steps if k < 0 else k, ())
     if k >= 0:
         events.append(TrajectoryEvent(t_dec, terminal_kind, float(plan.occupation[k]), 0.0))
 
@@ -528,7 +537,7 @@ def run_nsm_trajectory(
     series = None
     if record_steps:
         series = _nsm_occupation_series(params, w_exc0, times, gaps, occ_before, jumped)
-        step_events = _nsm_step_events(params, series, {ev.t for ev in events})
+        step_events = _step_events(series, params.dt, params.n_steps, {ev.t for ev in events})
         if jumped:
             step_events = [ev for ev in step_events if ev.t < times[-1]]
         events = sorted(events + step_events, key=lambda ev: ev.t)
@@ -560,16 +569,6 @@ def _nsm_occupation_series(params, w_exc0, times, gaps, occ_before, jumped) -> n
     if jumped:
         series[grid >= times[-1]] = 0.0
     return series
-
-
-def _nsm_step_events(params, series, taken_times) -> List[TrajectoryEvent]:
-    out = []
-    for j in range(params.n_steps):
-        t = (j + 1) * params.dt
-        if t in taken_times:
-            continue  # a fluctuation landed exactly on the grid (forced-grid hook)
-        out.append(TrajectoryEvent(t, EventKind.STEP, float(series[j]), float(series[j + 1])))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -632,26 +631,31 @@ class EnsembleSummary:
         return self.decay_times[~np.isnan(self.decay_times)]
 
 
-def _binned_occupation_step(plan: _StepPlan, jump_steps: np.ndarray, bin_steps: int):
-    """Mean/var/se over trajectories of per-bin occupation means.
+def _bin_statistics(vals: np.ndarray, edges: np.ndarray, dt: float):
+    """(centers, mean, var, se) over trajectories of per-bin occupation means.
+
+    ``vals`` has one row per trajectory and one column per bin, and ``edges``
+    are the bin edges in steps.  The reduction runs over the merged matrix,
+    so it does not depend on how trajectories were grouped into chunks.
+    """
+    n = vals.shape[0]
+    mean = vals.mean(axis=0)
+    var = vals.var(axis=0, ddof=1) if n > 1 else np.zeros(vals.shape[1])
+    return (edges[:-1] + edges[1:]) / 2.0 * dt, mean, var, np.sqrt(var / n)
+
+
+def _step_bin_means(plan: _StepPlan, jump_steps: np.ndarray, edges: np.ndarray, bin_steps: int) -> np.ndarray:
+    """Per-trajectory occupation means over the bins ``edges`` of a step-model ensemble.
 
     Uses the fact that every live trajectory rides the same deterministic
     no-jump curve: the per-trajectory series is the curve truncated at its
     jump step, so binned values follow from prefix sums and the cutoffs.
     """
-    n_steps = plan.n_steps
-    n_bins = n_steps // bin_steps
-    edges = np.arange(n_bins + 1) * bin_steps
-    prefix = np.concatenate([[0.0], np.cumsum(plan.occupation[:n_steps])])
-    cut = np.where(jump_steps < 0, n_steps, jump_steps + 1)
+    prefix = np.concatenate([[0.0], np.cumsum(plan.occupation[: plan.n_steps])])
+    cut = np.where(jump_steps < 0, plan.n_steps, jump_steps + 1)
     lo = np.minimum.outer(cut, edges[:-1])
     hi = np.minimum.outer(cut, edges[1:])
-    vals = (prefix[hi] - prefix[lo]) / bin_steps  # (n_traj, n_bins)
-    mean = vals.mean(axis=0)
-    var = vals.var(axis=0, ddof=1) if vals.shape[0] > 1 else np.zeros(n_bins)
-    se = np.sqrt(var / vals.shape[0])
-    centers = (edges[:-1] + edges[1:]) / 2.0 * plan.dt
-    return centers, mean, var, se
+    return (prefix[hi] - prefix[lo]) / bin_steps  # (n_traj, n_bins)
 
 
 def run_decay_ensemble(
@@ -669,14 +673,16 @@ def run_decay_ensemble(
     initial = QubitState.excited() if initial_state is None else normalize(initial_state)
     n = params.n_traj
     model = params.model
+    n_bins = (params.n_steps // bin_steps) if bin_steps else 0
+    edges = np.arange(n_bins + 1) * (bin_steps or 1)
+    drops = terminal = None
+    flags: Tuple[str, ...] = ()
 
     if model in (Model.QMOP, Model.SWF):
         plan = _step_plan(params, initial, model)
-        ranges = chunk_ranges(n, threads)
-        parts = list(run_chunks(lambda ids: _lockstep_step_decay(plan, params.seed, ids), ranges, threads))
-        decay_times = np.concatenate([p[0] for p in parts])
-        jump_steps = np.concatenate([p[1] for p in parts])
-
+        decay_times, jump_steps = run_ensemble(
+            lambda ids: _lockstep_step_decay(plan, params.seed, ids), n, threads
+        )
         kind = EventKind.PHOTON_DETECTION if model is Model.SWF else EventKind.QUANTUM_JUMP
         decayed = jump_steps >= 0
         table = EventTable(
@@ -686,72 +692,52 @@ def run_decay_ensemble(
             occupation_before=plan.occupation[jump_steps[decayed]],
             occupation_after=np.zeros(int(decayed.sum())),
         )
-        summary = EnsembleSummary(
-            model=model,
-            n_traj=n,
-            decay_times=decay_times,
-            n_censored=int(np.isnan(decay_times).sum()),
-            events=table,
-        )
         if bin_steps:
-            (
-                summary.bin_centers,
-                summary.occupation_mean,
-                summary.occupation_var,
-                summary.occupation_se,
-            ) = _binned_occupation_step(plan, jump_steps, bin_steps)
-        return summary
-
-    if model is not Model.NSM:  # pragma: no cover - enum is exhaustive
+            vals = _step_bin_means(plan, jump_steps, edges, bin_steps)
+    elif model is not Model.NSM:  # pragma: no cover - enum is exhaustive
         raise ValueError(f"unknown model {model}")
-    w_exc0 = abs(initial.c_excited) ** 2
+    else:
+        w_exc0 = abs(initial.c_excited) ** 2
 
-    n_bins = (params.n_steps // bin_steps) if bin_steps else 0
-    edges = np.arange(n_bins + 1) * (bin_steps or 1)
-
-    def work(ids: range):
-        # one entry per fluctuation, in trajectory order
-        times = np.full(len(ids), math.nan)
-        traj_id: List[int] = []
-        t_fluct: List[float] = []
-        occ: List[float] = []
-        drops: List[float] = []
-        terminal: List[bool] = []
-        vals = np.zeros((len(ids), n_bins)) if n_bins else None
-        if w_exc0 == 0.0:
+        def work(ids: range):
+            # one entry per fluctuation, in trajectory order
+            times = np.full(len(ids), math.nan)
+            traj_id: List[int] = []
+            t_fluct: List[float] = []
+            occ: List[float] = []
+            drops: List[float] = []
+            terminal: List[bool] = []
+            vals = np.zeros((len(ids), n_bins))
             # pure ground input: nothing ever jumps and no draw is consumed
-            return times, traj_id, t_fluct, occ, drops, terminal, vals
-        for j, (i, gen) in enumerate(rekeyed_generators(params.seed, ids)):
-            t_dec, f_times, gaps, occ_before, jumped = _single_nsm(params, gen, w_exc0)
-            times[j] = t_dec
-            if n_bins:
-                series = _nsm_occupation_series(params, w_exc0, f_times, gaps, occ_before, jumped)
-                vals[j] = np.add.reduceat(series[: params.n_steps], edges[:-1]) / bin_steps
-            traj_id.extend([i] * len(f_times))
-            t_fluct.extend(f_times)
-            occ.extend(occ_before)
-            drops.extend(-math.expm1(-params.gamma * gap) for gap in gaps)
-            terminal.extend([False] * len(f_times))
-            if jumped:
-                terminal[-1] = True
-        return times, traj_id, t_fluct, occ, drops, terminal, vals
+            streams = rekeyed_generators(params.seed, ids) if w_exc0 > 0.0 else ()
+            for j, (i, gen) in enumerate(streams):
+                t_dec, f_times, gaps, occ_before, jumped = _single_nsm(params, gen, w_exc0)
+                times[j] = t_dec
+                if n_bins:
+                    series = _nsm_occupation_series(params, w_exc0, f_times, gaps, occ_before, jumped)
+                    vals[j] = np.add.reduceat(series[: params.n_steps], edges[:-1]) / bin_steps
+                traj_id.extend([i] * len(f_times))
+                t_fluct.extend(f_times)
+                occ.extend(occ_before)
+                drops.extend(-math.expm1(-params.gamma * gap) for gap in gaps)
+                terminal.extend([False] * len(f_times))
+                if jumped:
+                    terminal[-1] = True
+            columns = ((traj_id, np.int64), (t_fluct, float), (occ, float), (drops, float), (terminal, bool))
+            return (times, *(np.array(c, dtype=dtype) for c, dtype in columns), vals)
 
-    parts = list(run_chunks(work, chunk_ranges(n, threads), threads))
-    decay_times = np.concatenate([p[0] for p in parts])
-    traj_id, t_fluct, occ, drops, terminal = (
-        [x for p in parts for x in p[k]] for k in range(1, 6)
-    )
-    kinds = (EventKind.FLUCTUATION_NO_JUMP.value, EventKind.QUANTUM_JUMP.value)
-    terminal = np.array(terminal, dtype=bool)
-    table = EventTable(
-        traj_id=np.array(traj_id, dtype=np.int64),
-        t=np.array(t_fluct),
-        kind=[kinds[b] for b in terminal.tolist()],
-        occupation_before=np.array(occ),
-        occupation_after=np.where(terminal, 0.0, 1.0),
-    )
-    drops = np.array(drops)
-    flags: Tuple[str, ...] = (NSM_BETA_ZERO_FLAG,) if params.beta == 0.0 else ()
+        decay_times, traj_id, t_fluct, occ, drops, terminal, vals = run_ensemble(work, n, threads)
+        kinds = (EventKind.FLUCTUATION_NO_JUMP.value, EventKind.QUANTUM_JUMP.value)
+        table = EventTable(
+            traj_id=traj_id,
+            t=t_fluct,
+            kind=[kinds[b] for b in terminal.tolist()],
+            occupation_before=occ,
+            occupation_after=np.where(terminal, 0.0, 1.0),
+        )
+        if params.beta == 0.0:
+            flags = (NSM_BETA_ZERO_FLAG,)
+
     summary = EnsembleSummary(
         model=model,
         n_traj=n,
@@ -762,11 +748,11 @@ def run_decay_ensemble(
         drop_terminal=terminal,
         flags=flags,
     )
-    if n_bins:
-        vals = np.vstack([p[6] for p in parts])
-        summary.bin_centers = (edges[:-1] + edges[1:]) / 2.0 * params.dt
-        summary.occupation_mean = vals.mean(axis=0)
-        summary.occupation_var = vals.var(axis=0, ddof=1) if n > 1 else np.zeros(n_bins)
-        summary.occupation_se = np.sqrt(summary.occupation_var / n)
+    if bin_steps:
+        (
+            summary.bin_centers,
+            summary.occupation_mean,
+            summary.occupation_var,
+            summary.occupation_se,
+        ) = _bin_statistics(vals, edges, params.dt)
     return summary
-

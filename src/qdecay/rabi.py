@@ -32,11 +32,17 @@ from .core import (
     TrajectoryEvent,
     TrajectoryRecord,
     as_generator,
-    chunk_ranges,
     rekeyed_generators,
-    run_chunks,
+    run_ensemble,
 )
-from .models import NsmEvent, NsmOutcome, _fluctuation_gap, _truncated_exponential_time
+from .models import (
+    NsmEvent,
+    NsmOutcome,
+    _bin_statistics,
+    _fluctuation_gap,
+    _step_events,
+    _truncated_exponential_time,
+)
 
 MAX_DRIVEN_STEP = 0.05  # guard on dt * max(gamma, omega_rabi)
 
@@ -127,13 +133,13 @@ class _DrivenTable:
     ``amp_e``/``amp_g`` are the unnormalized amplitudes on the step grid
     (rotation then decay factor per step, which is linear); ``occ`` is the
     occupation at step starts, ``jump_prob`` the per-step emission check.
-    For the nsm engine the amplitudes stay unitary-weighted and ``photon_w``
-    tracks the weight leaked to the continuum since the segment start.
+    For the nsm engine the amplitudes stay unitary-weighted, so ``occ`` is
+    also the Born weight of the excited branch, and ``photon_w`` tracks the
+    weight leaked to the continuum since the segment start.
     """
 
     occ: np.ndarray  # length n_steps + 1
     jump_prob: np.ndarray  # length n_steps (qmop/swf) or unused for nsm
-    exc_weight: np.ndarray  # |amp_e|^2 against total 1 (nsm Born weight)
     photon_w: np.ndarray  # continuum weight since segment start (nsm)
 
 
@@ -166,7 +172,6 @@ def _driven_table(params: ModelParams, omega: float, start: QubitState, model: M
     if model is Model.NSM:
         occ = w_e / norm0
         jump_prob = np.zeros(n)
-        exc_weight = w_e / norm0
         photon_w = (norm0 - w_e - w_g) / norm0
     else:
         total = w_e + w_g
@@ -177,16 +182,13 @@ def _driven_table(params: ModelParams, omega: float, start: QubitState, model: M
         else:
             per_step = params.gamma * dt
         jump_prob = occ_rot * per_step
-        exc_weight = occ
         photon_w = np.zeros(n + 1)
-    return _DrivenTable(occ=occ, jump_prob=jump_prob, exc_weight=exc_weight, photon_w=photon_w)
+    return _DrivenTable(occ=occ, jump_prob=jump_prob, photon_w=photon_w)
 
 
 @dataclass
 class _DrivenPlan:
     params: ModelParams
-    model: Model
-    omega: float
     from_initial: _DrivenTable
     from_excited: Optional[_DrivenTable]
     from_ground: _DrivenTable
@@ -209,8 +211,6 @@ def _driven_plan(params: ModelParams, drive: DriveParams, initial: QubitState) -
         from_excited = _driven_table(params, omega, QubitState.excited(), model)
     return _DrivenPlan(
         params=params,
-        model=model,
-        omega=omega,
         from_initial=_driven_table(params, omega, initial, model),
         from_excited=from_excited,
         from_ground=_driven_table(params, omega, QubitState.ground(), model),
@@ -259,9 +259,10 @@ def _single_driven_nsm(plan: _DrivenPlan, gen):
     the ground branch resolves the photon by the Born rule within the branch
     and only then counts as an emission.
 
-    Returns (emissions, emission_drops, series, nsm_events) where emissions
-    are (time, occupation_before) pairs and emission_drops the matching
-    occupation-drop values.
+    Returns (emissions, emission_drops, series, fluctuations) where
+    emissions are (time, occupation_before) pairs, emission_drops the
+    matching occupation-drop values and fluctuations one
+    (time, gap, occupation_drop, to_ground) row per reduction.
     """
     params = plan.params
     beta = params.beta
@@ -271,7 +272,7 @@ def _single_driven_nsm(plan: _DrivenPlan, gen):
     series = np.empty(n + 1)
     emissions: List[Tuple[float, float]] = []
     emission_drops: List[float] = []
-    nsm_events: List[NsmEvent] = []
+    fluctuations: List[Tuple[float, float, float, bool]] = []
     table = plan.from_initial
     k0 = 0
     t_prev = 0.0
@@ -282,23 +283,18 @@ def _single_driven_nsm(plan: _DrivenPlan, gen):
             b = min(max(math.ceil(t_c / dt), k0), n)
             idx = b - k0
             series[k0 : b + 1] = table.occ[: idx + 1]
-            p_exc = float(table.exc_weight[idx])
+            p_exc = float(table.occ[idx])
             a = -math.expm1(-gamma * gap)
             if gen.random() < p_exc:
-                nsm_events.append(
-                    NsmEvent(t=t_c, gap=gap, a_before=a, outcome=NsmOutcome.RESET_TO_EXCITED)
-                )
+                fluctuations.append((t_c, gap, a, False))
                 table = plan.from_excited
             else:
                 ground_branch = 1.0 - p_exc
                 p_photon = (
                     float(table.photon_w[idx]) / ground_branch if ground_branch > 0.0 else 0.0
                 )
-                emitted = gen.random() < p_photon
-                nsm_events.append(
-                    NsmEvent(t=t_c, gap=gap, a_before=a, outcome=NsmOutcome.JUMP_TO_GROUND)
-                )
-                if emitted:
+                fluctuations.append((t_c, gap, a, True))
+                if gen.random() < p_photon:
                     emissions.append((t_c, p_exc))
                     emission_drops.append(a)
                 table = plan.from_ground
@@ -307,7 +303,7 @@ def _single_driven_nsm(plan: _DrivenPlan, gen):
             gap = _fluctuation_gap(gen, beta)
             t_c = t_prev + gap
     series[k0:] = table.occ[: n - k0 + 1]
-    return emissions, emission_drops, series, nsm_events
+    return emissions, emission_drops, series, fluctuations
 
 
 def run_driven_trajectory(
@@ -333,8 +329,12 @@ def run_driven_trajectory(
 
     nsm_events: tuple = ()
     if params.model is Model.NSM:
-        emissions, _, series, nsm_list = _single_driven_nsm(plan, gen)
-        nsm_events = tuple(nsm_list)
+        emissions, _, series, fluctuations = _single_driven_nsm(plan, gen)
+        outcomes = (NsmOutcome.RESET_TO_EXCITED, NsmOutcome.JUMP_TO_GROUND)
+        nsm_events = tuple(
+            NsmEvent(t=t, gap=gap, a_before=a, outcome=outcomes[to_ground])
+            for t, gap, a, to_ground in fluctuations
+        )
     else:
         emissions, series = _single_driven_step_model(plan, gen)
 
@@ -343,12 +343,7 @@ def run_driven_trajectory(
         for t, occ_before in emissions
     ]
     if record_steps:
-        taken = {ev.t for ev in events}
-        for j in range(params.n_steps):
-            t = (j + 1) * params.dt
-            if t in taken:
-                continue
-            events.append(TrajectoryEvent(t, EventKind.STEP, float(series[j]), float(series[j + 1])))
+        events += _step_events(series, params.dt, params.n_steps, {ev.t for ev in events})
         events.sort(key=lambda ev: ev.t)
 
     return TrajectoryRecord(
@@ -379,7 +374,6 @@ class DrivenEnsemble:
     bin_centers: np.ndarray
     occupation_mean: np.ndarray
     occupation_se: np.ndarray
-    emission_traj: np.ndarray
     emission_times: np.ndarray
     drop_all: np.ndarray
     drop_emission: np.ndarray
@@ -408,32 +402,22 @@ def run_driven_ensemble(
 
     def work(ids: range):
         vals = np.empty((len(ids), n_bins))
-        em_traj: List[int] = []
         em_times: List[float] = []
         drops_all: List[float] = []
         drops_em: List[float] = []
-        for j, (i, gen) in enumerate(rekeyed_generators(params.seed, ids)):
+        for j, (_, gen) in enumerate(rekeyed_generators(params.seed, ids)):
             if params.model is Model.NSM:
-                emissions, em_drops, series, nsm_list = _single_driven_nsm(plan, gen)
-                drops_all.extend(ev.a_before for ev in nsm_list)
+                emissions, em_drops, series, fluctuations = _single_driven_nsm(plan, gen)
+                drops_all.extend(a for _, _, a, _ in fluctuations)
                 drops_em.extend(em_drops)
             else:
                 emissions, series = _single_driven_step_model(plan, gen)
             vals[j] = np.add.reduceat(series[:n_steps], edges[:-1]) / bin_steps
-            for t, _ in emissions:
-                em_traj.append(i)
-                em_times.append(t)
-        return vals, em_traj, em_times, drops_all, drops_em
+            em_times.extend(t for t, _ in emissions)
+        return vals, *(np.array(c, dtype=float) for c in (em_times, drops_all, drops_em))
 
-    parts = list(run_chunks(work, chunk_ranges(n, threads), threads))
-
-    # reduce over the merged per-trajectory matrix so the result does not
-    # depend on how trajectories were grouped into worker chunks
-    vals = np.vstack([p[0] for p in parts])
-    mean = vals.mean(axis=0)
-    var = vals.var(axis=0, ddof=1) if n > 1 else np.zeros(n_bins)
-    se = np.sqrt(var / n)
-    centers = (edges[:-1] + edges[1:]) / 2.0 * params.dt
+    vals, em_times, drop_all, drop_em = run_ensemble(work, n, threads)
+    centers, mean, _, se = _bin_statistics(vals, edges, params.dt)
     return DrivenEnsemble(
         n_traj=n,
         dt=params.dt,
@@ -441,10 +425,9 @@ def run_driven_ensemble(
         bin_centers=centers,
         occupation_mean=mean,
         occupation_se=se,
-        emission_traj=np.array([i for p in parts for i in p[1]], dtype=np.int64),
-        emission_times=np.array([t for p in parts for t in p[2]]),
-        drop_all=np.array([a for p in parts for a in p[3]]),
-        drop_emission=np.array([a for p in parts for a in p[4]]),
+        emission_times=em_times,
+        drop_all=drop_all,
+        drop_emission=drop_em,
     )
 
 

@@ -209,6 +209,20 @@ class TestRabiCommand:
         assert not os.path.exists(os.path.join(out, "drop_histogram.csv"))
 
 
+class TestLongFluctuationGaps:
+    """gamma*gap > ~37.4 rounds the nsm occupation drop to exactly 1.0."""
+
+    CFG = {"model": "nsm", "gamma": 1.0, "beta": 0.1, "dt": 0.01, "t_max": 80.0, "n_traj": 50, "seed": 3}
+
+    def test_rabi_run(self, tmp_path):
+        cfg = write_cfg(tmp_path, dict(self.CFG, omega_rabi=0.5))
+        assert main(["rabi", "--config", cfg, "--out-dir", str(tmp_path / "run")]) == 0
+
+    def test_decay_record_steps_run(self, tmp_path):
+        cfg = write_cfg(tmp_path, dict(self.CFG, record_steps=True))
+        assert main(["decay", "--config", cfg, "--out-dir", str(tmp_path / "run")]) == 0
+
+
 class TestAnalyze:
     def test_decay_report(self, tmp_path):
         cfg = write_cfg(tmp_path, dict(DECAY_CFG, n_traj=2000))

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -229,6 +230,16 @@ class TestChunks:
         assert calls == []
         assert next(results) == 0 and calls == [0]
         assert next(results) == 2 and calls == [0, 2]
+
+    def test_run_chunks_bounds_lookahead(self):
+        threads = 2
+        started = []
+        ranges = chunk_ranges(20, 20)
+        results = run_chunks(lambda r: started.append(r.start) or r.start, ranges, threads)
+        assert next(results) == 0
+        time.sleep(0.2)
+        assert len(started) <= threads + 1
+        assert list(results) == [r.start for r in ranges[1:]]
 
 
 class TestPacketLength:

@@ -363,6 +363,14 @@ class TestNsmTrajectory:
             assert ev.a_before == pytest.approx(-math.expm1(-p.gamma * ev.gap), abs=1e-12)
             assert ev.gap > 0.0
 
+    def test_long_gap_drop_rounds_to_one(self):
+        # gamma*gap > ~37.4 makes 1 - exp(-gamma*gap) exactly 1.0 in doubles
+        p = params(model="nsm", beta=0.1, t_max=80.0)
+        rec = run_nsm_trajectory(p, derive_stream(3, 23), record_steps=True)
+        assert rec.nsm_events[-1].gap * p.gamma > 37.5
+        assert rec.nsm_events[-1].a_before == 1.0
+        assert rec.decay_time is not None
+
     def test_terminal_event_ends_trajectory(self):
         p = params(model="nsm", beta=1.0, t_max=200.0)
         rec = run_nsm_trajectory(p, derive_stream(23, 1))
@@ -481,6 +489,46 @@ class TestBatchedStepEngine:
         for p, initial in ((params(gamma=0.0, n_traj=5), None), (params(n_traj=5), QubitState.ground())):
             s = run_decay_ensemble(p, initial_state=initial)
             assert s.n_censored == 5 and len(s.events) == 0
+
+
+class TestBatchedNsmEngine:
+    """The nsm ensemble's columns are the scalar runner's records, trajectory by trajectory."""
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize(
+        "initial",
+        [None, QubitState.superposition(0.6, 0.8j), QubitState.ground()],
+        ids=["excited", "superposition", "ground"],
+    )
+    def test_ensemble_matches_scalar_trajectories(self, initial, threads):
+        p = params(model="nsm", beta=1.5, t_max=3.0, n_traj=200, seed=99)
+        bin_steps = 30
+        records = [
+            run_nsm_trajectory(p, derive_stream(p.seed, i), initial_state=initial, record_steps=True)
+            for i in range(p.n_traj)
+        ]
+        s = run_decay_ensemble(p, initial_state=initial, threads=threads, bin_steps=bin_steps)
+
+        times = [math.nan if r.decay_time is None else r.decay_time for r in records]
+        assert np.array_equal(s.decay_times, np.array(times), equal_nan=True)
+        rows = [(r.traj_id, ev) for r in records for ev in r.events if ev.kind is not EventKind.STEP]
+        assert s.events.traj_id.tolist() == [i for i, _ in rows]
+        assert s.events.t.tolist() == [ev.t for _, ev in rows]
+        assert s.events.kind == [ev.kind.value for _, ev in rows]
+        assert s.events.occupation_before.tolist() == [ev.occupation_before for _, ev in rows]
+        assert s.events.occupation_after.tolist() == [ev.occupation_after for _, ev in rows]
+        fluctuations = [ev for r in records for ev in r.nsm_events]
+        assert s.drop_samples.tolist() == [ev.a_before for ev in fluctuations]
+        assert s.drop_terminal.tolist() == [ev.outcome is NsmOutcome.JUMP_TO_GROUND for ev in fluctuations]
+        if initial is None:
+            assert 0 < s.n_censored < p.n_traj and s.drop_terminal.sum() < len(fluctuations)
+
+        edges = np.arange(p.n_steps // bin_steps + 1) * bin_steps
+        vals = np.array(
+            [np.add.reduceat(r.occupation_series[: p.n_steps], edges[:-1]) / bin_steps for r in records]
+        )
+        assert np.array_equal(s.occupation_mean, vals.mean(axis=0))
+        assert np.array_equal(s.occupation_var, vals.var(axis=0, ddof=1))
 
 
 class TestEnsembleDeterminism:

@@ -117,6 +117,12 @@ class TestDrivenTrajectory:
             assert ev.a_before == pytest.approx(-math.expm1(-p.gamma * ev.gap), abs=1e-12)
             t_prev = ev.t
 
+    def test_nsm_long_gap_drop_rounds_to_one(self):
+        # gamma*gap > ~37.4 makes 1 - exp(-gamma*gap) exactly 1.0 in doubles
+        p = driven_params(model="nsm", gamma=1.0, beta=0.1, omega=0.5, dt=0.01, t_max=80.0)
+        rec = run_driven_trajectory(p, DriveParams(omega_rabi=0.5), derive_stream(3, 23))
+        assert any(ev.a_before == 1.0 for ev in rec.nsm_events)
+
 
 class TestDrivenEnsemble:
     def test_mean_occupation_approaches_half(self):
@@ -154,6 +160,31 @@ class TestDrivenEnsemble:
         stationary = ens.bin_centers > 15.0
         z = np.abs(rate - target) / np.sqrt(rate_se**2 + target_se**2)
         assert np.all(z[stationary] <= 3.5)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("model", ["qmop", "nsm"])
+    def test_ensemble_matches_scalar_trajectories(self, model, threads):
+        p = driven_params(model=model, gamma=0.5, beta=0.8, omega=4.0, dt=0.01, t_max=8.0, n_traj=120, seed=404)
+        drive = DriveParams(omega_rabi=4.0)
+        bin_steps = 40
+        records = [
+            run_driven_trajectory(p, drive, derive_stream(p.seed, i), record_steps=True)
+            for i in range(p.n_traj)
+        ]
+        ens = run_driven_ensemble(p, drive, bin_steps=bin_steps, threads=threads)
+
+        emitted = [[ev.t for ev in r.events if ev.kind is EventKind.PHOTON_DETECTION] for r in records]
+        assert ens.emission_times.tolist() == [t for times in emitted for t in times]
+        assert ens.drop_all.tolist() == [ev.a_before for r in records for ev in r.nsm_events]
+        assert ens.drop_emission.tolist() == [
+            ev.a_before for r, times in zip(records, emitted) for ev in r.nsm_events if ev.t in times
+        ]
+        assert ens.emission_times.size > 0 and (ens.drop_all.size > 0) == (model == "nsm")
+        edges = np.arange(p.n_steps // bin_steps + 1) * bin_steps
+        vals = np.array(
+            [np.add.reduceat(r.occupation_series[: p.n_steps], edges[:-1]) / bin_steps for r in records]
+        )
+        assert np.array_equal(ens.occupation_mean, vals.mean(axis=0))
 
     def test_deterministic_across_threads(self):
         p = driven_params(gamma=0.2, omega=2.0, t_max=10.0, n_traj=200, seed=33)
