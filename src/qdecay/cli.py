@@ -2,11 +2,13 @@
 
 Subcommands: ``decay | homodyne | rabi | analyze``.  A run validates its
 whole config before touching the filesystem, spawns trajectory workers up to
-``--threads`` and merges results in trajectory order.  The engines hand their
-tables over as column blocks: tuples of columns (ndarrays or lists) in the
-order of ``SCHEMAS[name]``.  ``write_table`` is the one place that formats
-them, a bounded row slice at a time, with shortest round-trip float
-formatting.  Identical (config, seed) therefore produce byte-identical
+``--threads`` and merges results in trajectory order; ``decay`` always runs
+``models.run_decay_ensemble``, whose ``record_steps`` adds the grid STEP rows.
+The engines hand their tables over as column blocks: tuples of columns
+(ndarrays or lists) in the order of ``SCHEMAS[name]``.  ``write_table`` is
+the one place that formats them, a bounded row slice at a time, with
+shortest round-trip float formatting; it deletes the table's file in the
+other format.  Identical (config, seed) therefore produce byte-identical
 outputs for any thread count.
 
 Exit codes: 0 ok, 2 config/schema error, 3 I/O error, 4 analysis thresholds
@@ -16,6 +18,7 @@ violated under ``--strict``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -25,7 +28,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import models, rabi, stats
-from .core import Model, ModelParams, derive_stream
+from .core import Model, ModelParams
 from .homodyne import (
     EnsembleAutocorrelation,
     NoiseModel,
@@ -269,9 +272,13 @@ def write_table(out_dir: str, name: str, blocks, fmt: str) -> str:
     formatted with ``str``, which for Python floats is the shortest round-trip
     ``repr``.  A slice's Python values are dropped before the next block is
     requested, so a streamed table never holds more than one slice of them.
+    The table's file in the other format is deleted first, so that
+    ``read_table`` cannot pick up a stale copy from an earlier run.
     """
     header = SCHEMAS[name]
     path = os.path.join(out_dir, f"{name}.{fmt}")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, f"{name}.{'csv' if fmt == 'json' else 'json'}"))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if fmt == "json":
             sep = "[\n"
@@ -305,21 +312,22 @@ def read_table(out_dir: str, name: str) -> Optional[Dict[str, list]]:
     csv_path = os.path.join(out_dir, f"{name}.csv")
     json_path = os.path.join(out_dir, f"{name}.json")
     if os.path.exists(csv_path):
+        # line by line: holding all lines beside the cells cost ~3 MB of peak RSS
         with open(csv_path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        if not lines:
-            raise SchemaError(f"{name}.csv: empty file, expected header {schema}")
-        header = lines[0].split(",")
-        _check_schema(name, header, schema)
-        cols: Dict[str, list] = {k: [] for k in schema}
-        for line in lines[1:]:
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != len(schema):
-                raise SchemaError(f"{name}.csv: row has {len(cells)} cells, expected {len(schema)}")
-            for k, c in zip(schema, cells):
-                cols[k].append(c)
+            header = fh.readline()
+            if not header:
+                raise SchemaError(f"{name}.csv: empty file, expected header {schema}")
+            _check_schema(name, header.rstrip("\n").split(","), schema)
+            cols: Dict[str, list] = {k: [] for k in schema}
+            for line in fh:
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                cells = line.split(",")
+                if len(cells) != len(schema):
+                    raise SchemaError(f"{name}.csv: row has {len(cells)} cells, expected {len(schema)}")
+                for k, c in zip(schema, cells):
+                    cols[k].append(c)
         return cols
     if os.path.exists(json_path):
         with open(json_path, "r", encoding="utf-8") as fh:
@@ -383,24 +391,13 @@ def cmd_decay(cfg: Dict) -> int:
     params = _model_params(cfg)
     out_dir = cfg["out_dir"]
     fmt = cfg["format"]
-    threads = int(cfg["threads"])
 
-    if cfg.get("record_steps"):
-        records = _decay_records_with_steps(params)
-        decay_times = np.array(
-            [math.nan if r.decay_time is None else r.decay_time for r in records]
-        )
-        table = models.EventTable.from_records(records)
-        drop_samples = np.array([ev.a_before for r in records for ev in r.nsm_events])
-        flags = sorted({f for r in records for f in r.flags})
-        n_censored = int(np.isnan(decay_times).sum())
-    else:
-        summary = models.run_decay_ensemble(params, threads=threads)
-        decay_times = summary.decay_times
-        table = summary.events
-        drop_samples = summary.drop_samples
-        flags = sorted(summary.flags)
-        n_censored = summary.n_censored
+    summary = models.run_decay_ensemble(
+        params, threads=int(cfg["threads"]), record_steps=cfg["record_steps"]
+    )
+    decay_times = summary.decay_times
+    table = summary.events
+    drop_samples = summary.drop_samples
 
     os.makedirs(out_dir, exist_ok=True)
     observed = ~np.isnan(decay_times)
@@ -414,10 +411,10 @@ def cmd_decay(cfg: Dict) -> int:
 
     payload = {
         "config": _provenance(cfg, "decay"),
-        "n_censored": n_censored,
+        "n_censored": summary.n_censored,
         "n_observed": int(observed.sum()),
         "n_events": len(table),
-        "flags": list(flags),
+        "flags": sorted(summary.flags),
     }
     if params.model is Model.NSM and drop_samples is not None and drop_samples.size >= 2:
         mean_a, var_a, se_a = stats.mean_var_se(drop_samples)
@@ -434,18 +431,6 @@ def cmd_decay(cfg: Dict) -> int:
     write_summary(out_dir, payload)
     _write_gnuplot(out_dir, "decay")
     return EXIT_OK
-
-
-def _decay_records_with_steps(params: ModelParams):
-    run = {
-        Model.QMOP: models.run_qmop_trajectory,
-        Model.SWF: models.run_swf_trajectory,
-        Model.NSM: models.run_nsm_trajectory,
-    }[params.model]
-    return [
-        run(params, derive_stream(params.seed, i), record_steps=True)
-        for i in range(params.n_traj)
-    ]
 
 
 def cmd_homodyne(cfg: Dict) -> int:

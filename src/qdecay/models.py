@@ -332,18 +332,55 @@ def _lockstep_step_decay(plan: _StepPlan, seed: int, ids: range) -> Tuple[np.nda
     return times, steps
 
 
-def _step_events(series, dt: float, n: int, taken) -> List[TrajectoryEvent]:
-    """STEP events at the ends of the first ``n`` grid steps, from ``series`` at step starts.
+# Event rows: columns (t, kind, before, after), kind an int8 index into _KINDS.
+_KINDS = tuple(EventKind)
+_CODE = {kind: np.int8(code) for code, kind in enumerate(_KINDS)}
 
-    Grid times in ``taken`` are skipped: an event already logged there (a
-    fluctuation or emission landing exactly on the grid) keeps the time.
+
+def _step_rows(series, dt: float, n: int, taken=()):
+    """STEP rows ``(t, kind, before, after)`` at the ends of the first ``n`` grid steps.
+
+    ``series`` holds the occupation at step starts.  Grid times in ``taken``
+    are skipped: an event already logged there (a fluctuation or emission
+    landing exactly on the grid) keeps the time.
     """
-    out = []
-    for j in range(n):
-        t = (j + 1) * dt
-        if t not in taken:
-            out.append(TrajectoryEvent(t, EventKind.STEP, float(series[j]), float(series[j + 1])))
-    return out
+    t = np.arange(1, n + 1) * dt
+    keep = ~np.isin(t, taken)
+    return t[keep], np.full(keep.sum(), _CODE[EventKind.STEP]), series[:n][keep], series[1 : n + 1][keep]
+
+
+def _merge_rows(first, second):
+    """The rows of ``first`` then ``second``, stably sorted on their first column, then their second."""
+    cols = [np.concatenate(pair) for pair in zip(first, second)]
+    order = np.lexsort((cols[1], cols[0]))
+    return tuple(c[order] for c in cols)
+
+
+def _trajectory_events(t, kind, before, after) -> Tuple[TrajectoryEvent, ...]:
+    """The ``TrajectoryEvent``s of one trajectory's event rows."""
+    kinds = [_KINDS[c] for c in kind.tolist()]
+    return tuple(map(TrajectoryEvent, t.tolist(), kinds, before.tolist(), after.tolist()))
+
+
+def _step_model_rows(plan: _StepPlan, jump_steps, decay_times, model: Model, record_steps: bool):
+    """Event rows ``(traj_id, t, kind, before, after)`` of qmop/swf trajectories ``0 .. n - 1``.
+
+    With ``record_steps``, a STEP row per grid step before the jump (all when
+    censored) precedes a trajectory's terminal row.
+    """
+    decayed = np.flatnonzero(jump_steps >= 0)
+    terminal = EventKind.PHOTON_DETECTION if model is Model.SWF else EventKind.QUANTUM_JUMP
+    k = jump_steps[decayed]
+    rows = (decayed, decay_times[decayed], np.full(k.size, _CODE[terminal]), plan.occupation[k], np.zeros(k.size))
+    if not record_steps:
+        return rows
+    # every trajectory rides the same no-jump curve, so its STEP rows are
+    # the first n_i rows of the full grid
+    n_i = np.where(jump_steps < 0, plan.n_steps, jump_steps)
+    traj_id = np.repeat(np.arange(jump_steps.size), n_i)
+    j = np.arange(traj_id.size) - np.repeat(np.cumsum(n_i) - n_i, n_i)
+    steps = _step_rows(plan.occupation, plan.dt, plan.n_steps)
+    return _merge_rows((traj_id, *(c[j] for c in steps)), rows)
 
 
 def _step_decay_record(
@@ -358,13 +395,7 @@ def _step_decay_record(
     gen = as_generator(stream)
     k, t_dec = _single_step_decay(plan, gen)
     traj_id = stream.stream_id if isinstance(stream, RngStream) else 0
-
-    terminal_kind = EventKind.PHOTON_DETECTION if model is Model.SWF else EventKind.QUANTUM_JUMP
-    events: List[TrajectoryEvent] = []
-    if record_steps:
-        events = _step_events(plan.occupation, plan.dt, plan.n_steps if k < 0 else k, ())
-    if k >= 0:
-        events.append(TrajectoryEvent(t_dec, terminal_kind, float(plan.occupation[k]), 0.0))
+    rows = _step_model_rows(plan, np.array([k]), np.array([t_dec]), model, record_steps)
 
     series = None
     if record_steps:
@@ -373,7 +404,7 @@ def _step_decay_record(
             series[k + 1 :] = 0.0
     return TrajectoryRecord(
         traj_id=traj_id,
-        events=tuple(events),
+        events=_trajectory_events(*rows[1:]),
         decay_time=None if k < 0 else t_dec,
         occupation_series=series,
     )
@@ -426,8 +457,11 @@ def _single_nsm(
 
     Returns (decay_time, fluct_times, gaps, occ_before, jumped) where the
     lists cover every fluctuation processed in order; decay_time is NaN when
-    the trajectory survives to t_max.
+    the trajectory survives to t_max.  A pure ground input consumes no draw:
+    every reduction is trivial and nothing ever jumps.
     """
+    if w_excited0 == 0.0:
+        return math.nan, [], [], [], False
     gamma, beta, t_max = params.gamma, params.beta, params.t_max
     forced = None if fluctuation_times is None else list(fluctuation_times)
 
@@ -505,63 +539,52 @@ def run_nsm_trajectory(
     w_exc0 = abs(initial.c_excited) ** 2
     gen = as_generator(stream)
     traj_id = stream.stream_id if isinstance(stream, RngStream) else 0
+    decay_time, times, gaps, occ_before, jumped = _single_nsm(params, gen, w_exc0, fluctuation_times)
 
-    if w_exc0 == 0.0:
-        # pure ground input: every reduction is trivial, nothing ever jumps
-        decay_time, times, gaps, occ_before, jumped = math.nan, [], [], [], False
-    else:
-        decay_time, times, gaps, occ_before, jumped = _single_nsm(
-            params, gen, w_exc0, fluctuation_times
-        )
+    outcomes = (NsmOutcome.RESET_TO_EXCITED, NsmOutcome.JUMP_TO_GROUND)
+    terminal = np.zeros(len(times), dtype=bool)
+    terminal[-1:] = jumped
+    drops = [-math.expm1(-params.gamma * gap) for gap in gaps]
+    nsm_events = tuple(map(NsmEvent, times, gaps, drops, [outcomes[b] for b in terminal.tolist()]))
 
-    nsm_events = []
-    events: List[TrajectoryEvent] = []
-    for i, (t, gap, occ) in enumerate(zip(times, gaps, occ_before)):
-        terminal = jumped and i == len(times) - 1
-        outcome = NsmOutcome.JUMP_TO_GROUND if terminal else NsmOutcome.RESET_TO_EXCITED
-        a = -math.expm1(-params.gamma * gap)
-        nsm_events.append(NsmEvent(t=t, gap=gap, a_before=a, outcome=outcome))
-        events.append(
-            TrajectoryEvent(
-                t,
-                EventKind.QUANTUM_JUMP if terminal else EventKind.FLUCTUATION_NO_JUMP,
-                occ,
-                0.0 if terminal else 1.0,
-            )
-        )
-
-    flags: Tuple[str, ...] = ()
-    if params.beta == 0.0 and fluctuation_times is None:
-        flags = (NSM_BETA_ZERO_FLAG,)
-
+    flags = (NSM_BETA_ZERO_FLAG,) if params.beta == 0.0 and fluctuation_times is None else ()
     series = None
+    rows = _nsm_rows(np.array(times), np.array(occ_before), terminal)
     if record_steps:
         series = _nsm_occupation_series(params, w_exc0, times, gaps, occ_before, jumped)
-        step_events = _step_events(series, params.dt, params.n_steps, {ev.t for ev in events})
-        if jumped:
-            step_events = [ev for ev in step_events if ev.t < times[-1]]
-        events = sorted(events + step_events, key=lambda ev: ev.t)
-
+        rows = _merge_rows(rows, _nsm_step_rows(params.dt, series, times, jumped))
     return TrajectoryRecord(
         traj_id=traj_id,
-        events=tuple(events),
+        events=_trajectory_events(*rows),
         decay_time=None if math.isnan(decay_time) else decay_time,
-        nsm_events=tuple(nsm_events),
+        nsm_events=nsm_events,
         occupation_series=series,
         flags=flags,
     )
 
 
+def _nsm_rows(t: np.ndarray, occ: np.ndarray, terminal: np.ndarray):
+    """Event rows ``(t, kind, before, after)`` of nsm fluctuations.
+
+    A fluctuation resets the atom to excited, or, where ``terminal``, jumps
+    it to ground.
+    """
+    kind = np.where(terminal, _CODE[EventKind.QUANTUM_JUMP], _CODE[EventKind.FLUCTUATION_NO_JUMP])
+    return t, kind, occ, np.where(terminal, 0.0, 1.0)
+
+
+def _nsm_step_rows(dt: float, series: np.ndarray, times, jumped: bool):
+    """One nsm trajectory's STEP rows: the grid times before its jump that no fluctuation takes."""
+    steps = _step_rows(series, dt, series.size - 1, times)
+    return tuple(c[steps[0] < times[-1]] for c in steps) if jumped else steps
+
+
 def _nsm_occupation_series(params, w_exc0, times, gaps, occ_before, jumped) -> np.ndarray:
     """Occupation on the step grid: exponential arcs between resets, 0 after a jump."""
     grid = np.arange(params.n_steps + 1) * params.dt
-    reset_times = [0.0]
-    reset_weights = [w_exc0]
-    for i, t in enumerate(times):
-        terminal = jumped and i == len(times) - 1
-        if not terminal:
-            reset_times.append(t)
-            reset_weights.append(1.0)
+    resets = times[: len(times) - jumped]
+    reset_times = [0.0, *resets]
+    reset_weights = [w_exc0] + [1.0] * len(resets)
     seg = np.searchsorted(np.asarray(reset_times), grid, side="right") - 1
     t0 = np.asarray(reset_times)[seg]
     w0 = np.asarray(reset_weights)[seg]
@@ -588,19 +611,6 @@ class EventTable:
 
     def __len__(self) -> int:
         return len(self.kind)
-
-    @classmethod
-    def from_records(cls, records: Sequence[TrajectoryRecord]) -> "EventTable":
-        """The events of ``records``, in record order, as columns."""
-        traj_id = [r.traj_id for r in records for _ in r.events]
-        events = [ev for r in records for ev in r.events]
-        return cls(
-            traj_id=np.array(traj_id, dtype=np.int64),
-            t=np.array([ev.t for ev in events]),
-            kind=[ev.kind.value for ev in events],
-            occupation_before=np.array([ev.occupation_before for ev in events]),
-            occupation_after=np.array([ev.occupation_after for ev in events]),
-        )
 
 
 @dataclass
@@ -663,12 +673,14 @@ def run_decay_ensemble(
     initial_state: Optional[QubitState] = None,
     threads: int = 1,
     bin_steps: Optional[int] = None,
+    record_steps: bool = False,
 ) -> EnsembleSummary:
     """Run ``params.n_traj`` trajectories of the selected model.
 
     Trajectory ``i`` always consumes the substream ``derive_stream(seed, i)``
     and partial results are merged in trajectory order, so the output is
-    identical for any ``threads`` value.
+    identical for any ``threads`` value.  The event table holds the scalar
+    runners' ``events`` in trajectory order, STEP rows only with ``record_steps``.
     """
     initial = QubitState.excited() if initial_state is None else normalize(initial_state)
     n = params.n_traj
@@ -683,15 +695,7 @@ def run_decay_ensemble(
         decay_times, jump_steps = run_ensemble(
             lambda ids: _lockstep_step_decay(plan, params.seed, ids), n, threads
         )
-        kind = EventKind.PHOTON_DETECTION if model is Model.SWF else EventKind.QUANTUM_JUMP
-        decayed = jump_steps >= 0
-        table = EventTable(
-            traj_id=np.flatnonzero(decayed).astype(np.int64),
-            t=decay_times[decayed],
-            kind=[kind.value] * int(decayed.sum()),
-            occupation_before=plan.occupation[jump_steps[decayed]],
-            occupation_after=np.zeros(int(decayed.sum())),
-        )
+        rows = _step_model_rows(plan, jump_steps, decay_times, model, record_steps)
         if bin_steps:
             vals = _step_bin_means(plan, jump_steps, edges, bin_steps)
     elif model is not Model.NSM:  # pragma: no cover - enum is exhaustive
@@ -708,13 +712,15 @@ def run_decay_ensemble(
             drops: List[float] = []
             terminal: List[bool] = []
             vals = np.zeros((len(ids), n_bins))
+            steps = []  # STEP rows per trajectory, when recording them
             # pure ground input: nothing ever jumps and no draw is consumed
-            streams = rekeyed_generators(params.seed, ids) if w_exc0 > 0.0 else ()
+            streams = rekeyed_generators(params.seed, ids) if w_exc0 > 0.0 else ((i, None) for i in ids)
             for j, (i, gen) in enumerate(streams):
                 t_dec, f_times, gaps, occ_before, jumped = _single_nsm(params, gen, w_exc0)
                 times[j] = t_dec
-                if n_bins:
+                if n_bins or record_steps:
                     series = _nsm_occupation_series(params, w_exc0, f_times, gaps, occ_before, jumped)
+                if n_bins:
                     vals[j] = np.add.reduceat(series[: params.n_steps], edges[:-1]) / bin_steps
                 traj_id.extend([i] * len(f_times))
                 t_fluct.extend(f_times)
@@ -723,21 +729,27 @@ def run_decay_ensemble(
                 terminal.extend([False] * len(f_times))
                 if jumped:
                     terminal[-1] = True
+                if record_steps:
+                    cols = _nsm_step_rows(params.dt, series, f_times, jumped)
+                    steps.append((np.full(cols[0].size, i), *cols))
             columns = ((traj_id, np.int64), (t_fluct, float), (occ, float), (drops, float), (terminal, bool))
-            return (times, *(np.array(c, dtype=dtype) for c, dtype in columns), vals)
+            steps = tuple(map(np.concatenate, zip(*steps))) if record_steps else ()
+            return (times, *(np.array(c, dtype=dtype) for c, dtype in columns), vals, *steps)
 
-        decay_times, traj_id, t_fluct, occ, drops, terminal, vals = run_ensemble(work, n, threads)
-        kinds = (EventKind.FLUCTUATION_NO_JUMP.value, EventKind.QUANTUM_JUMP.value)
-        table = EventTable(
-            traj_id=traj_id,
-            t=t_fluct,
-            kind=[kinds[b] for b in terminal.tolist()],
-            occupation_before=occ,
-            occupation_after=np.where(terminal, 0.0, 1.0),
-        )
+        decay_times, traj_id, t_fluct, occ, drops, terminal, vals, *steps = run_ensemble(work, n, threads)
+        rows = (traj_id, *_nsm_rows(t_fluct, occ, terminal))
+        if record_steps:
+            rows = _merge_rows(rows, steps)
         if params.beta == 0.0:
             flags = (NSM_BETA_ZERO_FLAG,)
 
+    traj_id, t, kind, before, after = rows
+    # spelled out in bounded slices: a row-sized temporary list cost ~0.3 MB of peak RSS
+    names = np.array([k.value for k in _KINDS], dtype=object)
+    kinds = [None] * kind.size
+    for lo in range(0, kind.size, 4096):
+        kinds[lo : lo + 4096] = names[kind[lo : lo + 4096]].tolist()
+    table = EventTable(traj_id, t, kinds, before, after)
     summary = EnsembleSummary(
         model=model,
         n_traj=n,

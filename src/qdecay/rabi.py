@@ -29,18 +29,20 @@ from .core import (
     ModelParams,
     QubitState,
     RngStream,
-    TrajectoryEvent,
     TrajectoryRecord,
     as_generator,
     rekeyed_generators,
     run_ensemble,
 )
 from .models import (
+    _CODE,
     NsmEvent,
     NsmOutcome,
     _bin_statistics,
     _fluctuation_gap,
-    _step_events,
+    _merge_rows,
+    _step_rows,
+    _trajectory_events,
     _truncated_exponential_time,
 )
 
@@ -338,17 +340,14 @@ def run_driven_trajectory(
     else:
         emissions, series = _single_driven_step_model(plan, gen)
 
-    events = [
-        TrajectoryEvent(t, EventKind.PHOTON_DETECTION, occ_before, 0.0)
-        for t, occ_before in emissions
-    ]
+    t, occ_before = np.array(emissions, dtype=float).reshape(-1, 2).T
+    rows = (t, np.full(t.size, _CODE[EventKind.PHOTON_DETECTION]), occ_before, np.zeros(t.size))
     if record_steps:
-        events += _step_events(series, params.dt, params.n_steps, {ev.t for ev in events})
-        events.sort(key=lambda ev: ev.t)
+        rows = _merge_rows(rows, _step_rows(series, params.dt, params.n_steps, t))
 
     return TrajectoryRecord(
         traj_id=traj_id,
-        events=tuple(events),
+        events=_trajectory_events(*rows),
         decay_time=None,
         nsm_events=nsm_events,
         occupation_series=series if record_steps else None,

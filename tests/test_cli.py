@@ -5,7 +5,7 @@ import pytest
 
 from qdecay.cli import main
 from qdecay.core import ModelParams, derive_stream
-from qdecay.models import run_nsm_trajectory, run_qmop_trajectory
+from qdecay.models import run_nsm_trajectory, run_qmop_trajectory, run_swf_trajectory
 
 DECAY_CFG = {
     "model": "nsm",
@@ -134,12 +134,16 @@ class TestTableFormat:
         assert read_bytes(json_out, "events.json") == b"[]\n"
         assert read_bytes(csv_out, "events.csv") == b"traj_id,t,kind,occupation_before,occupation_after\n"
 
-    @pytest.mark.parametrize("model, run", [("qmop", run_qmop_trajectory), ("nsm", run_nsm_trajectory)])
-    def test_record_steps_rows_are_trajectory_events(self, tmp_path, model, run):
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize(
+        "model, run",
+        [("qmop", run_qmop_trajectory), ("swf", run_swf_trajectory), ("nsm", run_nsm_trajectory)],
+    )
+    def test_record_steps_rows_are_trajectory_events(self, tmp_path, model, run, threads):
         payload = dict(DECAY_CFG, model=model, n_traj=4, t_max=2.0, record_steps=True)
         cfg = write_cfg(tmp_path, payload)
         out = str(tmp_path / "run")
-        assert main(["decay", "--config", cfg, "--out-dir", out]) == 0
+        assert main(["decay", "--config", cfg, "--out-dir", out, "--threads", threads]) == 0
         params = ModelParams(
             gamma=1.0, beta=1.0, dt=0.01, t_max=2.0, n_traj=4, seed=42, model=model
         )
@@ -271,6 +275,17 @@ class TestAnalyze:
 
     def test_missing_run_dir(self, tmp_path):
         assert main(["analyze", "--out-dir", str(tmp_path / "nope")]) == 2
+
+    @pytest.mark.parametrize("first, second", [("csv", "json"), ("json", "csv")])
+    def test_rerun_in_other_format_leaves_no_stale_table(self, tmp_path, first, second):
+        out = str(tmp_path / "run")
+        for fmt, gamma in ((first, 1.0), (second, 3.0)):
+            cfg = write_cfg(tmp_path, dict(DECAY_CFG, model="qmop", gamma=gamma, n_traj=2000))
+            assert main(["decay", "--config", cfg, "--out-dir", out, "--format", fmt]) == 0
+        for name in ("decay_times", "events"):
+            assert os.path.exists(os.path.join(out, f"{name}.{second}"))
+            assert not os.path.exists(os.path.join(out, f"{name}.{first}"))
+        assert main(["analyze", "--out-dir", out, "--strict"]) == 0
 
     def test_analyze_reads_json_format_runs(self, tmp_path):
         cfg = write_cfg(tmp_path, dict(DECAY_CFG, n_traj=800))

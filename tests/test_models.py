@@ -390,6 +390,29 @@ class TestNsmTrajectory:
         assert all(ev.t <= jump_t for ev in rec.events)
         assert np.all(rec.occupation_series[np.arange(p.n_steps + 1) * p.dt >= jump_t] == 0.0)
 
+    def test_record_steps_skips_grid_times_taken_by_fluctuations(self):
+        # fluctuations on every third grid point: those grid times carry the
+        # fluctuation row, and no STEP row repeats them
+        p = params(model="nsm", gamma=0.2, dt=0.05, t_max=30.0)
+        grid = np.arange(1, p.n_steps + 1) * p.dt
+        forced = grid[2::3]
+        rec = run_nsm_trajectory(p, derive_stream(27, 0), record_steps=True, fluctuation_times=forced)
+        assert rec.decay_time is not None
+        times = [ev.t for ev in rec.events]
+        assert times == grid[grid <= times[-1]].tolist()
+        fluct = [ev.t for ev in rec.events if ev.kind is not EventKind.STEP]
+        assert fluct == forced[: len(fluct)].tolist() == [ev.t for ev in rec.nsm_events]
+        assert 0 < len(fluct) < len(times)
+        # the STEP rows equal a per-step loop over the grid
+        series, taken = rec.occupation_series, set(fluct)
+        loop = [
+            ((j + 1) * p.dt, float(series[j]), float(series[j + 1]))
+            for j in range(p.n_steps)
+            if (j + 1) * p.dt < times[-1] and (j + 1) * p.dt not in taken
+        ]
+        steps = [(ev.t, ev.occupation_before, ev.occupation_after) for ev in rec.events if ev.kind is EventKind.STEP]
+        assert steps == loop
+
     def test_beta_zero_degenerate_limit(self):
         p = params(model="nsm", beta=0.0, t_max=5.0)
         rec = run_nsm_trajectory(p, derive_stream(24, 0), record_steps=True)
@@ -451,6 +474,20 @@ class TestNsmTrajectory:
         assert np.all(z <= 3.5)
 
 
+def event_rows(records, steps=True):
+    """``(traj_id, event)`` for every event of ``records``, STEP events only if ``steps``."""
+    return [(r.traj_id, ev) for r in records for ev in r.events if steps or ev.kind is not EventKind.STEP]
+
+
+def assert_table_holds(table, rows):
+    """The event table is ``rows``, in order, field for field."""
+    assert table.traj_id.tolist() == [i for i, _ in rows]
+    assert table.t.tolist() == [ev.t for _, ev in rows]
+    assert table.kind == [ev.kind.value for _, ev in rows]
+    assert table.occupation_before.tolist() == [ev.occupation_before for _, ev in rows]
+    assert table.occupation_after.tolist() == [ev.occupation_after for _, ev in rows]
+
+
 class TestBatchedStepEngine:
     """The lock-step ensemble reads the same stream positions as the scalar runners."""
 
@@ -460,22 +497,23 @@ class TestBatchedStepEngine:
         "censored": (dict(t_max=0.37, n_traj=400, seed=5, dt=0.01), None),
     }
 
+    @pytest.mark.parametrize("record_steps", [False, True])
     @pytest.mark.parametrize("model,run", [("qmop", run_qmop_trajectory), ("swf", run_swf_trajectory)])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_ensemble_matches_scalar_trajectories(self, model, run, case):
+    def test_ensemble_matches_scalar_trajectories(self, model, run, case, record_steps):
         kw, initial = self.CASES[case]
         p = params(model=model, **kw)
-        expected = []
-        for i in range(p.n_traj):
-            rec = run(p, derive_stream(p.seed, i), initial_state=initial)
-            expected.append(math.nan if rec.decay_time is None else rec.decay_time)
-        expected = np.array(expected)
+        records = [
+            run(p, derive_stream(p.seed, i), initial_state=initial, record_steps=record_steps)
+            for i in range(p.n_traj)
+        ]
+        expected = np.array([math.nan if r.decay_time is None else r.decay_time for r in records])
         if case == "censored":
             assert 0 < np.isnan(expected).sum() < p.n_traj
         for threads in (1, 3):
-            s = run_decay_ensemble(p, initial_state=initial, threads=threads)
+            s = run_decay_ensemble(p, initial_state=initial, threads=threads, record_steps=record_steps)
             assert np.array_equal(s.decay_times, expected, equal_nan=True)
-            assert np.array_equal(s.events.traj_id, np.flatnonzero(~np.isnan(expected)))
+            assert_table_holds(s.events, event_rows(records))
 
     def test_superposition_varies_jump_probability(self):
         from qdecay.core import Model
@@ -494,29 +532,27 @@ class TestBatchedStepEngine:
 class TestBatchedNsmEngine:
     """The nsm ensemble's columns are the scalar runner's records, trajectory by trajectory."""
 
+    @pytest.mark.parametrize("record_steps", [False, True])
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize(
         "initial",
         [None, QubitState.superposition(0.6, 0.8j), QubitState.ground()],
         ids=["excited", "superposition", "ground"],
     )
-    def test_ensemble_matches_scalar_trajectories(self, initial, threads):
+    def test_ensemble_matches_scalar_trajectories(self, initial, threads, record_steps):
         p = params(model="nsm", beta=1.5, t_max=3.0, n_traj=200, seed=99)
         bin_steps = 30
         records = [
             run_nsm_trajectory(p, derive_stream(p.seed, i), initial_state=initial, record_steps=True)
             for i in range(p.n_traj)
         ]
-        s = run_decay_ensemble(p, initial_state=initial, threads=threads, bin_steps=bin_steps)
+        s = run_decay_ensemble(
+            p, initial_state=initial, threads=threads, bin_steps=bin_steps, record_steps=record_steps
+        )
 
         times = [math.nan if r.decay_time is None else r.decay_time for r in records]
         assert np.array_equal(s.decay_times, np.array(times), equal_nan=True)
-        rows = [(r.traj_id, ev) for r in records for ev in r.events if ev.kind is not EventKind.STEP]
-        assert s.events.traj_id.tolist() == [i for i, _ in rows]
-        assert s.events.t.tolist() == [ev.t for _, ev in rows]
-        assert s.events.kind == [ev.kind.value for _, ev in rows]
-        assert s.events.occupation_before.tolist() == [ev.occupation_before for _, ev in rows]
-        assert s.events.occupation_after.tolist() == [ev.occupation_after for _, ev in rows]
+        assert_table_holds(s.events, event_rows(records, steps=record_steps))
         fluctuations = [ev for r in records for ev in r.nsm_events]
         assert s.drop_samples.tolist() == [ev.a_before for ev in fluctuations]
         assert s.drop_terminal.tolist() == [ev.outcome is NsmOutcome.JUMP_TO_GROUND for ev in fluctuations]
