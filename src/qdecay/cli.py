@@ -211,6 +211,12 @@ def _check_types(cfg: Dict, command: str) -> None:
     if command == "homodyne" and cfg["noise"] == "nsm_point_process":
         if cfg.get("kick") is None and not cfg.get("beta", 0.0) > 0.0:
             raise ConfigError("beta: must be > 0 for nsm_point_process noise (or give kick)")
+        if cfg.get("kick") is not None and cfg["kick"] < 0:
+            raise ConfigError(f"kick: must be >= 0, got {cfg['kick']}")
+    # the nsm drop law takes r = beta/gamma: the decay drop moments (when
+    # fluctuations occur) and the rabi drop histogram need gamma > 0
+    if cfg.get("model") == "nsm" and cfg["gamma"] == 0 and (command == "rabi" or cfg["beta"] > 0):
+        raise ConfigError("gamma: must be > 0 for the nsm drop law r = beta/gamma")
 
 
 def _model_params(cfg: Dict, model: Optional[str] = None) -> ModelParams:
@@ -439,6 +445,8 @@ def cmd_homodyne(cfg: Dict) -> int:
     fmt = cfg["format"]
     noise = NoiseModel(cfg["noise"])
     kick = cfg.get("kick")
+    if params.n_steps < 2:
+        raise ConfigError(f"t_max: the spectrum needs at least 2 steps of dt, got {params.n_steps}")
     max_lag = min(int(cfg["max_lag"]), params.n_steps - 1)
 
     os.makedirs(out_dir, exist_ok=True)

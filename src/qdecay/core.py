@@ -16,11 +16,13 @@ Because the generator is counter-based, draw ``p`` of stream ``(seed, i)``
 is a pure function of ``(seed, i, p)``: lane ``p % 4`` of the block for
 counter ``(p // 4 + 1, 0, 0, 0)``.  ``philox_uniforms`` evaluates those
 blocks for many ``(key, counter)`` pairs at once in numpy and returns the
-same doubles as ``RngStream.generator().random()``, bit for bit, so batched
-engines read the same positions of the same streams as the per-trajectory
-ones.  ``rekeyed_generators`` serves scalar loops that need a real
-``Generator``: it re-keys one bit generator per trajectory instead of
-building a new one.
+same doubles as ``RngStream.generator().random()``, bit for bit, so an
+engine reads any position of any stream without a ``Generator``; the
+qmop/swf engine reads every draw this way, for a whole ensemble or for the
+one stream of a single-trajectory runner.  ``rekeyed_generators`` serves
+the scalar loops that still need a real ``Generator`` (nsm, driven,
+homodyne): it re-keys one bit generator per trajectory instead of building
+a new one.
 """
 
 from __future__ import annotations

@@ -12,14 +12,16 @@ Draw order per trajectory (part of the reproducibility contract):
 
 * qmop / swf: draws ``0 .. n_steps - 1`` are the per-step jump checks and
   draw ``n_steps`` is the within-step attribution uniform if a jump
-  occurred.  The single-trajectory runners read them in that order from a
-  ``Generator``; ``run_decay_ensemble`` reads the same positions of the same
-  Philox4x64-10 streams through the batched ``core.philox_uniforms`` kernel,
-  stopping each trajectory's checks at its first hit, so both give identical
-  results.
+  occurred.  One engine, ``_lockstep_step_decay``, reads those positions of
+  the Philox4x64-10 streams through the batched ``core.philox_uniforms``
+  kernel, stopping each trajectory's checks at its first hit;
+  ``run_decay_ensemble`` runs it over every id and the single-trajectory
+  runners over the one id of their stream.
 * nsm: alternating uniforms, one for each fluctuation gap and one for each
   reduction outcome; the attribution uniform is recovered from the outcome
-  draw by conditioning, so no extra draw is consumed.
+  draw by conditioning, so no extra draw is consumed.  A gap redraws its
+  uniform while it is zero (``_fluctuation_gap``, also behind
+  ``sample_fluctuation_gap``).
 """
 
 from __future__ import annotations
@@ -154,20 +156,16 @@ def swf_detection_probability(state: QubitState, gamma: float, dt: float) -> flo
 def sample_fluctuation_gap(beta: float, stream, size: Optional[int] = None):
     """Draw waiting times between vacuum fluctuations, -ln(u)/beta with u~U(0,1).
 
-    Degenerate draws (u == 0, which would give an infinite gap) are resampled.
-    With ``size`` given, returns an ndarray of that many gaps.
+    Degenerate draws (u == 0, which would give an infinite gap) are redrawn
+    in sequence.  With ``size`` given, returns an ndarray of that many gaps,
+    the values of ``size`` scalar calls on the same stream.
     """
     if not beta > 0.0:
         raise ValueError(f"non-positive rate: beta must be > 0, got {beta}")
     gen = as_generator(stream)
     if size is None:
         return _fluctuation_gap(gen, beta)
-    u = np.asarray(gen.random(size))
-    bad = u <= 0.0
-    while bad.any():
-        u[bad] = gen.random(int(bad.sum()))
-        bad = u <= 0.0
-    return -np.log(u) / beta
+    return np.fromiter((_fluctuation_gap(gen, beta) for _ in range(size)), float, size)
 
 
 def _fluctuation_gap(gen, beta: float) -> float:
@@ -232,6 +230,11 @@ def _truncated_exponential_time(rate: float, width: float, v: float) -> float:
     return min(max(s, math.ulp(0.0)), width)
 
 
+def _jump_strength(model: Model, gamma: float, dt: float) -> float:
+    """Jump probability of one step from the excited state: swf ``1 - exp(-gamma*dt)``, qmop ``gamma*dt``."""
+    return -math.expm1(-gamma * dt) if model is Model.SWF else gamma * dt
+
+
 @dataclass(frozen=True)
 class _StepPlan:
     """Deterministic no-jump data shared by every trajectory of an ensemble."""
@@ -258,26 +261,8 @@ def _step_plan(params: ModelParams, initial: QubitState, model: Model) -> _StepP
     else:
         s = np.exp(-params.gamma * t)
         occ = w_e * s / (w_g + w_e * s)
-    if model is Model.SWF:
-        per_step = -math.expm1(-params.gamma * params.dt)
-    else:
-        per_step = params.gamma * params.dt
-    return _StepPlan(n_steps, params.dt, params.gamma, occ, occ[:n_steps] * per_step)
-
-
-def _single_step_decay(plan: _StepPlan, gen) -> Tuple[int, float]:
-    """Run one step-based trajectory; returns (jump_step, decay_time).
-
-    ``jump_step`` is -1 when the trajectory survives to t_max (decay_time nan).
-    """
-    u = np.asarray(gen.random(plan.n_steps))
-    hits = u < plan.jump_prob
-    if not hits.any():
-        return -1, math.nan
-    k = int(np.argmax(hits))
-    v = float(gen.random())
-    s = _truncated_exponential_time(plan.gamma, plan.dt, v)
-    return k, k * plan.dt + s
+    jump_prob = occ[:n_steps] * _jump_strength(model, params.gamma, params.dt)
+    return _StepPlan(n_steps, params.dt, params.gamma, occ, jump_prob)
 
 
 # Philox counters evaluated per lock-step block (live trajectories x counters
@@ -289,16 +274,17 @@ _ATTRIBUTION_CHUNK = 4096
 
 
 def _lockstep_step_decay(plan: _StepPlan, seed: int, ids: range) -> Tuple[np.ndarray, np.ndarray]:
-    """``_single_step_decay`` for the streams ``(seed, i)``, ``i`` in ``ids``, batched.
+    """The qmop/swf engine over the streams ``(seed, i)``, ``i`` in ``ids``.
 
-    Returns (decay_times, jump_steps) with the scalar engine's values: jump
-    check ``k`` reads draw ``k`` and the attribution reads draw ``n_steps``,
-    both straight from ``philox_uniforms``.  Groups of at most
-    ``_LOCKSTEP_COUNTERS`` trajectories advance in lock-step, a block of
-    counters at a time, and each trajectory leaves the live set at its first
-    hit, so it costs the draws up to its jump instead of all ``n_steps``.
-    Blocks grow as the live set shrinks, keeping live x block at or below
-    ``_LOCKSTEP_COUNTERS``.
+    Returns (decay_times, jump_steps); a trajectory that survives to t_max
+    has jump step -1 and decay time nan.  Jump check ``k`` reads draw ``k``
+    and the attribution reads draw ``n_steps``, both straight from
+    ``philox_uniforms``.  Groups of at most ``_LOCKSTEP_COUNTERS``
+    trajectories advance in lock-step, a block of counters at a time, and
+    each trajectory leaves the live set at its first hit, so it costs the
+    draws up to its jump instead of all ``n_steps``.  Blocks grow as the live
+    set shrinks, keeping live x block at or below ``_LOCKSTEP_COUNTERS``.
+    Offsets into ``ids`` are uint64, so ids up to 2**64 - 1 work.
     """
     n = len(ids)
     times = np.full(n, math.nan)
@@ -311,7 +297,7 @@ def _lockstep_step_decay(plan: _StepPlan, seed: int, ids: range) -> Tuple[np.nda
     prob[:n_checks] = plan.jump_prob[:n_checks]
     attribution_ctr, attribution_lane = divmod(plan.n_steps, 4)
     for lo in range(0, n, _LOCKSTEP_COUNTERS):
-        live = np.arange(lo, min(lo + _LOCKSTEP_COUNTERS, n))
+        live = np.arange(lo, min(lo + _LOCKSTEP_COUNTERS, n), dtype=np.uint64)
         ctr = 0
         while live.size and ctr < n_ctr:
             block = min(max(1, _LOCKSTEP_COUNTERS // live.size), n_ctr - ctr)
@@ -325,7 +311,8 @@ def _lockstep_step_decay(plan: _StepPlan, seed: int, ids: range) -> Tuple[np.nda
     decayed = np.flatnonzero(steps >= 0)
     for lo in range(0, decayed.size, _ATTRIBUTION_CHUNK):
         part = decayed[lo : lo + _ATTRIBUTION_CHUNK]
-        v = philox_uniforms(seed, ids.start + part, attribution_ctr + 1)[:, attribution_lane]
+        stream_ids = ids.start + part.astype(np.uint64)
+        v = philox_uniforms(seed, stream_ids, attribution_ctr + 1)[:, attribution_lane]
         # scalar math.log1p: np.log1p is not guaranteed to round the same way
         s = [_truncated_exponential_time(plan.gamma, plan.dt, x) for x in v.tolist()]
         times[part] = steps[part] * plan.dt + np.array(s)
@@ -385,17 +372,21 @@ def _step_model_rows(plan: _StepPlan, jump_steps, decay_times, model: Model, rec
 
 def _step_decay_record(
     params: ModelParams,
-    stream,
+    stream: RngStream,
     model: Model,
     initial_state: Optional[QubitState],
     record_steps: bool,
 ) -> TrajectoryRecord:
+    """``_lockstep_step_decay`` over the one id of ``stream``, as a record."""
+    if not isinstance(stream, RngStream):
+        name = type(stream).__name__
+        raise TypeError(f"the {model.value} runner takes an RngStream from derive_stream(), got {name}")
     initial = QubitState.excited() if initial_state is None else initial_state
     plan = _step_plan(params, initial, model)
-    gen = as_generator(stream)
-    k, t_dec = _single_step_decay(plan, gen)
-    traj_id = stream.stream_id if isinstance(stream, RngStream) else 0
-    rows = _step_model_rows(plan, np.array([k]), np.array([t_dec]), model, record_steps)
+    i = stream.stream_id
+    times, steps = _lockstep_step_decay(plan, stream.root_seed, range(i, i + 1))
+    rows = _step_model_rows(plan, steps, times, model, record_steps)
+    k = int(steps[0])
 
     series = None
     if record_steps:
@@ -403,16 +394,16 @@ def _step_decay_record(
         if k >= 0:
             series[k + 1 :] = 0.0
     return TrajectoryRecord(
-        traj_id=traj_id,
+        traj_id=i,
         events=_trajectory_events(*rows[1:]),
-        decay_time=None if k < 0 else t_dec,
+        decay_time=None if k < 0 else float(times[0]),
         occupation_series=series,
     )
 
 
 def run_qmop_trajectory(
     params: ModelParams,
-    stream,
+    stream: RngStream,
     initial_state: Optional[QubitState] = None,
     record_steps: bool = False,
 ) -> TrajectoryRecord:
@@ -421,14 +412,16 @@ def run_qmop_trajectory(
     Each step draws a uniform against the conditional jump probability
     ``occupation * gamma * dt``; the no-jump branch follows the deterministic
     renormalized propagation, under which a pure excited input keeps
-    occupation exactly one until the jump.
+    occupation exactly one until the jump.  ``stream`` must be an
+    ``RngStream`` (``derive_stream(seed, i)``); the result is trajectory
+    ``i`` of the ensemble.
     """
     return _step_decay_record(params, stream, Model.QMOP, initial_state, record_steps)
 
 
 def run_swf_trajectory(
     params: ModelParams,
-    stream,
+    stream: RngStream,
     initial_state: Optional[QubitState] = None,
     record_steps: bool = False,
 ) -> TrajectoryRecord:
@@ -437,7 +430,8 @@ def run_swf_trajectory(
     Per step, a photon is detected with probability
     ``occupation * (1 - exp(-gamma*dt))`` (terminal jump to ground);
     otherwise the state is renormalized onto the no-photon component, which
-    coincides with the qmop no-jump propagation over one step.
+    coincides with the qmop no-jump propagation over one step.  ``stream``
+    must be an ``RngStream``, as for ``run_qmop_trajectory``.
     """
     return _step_decay_record(params, stream, Model.SWF, initial_state, record_steps)
 
@@ -551,7 +545,7 @@ def run_nsm_trajectory(
     series = None
     rows = _nsm_rows(np.array(times), np.array(occ_before), terminal)
     if record_steps:
-        series = _nsm_occupation_series(params, w_exc0, times, gaps, occ_before, jumped)
+        series = _nsm_occupation_series(params, w_exc0, times, jumped)
         rows = _merge_rows(rows, _nsm_step_rows(params.dt, series, times, jumped))
     return TrajectoryRecord(
         traj_id=traj_id,
@@ -579,18 +573,16 @@ def _nsm_step_rows(dt: float, series: np.ndarray, times, jumped: bool):
     return tuple(c[steps[0] < times[-1]] for c in steps) if jumped else steps
 
 
-def _nsm_occupation_series(params, w_exc0, times, gaps, occ_before, jumped) -> np.ndarray:
-    """Occupation on the step grid: exponential arcs between resets, 0 after a jump."""
+def _nsm_occupation_series(params: ModelParams, w_exc0: float, times, jumped: bool) -> np.ndarray:
+    """Occupation on the step grid: exponential arcs between resets, 0 from the jump on."""
     grid = np.arange(params.n_steps + 1) * params.dt
-    resets = times[: len(times) - jumped]
-    reset_times = [0.0, *resets]
-    reset_weights = [w_exc0] + [1.0] * len(resets)
-    seg = np.searchsorted(np.asarray(reset_times), grid, side="right") - 1
-    t0 = np.asarray(reset_times)[seg]
-    w0 = np.asarray(reset_weights)[seg]
-    series = w0 * np.exp(-params.gamma * (grid - t0))
-    if jumped:
-        series[grid >= times[-1]] = 0.0
+    series = np.zeros(grid.size)
+    # only the grid points before the jump carry an arc
+    grid = grid[: np.searchsorted(grid, times[-1])] if jumped else grid
+    reset_times = np.array([0.0, *times[: len(times) - jumped]])
+    seg = np.searchsorted(reset_times, grid, side="right") - 1
+    w0 = np.where(seg == 0, w_exc0, 1.0)
+    series[: grid.size] = w0 * np.exp(-params.gamma * (grid - reset_times[seg]))
     return series
 
 
@@ -719,7 +711,7 @@ def run_decay_ensemble(
                 t_dec, f_times, gaps, occ_before, jumped = _single_nsm(params, gen, w_exc0)
                 times[j] = t_dec
                 if n_bins or record_steps:
-                    series = _nsm_occupation_series(params, w_exc0, f_times, gaps, occ_before, jumped)
+                    series = _nsm_occupation_series(params, w_exc0, f_times, jumped)
                 if n_bins:
                     vals[j] = np.add.reduceat(series[: params.n_steps], edges[:-1]) / bin_steps
                 traj_id.extend([i] * len(f_times))

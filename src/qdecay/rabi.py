@@ -40,6 +40,7 @@ from .models import (
     NsmOutcome,
     _bin_statistics,
     _fluctuation_gap,
+    _jump_strength,
     _merge_rows,
     _step_rows,
     _trajectory_events,
@@ -179,11 +180,7 @@ def _driven_table(params: ModelParams, omega: float, start: QubitState, model: M
         total = w_e + w_g
         occ = w_e / total
         occ_rot = w_rot / total[:n]
-        if model is Model.SWF:
-            per_step = -math.expm1(-params.gamma * dt)
-        else:
-            per_step = params.gamma * dt
-        jump_prob = occ_rot * per_step
+        jump_prob = occ_rot * _jump_strength(model, params.gamma, dt)
         photon_w = np.zeros(n + 1)
     return _DrivenTable(occ=occ, jump_prob=jump_prob, photon_w=photon_w)
 

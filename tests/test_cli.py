@@ -337,6 +337,21 @@ class TestConfigErrors:
     def test_bad_flag_exits_2(self):
         assert main(["decay", "--config"]) == 2
 
+    @pytest.mark.parametrize(
+        "command,payload",
+        [
+            ("decay", dict(DECAY_CFG, gamma=0.0, t_max=5.0, n_traj=20)),  # nsm drop moments need gamma > 0
+            ("rabi", dict(RABI_CFG, gamma=0.0, n_traj=10)),  # nsm drop histogram needs gamma > 0
+            ("homodyne", dict(HOMODYNE_CFG, kick=-1.0)),
+            ("homodyne", dict(HOMODYNE_CFG, t_max=0.01)),  # one step: no spectrum
+        ],
+        ids=["decay-nsm-gamma0", "rabi-nsm-gamma0", "homodyne-negative-kick", "homodyne-one-step"],
+    )
+    def test_invalid_run_leaves_no_output(self, tmp_path, command, payload):
+        out = str(tmp_path / "run")
+        assert main([command, "--config", write_cfg(tmp_path, payload), "--out-dir", out]) == 2
+        assert not os.path.exists(out)
+
     def test_homodyne_nsm_needs_beta(self, tmp_path):
         payload = dict(HOMODYNE_CFG)
         del payload["beta"]

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_engines import step_decay_record
 from scipy.integrate import quad
 
 from qdecay import stats
@@ -258,6 +259,15 @@ class TestFluctuationGaps:
     def test_degenerate_draw_resampled(self):
         gap = sample_fluctuation_gap(1.0, _FakeStream([0.0, 0.5]))
         assert gap == pytest.approx(-math.log(0.5))
+        # redrawn in sequence: the zero's gap takes the next uniform
+        gaps = sample_fluctuation_gap(1.0, _FakeStream([0.0, 0.5, 0.25]), size=2)
+        assert gaps.tolist() == [-math.log(0.5), -math.log(0.25)]
+
+    def test_sized_draw_is_scalar_draws(self):
+        stream = derive_stream(4, 0)
+        gaps = sample_fluctuation_gap(1.3, stream, size=100_000)
+        gen = stream.generator()
+        assert gaps.tolist() == [sample_fluctuation_gap(1.3, gen) for _ in range(gaps.size)]
 
     def test_non_positive_rate(self):
         with pytest.raises(ValueError, match="non-positive rate"):
@@ -479,6 +489,15 @@ def event_rows(records, steps=True):
     return [(r.traj_id, ev) for r in records for ev in r.events if steps or ev.kind is not EventKind.STEP]
 
 
+def assert_same_record(rec, ref):
+    """Two trajectory records are equal field for field, floats bit for bit."""
+    assert (rec.traj_id, rec.events, rec.decay_time, rec.flags) == (ref.traj_id, ref.events, ref.decay_time, ref.flags)
+    if ref.occupation_series is None:
+        assert rec.occupation_series is None
+    else:
+        assert np.array_equal(rec.occupation_series, ref.occupation_series)
+
+
 def assert_table_holds(table, rows):
     """The event table is ``rows``, in order, field for field."""
     assert table.traj_id.tolist() == [i for i, _ in rows]
@@ -489,24 +508,24 @@ def assert_table_holds(table, rows):
 
 
 class TestBatchedStepEngine:
-    """The lock-step ensemble reads the same stream positions as the scalar runners."""
+    """The lock-step engine, over every id or over one, equals the scalar reference engine."""
 
     CASES = {
         "pure_excited": (dict(t_max=25.0, n_traj=300, seed=2024), None),
         "superposition": (dict(t_max=4.02, n_traj=300, seed=2**64 - 1), QubitState.superposition(0.6, 0.8j)),
         "censored": (dict(t_max=0.37, n_traj=400, seed=5, dt=0.01), None),
     }
+    RUNNERS = {"qmop": run_qmop_trajectory, "swf": run_swf_trajectory}
 
     @pytest.mark.parametrize("record_steps", [False, True])
-    @pytest.mark.parametrize("model,run", [("qmop", run_qmop_trajectory), ("swf", run_swf_trajectory)])
+    @pytest.mark.parametrize("model,run", sorted(RUNNERS.items()))
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_ensemble_matches_scalar_trajectories(self, model, run, case, record_steps):
         kw, initial = self.CASES[case]
         p = params(model=model, **kw)
-        records = [
-            run(p, derive_stream(p.seed, i), initial_state=initial, record_steps=record_steps)
-            for i in range(p.n_traj)
-        ]
+        records = [step_decay_record(p, derive_stream(p.seed, i), initial, record_steps) for i in range(p.n_traj)]
+        for i, ref in enumerate(records):
+            assert_same_record(run(p, derive_stream(p.seed, i), initial_state=initial, record_steps=record_steps), ref)
         expected = np.array([math.nan if r.decay_time is None else r.decay_time for r in records])
         if case == "censored":
             assert 0 < np.isnan(expected).sum() < p.n_traj
@@ -514,6 +533,28 @@ class TestBatchedStepEngine:
             s = run_decay_ensemble(p, initial_state=initial, threads=threads, record_steps=record_steps)
             assert np.array_equal(s.decay_times, expected, equal_nan=True)
             assert_table_holds(s.events, event_rows(records))
+
+    @settings(deadline=None)
+    @example(model="qmop", gamma=1.0, c_ground=0.0, t_max=3.0, seed=0, stream_id=2**63, record_steps=True)
+    @example(model="swf", gamma=8.0, c_ground=0.8j, t_max=3.0, seed=2**64 - 1, stream_id=2**64 - 1, record_steps=False)
+    @given(
+        model=st.sampled_from(sorted(RUNNERS)),
+        gamma=st.sampled_from([0.0, 1.0, 8.0]),
+        c_ground=st.sampled_from([0.0, 0.8j, 2.0]),
+        t_max=st.sampled_from([0.05, 0.37, 3.0]),
+        seed=st.integers(0, 2**64 - 1),
+        stream_id=st.one_of(st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+        record_steps=st.booleans(),
+    )
+    def test_runner_matches_reference_on_any_stream(self, model, gamma, c_ground, t_max, seed, stream_id, record_steps):
+        p = params(model=model, gamma=gamma, t_max=t_max, seed=seed)
+        initial = QubitState.superposition(0.6, c_ground)
+        stream = derive_stream(seed, stream_id)
+        run = self.RUNNERS[model]
+        rec = run(p, stream, initial_state=initial, record_steps=record_steps)
+        assert_same_record(rec, step_decay_record(p, stream, initial, record_steps))
+        with pytest.raises(TypeError, match="derive_stream"):
+            run(p, stream.generator(), initial_state=initial)
 
     def test_superposition_varies_jump_probability(self):
         from qdecay.core import Model
