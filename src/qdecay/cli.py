@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import models, rabi, stats
-from .core import Model, ModelParams
+from .core import MAX_NSM_FLUCTUATIONS, Model, ModelParams
 from .homodyne import (
     EnsembleAutocorrelation,
     NoiseModel,
@@ -217,6 +217,12 @@ def _check_types(cfg: Dict, command: str) -> None:
     # fluctuations occur) and the rabi drop histogram need gamma > 0
     if cfg.get("model") == "nsm" and cfg["gamma"] == 0 and (command == "rabi" or cfg["beta"] > 0):
         raise ConfigError("gamma: must be > 0 for the nsm drop law r = beta/gamma")
+    # one engine step per fluctuation: a huge beta would run for hours, not fail
+    if cfg.get("model") == "nsm" and cfg["beta"] * cfg["t_max"] > MAX_NSM_FLUCTUATIONS:
+        raise ConfigError(
+            f"beta: beta*t_max = {cfg['beta'] * cfg['t_max']:g} expected fluctuations per trajectory "
+            f"exceeds {MAX_NSM_FLUCTUATIONS:g}"
+        )
 
 
 def _model_params(cfg: Dict, model: Optional[str] = None) -> ModelParams:
@@ -493,11 +499,9 @@ def cmd_rabi(cfg: Dict) -> int:
     out_dir = cfg["out_dir"]
     fmt = cfg["format"]
     bin_width = float(cfg["bin_width"])
-    bin_steps = max(1, int(round(bin_width / params.dt)))
 
-    ensemble = rabi.run_driven_ensemble(
-        params, drive, bin_steps=bin_steps, threads=int(cfg["threads"])
-    )
+    # the run writes emission times and drops only, so it skips the occupation bins
+    ensemble = rabi.run_driven_ensemble(params, drive, bin_steps=None, threads=int(cfg["threads"]))
     series = rabi.fluorescence_from_times(
         ensemble.emission_times, ensemble.n_traj, bin_width, params.t_max
     )

@@ -18,11 +18,11 @@ counter ``(p // 4 + 1, 0, 0, 0)``.  ``philox_uniforms`` evaluates those
 blocks for many ``(key, counter)`` pairs at once in numpy and returns the
 same doubles as ``RngStream.generator().random()``, bit for bit, so an
 engine reads any position of any stream without a ``Generator``; the
-qmop/swf engine reads every draw this way, for a whole ensemble or for the
-one stream of a single-trajectory runner.  ``rekeyed_generators`` serves
-the scalar loops that still need a real ``Generator`` (nsm, driven,
-homodyne): it re-keys one bit generator per trajectory instead of building
-a new one.
+qmop/swf and driven nsm engines read every draw this way, for a whole
+ensemble or for the one stream of a single-trajectory runner.
+``rekeyed_generators`` serves the scalar loops that still need a real
+``Generator`` (nsm decay, driven qmop/swf, homodyne): it re-keys one bit
+generator per trajectory instead of building a new one.
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ ZERO_WEIGHT = 1e-300
 
 # Upper bound on gamma*dt accepted by step-based engines (accuracy guard).
 MAX_GAMMA_DT = 0.1
+
+# Upper bound on beta*t_max, the expected fluctuations per nsm trajectory,
+# that the CLI accepts: the nsm engines take one step per fluctuation.
+MAX_NSM_FLUCTUATIONS = 1e7
 
 _U64_MAX = 2**64 - 1
 

@@ -230,6 +230,23 @@ def _truncated_exponential_time(rate: float, width: float, v: float) -> float:
     return min(max(s, math.ulp(0.0)), width)
 
 
+def _math_map(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` from ``math`` over ``x``: numpy's transcendentals may round differently."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+def _truncated_exponential_times(rate: float, width: float, v: np.ndarray) -> np.ndarray:
+    """``_truncated_exponential_time`` over an array of ``v``, bit for bit.
+
+    The arithmetic, ``min`` and ``max`` run in numpy and ``log1p`` on ``math``.
+    """
+    if rate <= 0.0:
+        return np.where(v > 0.0, v, 0.5) * width
+    q = -math.expm1(-rate * width)
+    s = -_math_map(math.log1p, -v * q) / rate
+    return np.minimum(np.maximum(s, math.ulp(0.0)), width)
+
+
 def _jump_strength(model: Model, gamma: float, dt: float) -> float:
     """Jump probability of one step from the excited state: swf ``1 - exp(-gamma*dt)``, qmop ``gamma*dt``."""
     return -math.expm1(-gamma * dt) if model is Model.SWF else gamma * dt
@@ -268,8 +285,8 @@ def _step_plan(params: ModelParams, initial: QubitState, model: Model) -> _StepP
 # Philox counters evaluated per lock-step block (live trajectories x counters
 # each), which bounds the engine's working memory to ~2 MB of uniforms.
 _LOCKSTEP_COUNTERS = 1 << 16
-# Trajectories per scalar attribution batch: short lists of Python floats keep
-# the allocator from holding on to arenas that would raise the peak RSS.
+# Trajectories per attribution batch: short lists of Python floats keep the
+# allocator from holding on to arenas that would raise the peak RSS.
 _ATTRIBUTION_CHUNK = 4096
 
 
@@ -313,9 +330,7 @@ def _lockstep_step_decay(plan: _StepPlan, seed: int, ids: range) -> Tuple[np.nda
         part = decayed[lo : lo + _ATTRIBUTION_CHUNK]
         stream_ids = ids.start + part.astype(np.uint64)
         v = philox_uniforms(seed, stream_ids, attribution_ctr + 1)[:, attribution_lane]
-        # scalar math.log1p: np.log1p is not guaranteed to round the same way
-        s = [_truncated_exponential_time(plan.gamma, plan.dt, x) for x in v.tolist()]
-        times[part] = steps[part] * plan.dt + np.array(s)
+        times[part] = steps[part] * plan.dt + _truncated_exponential_times(plan.gamma, plan.dt, v)
     return times, steps
 
 

@@ -13,6 +13,18 @@ zero-damping limit of ``torrey_occupation``.  ``rabi_occupation_undamped``
 exposes the sin^2(omega_rabi*t) form verbatim, which corresponds to doubling
 the drive frequency; the two conventions differ by that factor of two and
 ``torrey_occupation``'s is the one the engines follow.
+
+Draw order per trajectory (part of the reproducibility contract):
+
+* nsm: per fluctuation, the gap uniform (redrawn while it is 0 or the gap
+  ``-ln(u)/beta`` is 0), the reduction uniform and, on the to-ground branch
+  only, the photon uniform.  One engine, ``_lockstep_driven_nsm``, reads
+  them by position from the Philox4x64-10 streams through
+  ``core.philox_uniforms``; ``run_driven_ensemble`` runs it over groups of
+  ids and ``run_driven_trajectory`` over the one id of its stream.
+* qmop / swf: from each reset, one check uniform for every remaining step,
+  drawn at once, then the attribution uniform if a check hit; read from
+  ``stream.generator()``.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from .core import (
     QubitState,
     RngStream,
     TrajectoryRecord,
-    as_generator,
+    philox_uniforms,
     rekeyed_generators,
     run_ensemble,
 )
@@ -39,8 +51,8 @@ from .models import (
     NsmEvent,
     NsmOutcome,
     _bin_statistics,
-    _fluctuation_gap,
     _jump_strength,
+    _math_map,
     _merge_rows,
     _step_rows,
     _trajectory_events,
@@ -192,6 +204,11 @@ class _DrivenPlan:
     from_excited: Optional[_DrivenTable]
     from_ground: _DrivenTable
 
+    def nsm_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(occ, photon_w)``, rows 0, 1 and 2 from the initial, excited and ground tables."""
+        tables = (self.from_initial, self.from_excited, self.from_ground)
+        return np.stack([t.occ for t in tables]), np.stack([t.photon_w for t in tables])
+
 
 def _driven_plan(params: ModelParams, drive: DriveParams, initial: QubitState) -> _DrivenPlan:
     if params.dt * max(params.gamma, drive.omega_rabi) > MAX_DRIVEN_STEP:
@@ -249,8 +266,69 @@ def _single_driven_step_model(plan: _DrivenPlan, gen):
     return emissions, series
 
 
-def _single_driven_nsm(plan: _DrivenPlan, gen):
-    """Driven nsm trajectory.
+# Trajectories per driven nsm lock-step group: bounds the draw buffers, the
+# per-fluctuation columns and the binning temporaries.  On 4e4 trajectories
+# of 12.5 fluctuations each, groups of 8192 took ~10% less time than 2048
+# but peaked ~14 MB higher.
+_NSM_GROUP = 2048
+# Philox counters (four draws each) a trajectory's draw buffer holds.
+_NSM_BUFFER_CTRS = 8
+_NSM_BUFFER = 4 * _NSM_BUFFER_CTRS
+
+
+class _StreamCursors:
+    """Draw ``pos[j]`` of the stream ``(seed, ids[j])``, read by position from Philox blocks.
+
+    Each trajectory keeps its own position and a buffer of the
+    ``_NSM_BUFFER`` draws from the start of the counter holding it.  When
+    one of the rows asked for runs short, every one of them that is under
+    half full is refilled, so refills batch into few ``philox_uniforms``
+    calls.
+    """
+
+    def __init__(self, seed: int, ids: range):
+        m = len(ids)
+        self.seed = seed
+        self.ids = ids.start + np.arange(m, dtype=np.uint64)
+        self.pos = np.zeros(m, dtype=np.int64)
+        self.base = np.full(m, -_NSM_BUFFER, dtype=np.int64)  # empty buffers
+        self.buf = np.empty((m, _NSM_BUFFER))
+
+    def take(self, rows: np.ndarray, need: int) -> np.ndarray:
+        """The next draw of each of ``rows``, after making sure ``need`` of them are buffered."""
+        left = self.base[rows] + _NSM_BUFFER - self.pos[rows]
+        if (left < need).any():
+            r = rows[left < _NSM_BUFFER // 2]
+            ctr = self.pos[r] // 4
+            self.base[r] = 4 * ctr
+            counters = ctr[:, None] + np.arange(1, _NSM_BUFFER_CTRS + 1)
+            self.buf[r] = philox_uniforms(self.seed, self.ids[r][:, None], counters).reshape(r.size, _NSM_BUFFER)
+        p = self.pos[rows]
+        self.pos[rows] = p + 1
+        return self.buf[rows, p - self.base[rows]]
+
+
+def _fluctuation_gaps(draws: _StreamCursors, rows: np.ndarray, beta: float) -> np.ndarray:
+    """One gap ``-ln(u)/beta`` per row, each redrawing u while the gap is not positive.
+
+    The masked form of ``models._fluctuation_gap``: rows whose ``u`` is 0,
+    or whose gap underflows to 0, draw again; the others are done.
+    """
+    gaps = np.empty(rows.size)
+    todo = np.arange(rows.size)
+    while todo.size:
+        u = draws.take(rows[todo], 3)  # the gap, the reduction and the photon
+        gap = np.zeros(todo.size)
+        drawn = u > 0.0
+        gap[drawn] = -_math_map(math.log, u[drawn]) / beta
+        done = gap > 0.0
+        gaps[todo[done]] = gap[done]
+        todo = todo[~done]
+    return gaps
+
+
+def _lockstep_driven_nsm(plan: _DrivenPlan, seed: int, ids: range):
+    """The driven nsm engine over the streams ``(seed, i)``, ``i`` in ``ids``.
 
     Fluctuation times stay continuous (gaps are exact exponential draws) but
     each reduction is applied at the end of the step containing it, an O(dt)
@@ -258,57 +336,156 @@ def _single_driven_nsm(plan: _DrivenPlan, gen):
     the ground branch resolves the photon by the Born rule within the branch
     and only then counts as an emission.
 
-    Returns (emissions, emission_drops, series, fluctuations) where
-    emissions are (time, occupation_before) pairs, emission_drops the
-    matching occupation-drop values and fluctuations one
-    (time, gap, occupation_drop, to_ground) row per reduction.
+    Every trajectory keeps its draw position, its table (0 initial, 1
+    excited, 2 ground), the step ``k0`` its table started at and the time of
+    its last fluctuation.  One round advances every live trajectory by one
+    fluctuation, reading its draws in the order of the reproducibility
+    contract: the gap (redrawn while ``u == 0`` or the gap is 0), the
+    reduction and, on the to-ground branch only, the photon.  A trajectory
+    leaves when its next fluctuation falls past ``t_max``.
+
+    Returns ``(fluctuations, segments)``, both in trajectory order, with
+    trajectories as offsets into ``ids``: ``fluctuations`` is the columns
+    ``(traj, t, gap, drop, to_ground, emitted, p_exc)``, one row per
+    reduction, and ``segments`` the columns ``(traj, k_start, k_end,
+    table)``: steps ``k_start <= k < k_end`` of the occupation series read
+    ``occ[table][k - k_start]``, and the segments of a trajectory tile
+    ``0 .. n_steps``.
     """
     params = plan.params
-    beta = params.beta
-    gamma = params.gamma
-    n = params.n_steps
-    dt = params.dt
-    series = np.empty(n + 1)
-    emissions: List[Tuple[float, float]] = []
-    emission_drops: List[float] = []
-    fluctuations: List[Tuple[float, float, float, bool]] = []
-    table = plan.from_initial
-    k0 = 0
-    t_prev = 0.0
-    if beta > 0.0:
-        gap = _fluctuation_gap(gen, beta)
-        t_c = t_prev + gap
-        while t_c <= params.t_max:
-            b = min(max(math.ceil(t_c / dt), k0), n)
-            idx = b - k0
-            series[k0 : b + 1] = table.occ[: idx + 1]
-            p_exc = float(table.occ[idx])
-            a = -math.expm1(-gamma * gap)
-            if gen.random() < p_exc:
-                fluctuations.append((t_c, gap, a, False))
-                table = plan.from_excited
-            else:
-                ground_branch = 1.0 - p_exc
-                p_photon = (
-                    float(table.photon_w[idx]) / ground_branch if ground_branch > 0.0 else 0.0
-                )
-                fluctuations.append((t_c, gap, a, True))
-                if gen.random() < p_photon:
-                    emissions.append((t_c, p_exc))
-                    emission_drops.append(a)
-                table = plan.from_ground
-            k0 = b
-            t_prev = t_c
-            gap = _fluctuation_gap(gen, beta)
-            t_c = t_prev + gap
-    series[k0:] = table.occ[: n - k0 + 1]
-    return emissions, emission_drops, series, fluctuations
+    n, dt, t_max, gamma, beta = params.n_steps, params.dt, params.t_max, params.gamma, params.beta
+    m = len(ids)
+    occ, photon_w = plan.nsm_tables()
+    table = np.zeros(m, dtype=np.int64)
+    k0 = np.zeros(m, dtype=np.int64)
+    t_prev = np.zeros(m)
+    draws = _StreamCursors(seed, ids)
+    fluct = []
+    segs = []
+    live = np.arange(m) if beta > 0.0 else np.arange(0)
+    while True:
+        gap = _fluctuation_gaps(draws, live, beta)
+        t_c = t_prev[live] + gap
+        inside = t_c <= t_max
+        live, gap, t_c = live[inside], gap[inside], t_c[inside]
+        start = k0[live]
+        cur = table[live]
+        b = np.minimum(np.maximum(np.ceil(t_c / dt).astype(np.int64), start), n)
+        p_exc = occ[cur, b - start]
+        drop = -_math_map(math.expm1, -gamma * gap)
+        to_ground = ~(draws.take(live, 2) < p_exc)
+        ground = np.flatnonzero(to_ground)
+        ground_branch = 1.0 - p_exc[ground]
+        p_photon = np.zeros(ground.size)
+        np.divide(photon_w[cur[ground], (b - start)[ground]], ground_branch, out=p_photon, where=ground_branch > 0.0)
+        emitted = np.zeros(live.size, dtype=bool)
+        emitted[ground] = draws.take(live[ground], 1) < p_photon
+        fluct.append((live, t_c, gap, drop, to_ground, emitted, p_exc))
+        segs.append((live, start, b, cur))
+        if not live.size:
+            break
+        table[live] = np.where(to_ground, 2, 1)
+        k0[live] = b
+        t_prev[live] = t_c
+    segs.append((np.arange(m), k0, np.full(m, n + 1), table))
+    return _trajectory_order(fluct), _trajectory_order(segs)
+
+
+def _trajectory_order(rounds: list) -> Tuple[np.ndarray, ...]:
+    """The rounds' column tuples joined and stably sorted on their first column."""
+    cols = [np.concatenate(c) for c in zip(*rounds)]
+    order = np.argsort(cols[0], kind="stable")
+    return tuple(c[order] for c in cols)
+
+
+def _covering_segment(segments, n: int, traj: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Index of the segment that holds step ``k`` of trajectory ``traj``, for queries sorted on (traj, k).
+
+    It is the trajectory's last segment starting at or before ``k`` (an
+    empty segment, from several fluctuations in one step, never is).  Each
+    segment marks the first query at or after its start, and a running
+    maximum over the marks carries it forward.
+    """
+    seg_traj, k_start = segments[0], segments[1]
+    key = traj * (n + 2) + k
+    mark = np.zeros(key.size + 1, dtype=np.int64)
+    np.maximum.at(mark, np.searchsorted(key, seg_traj * (n + 2) + k_start), np.arange(k_start.size))
+    return np.maximum.accumulate(mark[:-1])
+
+
+def _segment_occupation(occ: np.ndarray, segments, n: int, traj: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Occupation of trajectory ``traj`` at step ``k``, read off its segments."""
+    s = _covering_segment(segments, n, traj, k)
+    return occ[segments[3][s], k - segments[1][s]]
+
+
+def _driven_bin_means(occ: np.ndarray, segments, m: int, n: int, bin_steps: int) -> np.ndarray:
+    """Per-trajectory occupation means over the bins of ``bin_steps`` steps, from segments.
+
+    The values equal ``np.add.reduceat(series[:n], edges[:-1]) / bin_steps``
+    bit for bit, without building the series: every bin sum is a reduceat
+    over the bin's own elements, in order.  A bin inside one segment is a
+    window of one table, so its sum is taken once per (table, offset) in
+    use; a bin that crosses a reduction, and a last bin longer than
+    ``bin_steps``, are summed over their materialised elements.  Returns an
+    (m, n_bins) array.
+    """
+    n_bins = n // bin_steps
+    if not n_bins:
+        return np.empty((m, 0))
+    starts = np.arange(n_bins) * bin_steps
+    lengths = np.full(n_bins, bin_steps)
+    lengths[-1] = n - starts[-1]
+    traj = np.repeat(np.arange(m), n_bins)
+    k = np.tile(starts, m)
+    length = np.tile(lengths, m)
+    s = _covering_segment(segments, n, traj, k)
+    inside = (segments[2][s] >= k + length) & (length == bin_steps)
+    sums = np.empty(traj.size)
+    flat = occ.reshape(-1)
+
+    window = segments[3][s[inside]] * (n + 1) + (k - segments[1][s])[inside]
+    slot = np.zeros(flat.size, dtype=np.int64)
+    slot[window] = 1
+    used = np.flatnonzero(slot)
+    slot[used] = np.arange(used.size)
+    width = np.arange(bin_steps)
+    sums[inside] = _window_sums(np.full(used.size, bin_steps), lambda w: flat[used[w, None] + width])[slot[window]]
+
+    cross = np.flatnonzero(~inside)
+
+    def crossing_elements(w):
+        size = length[cross[w]]
+        steps = np.repeat(k[cross[w]] - np.cumsum(size) + size, size) + np.arange(size.sum())
+        return _segment_occupation(occ, segments, n, np.repeat(traj[cross[w]], size), steps)
+
+    sums[cross] = _window_sums(length[cross], crossing_elements)
+    return (sums / bin_steps).reshape(m, n_bins)
+
+
+# Elements materialised at once when summing bins.
+_BIN_ELEMENTS = 1 << 16
+
+
+def _window_sums(size: np.ndarray, elements) -> np.ndarray:
+    """``np.add.reduceat`` sums of consecutive windows of the given sizes.
+
+    ``elements(w)`` returns the elements of the windows in slice ``w``, in
+    order; it is called for slices of about ``_BIN_ELEMENTS`` elements.
+    """
+    sums = np.empty(size.size)
+    per = max(1, _BIN_ELEMENTS // int(size.max())) if size.size else 1
+    for lo in range(0, size.size, per):
+        w = slice(lo, lo + per)
+        first = np.cumsum(size[w]) - size[w]
+        sums[w] = np.add.reduceat(elements(w).reshape(-1), first)
+    return sums
 
 
 def run_driven_trajectory(
     params: ModelParams,
     drive: DriveParams,
-    stream,
+    stream: RngStream,
     initial_state: Optional[QubitState] = None,
     record_steps: bool = False,
 ) -> TrajectoryRecord:
@@ -317,33 +494,38 @@ def run_driven_trajectory(
     Per step: rotating-frame drive rotation, then the model's decay step.
     Jumps reset the atom to the ground state and the drive continues, so a
     single trajectory can emit many photons; each one is a photon-detection
-    event.  The default initial state is the ground state.
+    event.  The default initial state is the ground state.  ``stream`` must
+    be an ``RngStream`` (``derive_stream(seed, i)``); the result is
+    trajectory ``i`` of the ensemble, and under nsm it is the lock-step
+    engine run over that one id.
     """
+    if not isinstance(stream, RngStream):
+        name = type(stream).__name__
+        raise TypeError(f"run_driven_trajectory takes an RngStream from derive_stream(), got {name}")
     initial = QubitState.ground() if initial_state is None else initial_state
     if initial.w_photon != 0.0:
         raise ValueError("photon component present: driven runs start two-level")
     plan = _driven_plan(params, drive, initial)
-    gen = as_generator(stream)
-    traj_id = stream.stream_id if isinstance(stream, RngStream) else 0
 
     nsm_events: tuple = ()
     if params.model is Model.NSM:
-        emissions, _, series, fluctuations = _single_driven_nsm(plan, gen)
-        outcomes = (NsmOutcome.RESET_TO_EXCITED, NsmOutcome.JUMP_TO_GROUND)
-        nsm_events = tuple(
-            NsmEvent(t=t, gap=gap, a_before=a, outcome=outcomes[to_ground])
-            for t, gap, a, to_ground in fluctuations
-        )
+        i = stream.stream_id
+        fluct, segments = _lockstep_driven_nsm(plan, stream.root_seed, range(i, i + 1))
+        _, t_c, gap, drop, to_ground, emitted, p_exc = fluct
+        outcomes = [(NsmOutcome.RESET_TO_EXCITED, NsmOutcome.JUMP_TO_GROUND)[b] for b in to_ground.tolist()]
+        nsm_events = tuple(map(NsmEvent, t_c.tolist(), gap.tolist(), drop.tolist(), outcomes))
+        t, occ_before = t_c[emitted], p_exc[emitted]
+        k = np.arange(params.n_steps + 1)
+        series = _segment_occupation(plan.nsm_tables()[0], segments, params.n_steps, np.zeros_like(k), k)
     else:
-        emissions, series = _single_driven_step_model(plan, gen)
-
-    t, occ_before = np.array(emissions, dtype=float).reshape(-1, 2).T
+        emissions, series = _single_driven_step_model(plan, stream.generator())
+        t, occ_before = np.array(emissions, dtype=float).reshape(-1, 2).T
     rows = (t, np.full(t.size, _CODE[EventKind.PHOTON_DETECTION]), occ_before, np.zeros(t.size))
     if record_steps:
         rows = _merge_rows(rows, _step_rows(series, params.dt, params.n_steps, t))
 
     return TrajectoryRecord(
-        traj_id=traj_id,
+        traj_id=stream.stream_id,
         events=_trajectory_events(*rows),
         decay_time=None,
         nsm_events=nsm_events,
@@ -362,14 +544,15 @@ class DrivenEnsemble:
 
     ``drop_all`` / ``drop_emission`` hold the nsm occupation-drop values at
     every fluctuation and at emissions only; both are empty for qmop/swf.
+    The bin fields are None for a run without bins.
     """
 
     n_traj: int
     dt: float
     t_max: float
-    bin_centers: np.ndarray
-    occupation_mean: np.ndarray
-    occupation_se: np.ndarray
+    bin_centers: Optional[np.ndarray]
+    occupation_mean: Optional[np.ndarray]
+    occupation_se: Optional[np.ndarray]
     emission_times: np.ndarray
     drop_all: np.ndarray
     drop_emission: np.ndarray
@@ -379,41 +562,54 @@ def run_driven_ensemble(
     params: ModelParams,
     drive: DriveParams,
     initial_state: Optional[QubitState] = None,
-    bin_steps: int = 20,
+    bin_steps: Optional[int] = 20,
     threads: int = 1,
 ) -> DrivenEnsemble:
     """Run ``params.n_traj`` driven trajectories and aggregate statistics.
 
     The per-bin occupation is the mean over trajectories of each
     trajectory's average occupation within the bin; the quoted error is the
-    standard error over trajectories.  Trajectory i uses substream (seed, i)
-    and merges happen in trajectory order, independent of ``threads``.
+    standard error over trajectories.  ``bin_steps=None`` skips the bins,
+    leaving only the emission times and drops.  Trajectory i uses substream
+    (seed, i) and merges happen in trajectory order, independent of
+    ``threads``.  Under nsm the lock-step engine runs over groups of at most
+    ``_NSM_GROUP`` trajectories.
     """
     initial = QubitState.ground() if initial_state is None else initial_state
     plan = _driven_plan(params, drive, initial)
     n = params.n_traj
     n_steps = params.n_steps
-    n_bins = n_steps // bin_steps
-    edges = np.arange(n_bins + 1) * bin_steps
+    n_bins = n_steps // bin_steps if bin_steps else 0
+    edges = np.arange(n_bins + 1) * (bin_steps or 1)
 
-    def work(ids: range):
+    def nsm_work(ids: range):
+        occ = plan.nsm_tables()[0]
+        vals = np.empty((len(ids), n_bins))
+        parts = []
+        for lo in range(0, len(ids), _NSM_GROUP):
+            group = ids[lo : lo + _NSM_GROUP]
+            fluct, segments = _lockstep_driven_nsm(plan, params.seed, group)
+            _, t, _, drop, _, emitted, _ = fluct
+            if bin_steps:
+                vals[lo : lo + len(group)] = _driven_bin_means(occ, segments, len(group), n_steps, bin_steps)
+            parts.append((t[emitted], drop, drop[emitted]))
+        return (*map(np.concatenate, zip(*parts)), vals)
+
+    def step_model_work(ids: range):
         vals = np.empty((len(ids), n_bins))
         em_times: List[float] = []
-        drops_all: List[float] = []
-        drops_em: List[float] = []
         for j, (_, gen) in enumerate(rekeyed_generators(params.seed, ids)):
-            if params.model is Model.NSM:
-                emissions, em_drops, series, fluctuations = _single_driven_nsm(plan, gen)
-                drops_all.extend(a for _, _, a, _ in fluctuations)
-                drops_em.extend(em_drops)
-            else:
-                emissions, series = _single_driven_step_model(plan, gen)
-            vals[j] = np.add.reduceat(series[:n_steps], edges[:-1]) / bin_steps
+            emissions, series = _single_driven_step_model(plan, gen)
+            if bin_steps:
+                vals[j] = np.add.reduceat(series[:n_steps], edges[:-1]) / bin_steps
             em_times.extend(t for t, _ in emissions)
-        return vals, *(np.array(c, dtype=float) for c in (em_times, drops_all, drops_em))
+        return np.array(em_times, dtype=float), np.empty(0), np.empty(0), vals
 
-    vals, em_times, drop_all, drop_em = run_ensemble(work, n, threads)
-    centers, mean, _, se = _bin_statistics(vals, edges, params.dt)
+    work = nsm_work if params.model is Model.NSM else step_model_work
+    em_times, drop_all, drop_em, vals = run_ensemble(work, n, threads)
+    centers = mean = se = None
+    if bin_steps:
+        centers, mean, _, se = _bin_statistics(vals, edges, params.dt)
     return DrivenEnsemble(
         n_traj=n,
         dt=params.dt,

@@ -344,8 +344,22 @@ class TestConfigErrors:
             ("rabi", dict(RABI_CFG, gamma=0.0, n_traj=10)),  # nsm drop histogram needs gamma > 0
             ("homodyne", dict(HOMODYNE_CFG, kick=-1.0)),
             ("homodyne", dict(HOMODYNE_CFG, t_max=0.01)),  # one step: no spectrum
+            # beta*t_max fluctuations per trajectory: hours of engine steps
+            ("decay", dict(DECAY_CFG, beta=1e300, t_max=1.0, n_traj=2)),
+            ("decay", dict(DECAY_CFG, beta=1e20, t_max=1.0, n_traj=2)),
+            ("rabi", dict(RABI_CFG, beta=1e300, t_max=1.0, n_traj=2)),
+            ("rabi", dict(RABI_CFG, beta=1e20, t_max=1.0, n_traj=2)),
         ],
-        ids=["decay-nsm-gamma0", "rabi-nsm-gamma0", "homodyne-negative-kick", "homodyne-one-step"],
+        ids=[
+            "decay-nsm-gamma0",
+            "rabi-nsm-gamma0",
+            "homodyne-negative-kick",
+            "homodyne-one-step",
+            "decay-nsm-beta1e300",
+            "decay-nsm-beta1e20",
+            "rabi-nsm-beta1e300",
+            "rabi-nsm-beta1e20",
+        ],
     )
     def test_invalid_run_leaves_no_output(self, tmp_path, command, payload):
         out = str(tmp_path / "run")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_engines import step_decay_record
+from reference_engines import assert_same_record, step_decay_record
 from scipy.integrate import quad
 
 from qdecay import stats
@@ -12,6 +12,8 @@ from qdecay.core import EventKind, ModelParams, QubitState, derive_stream
 from qdecay.models import (
     NSM_BETA_ZERO_FLAG,
     NsmOutcome,
+    _truncated_exponential_time,
+    _truncated_exponential_times,
     fluctuation_gap_density,
     jump_probability,
     occupation_drop_density,
@@ -489,15 +491,6 @@ def event_rows(records, steps=True):
     return [(r.traj_id, ev) for r in records for ev in r.events if steps or ev.kind is not EventKind.STEP]
 
 
-def assert_same_record(rec, ref):
-    """Two trajectory records are equal field for field, floats bit for bit."""
-    assert (rec.traj_id, rec.events, rec.decay_time, rec.flags) == (ref.traj_id, ref.events, ref.decay_time, ref.flags)
-    if ref.occupation_series is None:
-        assert rec.occupation_series is None
-    else:
-        assert np.array_equal(rec.occupation_series, ref.occupation_series)
-
-
 def assert_table_holds(table, rows):
     """The event table is ``rows``, in order, field for field."""
     assert table.traj_id.tolist() == [i for i, _ in rows]
@@ -555,6 +548,19 @@ class TestBatchedStepEngine:
         assert_same_record(rec, step_decay_record(p, stream, initial, record_steps))
         with pytest.raises(TypeError, match="derive_stream"):
             run(p, stream.generator(), initial_state=initial)
+
+    @settings(deadline=None)
+    @example(rate=0.0, width=0.01, v=[0.0, 1.0 - 2.0**-53, 0.5])
+    @example(rate=1e-300, width=0.01, v=[0.0, 1.0 - 2.0**-53])
+    @example(rate=50.0, width=0.01, v=[0.0, 1.0 - 2.0**-53, 2.0**-53])
+    @given(
+        rate=st.one_of(st.sampled_from([0.0, 1e-300, 50.0]), st.floats(0.0, 1e3)),
+        width=st.one_of(st.sampled_from([0.01, 1e-300, 40.0]), st.floats(1e-12, 1e2)),
+        v=st.lists(st.one_of(st.sampled_from([0.0, 1.0 - 2.0**-53]), st.floats(0.0, 1.0, exclude_max=True)), max_size=50),
+    )
+    def test_vector_attribution_is_scalar_attribution(self, rate, width, v):
+        expected = [_truncated_exponential_time(rate, width, x) for x in v]
+        assert _truncated_exponential_times(rate, width, np.array(v, dtype=float)).tolist() == expected
 
     def test_superposition_varies_jump_probability(self):
         from qdecay.core import Model

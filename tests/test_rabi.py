@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from reference_engines import assert_same_record, driven_nsm_record
 from scipy.stats import chi2 as chi2_dist
 
+from qdecay import rabi
 from qdecay.core import EventKind, ModelParams, TrajectoryEvent, TrajectoryRecord, derive_stream
 from qdecay.rabi import (
     DriveParams,
@@ -171,20 +175,109 @@ class TestDrivenEnsemble:
             run_driven_trajectory(p, drive, derive_stream(p.seed, i), record_steps=True)
             for i in range(p.n_traj)
         ]
+        if model == "nsm":
+            # the runner is the lock-step engine over one id: both it and the
+            # ensemble are checked against the scalar reference loop
+            refs = [driven_nsm_record(p, drive, derive_stream(p.seed, i), record_steps=True) for i in range(p.n_traj)]
+            for rec, ref in zip(records, refs):
+                assert_same_record(rec, ref)
+            records = refs
         ens = run_driven_ensemble(p, drive, bin_steps=bin_steps, threads=threads)
-
-        emitted = [[ev.t for ev in r.events if ev.kind is EventKind.PHOTON_DETECTION] for r in records]
-        assert ens.emission_times.tolist() == [t for times in emitted for t in times]
-        assert ens.drop_all.tolist() == [ev.a_before for r in records for ev in r.nsm_events]
-        assert ens.drop_emission.tolist() == [
-            ev.a_before for r, times in zip(records, emitted) for ev in r.nsm_events if ev.t in times
-        ]
+        assert_ensemble_holds(ens, records, p, bin_steps)
         assert ens.emission_times.size > 0 and (ens.drop_all.size > 0) == (model == "nsm")
-        edges = np.arange(p.n_steps // bin_steps + 1) * bin_steps
-        vals = np.array(
-            [np.add.reduceat(r.occupation_series[: p.n_steps], edges[:-1]) / bin_steps for r in records]
-        )
-        assert np.array_equal(ens.occupation_mean, vals.mean(axis=0))
+
+    # three fluctuations per step on average; gaps with gamma*gap > 37, whose
+    # drop rounds to 1.0 (stream (3, 23) has one, see
+    # test_nsm_long_gap_drop_rounds_to_one); a beta so small that no
+    # fluctuation lands in the window.  No n_steps is a multiple of 7.
+    NSM_CASES = {
+        "several_per_step": dict(gamma=0.5, beta=300.0, omega=4.0, dt=0.01, t_max=0.53),
+        "long_gaps": dict(gamma=1.0, beta=0.1, omega=0.5, dt=0.01, t_max=80.0),
+        "tiny_beta": dict(gamma=0.5, beta=1e-300, omega=4.0, dt=0.01, t_max=4.07),
+    }
+
+    @settings(deadline=None, max_examples=30)
+    @example(seed=2**64 - 1, stream_id=2**64 - 1, case="several_per_step", bin_steps=1, record_steps=True)
+    @example(seed=3, stream_id=23, case="long_gaps", bin_steps=7, record_steps=False)
+    @example(seed=0, stream_id=2**63, case="long_gaps", bin_steps=40, record_steps=True)
+    @example(seed=5, stream_id=0, case="tiny_beta", bin_steps=10**6, record_steps=True)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        stream_id=st.one_of(st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+        case=st.sampled_from(sorted(NSM_CASES)),
+        bin_steps=st.sampled_from([1, 7, 40, 10**6]),
+        record_steps=st.booleans(),
+    )
+    def test_nsm_matches_reference_on_any_stream(self, seed, stream_id, case, bin_steps, record_steps):
+        p = driven_params(model="nsm", n_traj=3, seed=seed, **self.NSM_CASES[case])
+        drive = DriveParams(omega_rabi=p.omega_rabi)
+        stream = derive_stream(seed, stream_id)
+        rec = run_driven_trajectory(p, drive, stream, record_steps=record_steps)
+        assert_same_record(rec, driven_nsm_record(p, drive, stream, record_steps=record_steps))
+        refs = [driven_nsm_record(p, drive, derive_stream(seed, i), record_steps=True) for i in range(p.n_traj)]
+        assert_ensemble_holds(run_driven_ensemble(p, drive, bin_steps=bin_steps), refs, p, bin_steps)
+
+    def test_nsm_redrawn_gaps_keep_draw_positions(self, monkeypatch):
+        # zero draws force the gap redraw: the first gap's first two draws,
+        # and draws further along the stream, whatever they are used for
+        zeroed = [0, 1, 6, 7, 9, 30]
+        real = rabi.philox_uniforms
+
+        def philox_with_zeros(seed, ids, counters):
+            u = real(seed, ids, counters)
+            pos = 4 * (np.broadcast_to(np.asarray(counters), u.shape[:-1])[..., None] - 1) + np.arange(4)
+            u[np.isin(pos, zeroed)] = 0.0
+            return u
+
+        class GeneratorWithZeros:
+            def __init__(self, gen):
+                self.gen, self.pos = gen, 0
+
+            def random(self):
+                u = self.gen.random()
+                self.pos += 1
+                return 0.0 if self.pos - 1 in zeroed else u
+
+        monkeypatch.setattr(rabi, "philox_uniforms", philox_with_zeros)
+        p = driven_params(model="nsm", gamma=0.5, beta=4.0, omega=4.0, dt=0.01, t_max=3.0, seed=12)
+        drive = DriveParams(omega_rabi=4.0)
+        for i in range(4):
+            stream = derive_stream(p.seed, i)
+            ref = driven_nsm_record(p, drive, stream, record_steps=True, gen=GeneratorWithZeros(stream.generator()))
+            assert_same_record(run_driven_trajectory(p, drive, stream, record_steps=True), ref)
+            assert len(ref.nsm_events) > 5
+
+    def test_gap_redraw_on_zero_gap(self):
+        # u == 1 - 2**-53 gives a gap that underflows to 0 under a huge beta
+        beta = 1e308
+        rows = [[0.0, 0.25], [1.0 - 2.0**-53, 0.0, 0.5], [0.75]]
+
+        class Rows:
+            def take(self, which, need):
+                return np.array([rows[j].pop(0) for j in which.tolist()])
+
+        expected = [-math.log(0.25) / beta, -math.log(0.5) / beta, -math.log(0.75) / beta]
+        assert rabi._fluctuation_gaps(Rows(), np.arange(3), beta).tolist() == expected
+        assert rows == [[], [], []]
+
+    def test_ensemble_without_bins(self):
+        p = driven_params(model="nsm", gamma=0.5, beta=0.8, omega=4.0, dt=0.01, t_max=8.0, n_traj=300, seed=9)
+        drive = DriveParams(omega_rabi=4.0)
+        with_bins = run_driven_ensemble(p, drive, bin_steps=40, threads=2)
+        without = run_driven_ensemble(p, drive, bin_steps=None, threads=2)
+        for name in ("emission_times", "drop_all", "drop_emission"):
+            assert np.array_equal(getattr(without, name), getattr(with_bins, name))
+        assert without.bin_centers is None and without.occupation_mean is None and without.occupation_se is None
+        assert without.emission_times.size > 0
+
+    def test_runner_takes_only_rngstreams(self):
+        drive = DriveParams(omega_rabi=4.0)
+        for model in ("qmop", "swf", "nsm"):
+            p = driven_params(model=model, gamma=0.5, beta=0.8, omega=4.0, dt=0.01, t_max=1.0)
+            with pytest.raises(TypeError, match="derive_stream"):
+                run_driven_trajectory(p, drive, derive_stream(0, 0).generator())
+            with pytest.raises(TypeError, match="derive_stream"):
+                run_driven_trajectory(p, drive, np.random.default_rng(0))
 
     def test_deterministic_across_threads(self):
         p = driven_params(gamma=0.2, omega=2.0, t_max=10.0, n_traj=200, seed=33)
@@ -192,6 +285,21 @@ class TestDrivenEnsemble:
         b = run_driven_ensemble(p, DriveParams(omega_rabi=2.0), threads=5)
         assert np.array_equal(a.emission_times, b.emission_times)
         assert np.array_equal(a.occupation_mean, b.occupation_mean)
+
+
+def assert_ensemble_holds(ens, records, p, bin_steps):
+    """The ensemble's emissions, drops and bins are those of the records, in trajectory order."""
+    emitted = [[ev.t for ev in r.events if ev.kind is EventKind.PHOTON_DETECTION] for r in records]
+    assert ens.emission_times.tolist() == [t for times in emitted for t in times]
+    assert ens.drop_all.tolist() == [ev.a_before for r in records for ev in r.nsm_events]
+    assert ens.drop_emission.tolist() == [
+        ev.a_before for r, times in zip(records, emitted) for ev in r.nsm_events if ev.t in times
+    ]
+    edges = np.arange(p.n_steps // bin_steps + 1) * bin_steps
+    vals = np.array([np.add.reduceat(r.occupation_series[: p.n_steps], edges[:-1]) / bin_steps for r in records])
+    assert np.array_equal(ens.occupation_mean, vals.mean(axis=0))
+    if len(records) > 1:
+        assert np.array_equal(ens.occupation_se, np.sqrt(vals.var(axis=0, ddof=1) / len(records)))
 
 
 def _record_with_emissions(traj_id, times, t_pad=None):
