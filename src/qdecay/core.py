@@ -18,11 +18,11 @@ counter ``(p // 4 + 1, 0, 0, 0)``.  ``philox_uniforms`` evaluates those
 blocks for many ``(key, counter)`` pairs at once in numpy and returns the
 same doubles as ``RngStream.generator().random()``, bit for bit, so an
 engine reads any position of any stream without a ``Generator``; the
-qmop/swf and driven nsm engines read every draw this way, for a whole
-ensemble or for the one stream of a single-trajectory runner.
-``rekeyed_generators`` serves the scalar loops that still need a real
-``Generator`` (nsm decay, driven qmop/swf, homodyne): it re-keys one bit
-generator per trajectory instead of building a new one.
+qmop/swf decay engine and both nsm engines (decay and driven) read every
+draw this way, for a whole ensemble or for the one stream of a
+single-trajectory runner.  ``rekeyed_generators`` serves the scalar loops
+that still need a real ``Generator`` (driven qmop/swf, homodyne): it re-keys
+one bit generator per trajectory instead of building a new one.
 """
 
 from __future__ import annotations
@@ -361,9 +361,12 @@ def run_ensemble(work, n: int, threads: int) -> Tuple[np.ndarray, ...]:
     ``work`` returns a tuple of ndarray columns whose rows belong to the
     trajectories ``ids`` (any number of rows per trajectory, in id order).
     Column ``k`` of the result is column ``k`` of every chunk, concatenated
-    along the first axis, so it does not depend on ``threads``.
+    along the first axis, so it does not depend on ``threads``.  A single
+    chunk's columns are returned as they are, not copied.
     """
     parts = list(run_chunks(work, chunk_ranges(n, threads), threads))
+    if len(parts) == 1:
+        return tuple(parts[0])
     return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 

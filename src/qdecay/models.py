@@ -17,11 +17,13 @@ Draw order per trajectory (part of the reproducibility contract):
   kernel, stopping each trajectory's checks at its first hit;
   ``run_decay_ensemble`` runs it over every id and the single-trajectory
   runners over the one id of their stream.
-* nsm: alternating uniforms, one for each fluctuation gap and one for each
-  reduction outcome; the attribution uniform is recovered from the outcome
-  draw by conditioning, so no extra draw is consumed.  A gap redraws its
-  uniform while it is zero (``_fluctuation_gap``, also behind
-  ``sample_fluctuation_gap``).
+* nsm: per fluctuation, the gap uniform (redrawn while it is 0 or the gap
+  ``-ln(u)/beta`` is 0), then the reduction uniform; the attribution uniform
+  is recovered from the reduction draw by conditioning, so no extra draw is
+  consumed.  Forced fluctuation times replace the gaps.  One engine,
+  ``_lockstep_nsm``, reads these positions in the fluctuation loop it shares
+  with the driven nsm engine; ``run_decay_ensemble`` runs it over groups of
+  ids and ``run_nsm_trajectory`` over the one id of its stream.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,7 +48,6 @@ from .core import (
     as_generator,
     normalize,
     philox_uniforms,
-    rekeyed_generators,
     run_ensemble,
 )
 
@@ -235,14 +237,15 @@ def _math_map(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
-def _truncated_exponential_times(rate: float, width: float, v: np.ndarray) -> np.ndarray:
-    """``_truncated_exponential_time`` over an array of ``v``, bit for bit.
+def _truncated_exponential_times(rate: float, width, v: np.ndarray) -> np.ndarray:
+    """``_truncated_exponential_time`` over an array of ``v``, and of ``width`` or one float, bit for bit.
 
-    The arithmetic, ``min`` and ``max`` run in numpy and ``log1p`` on ``math``.
+    The arithmetic, ``min`` and ``max`` run in numpy, ``expm1`` and ``log1p`` on ``math``.
     """
     if rate <= 0.0:
         return np.where(v > 0.0, v, 0.5) * width
-    q = -math.expm1(-rate * width)
+    x = -rate * width
+    q = -(_math_map(math.expm1, x) if np.ndim(x) else math.expm1(x))
     s = -_math_map(math.log1p, -v * q) / rate
     return np.minimum(np.maximum(s, math.ulp(0.0)), width)
 
@@ -358,6 +361,11 @@ def _merge_rows(first, second):
     return tuple(c[order] for c in cols)
 
 
+def _ragged(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The indices ``start[i] .. start[i] + size[i] - 1`` of every window ``i``, in order."""
+    return np.repeat(start - np.cumsum(size) + size, size) + np.arange(size.sum())
+
+
 def _trajectory_events(t, kind, before, after) -> Tuple[TrajectoryEvent, ...]:
     """The ``TrajectoryEvent``s of one trajectory's event rows."""
     kinds = [_KINDS[c] for c in kind.tolist()]
@@ -380,7 +388,7 @@ def _step_model_rows(plan: _StepPlan, jump_steps, decay_times, model: Model, rec
     # the first n_i rows of the full grid
     n_i = np.where(jump_steps < 0, plan.n_steps, jump_steps)
     traj_id = np.repeat(np.arange(jump_steps.size), n_i)
-    j = np.arange(traj_id.size) - np.repeat(np.cumsum(n_i) - n_i, n_i)
+    j = _ragged(0 * n_i, n_i)
     steps = _step_rows(plan.occupation, plan.dt, plan.n_steps)
     return _merge_rows((traj_id, *(c[j] for c in steps)), rows)
 
@@ -456,73 +464,245 @@ def run_swf_trajectory(
 # ---------------------------------------------------------------------------
 
 
-def _single_nsm(
-    params: ModelParams,
-    gen,
-    w_excited0: float,
-    fluctuation_times: Optional[Sequence[float]] = None,
-):
-    """Run one fluctuation-driven trajectory.
+# Trajectories per nsm lock-step group (decay and driven): bounds the draw
+# buffers, the per-fluctuation columns and the binning temporaries.  On 4e4
+# driven trajectories of 12.5 fluctuations each, groups of 8192 took ~10%
+# less time than 2048 but peaked ~14 MB higher.
+_NSM_GROUP = 2048
+# Philox counters (four draws each) a trajectory's draw buffer holds.
+_NSM_BUFFER_CTRS = 8
+_NSM_BUFFER = 4 * _NSM_BUFFER_CTRS
 
-    Returns (decay_time, fluct_times, gaps, occ_before, jumped) where the
-    lists cover every fluctuation processed in order; decay_time is NaN when
-    the trajectory survives to t_max.  A pure ground input consumes no draw:
-    every reduction is trivial and nothing ever jumps.
+
+class _StreamCursors:
+    """Draw ``pos[j]`` of the stream ``(seed, ids[j])``, read by position from Philox blocks.
+
+    Each trajectory keeps its own position and a buffer of the
+    ``_NSM_BUFFER`` draws from the start of the counter holding it.  When
+    one of the rows asked for runs short, every one of them that is under
+    half full is refilled, so refills batch into few ``philox_uniforms``
+    calls.
     """
-    if w_excited0 == 0.0:
-        return math.nan, [], [], [], False
-    gamma, beta, t_max = params.gamma, params.beta, params.t_max
-    forced = None if fluctuation_times is None else list(fluctuation_times)
 
-    t_prev = 0.0
-    w_exc = w_excited0  # excited weight at the last reset
-    times: List[float] = []
-    gaps: List[float] = []
-    occ_before: List[float] = []
-    decay_time = math.nan
-    jumped = False
-    idx = 0
+    def __init__(self, seed: int, ids: range):
+        m = len(ids)
+        self.seed = seed
+        self.ids = ids.start + np.arange(m, dtype=np.uint64)
+        self.pos = np.zeros(m, dtype=np.int64)
+        self.base = np.full(m, -_NSM_BUFFER, dtype=np.int64)  # empty buffers
+        self.buf = np.empty((m, _NSM_BUFFER))
+
+    def take(self, rows: np.ndarray, need: int) -> np.ndarray:
+        """The next draw of each of ``rows``, after making sure ``need`` of them are buffered."""
+        left = self.base[rows] + _NSM_BUFFER - self.pos[rows]
+        if (left < need).any():
+            r = rows[left < _NSM_BUFFER // 2]
+            ctr = self.pos[r] // 4
+            self.base[r] = 4 * ctr
+            counters = ctr[:, None] + np.arange(1, _NSM_BUFFER_CTRS + 1)
+            self.buf[r] = philox_uniforms(self.seed, self.ids[r][:, None], counters).reshape(r.size, _NSM_BUFFER)
+        p = self.pos[rows]
+        self.pos[rows] = p + 1
+        return self.buf[rows, p - self.base[rows]]
+
+
+def _fluctuation_gaps(draws: _StreamCursors, rows: np.ndarray, beta: float) -> np.ndarray:
+    """One gap ``-ln(u)/beta`` per row, each redrawing u while the gap is not positive.
+
+    The masked form of ``_fluctuation_gap``: rows whose ``u`` is 0, or whose
+    gap underflows to 0, draw again; the others are done.
+    """
+    gaps = np.empty(rows.size)
+    todo = np.arange(rows.size)
+    while todo.size:
+        u = draws.take(rows[todo], 3)  # the gap, the reduction and the driven photon
+        gap = np.zeros(todo.size)
+        drawn = u > 0.0
+        gap[drawn] = -_math_map(math.log, u[drawn]) / beta
+        done = gap > 0.0
+        gaps[todo[done]] = gap[done]
+        todo = todo[~done]
+    return gaps
+
+
+def _trajectory_order(rounds: list) -> Tuple[np.ndarray, ...]:
+    """The rounds' column tuples joined and stably sorted on their first column."""
+    cols = [np.concatenate(c) for c in zip(*rounds)]
+    order = np.argsort(cols[0], kind="stable")
+    return tuple(c[order] for c in cols)
+
+
+def _covering_segment(segments, n: int, traj: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Index of the segment that holds step ``k`` of trajectory ``traj``, for queries sorted on (traj, k).
+
+    It is the trajectory's last segment starting at or before ``k`` (an
+    empty segment, from several fluctuations in one step, never is).  Each
+    segment marks the first query at or after its start, and a running
+    maximum over the marks carries it forward.
+    """
+    seg_traj, k_start = segments[0], segments[1]
+    key = traj * (n + 2) + k
+    mark = np.zeros(key.size + 1, dtype=np.int64)
+    np.maximum.at(mark, np.searchsorted(key, seg_traj * (n + 2) + k_start), np.arange(k_start.size))
+    return np.maximum.accumulate(mark[:-1])
+
+
+# Elements materialised at once when summing bins.
+_BIN_ELEMENTS = 1 << 16
+
+
+def _window_sums(size: np.ndarray, elements) -> np.ndarray:
+    """``np.add.reduceat`` sums of consecutive windows of the given sizes.
+
+    ``elements(w)`` returns the elements of the windows in slice ``w``, in
+    order; it is called for slices of about ``_BIN_ELEMENTS`` elements.
+    """
+    sums = np.empty(size.size)
+    per = max(1, _BIN_ELEMENTS // int(size.max())) if size.size else 1
+    for lo in range(0, size.size, per):
+        w = slice(lo, lo + per)
+        first = np.cumsum(size[w]) - size[w]
+        sums[w] = np.add.reduceat(elements(w).reshape(-1), first)
+    return sums
+
+
+def _segment_bin_means(segments, m: int, n: int, bin_steps: int, tables, seg_table, occupation) -> np.ndarray:
+    """Per-trajectory occupation means over the bins of ``bin_steps`` steps, from segments.
+
+    The values equal ``np.add.reduceat(series[:n], edges[:-1]) / bin_steps``
+    of each trajectory's occupation series bit for bit, without building it:
+    every bin sum is a reduceat over the bin's own elements, in order.  A bin
+    inside a segment ``s`` with ``seg_table[s] >= 0`` is a window of that row
+    of ``tables``, read from the segment's start and summed once per window
+    in use.  The other bins are summed over elements read by
+    ``occupation(traj, k)``.  Trajectories go in blocks of about
+    ``_BIN_ELEMENTS`` bins, which bounds the per-bin index arrays.  Returns
+    an (m, n_bins) array.
+    """
+    n_bins = n // bin_steps
+    starts = np.arange(n_bins) * bin_steps
+    means = np.empty((m, n_bins))
+    per = max(1, _BIN_ELEMENTS // max(n_bins, 1))
+    for lo in range(0, m if n_bins else 0, per):
+        traj = np.repeat(np.arange(lo, min(lo + per, m)), n_bins)
+        k = np.tile(starts, traj.size // n_bins)
+        length = np.tile(np.diff(starts, append=n), traj.size // n_bins)
+        s = _covering_segment(segments, n, traj, k)
+        tab = np.where(s == _covering_segment(segments, n, traj, k + length - 1), seg_table[s], -1)
+        sums = np.empty(traj.size)
+        done = np.flatnonzero(tab >= 0)
+        window = (tab[done] * tables.shape[1] + k[done] - segments[1][s[done]]) * (n + 1) + length[done]
+        used, slot = np.unique(window, return_inverse=True)
+        first, size = np.divmod(used, n + 1)
+        sums[done] = _window_sums(size, lambda w: tables.reshape(-1)[_ragged(first[w], size[w])])[slot]
+        rest = np.flatnonzero(tab < 0)
+        t_r, k_r, size = traj[rest], k[rest], length[rest]
+        sums[rest] = _window_sums(size, lambda w: occupation(np.repeat(t_r[w], size[w]), _ragged(k_r[w], size[w])))
+        means[lo : lo + per] = (sums / bin_steps).reshape(-1, n_bins)
+    return means
+
+
+def _fluctuation_rounds(params: ModelParams, seed: int, ids: range, live: np.ndarray, first, reduce, forced=None):
+    """The nsm fluctuation loop over the streams ``(seed, i)``, ``i`` in ``ids``.
+
+    One round advances every trajectory in ``live`` by one fluctuation: the
+    gap (redrawn while ``u == 0`` or the gap is 0), or the next ``forced``
+    time whatever ``beta``, then ``reduce(draws, live, t, gap)``, which draws
+    the rest and returns the fluctuations' columns, the columns of the
+    segments they start and a mask of the trajectories that go on.  A
+    trajectory also leaves when its next fluctuation falls past ``t_max``.
+    Returns the columns ``(traj, t, gap, drop, ...)`` and ``(traj, k_start,
+    ...)``, ``first`` the segments from step 0, in trajectory order.
+    """
+    m = len(ids)
+    draws = _StreamCursors(seed, ids)
+    t_prev = np.zeros(m)
+    times = None if forced is None else iter(forced.tolist())
+    fluct = []
+    segs = [(np.arange(m), np.zeros(m, dtype=np.int64), *first)]
     while True:
-        if forced is None:
-            if not beta > 0.0:
-                break
-            gap = _fluctuation_gap(gen, beta)
-            t_fluct = t_prev + gap
-        else:
-            if idx >= len(forced):
-                break
-            t_fluct = float(forced[idx])
-            gap = t_fluct - t_prev
-            idx += 1
-            if gap <= 0.0:
-                raise ValueError("fluctuation times must be strictly increasing from 0")
-        if t_fluct > t_max:
+        if times is None:
+            gap = _fluctuation_gaps(draws, live, params.beta)
+            t = t_prev[live] + gap
+        else:  # past the last forced time every trajectory leaves
+            t = np.full(live.size, next(times, math.inf))
+            gap = t - t_prev[live]
+        inside = t <= params.t_max
+        live, gap, t = live[inside], gap[inside], t[inside]
+        cols, seg, stay = reduce(draws, live, t, gap)
+        fluct.append((live, t, gap, -_math_map(math.expm1, -params.gamma * gap), *cols))
+        segs.append((live, *seg))
+        if not live.size:
             break
+        live, t = live[stay], t[stay]
+        t_prev[live] = t
+    return _trajectory_order(fluct), _trajectory_order(segs)
 
-        survive_w = w_exc * math.exp(-gamma * gap)
-        u = gen.random()
-        times.append(t_fluct)
-        gaps.append(gap)
-        occ_before.append(survive_w)
-        if u < survive_w:
-            # reset to pure excited; relative phase restarts with the state
-            t_prev = t_fluct
-            w_exc = 1.0
-        else:
-            # terminal reduction onto the ground(+photon) branch; attribute
-            # the emission time inside the gap by the exponential flow of the
-            # excited component (exact for pure-excited resets)
-            jumped = True
-            v = (u - survive_w) / (1.0 - survive_w) if survive_w < 1.0 else gen.random()
-            s = _truncated_exponential_time(gamma, gap, v)
-            decay_time = (t_fluct - gap) + s
-            break
-    return decay_time if jumped else math.nan, times, gaps, occ_before, jumped
+
+def _lockstep_nsm(params: ModelParams, w_exc0: float, seed: int, ids: range, forced: Optional[np.ndarray] = None):
+    """The nsm decay engine over the streams ``(seed, i)``, ``i`` in ``ids``.
+
+    A fluctuation draws ``u`` after its gap and resets the atom where ``u <
+    w * exp(-gamma*gap)``, ``w`` the excited weight at the last reset;
+    otherwise it is terminal, and the emission time inside the gap comes
+    from ``u`` by conditioning.  A ground input, or ``beta == 0`` without
+    ``forced`` times, draws nothing.  Returns the decay times (nan where
+    censored) and the columns of ``_fluctuation_rounds``: ``(traj, t, gap,
+    drop, terminal, survive)`` and ``(traj, k_start, w, t_reset)``, from
+    grid step ``k_start`` on ``w * exp(-gamma * (k * dt - t_reset))``: each
+    trajectory starts with ``(0, w_exc0, 0)``, a reset at ``t`` adds ``(k,
+    1, t)`` and the jump ``(k, 0, 0)``, ``k`` the first grid step >= ``t``.
+    """
+    grid = np.arange(params.n_steps + 1) * params.dt
+    m = len(ids)
+    decay_times = np.full(m, math.nan)
+    w = np.full(m, w_exc0)
+
+    def reduce(draws, live, t, gap):
+        survive = w[live] * _math_map(math.exp, -params.gamma * gap)
+        u = draws.take(live, 1)
+        # u < 1, so a terminal step has survive < 1 and conditions u without another draw
+        terminal = u >= survive
+        j = np.flatnonzero(terminal)
+        v = (u[j] - survive[j]) / (1.0 - survive[j])
+        decay_times[live[j]] = (t[j] - gap[j]) + _truncated_exponential_times(params.gamma, gap[j], v)
+        w[live] = 1.0
+        seg = (np.searchsorted(grid, t), np.where(terminal, 0.0, 1.0), np.where(terminal, 0.0, t))
+        return (terminal, survive), seg, ~terminal
+
+    live = np.arange(m if w_exc0 > 0.0 and (params.beta > 0.0 or forced is not None) else 0)
+    return decay_times, *_fluctuation_rounds(params, seed, ids, live, (w.copy(), np.zeros(m)), reduce, forced)
+
+
+def _nsm_occupation(segments, gamma: float, grid: np.ndarray, traj: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Occupation of trajectory ``traj`` at grid step ``k``, read off its segments; queries sorted on (traj, k)."""
+    s = _covering_segment(segments, grid.size - 1, traj, k)
+    return segments[2][s] * np.exp(-gamma * (grid[k] - segments[3][s]))
+
+
+def _nsm_step_table(segments, gamma: float, grid: np.ndarray, m: int, fluct):
+    """STEP rows ``(traj, t, kind, before, after)`` of trajectories ``0 .. m - 1``, read off their segments.
+
+    A trajectory has a row at the end of every grid step before its jump
+    (every step when censored), except at grid times its fluctuations take.
+    """
+    f_traj, f_t, terminal = fluct[0], fluct[1], fluct[4]
+    n = grid.size - 1
+    n_rows = np.full(m, n)
+    n_rows[f_traj[terminal]] = np.searchsorted(grid, f_t[terminal]) - 1
+    size = n_rows + 1  # grid points 0 .. n_rows
+    traj = np.repeat(np.arange(m), size)
+    k = _ragged(0 * size, size)
+    occ = _nsm_occupation(segments, gamma, grid, traj, k)
+    k_f = np.minimum(np.searchsorted(grid, f_t), n)
+    taken = (f_traj * (n + 2) + k_f)[grid[k_f] == f_t]
+    row = np.flatnonzero((k < n_rows[traj]) & ~np.isin(traj * (n + 2) + k + 1, taken))
+    return traj[row], grid[k[row] + 1], np.full(row.size, _CODE[EventKind.STEP]), occ[row], occ[row + 1]
 
 
 def run_nsm_trajectory(
     params: ModelParams,
-    stream,
+    stream: RngStream,
     initial_state: Optional[QubitState] = None,
     record_steps: bool = False,
     fluctuation_times: Optional[Sequence[float]] = None,
@@ -530,45 +710,48 @@ def run_nsm_trajectory(
     """One trajectory of the vacuum-fluctuation reduction engine.
 
     Fluctuations arrive as a rate-``beta`` point process (or at the injected
-    ``fluctuation_times``, a deterministic test hook).  Between fluctuations
-    the state follows the unconditioned unitary weights, so the occupation of
-    a freshly reset atom decays as ``exp(-gamma * (t - t_reset))``.  Each
-    fluctuation reduces the state by the Born rule: back to pure excited with
-    the surviving weight, else terminally onto ground.  Fluctuation duration
-    is treated as zero.
+    ``fluctuation_times``, a deterministic test hook that must increase
+    strictly from 0).  Between fluctuations the state follows the
+    unconditioned unitary weights, so the occupation of a freshly reset atom
+    decays as ``exp(-gamma * (t - t_reset))``.  Each fluctuation reduces the
+    state by the Born rule: back to pure excited with the surviving weight,
+    else terminally onto ground.  Fluctuation duration is treated as zero.
 
     ``beta == 0`` is the degenerate no-fluctuation limit: nothing ever jumps,
-    the occupation decays smoothly, and the record is flagged.
+    the occupation decays smoothly, and the record is flagged.  ``stream``
+    must be an ``RngStream`` (``derive_stream(seed, i)``); the result is
+    trajectory ``i`` of the ensemble, the lock-step engine over that one id.
     """
     if params.model is not Model.NSM:
         raise ValueError(f"run_nsm_trajectory needs model=nsm, got {params.model.value}")
+    if not isinstance(stream, RngStream):
+        name = type(stream).__name__
+        raise TypeError(f"run_nsm_trajectory takes an RngStream from derive_stream(), got {name}")
     initial = QubitState.excited() if initial_state is None else normalize(initial_state)
     if initial.w_photon != 0.0:
         raise ValueError("photon component present: decay engines start two-level")
-    w_exc0 = abs(initial.c_excited) ** 2
-    gen = as_generator(stream)
-    traj_id = stream.stream_id if isinstance(stream, RngStream) else 0
-    decay_time, times, gaps, occ_before, jumped = _single_nsm(params, gen, w_exc0, fluctuation_times)
-
-    outcomes = (NsmOutcome.RESET_TO_EXCITED, NsmOutcome.JUMP_TO_GROUND)
-    terminal = np.zeros(len(times), dtype=bool)
-    terminal[-1:] = jumped
-    drops = [-math.expm1(-params.gamma * gap) for gap in gaps]
-    nsm_events = tuple(map(NsmEvent, times, gaps, drops, [outcomes[b] for b in terminal.tolist()]))
-
-    flags = (NSM_BETA_ZERO_FLAG,) if params.beta == 0.0 and fluctuation_times is None else ()
+    forced = None if fluctuation_times is None else np.asarray(fluctuation_times, dtype=float).reshape(-1)
+    if forced is not None and not np.all(np.diff(forced, prepend=0.0) > 0.0):  # also false on a NaN
+        raise ValueError("fluctuation times must be strictly increasing from 0")
+    w_exc0, i = abs(initial.c_excited) ** 2, stream.stream_id
+    times, fluct, segments = _lockstep_nsm(params, w_exc0, stream.root_seed, range(i, i + 1), forced)
+    _, t, gap, drop, terminal, occ = fluct
+    outcomes = [(NsmOutcome.RESET_TO_EXCITED, NsmOutcome.JUMP_TO_GROUND)[b] for b in terminal.tolist()]
+    nsm_events = tuple(map(NsmEvent, t.tolist(), gap.tolist(), drop.tolist(), outcomes))
     series = None
-    rows = _nsm_rows(np.array(times), np.array(occ_before), terminal)
+    rows = _nsm_rows(t, occ, terminal)
     if record_steps:
-        series = _nsm_occupation_series(params, w_exc0, times, jumped)
-        rows = _merge_rows(rows, _nsm_step_rows(params.dt, series, times, jumped))
+        k = np.arange(params.n_steps + 1)
+        grid = k * params.dt
+        series = _nsm_occupation(segments, params.gamma, grid, 0 * k, k)
+        rows = _merge_rows(rows, _nsm_step_table(segments, params.gamma, grid, 1, fluct)[1:])
     return TrajectoryRecord(
-        traj_id=traj_id,
+        traj_id=i,
         events=_trajectory_events(*rows),
-        decay_time=None if math.isnan(decay_time) else decay_time,
+        decay_time=None if math.isnan(times[0]) else float(times[0]),
         nsm_events=nsm_events,
         occupation_series=series,
-        flags=flags,
+        flags=(NSM_BETA_ZERO_FLAG,) if params.beta == 0.0 and fluctuation_times is None else (),
     )
 
 
@@ -580,25 +763,6 @@ def _nsm_rows(t: np.ndarray, occ: np.ndarray, terminal: np.ndarray):
     """
     kind = np.where(terminal, _CODE[EventKind.QUANTUM_JUMP], _CODE[EventKind.FLUCTUATION_NO_JUMP])
     return t, kind, occ, np.where(terminal, 0.0, 1.0)
-
-
-def _nsm_step_rows(dt: float, series: np.ndarray, times, jumped: bool):
-    """One nsm trajectory's STEP rows: the grid times before its jump that no fluctuation takes."""
-    steps = _step_rows(series, dt, series.size - 1, times)
-    return tuple(c[steps[0] < times[-1]] for c in steps) if jumped else steps
-
-
-def _nsm_occupation_series(params: ModelParams, w_exc0: float, times, jumped: bool) -> np.ndarray:
-    """Occupation on the step grid: exponential arcs between resets, 0 from the jump on."""
-    grid = np.arange(params.n_steps + 1) * params.dt
-    series = np.zeros(grid.size)
-    # only the grid points before the jump carry an arc
-    grid = grid[: np.searchsorted(grid, times[-1])] if jumped else grid
-    reset_times = np.array([0.0, *times[: len(times) - jumped]])
-    seg = np.searchsorted(reset_times, grid, side="right") - 1
-    w0 = np.where(seg == 0, w_exc0, 1.0)
-    series[: grid.size] = w0 * np.exp(-params.gamma * (grid - reset_times[seg]))
-    return series
 
 
 # ---------------------------------------------------------------------------
@@ -709,39 +873,28 @@ def run_decay_ensemble(
         raise ValueError(f"unknown model {model}")
     else:
         w_exc0 = abs(initial.c_excited) ** 2
+        grid = np.arange(params.n_steps + 1) * params.dt
+        tables = np.stack([w_exc0 * np.exp(-params.gamma * grid), np.zeros(grid.size)])
 
         def work(ids: range):
-            # one entry per fluctuation, in trajectory order
-            times = np.full(len(ids), math.nan)
-            traj_id: List[int] = []
-            t_fluct: List[float] = []
-            occ: List[float] = []
-            drops: List[float] = []
-            terminal: List[bool] = []
-            vals = np.zeros((len(ids), n_bins))
-            steps = []  # STEP rows per trajectory, when recording them
-            # pure ground input: nothing ever jumps and no draw is consumed
-            streams = rekeyed_generators(params.seed, ids) if w_exc0 > 0.0 else ((i, None) for i in ids)
-            for j, (i, gen) in enumerate(streams):
-                t_dec, f_times, gaps, occ_before, jumped = _single_nsm(params, gen, w_exc0)
-                times[j] = t_dec
-                if n_bins or record_steps:
-                    series = _nsm_occupation_series(params, w_exc0, f_times, jumped)
-                if n_bins:
-                    vals[j] = np.add.reduceat(series[: params.n_steps], edges[:-1]) / bin_steps
-                traj_id.extend([i] * len(f_times))
-                t_fluct.extend(f_times)
-                occ.extend(occ_before)
-                drops.extend(-math.expm1(-params.gamma * gap) for gap in gaps)
-                terminal.extend([False] * len(f_times))
-                if jumped:
-                    terminal[-1] = True
+            parts = []
+            for lo in range(0, len(ids), _NSM_GROUP):
+                group = ids[lo : lo + _NSM_GROUP]
+                m = len(group)
+                times, fluct, segments = _lockstep_nsm(params, w_exc0, params.seed, group)
+                traj, t, _, drop, terminal, occ = fluct
+                vals = np.empty((m, 0))
+                if bin_steps:
+                    # every trajectory starts on one arc, and a jump starts a segment of zeros
+                    seg_table = np.where(segments[1] == 0, 0, np.where(segments[2] == 0.0, 1, -1))
+                    occupation = partial(_nsm_occupation, segments, params.gamma, grid)
+                    vals = _segment_bin_means(segments, m, params.n_steps, bin_steps, tables, seg_table, occupation)
+                steps = ()
                 if record_steps:
-                    cols = _nsm_step_rows(params.dt, series, f_times, jumped)
-                    steps.append((np.full(cols[0].size, i), *cols))
-            columns = ((traj_id, np.int64), (t_fluct, float), (occ, float), (drops, float), (terminal, bool))
-            steps = tuple(map(np.concatenate, zip(*steps))) if record_steps else ()
-            return (times, *(np.array(c, dtype=dtype) for c, dtype in columns), vals, *steps)
+                    step_traj, *cols = _nsm_step_table(segments, params.gamma, grid, m, fluct)
+                    steps = (group.start + step_traj, *cols)
+                parts.append((times, group.start + traj, t, occ, drop, terminal, vals, *steps))
+            return tuple(map(np.concatenate, zip(*parts)))
 
         decay_times, traj_id, t_fluct, occ, drops, terminal, vals, *steps = run_ensemble(work, n, threads)
         rows = (traj_id, *_nsm_rows(t_fluct, occ, terminal))

@@ -19,9 +19,10 @@ Draw order per trajectory (part of the reproducibility contract):
 * nsm: per fluctuation, the gap uniform (redrawn while it is 0 or the gap
   ``-ln(u)/beta`` is 0), the reduction uniform and, on the to-ground branch
   only, the photon uniform.  One engine, ``_lockstep_driven_nsm``, reads
-  them by position from the Philox4x64-10 streams through
-  ``core.philox_uniforms``; ``run_driven_ensemble`` runs it over groups of
-  ids and ``run_driven_trajectory`` over the one id of its stream.
+  them by position from the Philox4x64-10 streams in the fluctuation loop
+  it shares with nsm decay (``models._fluctuation_rounds``);
+  ``run_driven_ensemble`` runs it over groups of ids and
+  ``run_driven_trajectory`` over the one id of its stream.
 * qmop / swf: from each reset, one check uniform for every remaining step,
   drawn at once, then the attribution uniform if a check hit; read from
   ``stream.generator()``.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,18 +44,20 @@ from .core import (
     QubitState,
     RngStream,
     TrajectoryRecord,
-    philox_uniforms,
     rekeyed_generators,
     run_ensemble,
 )
 from .models import (
     _CODE,
+    _NSM_GROUP,
     NsmEvent,
     NsmOutcome,
     _bin_statistics,
+    _covering_segment,
+    _fluctuation_rounds,
     _jump_strength,
-    _math_map,
     _merge_rows,
+    _segment_bin_means,
     _step_rows,
     _trajectory_events,
     _truncated_exponential_time,
@@ -266,67 +270,6 @@ def _single_driven_step_model(plan: _DrivenPlan, gen):
     return emissions, series
 
 
-# Trajectories per driven nsm lock-step group: bounds the draw buffers, the
-# per-fluctuation columns and the binning temporaries.  On 4e4 trajectories
-# of 12.5 fluctuations each, groups of 8192 took ~10% less time than 2048
-# but peaked ~14 MB higher.
-_NSM_GROUP = 2048
-# Philox counters (four draws each) a trajectory's draw buffer holds.
-_NSM_BUFFER_CTRS = 8
-_NSM_BUFFER = 4 * _NSM_BUFFER_CTRS
-
-
-class _StreamCursors:
-    """Draw ``pos[j]`` of the stream ``(seed, ids[j])``, read by position from Philox blocks.
-
-    Each trajectory keeps its own position and a buffer of the
-    ``_NSM_BUFFER`` draws from the start of the counter holding it.  When
-    one of the rows asked for runs short, every one of them that is under
-    half full is refilled, so refills batch into few ``philox_uniforms``
-    calls.
-    """
-
-    def __init__(self, seed: int, ids: range):
-        m = len(ids)
-        self.seed = seed
-        self.ids = ids.start + np.arange(m, dtype=np.uint64)
-        self.pos = np.zeros(m, dtype=np.int64)
-        self.base = np.full(m, -_NSM_BUFFER, dtype=np.int64)  # empty buffers
-        self.buf = np.empty((m, _NSM_BUFFER))
-
-    def take(self, rows: np.ndarray, need: int) -> np.ndarray:
-        """The next draw of each of ``rows``, after making sure ``need`` of them are buffered."""
-        left = self.base[rows] + _NSM_BUFFER - self.pos[rows]
-        if (left < need).any():
-            r = rows[left < _NSM_BUFFER // 2]
-            ctr = self.pos[r] // 4
-            self.base[r] = 4 * ctr
-            counters = ctr[:, None] + np.arange(1, _NSM_BUFFER_CTRS + 1)
-            self.buf[r] = philox_uniforms(self.seed, self.ids[r][:, None], counters).reshape(r.size, _NSM_BUFFER)
-        p = self.pos[rows]
-        self.pos[rows] = p + 1
-        return self.buf[rows, p - self.base[rows]]
-
-
-def _fluctuation_gaps(draws: _StreamCursors, rows: np.ndarray, beta: float) -> np.ndarray:
-    """One gap ``-ln(u)/beta`` per row, each redrawing u while the gap is not positive.
-
-    The masked form of ``models._fluctuation_gap``: rows whose ``u`` is 0,
-    or whose gap underflows to 0, draw again; the others are done.
-    """
-    gaps = np.empty(rows.size)
-    todo = np.arange(rows.size)
-    while todo.size:
-        u = draws.take(rows[todo], 3)  # the gap, the reduction and the photon
-        gap = np.zeros(todo.size)
-        drawn = u > 0.0
-        gap[drawn] = -_math_map(math.log, u[drawn]) / beta
-        done = gap > 0.0
-        gaps[todo[done]] = gap[done]
-        todo = todo[~done]
-    return gaps
-
-
 def _lockstep_driven_nsm(plan: _DrivenPlan, seed: int, ids: range):
     """The driven nsm engine over the streams ``(seed, i)``, ``i`` in ``ids``.
 
@@ -336,43 +279,28 @@ def _lockstep_driven_nsm(plan: _DrivenPlan, seed: int, ids: range):
     the ground branch resolves the photon by the Born rule within the branch
     and only then counts as an emission.
 
-    Every trajectory keeps its draw position, its table (0 initial, 1
-    excited, 2 ground), the step ``k0`` its table started at and the time of
-    its last fluctuation.  One round advances every live trajectory by one
-    fluctuation, reading its draws in the order of the reproducibility
-    contract: the gap (redrawn while ``u == 0`` or the gap is 0), the
-    reduction and, on the to-ground branch only, the photon.  A trajectory
-    leaves when its next fluctuation falls past ``t_max``.
+    Each trajectory keeps its table (0 initial, 1 excited, 2 ground) and the
+    step ``k0`` the table started at.  A fluctuation at ``t`` applies at step
+    ``b = ceil(t/dt)``, clamped to ``k0 .. n_steps``: it draws the reduction
+    against the table's occupation there and, on the to-ground branch only,
+    the photon.
 
-    Returns ``(fluctuations, segments)``, both in trajectory order, with
-    trajectories as offsets into ``ids``: ``fluctuations`` is the columns
-    ``(traj, t, gap, drop, to_ground, emitted, p_exc)``, one row per
-    reduction, and ``segments`` the columns ``(traj, k_start, k_end,
-    table)``: steps ``k_start <= k < k_end`` of the occupation series read
-    ``occ[table][k - k_start]``, and the segments of a trajectory tile
-    ``0 .. n_steps``.
+    Returns ``(fluctuations, segments)`` (``models._fluctuation_rounds``):
+    ``(traj, t, gap, drop, to_ground, emitted, p_exc)`` and ``(traj, k_start,
+    table)``, from whose step ``k_start`` on the occupation series reads
+    ``occ[table][k - k_start]``.
     """
-    params = plan.params
-    n, dt, t_max, gamma, beta = params.n_steps, params.dt, params.t_max, params.gamma, params.beta
+    n, dt = plan.params.n_steps, plan.params.dt
     m = len(ids)
     occ, photon_w = plan.nsm_tables()
     table = np.zeros(m, dtype=np.int64)
     k0 = np.zeros(m, dtype=np.int64)
-    t_prev = np.zeros(m)
-    draws = _StreamCursors(seed, ids)
-    fluct = []
-    segs = []
-    live = np.arange(m) if beta > 0.0 else np.arange(0)
-    while True:
-        gap = _fluctuation_gaps(draws, live, beta)
-        t_c = t_prev[live] + gap
-        inside = t_c <= t_max
-        live, gap, t_c = live[inside], gap[inside], t_c[inside]
+
+    def reduce(draws, live, t, gap):
         start = k0[live]
         cur = table[live]
-        b = np.minimum(np.maximum(np.ceil(t_c / dt).astype(np.int64), start), n)
+        b = np.minimum(np.maximum(np.ceil(t / dt).astype(np.int64), start), n)
         p_exc = occ[cur, b - start]
-        drop = -_math_map(math.expm1, -gamma * gap)
         to_ground = ~(draws.take(live, 2) < p_exc)
         ground = np.flatnonzero(to_ground)
         ground_branch = 1.0 - p_exc[ground]
@@ -380,106 +308,18 @@ def _lockstep_driven_nsm(plan: _DrivenPlan, seed: int, ids: range):
         np.divide(photon_w[cur[ground], (b - start)[ground]], ground_branch, out=p_photon, where=ground_branch > 0.0)
         emitted = np.zeros(live.size, dtype=bool)
         emitted[ground] = draws.take(live[ground], 1) < p_photon
-        fluct.append((live, t_c, gap, drop, to_ground, emitted, p_exc))
-        segs.append((live, start, b, cur))
-        if not live.size:
-            break
         table[live] = np.where(to_ground, 2, 1)
         k0[live] = b
-        t_prev[live] = t_c
-    segs.append((np.arange(m), k0, np.full(m, n + 1), table))
-    return _trajectory_order(fluct), _trajectory_order(segs)
+        return (to_ground, emitted, p_exc), (b, table[live]), np.ones(live.size, dtype=bool)
 
-
-def _trajectory_order(rounds: list) -> Tuple[np.ndarray, ...]:
-    """The rounds' column tuples joined and stably sorted on their first column."""
-    cols = [np.concatenate(c) for c in zip(*rounds)]
-    order = np.argsort(cols[0], kind="stable")
-    return tuple(c[order] for c in cols)
-
-
-def _covering_segment(segments, n: int, traj: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Index of the segment that holds step ``k`` of trajectory ``traj``, for queries sorted on (traj, k).
-
-    It is the trajectory's last segment starting at or before ``k`` (an
-    empty segment, from several fluctuations in one step, never is).  Each
-    segment marks the first query at or after its start, and a running
-    maximum over the marks carries it forward.
-    """
-    seg_traj, k_start = segments[0], segments[1]
-    key = traj * (n + 2) + k
-    mark = np.zeros(key.size + 1, dtype=np.int64)
-    np.maximum.at(mark, np.searchsorted(key, seg_traj * (n + 2) + k_start), np.arange(k_start.size))
-    return np.maximum.accumulate(mark[:-1])
+    live = np.arange(m if plan.params.beta > 0.0 else 0)
+    return _fluctuation_rounds(plan.params, seed, ids, live, (table.copy(),), reduce)
 
 
 def _segment_occupation(occ: np.ndarray, segments, n: int, traj: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Occupation of trajectory ``traj`` at step ``k``, read off its segments."""
     s = _covering_segment(segments, n, traj, k)
-    return occ[segments[3][s], k - segments[1][s]]
-
-
-def _driven_bin_means(occ: np.ndarray, segments, m: int, n: int, bin_steps: int) -> np.ndarray:
-    """Per-trajectory occupation means over the bins of ``bin_steps`` steps, from segments.
-
-    The values equal ``np.add.reduceat(series[:n], edges[:-1]) / bin_steps``
-    bit for bit, without building the series: every bin sum is a reduceat
-    over the bin's own elements, in order.  A bin inside one segment is a
-    window of one table, so its sum is taken once per (table, offset) in
-    use; a bin that crosses a reduction, and a last bin longer than
-    ``bin_steps``, are summed over their materialised elements.  Returns an
-    (m, n_bins) array.
-    """
-    n_bins = n // bin_steps
-    if not n_bins:
-        return np.empty((m, 0))
-    starts = np.arange(n_bins) * bin_steps
-    lengths = np.full(n_bins, bin_steps)
-    lengths[-1] = n - starts[-1]
-    traj = np.repeat(np.arange(m), n_bins)
-    k = np.tile(starts, m)
-    length = np.tile(lengths, m)
-    s = _covering_segment(segments, n, traj, k)
-    inside = (segments[2][s] >= k + length) & (length == bin_steps)
-    sums = np.empty(traj.size)
-    flat = occ.reshape(-1)
-
-    window = segments[3][s[inside]] * (n + 1) + (k - segments[1][s])[inside]
-    slot = np.zeros(flat.size, dtype=np.int64)
-    slot[window] = 1
-    used = np.flatnonzero(slot)
-    slot[used] = np.arange(used.size)
-    width = np.arange(bin_steps)
-    sums[inside] = _window_sums(np.full(used.size, bin_steps), lambda w: flat[used[w, None] + width])[slot[window]]
-
-    cross = np.flatnonzero(~inside)
-
-    def crossing_elements(w):
-        size = length[cross[w]]
-        steps = np.repeat(k[cross[w]] - np.cumsum(size) + size, size) + np.arange(size.sum())
-        return _segment_occupation(occ, segments, n, np.repeat(traj[cross[w]], size), steps)
-
-    sums[cross] = _window_sums(length[cross], crossing_elements)
-    return (sums / bin_steps).reshape(m, n_bins)
-
-
-# Elements materialised at once when summing bins.
-_BIN_ELEMENTS = 1 << 16
-
-
-def _window_sums(size: np.ndarray, elements) -> np.ndarray:
-    """``np.add.reduceat`` sums of consecutive windows of the given sizes.
-
-    ``elements(w)`` returns the elements of the windows in slice ``w``, in
-    order; it is called for slices of about ``_BIN_ELEMENTS`` elements.
-    """
-    sums = np.empty(size.size)
-    per = max(1, _BIN_ELEMENTS // int(size.max())) if size.size else 1
-    for lo in range(0, size.size, per):
-        w = slice(lo, lo + per)
-        first = np.cumsum(size[w]) - size[w]
-        sums[w] = np.add.reduceat(elements(w).reshape(-1), first)
-    return sums
+    return occ[segments[2][s], k - segments[1][s]]
 
 
 def run_driven_trajectory(
@@ -591,7 +431,9 @@ def run_driven_ensemble(
             fluct, segments = _lockstep_driven_nsm(plan, params.seed, group)
             _, t, _, drop, _, emitted, _ = fluct
             if bin_steps:
-                vals[lo : lo + len(group)] = _driven_bin_means(occ, segments, len(group), n_steps, bin_steps)
+                occupation = partial(_segment_occupation, occ, segments, n_steps)
+                bins = _segment_bin_means(segments, len(group), n_steps, bin_steps, occ, segments[2], occupation)
+                vals[lo : lo + len(group)] = bins
             parts.append((t[emitted], drop, drop[emitted]))
         return (*map(np.concatenate, zip(*parts)), vals)
 

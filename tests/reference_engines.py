@@ -6,12 +6,20 @@ trajectory at a time, and builds the record's events with a Python loop.
 """
 
 import math
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from qdecay.core import EventKind, Model, QubitState, TrajectoryEvent, TrajectoryRecord
-from qdecay.models import NsmEvent, NsmOutcome, _fluctuation_gap, _step_plan, _StepPlan, _truncated_exponential_time
+from qdecay.core import EventKind, Model, ModelParams, QubitState, TrajectoryEvent, TrajectoryRecord, normalize
+from qdecay.models import (
+    NSM_BETA_ZERO_FLAG,
+    NsmEvent,
+    NsmOutcome,
+    _fluctuation_gap,
+    _step_plan,
+    _StepPlan,
+    _truncated_exponential_time,
+)
 from qdecay.rabi import _driven_plan, _DrivenPlan
 
 
@@ -50,6 +58,114 @@ def step_decay_record(params, stream, initial_state=None, record_steps=False) ->
         events=events,
         decay_time=None if k < 0 else t_dec,
         occupation_series=series,
+    )
+
+
+def _single_nsm(
+    params: ModelParams,
+    gen,
+    w_excited0: float,
+    fluctuation_times: Optional[Sequence[float]] = None,
+):
+    """Run one fluctuation-driven trajectory.
+
+    Returns (decay_time, fluct_times, gaps, occ_before, jumped) where the
+    lists cover every fluctuation processed in order; decay_time is NaN when
+    the trajectory survives to t_max.  A pure ground input consumes no draw:
+    every reduction is trivial and nothing ever jumps.
+    """
+    if w_excited0 == 0.0:
+        return math.nan, [], [], [], False
+    gamma, beta, t_max = params.gamma, params.beta, params.t_max
+    forced = None if fluctuation_times is None else list(fluctuation_times)
+
+    t_prev = 0.0
+    w_exc = w_excited0  # excited weight at the last reset
+    times: List[float] = []
+    gaps: List[float] = []
+    occ_before: List[float] = []
+    decay_time = math.nan
+    jumped = False
+    idx = 0
+    while True:
+        if forced is None:
+            if not beta > 0.0:
+                break
+            gap = _fluctuation_gap(gen, beta)
+            t_fluct = t_prev + gap
+        else:
+            if idx >= len(forced):
+                break
+            t_fluct = float(forced[idx])
+            gap = t_fluct - t_prev
+            idx += 1
+            if gap <= 0.0:
+                raise ValueError("fluctuation times must be strictly increasing from 0")
+        if t_fluct > t_max:
+            break
+
+        survive_w = w_exc * math.exp(-gamma * gap)
+        u = gen.random()
+        times.append(t_fluct)
+        gaps.append(gap)
+        occ_before.append(survive_w)
+        if u < survive_w:
+            # reset to pure excited; relative phase restarts with the state
+            t_prev = t_fluct
+            w_exc = 1.0
+        else:
+            # terminal reduction onto the ground(+photon) branch; attribute
+            # the emission time inside the gap by the exponential flow of the
+            # excited component (exact for pure-excited resets)
+            jumped = True
+            v = (u - survive_w) / (1.0 - survive_w) if survive_w < 1.0 else gen.random()
+            s = _truncated_exponential_time(gamma, gap, v)
+            decay_time = (t_fluct - gap) + s
+            break
+    return decay_time if jumped else math.nan, times, gaps, occ_before, jumped
+
+
+def nsm_record(params, stream, initial_state=None, record_steps=False, fluctuation_times=None, gen=None) -> TrajectoryRecord:
+    """What ``run_nsm_trajectory`` returns; ``gen`` replaces ``stream.generator()``.
+
+    The occupation series takes its exponentials from one ``np.exp`` over the
+    grid, as the series always has; everything else is a Python loop.
+    """
+    initial = QubitState.excited() if initial_state is None else normalize(initial_state)
+    w_exc0 = abs(initial.c_excited) ** 2
+    gen = stream.generator() if gen is None else gen
+    decay_time, times, gaps, occ_before, jumped = _single_nsm(params, gen, w_exc0, fluctuation_times)
+    events = [TrajectoryEvent(t, EventKind.FLUCTUATION_NO_JUMP, occ, 1.0) for t, occ in zip(times, occ_before)]
+    if jumped:
+        events[-1] = TrajectoryEvent(times[-1], EventKind.QUANTUM_JUMP, occ_before[-1], 0.0)
+    series = None
+    if record_steps:
+        n, dt = params.n_steps, params.dt
+        resets = [(0.0, w_exc0)] + [(t, 1.0) for t in times[: len(times) - jumped]]
+        t_reset, w, live = np.zeros(n + 1), np.zeros(n + 1), np.zeros(n + 1, dtype=bool)
+        for k in range(n + 1):
+            g = k * dt
+            live[k] = not (jumped and g >= times[-1])
+            t_reset[k], w[k] = [(t, wt) for t, wt in resets if t <= g][-1]
+        series = np.where(live, w * np.exp(-params.gamma * (np.arange(n + 1) * dt - t_reset)), 0.0)
+        taken = set(times)
+        for j in range(n):
+            t = (j + 1) * dt
+            if jumped and t >= times[-1]:
+                break
+            if t not in taken:
+                events.append(TrajectoryEvent(t, EventKind.STEP, float(series[j]), float(series[j + 1])))
+        events.sort(key=lambda ev: ev.t)
+    outcomes = [NsmOutcome.RESET_TO_EXCITED] * len(times)
+    if jumped:
+        outcomes[-1] = NsmOutcome.JUMP_TO_GROUND
+    return TrajectoryRecord(
+        traj_id=stream.stream_id,
+        events=events,
+        decay_time=decay_time if jumped else None,
+        nsm_events=tuple(NsmEvent(t, gap, -math.expm1(-params.gamma * gap), o) for t, gap, o in zip(times, gaps, outcomes)),
+        occupation_series=series,
+        flags=(NSM_BETA_ZERO_FLAG,) if params.beta == 0.0 and fluctuation_times is None else (),
     )
 
 
@@ -120,6 +236,31 @@ def driven_nsm_record(params, drive, stream, initial_state=None, record_steps=Fa
         nsm_events=tuple(NsmEvent(t, gap, a, outcomes[to_ground]) for t, gap, a, to_ground in fluctuations),
         occupation_series=series if record_steps else None,
     )
+
+
+def patched_philox(real, values):
+    """``real`` (``philox_uniforms``) with draw ``p`` of every stream replaced by ``values[p]``."""
+
+    def philox_uniforms(seed, ids, counters):
+        u = real(seed, ids, counters)
+        pos = 4 * (np.broadcast_to(np.asarray(counters), u.shape[:-1])[..., None] - 1) + np.arange(4)
+        for p, x in values.items():
+            u[pos == p] = x
+        return u
+
+    return philox_uniforms
+
+
+class PatchedGenerator:
+    """The draws of ``gen`` with draw ``p`` replaced by ``values[p]``, as ``patched_philox`` does."""
+
+    def __init__(self, gen, values):
+        self.gen, self.values, self.pos = gen, values, 0
+
+    def random(self):
+        u = self.gen.random()
+        self.pos += 1
+        return self.values.get(self.pos - 1, u)
 
 
 def assert_same_record(rec, ref):

@@ -21,6 +21,7 @@ from qdecay.core import (
     photon_packet_length,
     rekeyed_generators,
     run_chunks,
+    run_ensemble,
     sigma_x_expectation,
 )
 
@@ -240,6 +241,21 @@ class TestChunks:
         time.sleep(0.2)
         assert len(started) <= threads + 1
         assert list(results) == [r.start for r in ranges[1:]]
+
+    def test_run_ensemble_returns_a_single_chunk_uncopied(self):
+        made = []
+
+        def work(ids):
+            cols = (np.arange(ids.start, ids.stop) * 0.5, np.repeat(np.arange(ids.start, ids.stop), 2))
+            made.append(cols)
+            return cols
+
+        one = run_ensemble(work, 10, 1)
+        assert len(made) == 1 and all(np.shares_memory(a, b) for a, b in zip(one, made[0]))
+        three = run_ensemble(work, 10, 3)
+        assert len(made) == 4 and not any(np.shares_memory(a, b) for a, b in zip(three, made[1]))
+        for a, b in zip(one, three):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestPacketLength:

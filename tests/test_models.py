@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_engines import assert_same_record, step_decay_record
+from reference_engines import PatchedGenerator, assert_same_record, nsm_record, patched_philox, step_decay_record
 from scipy.integrate import quad
 
-from qdecay import stats
+from qdecay import models, stats
 from qdecay.core import EventKind, ModelParams, QubitState, derive_stream
 from qdecay.models import (
     NSM_BETA_ZERO_FLAG,
@@ -546,8 +546,10 @@ class TestBatchedStepEngine:
         run = self.RUNNERS[model]
         rec = run(p, stream, initial_state=initial, record_steps=record_steps)
         assert_same_record(rec, step_decay_record(p, stream, initial, record_steps))
-        with pytest.raises(TypeError, match="derive_stream"):
-            run(p, stream.generator(), initial_state=initial)
+        nsm = params(model="nsm", gamma=gamma, beta=1.0, t_max=t_max, seed=seed)
+        for runner, q in ((run, p), (run_nsm_trajectory, nsm)):
+            with pytest.raises(TypeError, match="derive_stream"):
+                runner(q, stream.generator(), initial_state=initial)
 
     @settings(deadline=None)
     @example(rate=0.0, width=0.01, v=[0.0, 1.0 - 2.0**-53, 0.5])
@@ -576,42 +578,115 @@ class TestBatchedStepEngine:
             assert s.n_censored == 5 and len(s.events) == 0
 
 
+def assert_nsm_ensemble_holds(s, records, p, bin_steps, record_steps):
+    """The nsm ensemble's columns are those of the records, in trajectory order."""
+    times = [math.nan if r.decay_time is None else r.decay_time for r in records]
+    assert np.array_equal(s.decay_times, np.array(times), equal_nan=True)
+    assert_table_holds(s.events, event_rows(records, steps=record_steps))
+    fluctuations = [ev for r in records for ev in r.nsm_events]
+    assert s.drop_samples.tolist() == [ev.a_before for ev in fluctuations]
+    assert s.drop_terminal.tolist() == [ev.outcome is NsmOutcome.JUMP_TO_GROUND for ev in fluctuations]
+    edges = np.arange(p.n_steps // bin_steps + 1) * bin_steps
+    vals = np.array([np.add.reduceat(r.occupation_series[: p.n_steps], edges[:-1]) / bin_steps for r in records])
+    assert np.array_equal(s.occupation_mean, vals.mean(axis=0))
+    assert np.array_equal(s.occupation_var, vals.var(axis=0, ddof=1))
+
+
 class TestBatchedNsmEngine:
-    """The nsm ensemble's columns are the scalar runner's records, trajectory by trajectory."""
+    """The lock-step nsm engine, over every id or over one, equals the scalar reference engine."""
+
+    INITIAL = {"excited": None, "superposition": QubitState.superposition(0.6, 0.8j), "ground": QubitState.ground()}
 
     @pytest.mark.parametrize("record_steps", [False, True])
     @pytest.mark.parametrize("threads", [1, 3])
-    @pytest.mark.parametrize(
-        "initial",
-        [None, QubitState.superposition(0.6, 0.8j), QubitState.ground()],
-        ids=["excited", "superposition", "ground"],
-    )
+    @pytest.mark.parametrize("initial", sorted(INITIAL))
     def test_ensemble_matches_scalar_trajectories(self, initial, threads, record_steps):
+        initial = self.INITIAL[initial]
         p = params(model="nsm", beta=1.5, t_max=3.0, n_traj=200, seed=99)
         bin_steps = 30
-        records = [
-            run_nsm_trajectory(p, derive_stream(p.seed, i), initial_state=initial, record_steps=True)
-            for i in range(p.n_traj)
-        ]
+        records = [nsm_record(p, derive_stream(p.seed, i), initial, record_steps=True) for i in range(p.n_traj)]
+        for i, ref in enumerate(records):
+            rec = run_nsm_trajectory(p, derive_stream(p.seed, i), initial_state=initial, record_steps=record_steps)
+            assert_same_record(rec, ref if record_steps else nsm_record(p, derive_stream(p.seed, i), initial))
         s = run_decay_ensemble(
             p, initial_state=initial, threads=threads, bin_steps=bin_steps, record_steps=record_steps
         )
-
-        times = [math.nan if r.decay_time is None else r.decay_time for r in records]
-        assert np.array_equal(s.decay_times, np.array(times), equal_nan=True)
-        assert_table_holds(s.events, event_rows(records, steps=record_steps))
-        fluctuations = [ev for r in records for ev in r.nsm_events]
-        assert s.drop_samples.tolist() == [ev.a_before for ev in fluctuations]
-        assert s.drop_terminal.tolist() == [ev.outcome is NsmOutcome.JUMP_TO_GROUND for ev in fluctuations]
+        assert_nsm_ensemble_holds(s, records, p, bin_steps, record_steps)
         if initial is None:
-            assert 0 < s.n_censored < p.n_traj and s.drop_terminal.sum() < len(fluctuations)
+            assert 0 < s.n_censored < p.n_traj and s.drop_terminal.sum() < s.drop_terminal.size
 
-        edges = np.arange(p.n_steps // bin_steps + 1) * bin_steps
-        vals = np.array(
-            [np.add.reduceat(r.occupation_series[: p.n_steps], edges[:-1]) / bin_steps for r in records]
-        )
-        assert np.array_equal(s.occupation_mean, vals.mean(axis=0))
-        assert np.array_equal(s.occupation_var, vals.var(axis=0, ddof=1))
+    # gaps with gamma*gap > 37, whose drop rounds to 1.0 (stream (3, 23) has
+    # one, see test_long_gap_drop_rounds_to_one); beta 0; a beta so small
+    # that no fluctuation lands in the window; 30 fluctuations per decay.
+    # No n_steps is a multiple of 7.
+    NSM_CASES = {
+        "unit": dict(beta=1.0, t_max=3.03),
+        "long_gaps": dict(beta=0.1, t_max=80.0),
+        "beta_zero": dict(beta=0.0, t_max=2.03),
+        "tiny_beta": dict(beta=1e-300, t_max=2.07),
+        "many": dict(beta=30.0, t_max=1.01),
+    }
+    # every 7th grid time up to 2.73, where STEP rows give way to fluctuations
+    FORCED = (np.arange(1, 40) * 7 * 0.01).tolist()
+
+    @settings(deadline=None, max_examples=40)
+    @example(seed=3, stream_id=23, case="long_gaps", initial="excited", forced=False, record_steps=True, bin_steps=7)
+    @example(seed=2**64 - 1, stream_id=2**64 - 1, case="unit", initial="superposition", forced=True, record_steps=True, bin_steps=1)
+    @example(seed=0, stream_id=2**63, case="beta_zero", initial="excited", forced=False, record_steps=True, bin_steps=30)
+    @example(seed=5, stream_id=0, case="tiny_beta", initial="ground", forced=False, record_steps=False, bin_steps=1000)
+    @example(seed=9, stream_id=2**63, case="many", initial="superposition", forced=True, record_steps=False, bin_steps=7)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        stream_id=st.one_of(st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+        case=st.sampled_from(sorted(NSM_CASES)),
+        initial=st.sampled_from(sorted(INITIAL)),
+        forced=st.booleans(),
+        record_steps=st.booleans(),
+        bin_steps=st.sampled_from([1, 7, 30, 1000]),
+    )
+    def test_nsm_runner_matches_reference_on_any_stream(
+        self, seed, stream_id, case, initial, forced, record_steps, bin_steps
+    ):
+        p = params(model="nsm", n_traj=3, seed=seed, **self.NSM_CASES[case])
+        initial = self.INITIAL[initial]
+        forced = self.FORCED if forced else None
+        stream = derive_stream(seed, stream_id)
+        rec = run_nsm_trajectory(p, stream, initial, record_steps, forced)
+        assert_same_record(rec, nsm_record(p, stream, initial, record_steps, forced))
+        refs = [nsm_record(p, derive_stream(seed, i), initial, record_steps=True) for i in range(p.n_traj)]
+        s = run_decay_ensemble(p, initial, bin_steps=bin_steps, record_steps=record_steps)
+        assert_nsm_ensemble_holds(s, refs, p, bin_steps, record_steps)
+
+    # draws replaced along the stream: zeros that force gap redraws, among
+    # them the first gap's first two draws; and, under a beta so large that
+    # u = 1 - 2**-53 gives a gap of 0, a zero gap, a zero u and a terminal
+    # reduction of a superposition
+    REDRAWS = {
+        "zeros": (4.0, None, dict.fromkeys([0, 1, 6, 7, 9, 30], 0.0)),
+        "zero_gap": (1e308, QubitState.superposition(0.6, 0.8), {0: 1.0 - 2.0**-53, 1: 0.0, 3: 0.5}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REDRAWS))
+    def test_redrawn_gaps_keep_draw_positions(self, monkeypatch, case):
+        beta, initial, values = self.REDRAWS[case]
+        monkeypatch.setattr(models, "philox_uniforms", patched_philox(models.philox_uniforms, values))
+        p = params(model="nsm", gamma=0.1, beta=beta, t_max=6.0, seed=12)
+        for i in range(4):
+            stream = derive_stream(p.seed, i)
+            ref = nsm_record(p, stream, initial, record_steps=True, gen=PatchedGenerator(stream.generator(), values))
+            assert_same_record(run_nsm_trajectory(p, stream, initial, record_steps=True), ref)
+            assert len(ref.nsm_events) > (15 if case == "zeros" else 0)
+
+    @pytest.mark.parametrize(
+        "forced",
+        [[0.0], [0.5, 0.5], [0.5, 0.4], [math.nan], [1.0, 6.0, 5.5]],
+        ids=["zero", "repeat", "decrease", "nan", "bad_pair_past_t_max"],
+    )
+    def test_forced_times_must_increase_strictly_from_zero(self, forced):
+        p = params(model="nsm", beta=1.0, t_max=5.0)
+        for i in range(3):
+            with pytest.raises(ValueError, match="strictly increasing from 0"):
+                run_nsm_trajectory(p, derive_stream(0, i), fluctuation_times=forced)
 
 
 class TestEnsembleDeterminism:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_engines import assert_same_record, driven_nsm_record
+from reference_engines import PatchedGenerator, assert_same_record, driven_nsm_record, patched_philox
 from scipy.stats import chi2 as chi2_dist
 
-from qdecay import rabi
+from qdecay import models, rabi
 from qdecay.core import EventKind, ModelParams, TrajectoryEvent, TrajectoryRecord, derive_stream
 from qdecay.rabi import (
     DriveParams,
@@ -220,30 +220,13 @@ class TestDrivenEnsemble:
     def test_nsm_redrawn_gaps_keep_draw_positions(self, monkeypatch):
         # zero draws force the gap redraw: the first gap's first two draws,
         # and draws further along the stream, whatever they are used for
-        zeroed = [0, 1, 6, 7, 9, 30]
-        real = rabi.philox_uniforms
-
-        def philox_with_zeros(seed, ids, counters):
-            u = real(seed, ids, counters)
-            pos = 4 * (np.broadcast_to(np.asarray(counters), u.shape[:-1])[..., None] - 1) + np.arange(4)
-            u[np.isin(pos, zeroed)] = 0.0
-            return u
-
-        class GeneratorWithZeros:
-            def __init__(self, gen):
-                self.gen, self.pos = gen, 0
-
-            def random(self):
-                u = self.gen.random()
-                self.pos += 1
-                return 0.0 if self.pos - 1 in zeroed else u
-
-        monkeypatch.setattr(rabi, "philox_uniforms", philox_with_zeros)
+        zeroed = dict.fromkeys([0, 1, 6, 7, 9, 30], 0.0)
+        monkeypatch.setattr(models, "philox_uniforms", patched_philox(models.philox_uniforms, zeroed))
         p = driven_params(model="nsm", gamma=0.5, beta=4.0, omega=4.0, dt=0.01, t_max=3.0, seed=12)
         drive = DriveParams(omega_rabi=4.0)
         for i in range(4):
             stream = derive_stream(p.seed, i)
-            ref = driven_nsm_record(p, drive, stream, record_steps=True, gen=GeneratorWithZeros(stream.generator()))
+            ref = driven_nsm_record(p, drive, stream, record_steps=True, gen=PatchedGenerator(stream.generator(), zeroed))
             assert_same_record(run_driven_trajectory(p, drive, stream, record_steps=True), ref)
             assert len(ref.nsm_events) > 5
 
@@ -257,7 +240,7 @@ class TestDrivenEnsemble:
                 return np.array([rows[j].pop(0) for j in which.tolist()])
 
         expected = [-math.log(0.25) / beta, -math.log(0.5) / beta, -math.log(0.75) / beta]
-        assert rabi._fluctuation_gaps(Rows(), np.arange(3), beta).tolist() == expected
+        assert models._fluctuation_gaps(Rows(), np.arange(3), beta).tolist() == expected
         assert rows == [[], [], []]
 
     def test_ensemble_without_bins(self):
