@@ -22,6 +22,7 @@ from .core import (
 from .homodyne import (
     DensityMatrix2,
     FieldPair,
+    HomodyneBlock,
     HomodyneRecord,
     NoiseModel,
     apply_detection_exact,

@@ -5,11 +5,17 @@ whole config before touching the filesystem, spawns trajectory workers up to
 ``--threads`` and merges results in trajectory order; ``decay`` always runs
 ``models.run_decay_ensemble``, whose ``record_steps`` adds the grid STEP rows.
 The engines hand their tables over as column blocks: tuples of columns
-(ndarrays or lists) in the order of ``SCHEMAS[name]``.  ``write_table`` is
-the one place that formats them, a bounded row slice at a time, with
-shortest round-trip float formatting; it deletes the table's file in the
-other format.  Identical (config, seed) therefore produce byte-identical
-outputs for any thread count.
+(ndarrays or lists) in the order of ``SCHEMAS[name]``.  A column drawn from
+a small set of values may come dictionary-encoded instead, as an
+``EncodedColumn`` of integer codes into a values array (Apache Arrow's
+dictionary encoding): homodyne ``t`` (every record's shared times),
+homodyne ``traj_id`` (one value per record) and decay ``kind`` (the
+engines' int8 codes).  ``write_table`` is the one place that formats
+columns, a bounded row slice at a time, with shortest round-trip float
+formatting; it formats an encoded column's values once, not once per
+block, and writes the bytes of the decoded column.  It deletes the table's
+file in the other format.  Identical (config, seed) therefore produce
+byte-identical outputs for any thread count.
 
 Exit codes: 0 ok, 2 config/schema error, 3 I/O error, 4 analysis thresholds
 violated under ``--strict``.
@@ -19,10 +25,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -264,11 +272,31 @@ def _provenance(cfg: Dict, command: str) -> Dict:
 _ROWS_PER_SLICE = 4096
 
 
-def _row_slices(blocks):
-    """The column blocks cut into slices of at most ``_ROWS_PER_SLICE`` rows."""
+@dataclass(frozen=True)
+class EncodedColumn:
+    """A dictionary-encoded column, after Apache Arrow's dictionary encoding.
+
+    Row ``r`` holds ``values[codes[r]]``.  ``codes`` is an integer ndarray
+    of indices into ``values`` (an ndarray or a sequence), which must not
+    change while a table is written.
+    """
+
+    codes: np.ndarray
+    values: Sequence
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows: slice) -> "EncodedColumn":
+        return EncodedColumn(self.codes[rows], self.values)
+
+
+def _row_slices(blocks, cells):
+    """The blocks' rows, their cells made by ``cells``, in slices of ``_ROWS_PER_SLICE`` rows at most."""
     for cols in blocks:
         for lo in range(0, len(cols[0]), _ROWS_PER_SLICE):
-            yield [c[lo : lo + _ROWS_PER_SLICE] for c in cols]
+            part = [cell(c[lo : lo + _ROWS_PER_SLICE]) for cell, c in zip(cells, cols)]
+            yield zip(*part, strict=True)
 
 
 def _values(col) -> list:
@@ -276,33 +304,58 @@ def _values(col) -> list:
     return col.tolist() if isinstance(col, np.ndarray) else col
 
 
+class _Cells:
+    """One table column's cells, slice by slice; ``convert`` turns a list of values into cells.
+
+    An encoded column's values are converted once and reused while the
+    following slices carry the same values object.
+    """
+
+    def __init__(self, convert) -> None:
+        self._convert = convert
+        self._values = None
+        self._cells: list = []
+
+    def __call__(self, col):
+        if not isinstance(col, EncodedColumn):
+            return self._convert(_values(col))
+        if col.values is not self._values:
+            self._values = col.values
+            self._cells = list(self._convert(_values(col.values)))
+        return map(self._cells.__getitem__, col.codes.tolist())
+
+
 def write_table(out_dir: str, name: str, blocks, fmt: str) -> str:
     """Write the table ``name`` as CSV (or a JSON array of row objects).
 
     ``blocks`` is an iterable of column blocks, each a tuple of equal-length
-    columns (ndarrays or lists) in the order of ``SCHEMAS[name]``.  Cells are
-    formatted with ``str``, which for Python floats is the shortest round-trip
-    ``repr``.  A slice's Python values are dropped before the next block is
-    requested, so a streamed table never holds more than one slice of them.
-    The table's file in the other format is deleted first, so that
-    ``read_table`` cannot pick up a stale copy from an earlier run.
+    columns in the order of ``SCHEMAS[name]``.  A column is an ndarray, a
+    list, or an ``EncodedColumn`` (codes into a values array), which writes
+    the same bytes as the decoded column.  CSV cells are formatted with
+    ``str``, which for Python floats is the shortest round-trip ``repr``;
+    JSON takes the Python values (ndarrays via ``tolist()``).  An encoded
+    column's values are formatted once for as long as consecutive blocks
+    share the values object, not once per block.  A slice's Python values
+    are dropped before the next block is requested, so a streamed table
+    never holds more than one slice of them.  The table's file in the other
+    format is deleted first, so that ``read_table`` cannot pick up a stale
+    copy from an earlier run.
     """
     header = SCHEMAS[name]
     path = os.path.join(out_dir, f"{name}.{fmt}")
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(out_dir, f"{name}.{'csv' if fmt == 'json' else 'json'}"))
+    cells = [_Cells(functools.partial(map, str) if fmt == "csv" else list) for _ in header]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if fmt == "json":
             sep = "[\n"
-            for cols in _row_slices(blocks):
-                rows = zip(*map(_values, cols), strict=True)
+            for rows in _row_slices(blocks, cells):
                 fh.write(sep + ",\n".join([json.dumps(dict(zip(header, row))) for row in rows]))
                 sep = ",\n"
             fh.write("[]\n" if sep == "[\n" else "\n]\n")
         else:
             fh.write(",".join(header) + "\n")
-            for cols in _row_slices(blocks):
-                rows = zip(*[map(str, _values(c)) for c in cols], strict=True)
+            for rows in _row_slices(blocks, cells):
                 fh.write("\n".join(map(",".join, rows)) + "\n")
     return path
 
@@ -417,7 +470,15 @@ def cmd_decay(cfg: Dict) -> int:
     write_table(
         out_dir,
         "events",
-        [(table.traj_id, table.t, table.kind, table.occupation_before, table.occupation_after)],
+        [
+            (
+                table.traj_id,
+                table.t,
+                EncodedColumn(table.kind, models.EVENT_KIND_NAMES),
+                table.occupation_before,
+                table.occupation_after,
+            )
+        ],
         fmt,
     )
 
@@ -457,7 +518,11 @@ def cmd_homodyne(cfg: Dict) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     acc = EnsembleAutocorrelation(params.n_steps, max_lag)
+    steps = np.arange(params.n_steps)
+    one_value = np.zeros(params.n_steps, dtype=np.int8)  # codes of a one-value column
 
+    # Records, not blocks: bench/child.py and bench/tracing.py time the engine
+    # through ``iter_homodyne_records`` where this module looks it up.
     def blocks():
         for rec in iter_homodyne_records(
             params,
@@ -466,8 +531,11 @@ def cmd_homodyne(cfg: Dict) -> int:
             kick=None if kick is None else float(kick),
             threads=int(cfg["threads"]),
         ):
-            acc.add(rec.current)
-            yield np.full(rec.times.size, rec.traj_id), rec.times, rec.current, rec.sigma_x
+            # the autocorrelation takes the engine's whole block, at its first record
+            if rec.traj_id == rec.block.traj_ids.start:
+                acc.add(rec.block.current)
+            traj_id = EncodedColumn(one_value, [rec.traj_id])
+            yield traj_id, EncodedColumn(steps, rec.times), rec.current, rec.sigma_x
 
     write_table(out_dir, "signal", blocks(), fmt)
     zeta = acc.result()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -242,7 +242,11 @@ def point_process_increments(stream, n: int, dt: float, beta: float, kick: float
 
 @dataclass(frozen=True)
 class HomodyneRecord:
-    """Sampled difference current and dipole of one monitored trajectory."""
+    """Sampled difference current and dipole of one monitored trajectory.
+
+    ``block`` is the engine block the record was cut from: its arrays are
+    rows of the block's.
+    """
 
     traj_id: int
     times: np.ndarray
@@ -250,6 +254,31 @@ class HomodyneRecord:
     sigma_x: np.ndarray
     noise_model: NoiseModel
     kick_counts: Optional[np.ndarray] = None
+    block: Optional["HomodyneBlock"] = field(default=None, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class HomodyneBlock:
+    """The trajectories ``traj_ids`` of one lock-step engine block.
+
+    Row ``j`` of ``current``, ``sigma_x`` and ``kick_counts`` belongs to
+    trajectory ``traj_ids[j]``; every trajectory shares ``times``.
+    """
+
+    traj_ids: range
+    times: np.ndarray
+    current: np.ndarray
+    sigma_x: np.ndarray
+    noise_model: NoiseModel
+    kick_counts: Optional[np.ndarray] = None
+
+    def records(self) -> Iterator[HomodyneRecord]:
+        """One record per trajectory, in id order; their arrays are views of the block's rows."""
+        for j, i in enumerate(self.traj_ids):
+            counts = None if self.kick_counts is None else self.kick_counts[j]
+            yield HomodyneRecord(
+                i, self.times, self.current[j], self.sigma_x[j], self.noise_model, counts, self
+            )
 
 
 def _initial_rho(initial_state: Optional[QubitState]) -> DensityMatrix2:
@@ -372,14 +401,8 @@ def run_homodyne_trajectory(
     cur, sig, counts = _lockstep_run(params, noise_model, theta, kick_val, rho0, 1, [gen])
     times = np.arange(params.n_steps) * params.dt
     traj_id = stream.stream_id if isinstance(stream, RngStream) else 0
-    return HomodyneRecord(
-        traj_id=traj_id,
-        times=times,
-        current=cur[0],
-        sigma_x=sig[0],
-        noise_model=noise_model,
-        kick_counts=None if counts is None else counts[0],
-    )
+    block = HomodyneBlock(range(traj_id, traj_id + 1), times, cur, sig, noise_model, counts)
+    return next(block.records())
 
 
 def iter_homodyne_records(
@@ -394,7 +417,9 @@ def iter_homodyne_records(
     """Yield ``params.n_traj`` records in trajectory order, blockwise lock-step.
 
     Trajectory i uses substream (seed, i), so the stream of records is
-    byte-identical for any chunk size or thread count.
+    byte-identical for any chunk size or thread count.  Each record's
+    ``block`` is its lock-step block of ``chunk`` trajectories; every block
+    shares one ``times`` array.
     """
     noise_model = NoiseModel(noise_model)
     _warn_long_window(params)
@@ -408,15 +433,7 @@ def iter_homodyne_records(
 
     blocks = [range(lo, min(lo + chunk, params.n_traj)) for lo in range(0, params.n_traj, chunk)]
     for ids, (cur, sig, counts) in zip(blocks, run_chunks(run_block, blocks, threads)):
-        for j, i in enumerate(ids):
-            yield HomodyneRecord(
-                traj_id=i,
-                times=times,
-                current=cur[j],
-                sigma_x=sig[j],
-                noise_model=noise_model,
-                kick_counts=None if counts is None else counts[j],
-            )
+        yield from HomodyneBlock(ids, times, cur, sig, noise_model, counts).records()
 
 
 def run_homodyne_ensemble(params, noise_model, **kwargs) -> List[HomodyneRecord]:
@@ -454,9 +471,11 @@ class EnsembleAutocorrelation:
     """Single-pass ensemble estimator of the signal autocorrelation.
 
     Subtracts the per-time ensemble mean (removing the deterministic drift)
-    and averages lagged products over trajectories and time origins.  Partial
-    sums accumulate in the order trajectories are added, so a fixed
-    trajectory order gives a deterministic merge.
+    and averages lagged products over trajectories and time origins.
+    ``add`` takes one series or a block of them, one per row.  Each row's
+    series and lag products are added into the running sums on their own,
+    in row order, so the result has the same bytes however the trajectories
+    are split into blocks, as long as they come in the same order.
     """
 
     def __init__(self, n_steps: int, max_lag: int) -> None:
@@ -469,14 +488,19 @@ class EnsembleAutocorrelation:
         self._lag_sum = np.zeros(max_lag + 1)
 
     def add(self, series) -> None:
+        """Add one series (1-D) or a block of series, one per row (2-D)."""
         x = np.atleast_2d(np.asarray(series, dtype=float))
         if x.shape[1] != self.n_steps:
             raise ValueError(f"expected series of length {self.n_steps}, got {x.shape[1]}")
         self._n_traj += x.shape[0]
-        self._time_sum += x.sum(axis=0)
         n = self.n_steps
+        # (lag, row) products; x.sum(axis=0) or a sum over rows would regroup the additions
+        products = np.empty((self.max_lag + 1, x.shape[0]))
         for k in range(self.max_lag + 1):
-            self._lag_sum[k] += float(np.einsum("ij,ij->", x[:, : n - k], x[:, k:]))
+            products[k] = np.einsum("ij,ij->i", x[:, : n - k], x[:, k:])
+        for row, lag_products in zip(x, products.T):
+            self._time_sum += row
+            self._lag_sum += lag_products
 
     def result(self) -> np.ndarray:
         if self._n_traj == 0:

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -340,6 +340,8 @@ def _lockstep_step_decay(plan: _StepPlan, seed: int, ids: range) -> Tuple[np.nda
 # Event rows: columns (t, kind, before, after), kind an int8 index into _KINDS.
 _KINDS = tuple(EventKind)
 _CODE = {kind: np.int8(code) for code, kind in enumerate(_KINDS)}
+# The name of each kind code, as the events table spells it.
+EVENT_KIND_NAMES = tuple(kind.value for kind in _KINDS)
 
 
 def _step_rows(series, dt: float, n: int, taken=()):
@@ -772,11 +774,14 @@ def _nsm_rows(t: np.ndarray, occ: np.ndarray, terminal: np.ndarray):
 
 @dataclass
 class EventTable:
-    """Column-oriented event log, cheap to accumulate and to stream to CSV."""
+    """Column-oriented event log, cheap to accumulate and to stream to CSV.
+
+    ``kind`` holds int8 codes; code ``c`` is the kind ``EVENT_KIND_NAMES[c]``.
+    """
 
     traj_id: np.ndarray
     t: np.ndarray
-    kind: List[str]
+    kind: np.ndarray
     occupation_before: np.ndarray
     occupation_after: np.ndarray
 
@@ -903,19 +908,12 @@ def run_decay_ensemble(
         if params.beta == 0.0:
             flags = (NSM_BETA_ZERO_FLAG,)
 
-    traj_id, t, kind, before, after = rows
-    # spelled out in bounded slices: a row-sized temporary list cost ~0.3 MB of peak RSS
-    names = np.array([k.value for k in _KINDS], dtype=object)
-    kinds = [None] * kind.size
-    for lo in range(0, kind.size, 4096):
-        kinds[lo : lo + 4096] = names[kind[lo : lo + 4096]].tolist()
-    table = EventTable(traj_id, t, kinds, before, after)
     summary = EnsembleSummary(
         model=model,
         n_traj=n,
         decay_times=decay_times,
         n_censored=int(np.isnan(decay_times).sum()),
-        events=table,
+        events=EventTable(*rows),
         drop_samples=drops,
         drop_terminal=terminal,
         flags=flags,

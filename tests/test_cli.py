@@ -1,11 +1,22 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from qdecay.cli import main
+from qdecay.cli import EncodedColumn, main, write_table
 from qdecay.core import ModelParams, derive_stream
-from qdecay.models import run_nsm_trajectory, run_qmop_trajectory, run_swf_trajectory
+from qdecay.homodyne import (
+    EnsembleAutocorrelation,
+    ensemble_autocorrelation,
+    run_homodyne_ensemble,
+)
+from qdecay.models import (
+    EVENT_KIND_NAMES,
+    run_nsm_trajectory,
+    run_qmop_trajectory,
+    run_swf_trajectory,
+)
 
 DECAY_CFG = {
     "model": "nsm",
@@ -156,6 +167,68 @@ class TestTableFormat:
         assert read_bytes(out, "events.csv").decode().splitlines()[1:] == want
 
 
+def decoded(col):
+    """An encoded column written plainly: ``values[codes]`` as an ndarray or a list."""
+    if not isinstance(col, EncodedColumn):
+        return col
+    if isinstance(col.values, np.ndarray):
+        return col.values[col.codes]
+    return [col.values[c] for c in col.codes.tolist()]
+
+
+class TestEncodedColumns:
+    """An encoded column writes the bytes of the same column decoded and written plainly."""
+
+    T = np.array([0.0, 0.1, 1e-300, -2.5, 1e16, 1.0 / 3.0, 5e-324])
+
+    def blocks(self):
+        # t: one values array shared by every block; sigma_x: new values, in a new order, per block
+        rng = np.random.default_rng(3)
+        for i, n in enumerate([7, 0, 5000, 3, 4096 * 2 + 1]):
+            codes = rng.integers(0, self.T.size, n)
+            yield (
+                EncodedColumn(np.zeros(n, dtype=np.int8), [i]),
+                EncodedColumn(codes, self.T),
+                rng.standard_normal(n),
+                EncodedColumn(codes[::-1].astype(np.int8), np.roll(self.T, i).tolist()),
+            )
+
+    def write_both(self, tmp_path, name, blocks, fmt):
+        blocks = list(blocks)
+        enc, plain = tmp_path / "enc", tmp_path / "plain"
+        enc.mkdir()
+        plain.mkdir()
+        write_table(str(enc), name, blocks, fmt)
+        write_table(str(plain), name, [tuple(map(decoded, cols)) for cols in blocks], fmt)
+        ext = f"{name}.{fmt}"
+        return read_bytes(str(enc), ext), read_bytes(str(plain), ext)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_signal_columns(self, tmp_path, fmt):
+        enc, plain = self.write_both(tmp_path, "signal", self.blocks(), fmt)
+        assert enc == plain
+        assert len(enc.splitlines()) == (1 if fmt == "csv" else 2) + 7 + 5000 + 3 + 4096 * 2 + 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_int8_kind_codes(self, tmp_path, fmt):
+        codes = np.arange(5000, dtype=np.int8) % len(EVENT_KIND_NAMES)
+        n = codes.size
+        kind = EncodedColumn(codes, EVENT_KIND_NAMES)
+        cols = (np.arange(n), np.linspace(0.0, 1.0, n), kind, np.ones(n), np.zeros(n))
+        enc, plain = self.write_both(tmp_path, "events", [cols], fmt)
+        assert enc == plain
+        assert b"quantum_jump" in enc
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n_blocks", [0, 1])
+    def test_empty_table(self, tmp_path, fmt, n_blocks):
+        empty = np.empty(0)
+        no_codes = np.empty(0, dtype=np.int8)
+        cols = (EncodedColumn(no_codes, [0]), EncodedColumn(no_codes, self.T), empty, empty)
+        enc, plain = self.write_both(tmp_path, "signal", [cols] * n_blocks, fmt)
+        assert enc == plain == (b"traj_id,t,current,sigma_x\n" if fmt == "csv" else b"[]\n")
+
+
 class TestHomodyneCommand:
     def test_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, HOMODYNE_CFG)
@@ -183,6 +256,33 @@ class TestHomodyneCommand:
         main(["homodyne", "--config", cfg, "--out-dir", out2, "--threads", "8"])
         for name in ("signal.csv", "autocorrelation.csv", "spectrum.csv", "summary.json"):
             assert read_bytes(out1, name) == read_bytes(out2, name)
+
+    def test_engine_blocks_feed_the_autocorrelation(self, tmp_path, monkeypatch):
+        # 1030 trajectories: two full lock-step blocks of 512 and a partial one
+        payload = dict(HOMODYNE_CFG, t_max=0.3, n_traj=1030, max_lag=29)
+        cfg = write_cfg(tmp_path, payload)
+        calls = []
+        add = EnsembleAutocorrelation.add
+
+        def spy(acc, series):
+            calls.append(np.shape(series))
+            add(acc, series)
+
+        monkeypatch.setattr(EnsembleAutocorrelation, "add", spy)
+        outs = [str(tmp_path / "a"), str(tmp_path / "b")]
+        for out, threads in zip(outs, ("1", "3")):
+            assert main(["homodyne", "--config", cfg, "--out-dir", out, "--threads", threads]) == 0
+        assert calls == [(512, 30), (512, 30), (6, 30)] * 2  # once per block, at each thread count
+        for name in ("signal.csv", "autocorrelation.csv", "spectrum.csv", "summary.json"):
+            assert read_bytes(outs[0], name) == read_bytes(outs[1], name)
+        monkeypatch.undo()
+
+        p = ModelParams(gamma=0.01, beta=8.0, dt=0.01, t_max=0.3, n_traj=1030, seed=7, model="nsm")
+        records = run_homodyne_ensemble(p, "nsm_point_process")
+        want = ensemble_autocorrelation(records, p.n_steps, 29)
+        rows = read_bytes(outs[0], "autocorrelation.csv").decode().splitlines()[1:]
+        zeta = np.array([float(row.split(",")[1]) for row in rows])
+        assert zeta.tobytes() == want.tobytes()
 
 
 class TestRabiCommand:

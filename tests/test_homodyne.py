@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdecay.core import ModelParams, QubitState, derive_stream
@@ -370,3 +370,38 @@ class TestAutocorrelation:
         for k in range(9):
             direct = (d[:, : 100 - k] * d[:, k:]).sum() / (20 * (100 - k))
             assert zeta[k] == pytest.approx(direct, rel=1e-10, abs=1e-12)
+
+
+def _split_feed(x, cuts, max_lag):
+    """The accumulator's result with the rows of ``x`` added as the blocks between ``cuts``."""
+    acc = EnsembleAutocorrelation(x.shape[1], max_lag)
+    edges = [0, *cuts, x.shape[0]]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        acc.add(x[lo:hi])
+    return acc.result().tobytes()
+
+
+class TestEnsembleAutocorrelationBlocks:
+    """Rows are summed one at a time in row order, so the block split never shows in the bytes."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        m=st.integers(1, 12),
+        n=st.integers(1, 60),
+        offset=st.sampled_from([0.0, 1e6, -3.5]),
+        seed=st.integers(0, 2**32 - 1),
+        lag_fraction=st.floats(0.0, 1.0),
+        cuts=st.sets(st.integers(1, 11)),
+    )
+    # max_lag = n_steps - 1 on currents offset by 1e6, every block a single row
+    @example(m=5, n=40, offset=1e6, seed=1, lag_fraction=1.0, cuts={1, 2, 3, 4})
+    def test_result_bytes_do_not_depend_on_the_blocks(self, m, n, offset, seed, lag_fraction, cuts):
+        x = np.random.default_rng(seed).standard_normal((m, n)) * 7.0 + offset
+        max_lag = round(lag_fraction * (n - 1))
+        one_by_one = EnsembleAutocorrelation(n, max_lag)
+        for row in x:
+            one_by_one.add(row)
+        want = one_by_one.result().tobytes()
+        assert _split_feed(x, sorted(c for c in cuts if c < m), max_lag) == want
+        assert _split_feed(x, [], max_lag) == want
+        assert _split_feed(x, list(range(1, m)), max_lag) == want
