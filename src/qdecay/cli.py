@@ -9,13 +9,15 @@ The engines hand their tables over as column blocks: tuples of columns
 a small set of values may come dictionary-encoded instead, as an
 ``EncodedColumn`` of integer codes into a values array (Apache Arrow's
 dictionary encoding): homodyne ``t`` (every record's shared times),
-homodyne ``traj_id`` (one value per record) and decay ``kind`` (the
-engines' int8 codes).  ``write_table`` is the one place that formats
-columns, a bounded row slice at a time, with shortest round-trip float
-formatting; it formats an encoded column's values once, not once per
-block, and writes the bytes of the decoded column.  It deletes the table's
-file in the other format.  Identical (config, seed) therefore produce
-byte-identical outputs for any thread count.
+homodyne ``traj_id`` (one value per record), homodyne ``current`` and
+``sigma_x`` (one values array per record, which the two columns share) and
+decay ``kind`` (the engines' int8 codes).  ``write_table`` is the one place
+that formats columns, a bounded row slice at a time, with shortest
+round-trip float formatting; it formats a values object once, however many
+columns and consecutive blocks share it, and writes the bytes of the
+decoded columns.  It deletes the table's file in the other format.
+Identical (config, seed) therefore produce byte-identical outputs for any
+thread count.
 
 Exit codes: 0 ok, 2 config/schema error, 3 I/O error, 4 analysis thresholds
 violated under ``--strict``.
@@ -278,7 +280,9 @@ class EncodedColumn:
 
     Row ``r`` holds ``values[codes[r]]``.  ``codes`` is an integer ndarray
     of indices into ``values`` (an ndarray or a sequence), which must not
-    change while a table is written.
+    change while a table is written.  Several columns of a table may share
+    one values object: ``write_table`` converts each values object once per
+    table, not once per column.
     """
 
     codes: np.ndarray
@@ -291,38 +295,49 @@ class EncodedColumn:
         return EncodedColumn(self.codes[rows], self.values)
 
 
-def _row_slices(blocks, cells):
-    """The blocks' rows, their cells made by ``cells``, in slices of ``_ROWS_PER_SLICE`` rows at most."""
-    for cols in blocks:
-        for lo in range(0, len(cols[0]), _ROWS_PER_SLICE):
-            part = [cell(c[lo : lo + _ROWS_PER_SLICE]) for cell, c in zip(cells, cols)]
-            yield zip(*part, strict=True)
-
-
 def _values(col) -> list:
     """A column slice as Python values: ndarrays via ``tolist()``, lists as they are."""
     return col.tolist() if isinstance(col, np.ndarray) else col
 
 
 class _Cells:
-    """One table column's cells, slice by slice; ``convert`` turns a list of values into cells.
+    """A table's cells, slice by slice; ``convert`` turns a list of values into cells.
 
-    An encoded column's values are converted once and reused while the
-    following slices carry the same values object.
+    Encoded columns' values are converted once per values object and reused
+    by every column and following slice that carries the same object.  The
+    cache is keyed by the object's ``id`` and holds a reference to the
+    object, so the id cannot be reused while its entry lives.  It keeps only
+    the values objects that the current and the previous slice use.
     """
 
     def __init__(self, convert) -> None:
         self._convert = convert
-        self._values = None
-        self._cells: list = []
+        self._current: dict = {}  # id(values) -> (values, cells)
+        self._previous: dict = {}
 
-    def __call__(self, col):
+    def slices(self, header, blocks):
+        """The blocks' rows as tuples of cells, in slices of ``_ROWS_PER_SLICE`` rows at most."""
+        for cols in blocks:
+            for lo in range(0, len(cols[0]), _ROWS_PER_SLICE):
+                self._previous, self._current = self._current, {}
+                part = [self._column(h, c[lo : lo + _ROWS_PER_SLICE]) for h, c in zip(header, cols)]
+                yield zip(*part, strict=True)
+
+    def _column(self, name: str, col):
         if not isinstance(col, EncodedColumn):
             return self._convert(_values(col))
-        if col.values is not self._values:
-            self._values = col.values
-            self._cells = list(self._convert(_values(col.values)))
-        return map(self._cells.__getitem__, col.codes.tolist())
+        key = id(col.values)
+        entry = self._current.get(key) or self._previous.get(key)
+        if entry is None:
+            entry = (col.values, list(self._convert(_values(col.values))))
+        self._current[key] = entry
+        cells = entry[1]
+        codes = col.codes
+        if codes.size and (codes.min() < 0 or codes.max() >= len(cells)):
+            raise ValueError(
+                f"{name}: codes span [{codes.min()}, {codes.max()}], outside the {len(cells)} values"
+            )
+        return map(cells.__getitem__, codes.tolist())
 
 
 def write_table(out_dir: str, name: str, blocks, fmt: str) -> str:
@@ -331,31 +346,33 @@ def write_table(out_dir: str, name: str, blocks, fmt: str) -> str:
     ``blocks`` is an iterable of column blocks, each a tuple of equal-length
     columns in the order of ``SCHEMAS[name]``.  A column is an ndarray, a
     list, or an ``EncodedColumn`` (codes into a values array), which writes
-    the same bytes as the decoded column.  CSV cells are formatted with
-    ``str``, which for Python floats is the shortest round-trip ``repr``;
-    JSON takes the Python values (ndarrays via ``tolist()``).  An encoded
-    column's values are formatted once for as long as consecutive blocks
-    share the values object, not once per block.  A slice's Python values
-    are dropped before the next block is requested, so a streamed table
-    never holds more than one slice of them.  The table's file in the other
-    format is deleted first, so that ``read_table`` cannot pick up a stale
-    copy from an earlier run.
+    the same bytes as the decoded column; a code outside the values raises
+    ``ValueError`` naming the column.  CSV cells are formatted with ``str``,
+    which for Python floats is the shortest round-trip ``repr``; JSON takes
+    the Python values (ndarrays via ``tolist()``).  One cache per table
+    converts each values object once, however many encoded columns share
+    it, and keeps it while consecutive slices use it: it retains only the
+    values objects of the current and the previous slice.  A slice's Python
+    values are dropped before the next block is requested, so a streamed
+    table never holds more than one slice of them.  The table's file in the
+    other format is deleted first, so that ``read_table`` cannot pick up a
+    stale copy from an earlier run.
     """
     header = SCHEMAS[name]
     path = os.path.join(out_dir, f"{name}.{fmt}")
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(out_dir, f"{name}.{'csv' if fmt == 'json' else 'json'}"))
-    cells = [_Cells(functools.partial(map, str) if fmt == "csv" else list) for _ in header]
+    rows_of = _Cells(functools.partial(map, str) if fmt == "csv" else list).slices(header, blocks)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if fmt == "json":
             sep = "[\n"
-            for rows in _row_slices(blocks, cells):
+            for rows in rows_of:
                 fh.write(sep + ",\n".join([json.dumps(dict(zip(header, row))) for row in rows]))
                 sep = ",\n"
             fh.write("[]\n" if sep == "[\n" else "\n]\n")
         else:
             fh.write(",".join(header) + "\n")
-            for rows in _row_slices(blocks, cells):
+            for rows in rows_of:
                 fh.write("\n".join(map(",".join, rows)) + "\n")
     return path
 
@@ -506,6 +523,22 @@ def cmd_decay(cfg: Dict) -> int:
     return EXIT_OK
 
 
+def _shared_values(current: np.ndarray, sigma_x: np.ndarray, steps: np.ndarray):
+    """``current`` and ``sigma_x`` as two ``EncodedColumn``s over one values array.
+
+    The current is the dipole plus the detector noise, so on a step without
+    a detector kick it holds ``sigma_x``'s double and reuses its cell.  The
+    values are ``sigma_x`` followed by the currents that differ from it bit
+    for bit (``-0.0`` beside ``0.0`` or another NaN payload keeps its own
+    cell); ``steps`` is ``arange(len(sigma_x))``, ``sigma_x``'s codes.
+    """
+    kicked = np.flatnonzero(current.view(np.int64) != sigma_x.view(np.int64))
+    values = np.concatenate((sigma_x, current[kicked]))
+    codes = steps.copy()
+    codes[kicked] = sigma_x.size + np.arange(kicked.size)
+    return EncodedColumn(codes, values), EncodedColumn(steps, values)
+
+
 def cmd_homodyne(cfg: Dict) -> int:
     params = _model_params(cfg, model="nsm" if cfg["noise"] == "nsm_point_process" else "qmop")
     out_dir = cfg["out_dir"]
@@ -534,8 +567,8 @@ def cmd_homodyne(cfg: Dict) -> int:
             # the autocorrelation takes the engine's whole block, at its first record
             if rec.traj_id == rec.block.traj_ids.start:
                 acc.add(rec.block.current)
-            traj_id = EncodedColumn(one_value, [rec.traj_id])
-            yield traj_id, EncodedColumn(steps, rec.times), rec.current, rec.sigma_x
+            current, sigma_x = _shared_values(rec.current, rec.sigma_x, steps)
+            yield EncodedColumn(one_value, [rec.traj_id]), EncodedColumn(steps, rec.times), current, sigma_x
 
     write_table(out_dir, "signal", blocks(), fmt)
     zeta = acc.result()

@@ -3,8 +3,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdecay.cli import EncodedColumn, main, write_table
+from qdecay import cli
+from qdecay.cli import EncodedColumn, _shared_values, main, write_table
 from qdecay.core import ModelParams, derive_stream
 from qdecay.homodyne import (
     EnsembleAutocorrelation,
@@ -228,6 +231,118 @@ class TestEncodedColumns:
         enc, plain = self.write_both(tmp_path, "signal", [cols] * n_blocks, fmt)
         assert enc == plain == (b"traj_id,t,current,sigma_x\n" if fmt == "csv" else b"[]\n")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_columns_sharing_one_values_object(self, tmp_path, fmt):
+        # current and sigma_x read one values array, across a 4096-row slice boundary
+        rng = np.random.default_rng(5)
+        n = 4096 + 904
+        values = rng.standard_normal(n)
+        cols = (
+            np.arange(n),
+            rng.standard_normal(n),
+            EncodedColumn(rng.integers(0, n, n), values),
+            EncodedColumn(rng.integers(0, n, n), values),
+        )
+        enc, plain = self.write_both(tmp_path, "signal", [cols], fmt)
+        assert enc == plain
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fresh_values_per_block(self, tmp_path, fmt):
+        # every block brings new values objects and drops the old ones, so their ids recur
+        ids = []
+
+        def blocks(plain):
+            for i in range(64):
+                values = [i + k / 8 for k in range(5)]
+                ids.append(id(values))
+                codes = np.array([4, 0, 3, 3, 1, 2])
+                cols = (
+                    EncodedColumn(np.zeros(6, dtype=np.int8), [i]),
+                    np.full(6, 0.5),
+                    EncodedColumn(codes, values),
+                    EncodedColumn(codes[::-1], values),
+                )
+                yield tuple(map(decoded, cols)) if plain else cols
+
+        enc, plain = tmp_path / "enc", tmp_path / "plain"
+        enc.mkdir()
+        plain.mkdir()
+        write_table(str(enc), "signal", blocks(plain=False), fmt)
+        assert len(set(ids)) < len(ids)
+        write_table(str(plain), "signal", blocks(plain=True), fmt)
+        name = f"signal.{fmt}"
+        assert read_bytes(str(enc), name) == read_bytes(str(plain), name)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_shared_values_converted_once(self, tmp_path, fmt, monkeypatch):
+        # three columns over one values object, in two blocks of two slices each
+        n = 4096 + 7
+        values = np.linspace(-1.0, 1.0, 11)
+        codes = np.arange(n) % values.size
+        cols = (
+            np.arange(n),
+            EncodedColumn(codes, values),
+            EncodedColumn(codes[::-1], values),
+            EncodedColumn(codes // 2, values),
+        )
+        converted = []
+        python_values = cli._values
+
+        def spy(col):
+            converted.append(col is values)
+            return python_values(col)
+
+        monkeypatch.setattr(cli, "_values", spy)
+        enc, plain = self.write_both(tmp_path, "signal", [cols, cols], fmt)
+        assert enc == plain
+        assert converted.count(True) == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad, dtype", [(-1, np.int8), (7, np.int64)])
+    @pytest.mark.parametrize("column", ["t", "sigma_x"])
+    def test_codes_outside_the_values_raise(self, tmp_path, fmt, bad, dtype, column):
+        n = 5000
+        good = np.zeros(n, dtype=dtype)
+        codes = good.copy()
+        codes[4500] = bad  # in the second slice
+        t = EncodedColumn(codes if column == "t" else good, self.T)
+        sigma_x = EncodedColumn(codes if column == "sigma_x" else good, self.T)
+        with pytest.raises(ValueError, match=f"^{column}: codes span"):
+            write_table(str(tmp_path), "signal", [(np.arange(n), t, np.zeros(n), sigma_x)], fmt)
+
+
+SIGN_BIT = -(2**63)
+FLOAT_BITS = st.one_of(
+    st.integers(SIGN_BIT, 2**63 - 1),
+    st.sampled_from(
+        [
+            0,  # 0.0; with the sign bit, -0.0
+            1,  # the smallest subnormal
+            0x000FFFFFFFFFFFFF,  # the largest subnormal
+            0x3FF0000000000000,  # 1.0
+            0x7FF8000000000000,  # the quiet NaN
+            0x7FF8000000000001,  # NaNs with payloads
+            0x7FF0000000000001,
+        ]
+    ),
+)
+
+
+class TestSharedValues:
+    """``current`` and ``sigma_x`` encoded over one values array decode to their own bits."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.tuples(FLOAT_BITS, st.sampled_from(["same", "sign", "other"]), FLOAT_BITS), max_size=300))
+    def test_decodes_bit_for_bit(self, rows):
+        sig = np.array([s for s, _, _ in rows], dtype=np.int64)
+        pick = {"same": lambda s, o: s, "sign": lambda s, o: s ^ SIGN_BIT, "other": lambda s, o: o}
+        cur = np.array([pick[how](s, o) for s, how, o in rows], dtype=np.int64)
+        current, sigma_x = _shared_values(cur.view(np.float64), sig.view(np.float64), np.arange(sig.size))
+        assert current.values is sigma_x.values
+        assert decoded(current).view(np.int64).tolist() == cur.tolist()
+        assert decoded(sigma_x).view(np.int64).tolist() == sig.tolist()
+        assert len(current.values) == sig.size + int(np.count_nonzero(cur != sig))
+
 
 class TestHomodyneCommand:
     def test_outputs(self, tmp_path):
@@ -283,6 +398,36 @@ class TestHomodyneCommand:
         rows = read_bytes(outs[0], "autocorrelation.csv").decode().splitlines()[1:]
         zeta = np.array([float(row.split(",")[1]) for row in rows])
         assert zeta.tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "noise, theta", [("nsm_point_process", 0.0), ("nsm_point_process", 0.7), ("white", 0.0)]
+    )
+    def test_signal_rows_are_the_records(self, tmp_path, noise, theta, fmt):
+        # 1030 trajectories: two full lock-step blocks of 512 and a partial one
+        payload = dict(HOMODYNE_CFG, t_max=0.2, n_traj=1030, max_lag=10, noise=noise, theta=theta)
+        cfg = write_cfg(tmp_path, payload)
+        model = "nsm" if noise == "nsm_point_process" else "qmop"
+        p = ModelParams(gamma=0.01, beta=8.0, dt=0.01, t_max=0.2, n_traj=1030, seed=7, model=model)
+        records = run_homodyne_ensemble(p, noise, theta=theta)
+        shared = sum(np.count_nonzero(r.current.view(np.int64) == r.sigma_x.view(np.int64)) for r in records)
+        assert (shared > 0) == (noise == "nsm_point_process" and theta == 0.0)
+        rows = [
+            (rec.traj_id, t, c, s)
+            for rec in records
+            for t, c, s in zip(rec.times.tolist(), rec.current.tolist(), rec.sigma_x.tolist())
+        ]
+        header = ["traj_id", "t", "current", "sigma_x"]
+        if fmt == "csv":
+            want = "\n".join([",".join(header)] + [",".join(map(str, row)) for row in rows]) + "\n"
+        else:
+            want = "[\n" + ",\n".join(json.dumps(dict(zip(header, row))) for row in rows) + "\n]\n"
+        for threads in ("1", "3"):
+            out = str(tmp_path / threads)
+            argv = ["homodyne", "--config", cfg, "--out-dir", out, "--format", fmt, "--threads", threads]
+            assert main(argv) == 0
+            assert read_bytes(out, f"signal.{fmt}").decode() == want
 
 
 class TestRabiCommand:
