@@ -6,18 +6,24 @@ whole config before touching the filesystem, spawns trajectory workers up to
 ``models.run_decay_ensemble``, whose ``record_steps`` adds the grid STEP rows.
 The engines hand their tables over as column blocks: tuples of columns
 (ndarrays or lists) in the order of ``SCHEMAS[name]``.  A column drawn from
-a small set of values may come dictionary-encoded instead, as an
-``EncodedColumn`` of integer codes into a values array (Apache Arrow's
+a small set of values may come dictionary-encoded instead, as a
+``core.EncodedColumn`` of integer codes into a values array (Apache Arrow's
 dictionary encoding): homodyne ``t`` (every record's shared times),
 homodyne ``traj_id`` (one value per record), homodyne ``current`` and
-``sigma_x`` (one values array per record, which the two columns share) and
-decay ``kind`` (the engines' int8 codes).  ``write_table`` is the one place
-that formats columns, a bounded row slice at a time, with shortest
-round-trip float formatting; it formats a values object once, however many
-columns and consecutive blocks share it, and writes the bytes of the
-decoded columns.  It deletes the table's file in the other format.
-Identical (config, seed) therefore produce byte-identical outputs for any
-thread count.
+``sigma_x`` (one values array per record, which the two columns share),
+decay ``kind`` (the engines' int8 codes), and the ``EventTable`` columns
+the engines encode (qmop/swf occupations, nsm ``occupation_after``, and
+with ``record_steps`` the STEP rows' ``t`` and ``traj_id``; see
+``models.EventTable``).  ``write_table`` is the one place that formats
+columns, a bounded row slice at a time: CSV and JSON cells come from one
+cell cache, ``str`` of each value (the shortest round-trip float repr),
+which is also ``json.dumps`` of an int or a finite float, so JSON rows fill
+a fixed template and only strings and non-finite floats go through
+``json.dumps``.  It formats a values object once, however many columns and
+consecutive blocks share it, writes the bytes of the decoded columns and
+deletes the table's file in the other format.  Identical (config, seed)
+therefore produce byte-identical outputs for any thread count.
+``read_table`` parses a table back in bulk, one ndarray per column.
 
 Exit codes: 0 ok, 2 config/schema error, 3 I/O error, 4 analysis thresholds
 violated under ``--strict``.
@@ -27,18 +33,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+import warnings
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from . import models, rabi, stats
-from .core import MAX_NSM_FLUCTUATIONS, Model, ModelParams
+from .core import MAX_NSM_FLUCTUATIONS, EncodedColumn, Model, ModelParams
 from .homodyne import (
     EnsembleAutocorrelation,
     NoiseModel,
@@ -274,34 +279,34 @@ def _provenance(cfg: Dict, command: str) -> Dict:
 _ROWS_PER_SLICE = 4096
 
 
-@dataclass(frozen=True)
-class EncodedColumn:
-    """A dictionary-encoded column, after Apache Arrow's dictionary encoding.
-
-    Row ``r`` holds ``values[codes[r]]``.  ``codes`` is an integer ndarray
-    of indices into ``values`` (an ndarray or a sequence), which must not
-    change while a table is written.  Several columns of a table may share
-    one values object: ``write_table`` converts each values object once per
-    table, not once per column.
-    """
-
-    codes: np.ndarray
-    values: Sequence
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __getitem__(self, rows: slice) -> "EncodedColumn":
-        return EncodedColumn(self.codes[rows], self.values)
-
-
 def _values(col) -> list:
     """A column slice as Python values: ndarrays via ``tolist()``, lists as they are."""
     return col.tolist() if isinstance(col, np.ndarray) else col
 
 
+def _csv_cells(col):
+    """CSV cells: ``str`` of each value, the shortest round-trip ``repr`` for floats."""
+    return map(str, _values(col))
+
+
+def _json_cells(col) -> list:
+    """JSON cells: ``json.dumps`` of each value.
+
+    ``json.dumps`` of an int or a finite float is its ``str``, so a numeric
+    ndarray takes ``str`` and only its non-finite floats go through
+    ``json.dumps``; any other column goes through ``json.dumps`` throughout.
+    """
+    if not (isinstance(col, np.ndarray) and col.dtype.kind in "iuf"):
+        return list(map(json.dumps, _values(col)))
+    cells = list(map(str, _values(col)))
+    if col.dtype.kind == "f":
+        for i in np.flatnonzero(~np.isfinite(col)).tolist():
+            cells[i] = json.dumps(float(col[i]))
+    return cells
+
+
 class _Cells:
-    """A table's cells, slice by slice; ``convert`` turns a list of values into cells.
+    """A table's cells, slice by slice; ``convert`` turns a column into cells.
 
     Encoded columns' values are converted once per values object and reused
     by every column and following slice that carries the same object.  The
@@ -325,11 +330,11 @@ class _Cells:
 
     def _column(self, name: str, col):
         if not isinstance(col, EncodedColumn):
-            return self._convert(_values(col))
+            return self._convert(col)
         key = id(col.values)
         entry = self._current.get(key) or self._previous.get(key)
         if entry is None:
-            entry = (col.values, list(self._convert(_values(col.values))))
+            entry = (col.values, list(self._convert(col.values)))
         self._current[key] = entry
         cells = entry[1]
         codes = col.codes
@@ -347,27 +352,31 @@ def write_table(out_dir: str, name: str, blocks, fmt: str) -> str:
     columns in the order of ``SCHEMAS[name]``.  A column is an ndarray, a
     list, or an ``EncodedColumn`` (codes into a values array), which writes
     the same bytes as the decoded column; a code outside the values raises
-    ``ValueError`` naming the column.  CSV cells are formatted with ``str``,
-    which for Python floats is the shortest round-trip ``repr``; JSON takes
-    the Python values (ndarrays via ``tolist()``).  One cache per table
-    converts each values object once, however many encoded columns share
-    it, and keeps it while consecutive slices use it: it retains only the
-    values objects of the current and the previous slice.  A slice's Python
-    values are dropped before the next block is requested, so a streamed
-    table never holds more than one slice of them.  The table's file in the
-    other format is deleted first, so that ``read_table`` cannot pick up a
-    stale copy from an earlier run.
+    ``ValueError`` naming the column.  Both formats take their cells from
+    one path: CSV cells are ``str`` of each value, which for Python floats
+    is the shortest round-trip ``repr``; JSON cells are ``json.dumps`` of
+    each value, which is that same ``str`` for ints and finite floats, and
+    fill a row template built once from the header keys, so a row is the
+    ``json.dumps`` of its row object.  One cache per table converts each
+    values object once, however many encoded columns share it, and keeps it
+    while consecutive slices use it: it retains only the values objects of
+    the current and the previous slice.  A slice's Python values are dropped
+    before the next block is requested, so a streamed table never holds more
+    than one slice of them.  The table's file in the other format is deleted
+    first, so that ``read_table`` cannot pick up a stale copy from an
+    earlier run.
     """
     header = SCHEMAS[name]
     path = os.path.join(out_dir, f"{name}.{fmt}")
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(out_dir, f"{name}.{'csv' if fmt == 'json' else 'json'}"))
-    rows_of = _Cells(functools.partial(map, str) if fmt == "csv" else list).slices(header, blocks)
+    rows_of = _Cells(_json_cells if fmt == "json" else _csv_cells).slices(header, blocks)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if fmt == "json":
+            template = "{" + ", ".join(json.dumps(key).replace("%", "%%") + ": %s" for key in header) + "}"
             sep = "[\n"
             for rows in rows_of:
-                fh.write(sep + ",\n".join([json.dumps(dict(zip(header, row))) for row in rows]))
+                fh.write(sep + ",\n".join(map(template.__mod__, rows)))
                 sep = ",\n"
             fh.write("[]\n" if sep == "[\n" else "\n]\n")
         else:
@@ -384,42 +393,49 @@ def write_summary(out_dir: str, payload: Dict) -> str:
     return path
 
 
-def read_table(out_dir: str, name: str) -> Optional[Dict[str, list]]:
+# Columns read as strings; every other column is read as float64.
+_STRING_COLUMNS = {("events", "kind")}
+
+
+def read_table(out_dir: str, name: str) -> Optional[Dict[str, np.ndarray]]:
     """Read a table written by this tool; returns None when absent.
 
-    The header (or JSON keys) must match the declared schema exactly; the
-    first offending column is named in the error.
+    Returns one ndarray per column, parsed in bulk: float64 (each value
+    equals ``float`` of its cell, bit for bit), or strings for
+    ``events.kind``.  A header-only CSV or a ``[]`` JSON file gives empty
+    columns.  The header (or JSON keys) must match the declared schema
+    exactly; the first offending column is named in the error, and a row
+    with the wrong number of cells or a cell that does not parse raises
+    ``SchemaError`` naming the table.
     """
     schema = SCHEMAS[name]
+    dtypes = [str if (name, k) in _STRING_COLUMNS else np.float64 for k in schema]
     csv_path = os.path.join(out_dir, f"{name}.csv")
     json_path = os.path.join(out_dir, f"{name}.json")
     if os.path.exists(csv_path):
-        # line by line: holding all lines beside the cells cost ~3 MB of peak RSS
         with open(csv_path, "r", encoding="utf-8") as fh:
             header = fh.readline()
             if not header:
                 raise SchemaError(f"{name}.csv: empty file, expected header {schema}")
             _check_schema(name, header.rstrip("\n").split(","), schema)
-            cols: Dict[str, list] = {k: [] for k in schema}
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                cells = line.split(",")
-                if len(cells) != len(schema):
-                    raise SchemaError(f"{name}.csv: row has {len(cells)} cells, expected {len(schema)}")
-                for k, c in zip(schema, cells):
-                    cols[k].append(c)
-        return cols
+            # numpy parses the rest of the open file in C, straight into one record array
+            record = np.dtype([(k, object if t is str else t) for k, t in zip(schema, dtypes)])
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                    rows = np.loadtxt(fh, dtype=record, delimiter=",", comments=None, ndmin=1)
+            except ValueError as exc:
+                raise SchemaError(f"{name}.csv: {exc}") from exc
+        return {k: rows[k].astype(str) if t is str else rows[k] for k, t in zip(schema, dtypes)}
     if os.path.exists(json_path):
         with open(json_path, "r", encoding="utf-8") as fh:
             rows = json.load(fh)
-        cols = {k: [] for k in schema}
         for row in rows:
             _check_schema(name, list(row.keys()), schema)
-            for k in schema:
-                cols[k].append(row[k])
-        return cols
+        try:
+            return {k: np.asarray([row[k] for row in rows], dtype=t) for k, t in zip(schema, dtypes)}
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{name}.json: {exc}") from exc
     return None
 
 
@@ -647,7 +663,9 @@ def cmd_analyze(out_dir: str, strict: bool) -> int:
     """Check a run directory against the package's acceptance thresholds.
 
     Reads whatever tables are present, writes report.json, and under
-    ``--strict`` exits nonzero when any threshold check fails.
+    ``--strict`` exits nonzero when any threshold check fails.  A gated
+    check reports its ``margin``, its limit minus its value, which is
+    negative when it fails.
     """
     summary_path = os.path.join(out_dir, "summary.json")
     if not os.path.exists(summary_path):
@@ -658,15 +676,16 @@ def cmd_analyze(out_dir: str, strict: bool) -> int:
     checks: Dict[str, Dict] = {}
 
     table = read_table(out_dir, "decay_times")
-    if table is not None and table["t_decay"]:
+    if table is not None and table["t_decay"].size:
         gamma = float(cfg["gamma"])
-        times = np.array([float(x) for x in table["t_decay"]])
+        times = table["t_decay"]
         dist = stats.ks_distance(times, lambda t: -np.expm1(-gamma * t))
         threshold = KS_HEADROOM * 1.36 / math.sqrt(times.size)
         checks["decay_ks"] = {
             "n": int(times.size),
             "distance": float(dist),
             "threshold": threshold,
+            "margin": threshold - float(dist),
             "pass": bool(dist < threshold),
         }
 
@@ -677,12 +696,13 @@ def cmd_analyze(out_dir: str, strict: bool) -> int:
         checks["drop_moments"] = {
             "dev_mean_a": dev_mean,
             "tolerance": tol,
+            "margin": tol - dev_mean,
             "pass": bool(dev_mean <= tol),
         }
 
     table = read_table(out_dir, "autocorrelation")
     if table is not None and summary.get("n_steps"):
-        zeta = np.array([float(x) for x in table["zeta"]])
+        zeta = table["zeta"]
         n_steps = int(summary["n_steps"])
         n_traj = int(cfg.get("n_traj", 1))
         dips = _detect_dips(zeta, n_steps, n_traj)
@@ -693,10 +713,10 @@ def cmd_analyze(out_dir: str, strict: bool) -> int:
         }
 
     table = read_table(out_dir, "fluorescence")
-    if table is not None and table["intensity"]:
+    if table is not None and table["intensity"].size:
         gamma = float(cfg["gamma"])
-        intensity = np.array([float(x) for x in table["intensity"]])
-        se = np.array([float(x) for x in table["se"]])
+        intensity = table["intensity"]
+        se = table["se"]
         tail = slice(int(0.8 * intensity.size), None)
         n_tail = intensity[tail].size
         if n_tail:
@@ -707,6 +727,7 @@ def cmd_analyze(out_dir: str, strict: bool) -> int:
                 "mean_intensity": mean_tail,
                 "target": gamma / 2.0,
                 "tolerance": 3.0 * se_tail,
+                "margin": 3.0 * se_tail - dev,
                 "pass": bool(dev <= 3.0 * se_tail),
             }
 

@@ -31,7 +31,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -299,18 +299,30 @@ def philox_uniforms(root_seed: int, stream_ids, counters) -> np.ndarray:
     out = np.empty((n, 4))
     keys0 = [np.uint64((int(root_seed) + r * _PHILOX_W0) & _U64_MAX) for r in range(_PHILOX_ROUNDS)]
     bump1 = np.uint64(_PHILOX_W1)
+    # Round 0 multiplies v2 = 0, which leaves v1 = k0 for round 1 to multiply:
+    # both products are per-call constants, so round 1's low word and the
+    # high word it folds into v3 come from Python ints.
+    key_product = int(keys0[0]) * _PHILOX_M0
+    key_lo, key_hi = np.uint64(key_product & _U64_MAX), np.uint64(key_product >> 64)
     work = np.empty((10, min(n, _PHILOX_CHUNK)), dtype=np.uint64)
     for lo in range(0, n, _PHILOX_CHUNK):
         hi = min(lo + _PHILOX_CHUNK, n)
         v0, v1, v2, v3, k1, h0, h1, t0, t1, t2 = (row[: hi - lo] for row in work)
-        v0[...] = ctrs[lo:hi]
-        v1.fill(0)
-        v2.fill(0)
-        v3.fill(0)
+        # round 0 on (ctr, 0, 0, 0) gives (k0, 0, hi(ctr*M0) ^ k1, lo(ctr*M0))
+        v3[...] = ctrs[lo:hi]
+        _mulhilo(v3, _MUL0, h0, t0, t1, t2)
         k1[...] = ids[lo:hi]
-        for r in range(_PHILOX_ROUNDS):
-            if r:
-                np.add(k1, bump1, out=k1)
+        np.bitwise_xor(h0, k1, out=v2)
+        # round 1 on (k0, 0, v2, v3)
+        np.add(k1, bump1, out=k1)
+        _mulhilo(v2, _MUL1, h1, t0, t1, t2)
+        np.bitwise_xor(h1, keys0[1], out=v0)
+        np.bitwise_xor(v3, key_hi, out=v3)
+        np.bitwise_xor(v3, k1, out=v3)
+        v1.fill(key_lo)
+        v0, v1, v2, v3 = v0, v2, v3, v1
+        for r in range(2, _PHILOX_ROUNDS):
+            np.add(k1, bump1, out=k1)
             _mulhilo(v0, _MUL0, h0, t0, t1, t2)
             _mulhilo(v2, _MUL1, h1, t0, t1, t2)
             # (v0, v1, v2, v3) <- (hi1 ^ v1 ^ k0, lo1, hi0 ^ v3 ^ k1, lo0)
@@ -368,6 +380,34 @@ def run_ensemble(work, n: int, threads: int) -> Tuple[np.ndarray, ...]:
     if len(parts) == 1:
         return tuple(parts[0])
     return tuple(np.concatenate(cols) for cols in zip(*parts))
+
+
+@dataclass(frozen=True)
+class EncodedColumn:
+    """A dictionary-encoded column, after Apache Arrow's dictionary encoding.
+
+    Row ``r`` holds ``values[codes[r]]``.  ``codes`` is an integer ndarray
+    of indices into ``values`` (an ndarray or a sequence), which must not
+    change while the column is in use.  Several columns may share one values
+    object; the table writer converts each values object once per table, not
+    once per column.  ``tolist()`` and ``numpy.asarray`` give the decoded
+    column.
+    """
+
+    codes: np.ndarray
+    values: Sequence
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows: slice) -> "EncodedColumn":
+        return EncodedColumn(self.codes[rows], self.values)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self.values, dtype=dtype)[self.codes]
+
+    def tolist(self) -> list:
+        return np.asarray(self).tolist()
 
 
 @dataclass(frozen=True)

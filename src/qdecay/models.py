@@ -38,6 +38,7 @@ import numpy as np
 
 from .core import (
     MAX_GAMMA_DT,
+    EncodedColumn,
     EventKind,
     Model,
     ModelParams,
@@ -338,10 +339,14 @@ def _lockstep_step_decay(plan: _StepPlan, seed: int, ids: range) -> Tuple[np.nda
 
 
 # Event rows: columns (t, kind, before, after), kind an int8 index into _KINDS.
+# A column may be an EncodedColumn; _merge_rows and _trajectory_events take both.
 _KINDS = tuple(EventKind)
 _CODE = {kind: np.int8(code) for code, kind in enumerate(_KINDS)}
 # The name of each kind code, as the events table spells it.
 EVENT_KIND_NAMES = tuple(kind.value for kind in _KINDS)
+# Occupation after a jump, and after an nsm fluctuation (code 0: reset, 1: jump).
+_AFTER_JUMP = (0.0,)
+_AFTER_FLUCTUATION = (1.0, 0.0)
 
 
 def _step_rows(series, dt: float, n: int, taken=()):
@@ -356,11 +361,30 @@ def _step_rows(series, dt: float, n: int, taken=()):
     return t[keep], np.full(keep.sum(), _CODE[EventKind.STEP]), series[:n][keep], series[1 : n + 1][keep]
 
 
+def _joined(a, b):
+    """Column ``a`` followed by column ``b``, encoded when the longer of the two is.
+
+    Encoded columns join their codes, offsetting ``b``'s by the length of
+    ``a``'s values unless the two share one values object; a shorter plain
+    column joins as codes into itself, a shorter encoded one decoded.
+    """
+    if not isinstance(max(a, b, key=len), EncodedColumn):
+        return np.concatenate((np.asarray(a), np.asarray(b)))
+    a, b = (c if isinstance(c, EncodedColumn) else EncodedColumn(np.arange(len(c)), c) for c in (a, b))
+    if a.values is b.values:
+        return EncodedColumn(np.concatenate((a.codes, b.codes)), a.values)
+    codes = np.concatenate((a.codes, b.codes)).astype(np.int64, copy=False)
+    codes[len(a) :] += len(a.values)
+    return EncodedColumn(codes, np.concatenate((np.asarray(a.values), np.asarray(b.values))))
+
+
 def _merge_rows(first, second):
     """The rows of ``first`` then ``second``, stably sorted on their first column, then their second."""
-    cols = [np.concatenate(pair) for pair in zip(first, second)]
-    order = np.lexsort((cols[1], cols[0]))
-    return tuple(c[order] for c in cols)
+    cols = list(map(_joined, first, second))
+    order = np.lexsort((np.asarray(cols[1]), np.asarray(cols[0])))
+    for i, c in enumerate(cols):  # one at a time, so each joined column is freed once gathered
+        cols[i] = EncodedColumn(c.codes[order], c.values) if isinstance(c, EncodedColumn) else c[order]
+    return tuple(cols)
 
 
 def _ragged(start: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -377,22 +401,34 @@ def _trajectory_events(t, kind, before, after) -> Tuple[TrajectoryEvent, ...]:
 def _step_model_rows(plan: _StepPlan, jump_steps, decay_times, model: Model, record_steps: bool):
     """Event rows ``(traj_id, t, kind, before, after)`` of qmop/swf trajectories ``0 .. n - 1``.
 
-    With ``record_steps``, a STEP row per grid step before the jump (all when
-    censored) precedes a trajectory's terminal row.
+    Occupations are ``EncodedColumn``s: codes into ``plan.occupation``, and
+    into ``(0.0,)`` after the jump.  With ``record_steps``, a STEP row per
+    grid step before the jump (all when censored) precedes a trajectory's
+    terminal row; its ``t`` is a code into the step grid and its ``traj_id``
+    a code into ``arange(n)``.
     """
     decayed = np.flatnonzero(jump_steps >= 0)
     terminal = EventKind.PHOTON_DETECTION if model is Model.SWF else EventKind.QUANTUM_JUMP
     k = jump_steps[decayed]
-    rows = (decayed, decay_times[decayed], np.full(k.size, _CODE[terminal]), plan.occupation[k], np.zeros(k.size))
+    before = EncodedColumn(k, plan.occupation)
+    after = EncodedColumn(np.zeros(k.size, dtype=np.int8), _AFTER_JUMP)
+    rows = (decayed, decay_times[decayed], np.full(k.size, _CODE[terminal]), before, after)
     if not record_steps:
         return rows
     # every trajectory rides the same no-jump curve, so its STEP rows are
-    # the first n_i rows of the full grid
+    # the first n_i steps of the grid: row j runs from grid point j to j + 1
     n_i = np.where(jump_steps < 0, plan.n_steps, jump_steps)
-    traj_id = np.repeat(np.arange(jump_steps.size), n_i)
     j = _ragged(0 * n_i, n_i)
-    steps = _step_rows(plan.occupation, plan.dt, plan.n_steps)
-    return _merge_rows((traj_id, *(c[j] for c in steps)), rows)
+    end = j + 1
+    grid = np.arange(plan.n_steps + 1) * plan.dt
+    steps = (
+        EncodedColumn(np.repeat(np.arange(n_i.size), n_i), np.arange(n_i.size)),
+        EncodedColumn(end, grid),
+        np.full(j.size, _CODE[EventKind.STEP]),
+        EncodedColumn(j, plan.occupation),
+        EncodedColumn(end, plan.occupation),
+    )
+    return _merge_rows(steps, rows)
 
 
 def _step_decay_record(
@@ -687,6 +723,7 @@ def _nsm_step_table(segments, gamma: float, grid: np.ndarray, m: int, fluct):
 
     A trajectory has a row at the end of every grid step before its jump
     (every step when censored), except at grid times its fluctuations take.
+    ``t`` is an ``EncodedColumn`` of codes into ``grid``.
     """
     f_traj, f_t, terminal = fluct[0], fluct[1], fluct[4]
     n = grid.size - 1
@@ -699,7 +736,8 @@ def _nsm_step_table(segments, gamma: float, grid: np.ndarray, m: int, fluct):
     k_f = np.minimum(np.searchsorted(grid, f_t), n)
     taken = (f_traj * (n + 2) + k_f)[grid[k_f] == f_t]
     row = np.flatnonzero((k < n_rows[traj]) & ~np.isin(traj * (n + 2) + k + 1, taken))
-    return traj[row], grid[k[row] + 1], np.full(row.size, _CODE[EventKind.STEP]), occ[row], occ[row + 1]
+    t = EncodedColumn(k[row] + 1, grid)
+    return traj[row], t, np.full(row.size, _CODE[EventKind.STEP]), occ[row], occ[row + 1]
 
 
 def run_nsm_trajectory(
@@ -761,10 +799,10 @@ def _nsm_rows(t: np.ndarray, occ: np.ndarray, terminal: np.ndarray):
     """Event rows ``(t, kind, before, after)`` of nsm fluctuations.
 
     A fluctuation resets the atom to excited, or, where ``terminal``, jumps
-    it to ground.
+    it to ground; ``after`` is ``terminal`` as codes into ``(1.0, 0.0)``.
     """
     kind = np.where(terminal, _CODE[EventKind.QUANTUM_JUMP], _CODE[EventKind.FLUCTUATION_NO_JUMP])
-    return t, kind, occ, np.where(terminal, 0.0, 1.0)
+    return t, kind, occ, EncodedColumn(terminal.astype(np.int8), _AFTER_FLUCTUATION)
 
 
 # ---------------------------------------------------------------------------
@@ -777,13 +815,20 @@ class EventTable:
     """Column-oriented event log, cheap to accumulate and to stream to CSV.
 
     ``kind`` holds int8 codes; code ``c`` is the kind ``EVENT_KIND_NAMES[c]``.
+    The other columns are ndarrays or ``EncodedColumn``s (codes into a
+    values array, decoded by ``tolist()`` and ``numpy.asarray``), which the
+    table writer formats once per distinct value: qmop/swf occupations are
+    codes into the no-jump occupation grid (and ``(0.0,)`` after the jump),
+    nsm ``occupation_after`` codes into ``(1.0, 0.0)``, and with
+    ``record_steps`` the STEP rows' ``t`` codes into the step grid and
+    ``traj_id`` codes into ``arange(n_traj)``.
     """
 
-    traj_id: np.ndarray
-    t: np.ndarray
+    traj_id: np.ndarray | EncodedColumn
+    t: np.ndarray | EncodedColumn
     kind: np.ndarray
-    occupation_before: np.ndarray
-    occupation_after: np.ndarray
+    occupation_before: np.ndarray | EncodedColumn
+    occupation_after: np.ndarray | EncodedColumn
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -896,14 +941,16 @@ def run_decay_ensemble(
                     vals = _segment_bin_means(segments, m, params.n_steps, bin_steps, tables, seg_table, occupation)
                 steps = ()
                 if record_steps:
-                    step_traj, *cols = _nsm_step_table(segments, params.gamma, grid, m, fluct)
-                    steps = (group.start + step_traj, *cols)
+                    step_traj, step_t, *cols = _nsm_step_table(segments, params.gamma, grid, m, fluct)
+                    steps = (group.start + step_traj, step_t.codes, *cols)
                 parts.append((times, group.start + traj, t, occ, drop, terminal, vals, *steps))
             return tuple(map(np.concatenate, zip(*parts)))
 
         decay_times, traj_id, t_fluct, occ, drops, terminal, vals, *steps = run_ensemble(work, n, threads)
         rows = (traj_id, *_nsm_rows(t_fluct, occ, terminal))
         if record_steps:
+            step_traj, step_t, *cols = steps
+            steps = (EncodedColumn(step_traj, np.arange(n)), EncodedColumn(step_t, grid), *cols)
             rows = _merge_rows(rows, steps)
         if params.beta == 0.0:
             flags = (NSM_BETA_ZERO_FLAG,)

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdecay import cli
-from qdecay.cli import EncodedColumn, _shared_values, main, write_table
+from qdecay.cli import SCHEMAS, EncodedColumn, SchemaError, _shared_values, main, read_table, write_table
 from qdecay.core import ModelParams, derive_stream
 from qdecay.homodyne import (
     EnsembleAutocorrelation,
@@ -16,6 +17,7 @@ from qdecay.homodyne import (
 )
 from qdecay.models import (
     EVENT_KIND_NAMES,
+    run_decay_ensemble,
     run_nsm_trajectory,
     run_qmop_trajectory,
     run_swf_trajectory,
@@ -311,6 +313,132 @@ class TestEncodedColumns:
             write_table(str(tmp_path), "signal", [(np.arange(n), t, np.zeros(n), sigma_x)], fmt)
 
 
+def oracle_text(name, cols, fmt):
+    """The table as the per-row formatter writes it: ``str`` cells, or ``json.dumps`` of each row object."""
+    header = SCHEMAS[name]
+    cols = [decoded(c) for c in cols]
+    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else list(c) for c in cols)))
+    if fmt == "csv":
+        return "".join(line + "\n" for line in [",".join(header)] + [",".join(map(str, row)) for row in rows])
+    if not rows:
+        return "[]\n"
+    return "[\n" + ",\n".join(json.dumps(dict(zip(header, row))) for row in rows) + "\n]\n"
+
+
+SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e16, 1e-300, 1.0 / 3.0, 2.5]
+
+
+class TestWriterMatchesRowFormatting:
+    """``write_table`` writes what a per-row ``str``/``json.dumps`` formatter writes."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_floats_ints_codes_and_strings(self, tmp_path, fmt):
+        rng = np.random.default_rng(11)
+        n = 4096 + 904  # across the 4096-row slice
+        floats = np.array(SPECIAL_FLOATS)[rng.integers(0, len(SPECIAL_FLOATS), n)]
+        floats[::7] = rng.standard_normal(n)[::7]
+        kinds = EncodedColumn(rng.integers(0, len(EVENT_KIND_NAMES), n).astype(np.int8), EVENT_KIND_NAMES)
+        after = EncodedColumn(rng.integers(0, 2, n).astype(np.int8), (1.0, 0.0))
+        cols = (np.arange(n), floats, kinds, floats[::-1].copy(), after)
+        write_table(str(tmp_path), "events", [cols], fmt)
+        assert read_bytes(str(tmp_path), f"events.{fmt}").decode() == oracle_text("events", cols, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_shared_values_across_a_slice(self, tmp_path, fmt):
+        rng = np.random.default_rng(12)
+        n = 4096 + 17
+        values = np.concatenate([SPECIAL_FLOATS, rng.standard_normal(40)])
+        one = EncodedColumn(np.zeros(n, dtype=np.int8), [3])
+        cur = EncodedColumn(rng.integers(0, values.size, n), values)
+        sig = EncodedColumn(rng.integers(0, values.size, n), values)
+        cols = (one, rng.standard_normal(n), cur, sig)
+        blocks = [cols, tuple(c[:5] for c in cols)]
+        write_table(str(tmp_path), "signal", blocks, fmt)
+        want = oracle_text("signal", tuple(map(np.concatenate, zip(*(map(decoded, b) for b in blocks)))), fmt)
+        assert read_bytes(str(tmp_path), f"signal.{fmt}").decode() == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_table(self, tmp_path, fmt):
+        cols = (np.empty(0, dtype=np.int64), np.empty(0))
+        write_table(str(tmp_path), "decay_times", [cols], fmt)
+        assert read_bytes(str(tmp_path), f"decay_times.{fmt}").decode() == oracle_text("decay_times", cols, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("record_steps", [False, True])
+    @pytest.mark.parametrize("model", ["qmop", "swf", "nsm"])
+    def test_decay_tables_are_the_engine_columns(self, tmp_path, model, record_steps, fmt):
+        payload = dict(DECAY_CFG, model=model, n_traj=60, t_max=1.5, record_steps=record_steps)
+        out = str(tmp_path / "run")
+        assert main(["decay", "--config", write_cfg(tmp_path, payload), "--out-dir", out, "--format", fmt]) == 0
+        p = ModelParams(gamma=1.0, beta=1.0, dt=0.01, t_max=1.5, n_traj=60, seed=42, model=model)
+        summary = run_decay_ensemble(p, record_steps=record_steps)
+        ev = summary.events
+        kinds = [EVENT_KIND_NAMES[c] for c in ev.kind.tolist()]
+        rows = (ev.traj_id.tolist(), ev.t.tolist(), kinds, ev.occupation_before.tolist(), ev.occupation_after.tolist())
+        assert read_bytes(out, f"events.{fmt}").decode() == oracle_text("events", rows, fmt)
+        observed = ~np.isnan(summary.decay_times)
+        rows = (np.flatnonzero(observed).tolist(), summary.decay_times[observed].tolist())
+        assert read_bytes(out, f"decay_times.{fmt}").decode() == oracle_text("decay_times", rows, fmt)
+
+
+class TestReadTable:
+    """``read_table`` parses whole columns into ndarrays equal to ``float(cell)`` bit for bit."""
+
+    def values(self):
+        rng = np.random.default_rng(4)
+        bits = rng.integers(-(2**63), 2**63 - 1, 3000, dtype=np.int64, endpoint=True)
+        return np.concatenate([SPECIAL_FLOATS, bits.view(np.float64)])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_columns_equal_float_of_each_cell(self, tmp_path, fmt):
+        t = self.values()
+        write_table(str(tmp_path), "decay_times", [(np.arange(t.size), t)], fmt)
+        cols = read_table(str(tmp_path), "decay_times")
+        assert list(cols) == ["traj_id", "t_decay"]
+        assert all(c.dtype == np.float64 for c in cols.values())
+        want = np.array([float(str(v)) for v in t.tolist()])
+        assert cols["t_decay"].view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert cols["traj_id"].tolist() == list(range(t.size))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_event_kinds_are_strings(self, tmp_path, fmt):
+        n = 9
+        kind = EncodedColumn(np.arange(n, dtype=np.int8) % len(EVENT_KIND_NAMES), EVENT_KIND_NAMES)
+        write_table(str(tmp_path), "events", [(np.arange(n), np.linspace(0, 1, n), kind, np.ones(n), np.zeros(n))], fmt)
+        cols = read_table(str(tmp_path), "events")
+        assert cols["kind"].dtype.kind == "U"
+        assert cols["kind"].tolist() == kind.tolist()
+        assert cols["occupation_before"].tolist() == [1.0] * n
+
+    @pytest.mark.parametrize("text, fmt", [("traj_id,t_decay\n", "csv"), ("[]\n", "json")])
+    def test_header_only_gives_empty_columns(self, tmp_path, text, fmt):
+        (tmp_path / f"decay_times.{fmt}").write_text(text)
+        cols = read_table(str(tmp_path), "decay_times")
+        assert [(k, c.dtype, c.shape) for k, c in cols.items()] == [
+            ("traj_id", np.float64, (0,)),
+            ("t_decay", np.float64, (0,)),
+        ]
+
+    @pytest.mark.parametrize("row", ["3,0.5,7", "3", "3,zero"])
+    def test_bad_row_names_the_table(self, tmp_path, row):
+        (tmp_path / "decay_times.csv").write_text(f"traj_id,t_decay\n0,0.25\n1,0.5\n{row}\n")
+        with pytest.raises(SchemaError, match="^decay_times.csv: "):
+            read_table(str(tmp_path), "decay_times")
+
+    def test_parse_peak_is_bounded(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 100_000
+        write_table(str(tmp_path), "decay_times", [(np.arange(n), rng.exponential(size=n))], "csv")
+        tracemalloc.start()
+        try:
+            cols = read_table(str(tmp_path), "decay_times")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cols["t_decay"].size == n
+        assert peak < 4e6
+
+
 SIGN_BIT = -(2**63)
 FLOAT_BITS = st.one_of(
     st.integers(SIGN_BIT, 2**63 - 1),
@@ -482,6 +610,18 @@ class TestAnalyze:
         assert report["checks"]["decay_ks"]["pass"] is True
         assert report["checks"]["drop_moments"]["pass"] is True
         assert report["pass"] is True
+        ks, drop = report["checks"]["decay_ks"], report["checks"]["drop_moments"]
+        assert ks["margin"] == ks["threshold"] - ks["distance"] > 0
+        assert drop["margin"] == drop["tolerance"] - drop["dev_mean_a"] > 0
+
+    def test_fluorescence_margin(self, tmp_path):
+        cfg = write_cfg(tmp_path, RABI_CFG)
+        out = str(tmp_path / "run")
+        assert main(["rabi", "--config", cfg, "--out-dir", out]) == 0
+        assert main(["analyze", "--out-dir", out]) == 0
+        tail = json.loads(read_bytes(out, "report.json"))["checks"]["fluorescence_tail"]
+        assert tail["margin"] == tail["tolerance"] - abs(tail["mean_intensity"] - tail["target"])
+        assert (tail["margin"] >= 0) == tail["pass"]
 
     def test_white_noise_has_no_dips(self, tmp_path):
         cfg = write_cfg(tmp_path, dict(HOMODYNE_CFG, noise="white", n_traj=100))

@@ -184,6 +184,18 @@ class TestPhiloxKernel:
             bit_gen = np.random.Philox(key=np.array([seed, i], dtype=np.uint64), counter=counter)
             assert np.array_equal(row, np.random.Generator(bit_gen).random(4))
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_folded_key_rounds_match_generator(self, seed):
+        # rounds 0 and 1 run on per-call constants; counters past 2**32 fill the whole first word
+        ids = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
+        counters = np.array([1, 2**32, 2**32 + 1, 2**33 + 7, 2**63, 2**64 - 1], dtype=np.uint64)
+        u = philox_uniforms(seed, ids[:, None], counters)
+        for i, row in zip(ids.tolist(), u):
+            for c, block in zip(counters.tolist(), row):
+                bit_gen = np.random.Philox(key=np.array([seed, i], dtype=np.uint64), counter=c - 1)
+                assert np.array_equal(block, np.random.Generator(bit_gen).random(4))
+        assert np.array_equal(u[2, 0], derive_stream(seed, 2**64 - 1).generator().random(4))
+
     def test_chunk_boundaries(self):
         n = 3 * 8192 + 5
         u = philox_uniforms(7, np.arange(n), 1)

@@ -8,7 +8,7 @@ from reference_engines import PatchedGenerator, assert_same_record, nsm_record, 
 from scipy.integrate import quad
 
 from qdecay import models, stats
-from qdecay.core import EventKind, ModelParams, QubitState, derive_stream
+from qdecay.core import EncodedColumn, EventKind, ModelParams, QubitState, derive_stream
 from qdecay.models import (
     NSM_BETA_ZERO_FLAG,
     NsmOutcome,
@@ -704,3 +704,55 @@ class TestEnsembleDeterminism:
             assert np.array_equal(base.decay_times, other.decay_times, equal_nan=True)
             assert np.array_equal(base.events.t, other.events.t)
             assert kind_names(base.events) == kind_names(other.events)
+
+
+class TestEncodedEventColumns:
+    """Event columns drawn from a shared grid stay codes into it, and decode to the plain rows."""
+
+    @pytest.mark.parametrize("record_steps", [False, True])
+    @pytest.mark.parametrize("model", ["qmop", "swf", "nsm"])
+    def test_grid_columns_are_codes(self, model, record_steps):
+        p = params(model=model, beta=1.0, t_max=3.0, n_traj=200, seed=8)
+        table = run_decay_ensemble(p, record_steps=record_steps).events
+        encoded = {
+            name for name in ("traj_id", "t", "occupation_before", "occupation_after")
+            if isinstance(getattr(table, name), EncodedColumn)
+        }
+        if model == "nsm":  # STEP occupations are per trajectory; a fluctuation's after is 1 or 0
+            assert encoded == ({"traj_id", "t"} if record_steps else {"occupation_after"})
+        else:
+            assert encoded == {"occupation_before", "occupation_after"} | ({"traj_id", "t"} if record_steps else set())
+            assert len(table.occupation_before.values) == p.n_steps + 1
+        if record_steps:  # codes into the step grid and arange(n), plus the few terminal rows
+            assert len(table.t.values) < len(table) // 4
+            assert len(table.traj_id.values) < len(table) // 4
+
+    @staticmethod
+    def column(kind, n, rng):
+        values = rng.standard_normal(300)  # more values than int8 codes reach
+        if kind == "plain":
+            return rng.standard_normal(n)
+        if kind == "int8":
+            return EncodedColumn(rng.integers(0, 100, n).astype(np.int8), values[:100])
+        return EncodedColumn(rng.integers(0, 300, n), values)
+
+    @pytest.mark.parametrize("kinds", [(a, b) for a in ("plain", "int8", "int64") for b in ("plain", "int8", "int64")])
+    @pytest.mark.parametrize("sizes", [(5, 40), (40, 5), (0, 3)])
+    def test_merge_decodes_to_the_plain_merge(self, kinds, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        first = [np.sort(rng.integers(0, 4, sizes[0])), self.column(kinds[0], sizes[0], rng)]
+        second = [np.sort(rng.integers(0, 4, sizes[1])), self.column(kinds[1], sizes[1], rng)]
+        merged = models._merge_rows(first, second)
+        plain = models._merge_rows([np.asarray(c) for c in first], [np.asarray(c) for c in second])
+        for got, want in zip(merged, plain):
+            assert np.asarray(got).view(np.int64).tolist() == want.view(np.int64).tolist()
+        longer = max(first[1], second[1], key=len)
+        assert isinstance(merged[1], EncodedColumn) == isinstance(longer, EncodedColumn)
+
+    def test_merge_shares_one_values_object(self):
+        values = np.linspace(0.0, 1.0, 7)
+        a = EncodedColumn(np.array([0, 6]), values)
+        b = EncodedColumn(np.array([3], dtype=np.int8), values)
+        merged = models._merge_rows([np.array([0, 2]), a], [np.array([1]), b])
+        assert merged[1].values is values
+        assert merged[1].tolist() == [0.0, 0.5, 1.0]

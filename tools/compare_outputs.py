@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Compare the output files of two qdecay source trees, byte for byte.
+
+    python3 tools/compare_outputs.py OLD_ROOT NEW_ROOT
+
+Each ROOT is a checkout whose ``src/`` holds the ``qdecay`` package.  Under
+each tree, in a fresh interpreter, the script runs a fixed matrix of small
+runs: ``decay`` qmop/swf/nsm with and without ``record_steps``, ``homodyne``
+with white noise and the nsm point process, and ``rabi`` qmop/nsm, each in
+CSV and JSON at ``--threads`` 1 and 3.  It then compares the sha256 of every
+file the runs wrote.  It exits 0 when every file is identical, 1 naming each
+file that differs or that only one tree wrote, and 2 when a run fails.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+_DECAY = {"gamma": 1.0, "dt": 0.01, "t_max": 5.0, "n_traj": 300, "seed": 42}
+_HOMODYNE = {"gamma": 0.01, "dt": 0.01, "t_max": 1.0, "n_traj": 600, "max_lag": 20, "seed": 7}
+_RABI = {"gamma": 0.2, "omega_rabi": 2.0, "dt": 0.0125, "t_max": 10.0, "n_traj": 200, "seed": 21}
+
+# name -> (subcommand, config); homodyne's 600 trajectories span two engine blocks
+CONFIGS = {
+    **{
+        f"decay-{model}{'-steps' if steps else ''}": (
+            "decay",
+            dict(_DECAY, model=model, record_steps=steps, **({"beta": 1.0} if model == "nsm" else {})),
+        )
+        for model in ("qmop", "swf", "nsm")
+        for steps in (False, True)
+    },
+    "homodyne-white": ("homodyne", dict(_HOMODYNE, noise="white")),
+    "homodyne-pp": ("homodyne", dict(_HOMODYNE, noise="nsm_point_process", beta=10.0)),
+    "rabi-qmop": ("rabi", dict(_RABI, model="qmop")),
+    "rabi-nsm": ("rabi", dict(_RABI, model="nsm", beta=0.5)),
+}
+FORMATS = ("csv", "json")
+THREADS = (1, 3)
+
+# Runs every case of argv[3] (JSON) with the qdecay of argv[1]/src, under argv[2].
+_CHILD = """
+import json, os, sys
+sys.dont_write_bytecode = True
+root, out, cases = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+sys.path.insert(0, os.path.join(root, "src"))
+from qdecay import cli
+if not os.path.abspath(cli.__file__).startswith(os.path.join(root, "src", "")):
+    sys.exit(f"qdecay imported from {cli.__file__}, not from {root}/src")
+for run_dir, command, cfg, fmt, threads in cases:
+    path = os.path.join(out, run_dir + ".cfg.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    argv = [command, "--config", path, "--out-dir", os.path.join(out, run_dir), "--format", fmt]
+    rc = cli.main(argv + ["--threads", str(threads)])
+    if rc != 0:
+        sys.exit(f"{run_dir}: qdecay {command} exited {rc}")
+"""
+
+
+def cases() -> list:
+    return [
+        (f"{name}/{fmt}-t{threads}", command, cfg, fmt, threads)
+        for name, (command, cfg) in CONFIGS.items()
+        for fmt in FORMATS
+        for threads in THREADS
+    ]
+
+
+def run_tree(root: str, out: str) -> None:
+    """Run every case with the qdecay under ``root/src``, writing under ``out``."""
+    for name in CONFIGS:
+        os.makedirs(os.path.join(out, name))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    argv = [sys.executable, "-c", _CHILD, os.path.abspath(root), out, json.dumps(cases())]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        last = proc.stderr.strip().splitlines()[-1:] or [f"exit {proc.returncode}"]
+        raise RuntimeError(f"{root}: {last[0]}")
+
+
+def digests(out: str) -> dict:
+    """sha256 of every file the runs wrote, keyed by its path under ``out``."""
+    found = {}
+    for run_dir, *_ in cases():
+        base = os.path.join(out, run_dir)
+        for name in sorted(os.listdir(base)):
+            with open(os.path.join(base, name), "rb") as fh:
+                found[f"{run_dir}/{name}"] = hashlib.sha256(fh.read()).hexdigest()
+    return found
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="qdecay-compare-") as tmp:
+        found = []
+        for side, root in zip(("old", "new"), argv):
+            out = os.path.join(tmp, side)
+            try:
+                run_tree(root, out)
+            except RuntimeError as exc:
+                print(f"error: run failed under {exc}", file=sys.stderr)
+                return 2
+            found.append(digests(out))
+    old, new = found
+    differ = sorted(p for p in old.keys() | new.keys() if old.get(p) != new.get(p))
+    for path in differ:
+        why = "differs" if path in old and path in new else f"only under {'OLD' if path in old else 'NEW'}"
+        print(f"{why}: {path}")
+    print(f"{len(old.keys() | new.keys())} files in {len(cases())} run directories, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
