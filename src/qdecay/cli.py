@@ -15,14 +15,11 @@ decay ``kind`` (the engines' int8 codes), and the ``EventTable`` columns
 the engines encode (qmop/swf occupations, nsm ``occupation_after``, and
 with ``record_steps`` the STEP rows' ``t`` and ``traj_id``; see
 ``models.EventTable``).  ``write_table`` is the one place that formats
-columns, a bounded row slice at a time: CSV and JSON cells come from one
-cell cache, ``str`` of each value (the shortest round-trip float repr),
-which is also ``json.dumps`` of an int or a finite float, so JSON rows fill
-a fixed template and only strings and non-finite floats go through
-``json.dumps``.  It formats a values object once, however many columns and
-consecutive blocks share it, writes the bytes of the decoded columns and
-deletes the table's file in the other format.  Identical (config, seed)
-therefore produce byte-identical outputs for any thread count.
+columns, a bounded row slice at a time and whole columns at once
+(``tabletext``), with the bytes of ``str`` (CSV) or ``json.dumps`` (JSON)
+of each value.  It formats a values object once while consecutive slices
+share it and deletes the table's file in the other format.  Identical
+(config, seed) therefore produce byte-identical outputs for any thread count.
 ``read_table`` parses a table back in bulk, one ndarray per column.
 
 Exit codes: 0 ok, 2 config/schema error, 3 I/O error, 4 analysis thresholds
@@ -275,114 +272,35 @@ def _provenance(cfg: Dict, command: str) -> Dict:
 # ---------------------------------------------------------------------------
 
 
-# Rows formatted per write: bounds the Python objects alive at once.
+# Rows formatted per write: bounds the work arrays alive at once.
 _ROWS_PER_SLICE = 4096
-
-
-def _values(col) -> list:
-    """A column slice as Python values: ndarrays via ``tolist()``, lists as they are."""
-    return col.tolist() if isinstance(col, np.ndarray) else col
-
-
-def _csv_cells(col):
-    """CSV cells: ``str`` of each value, the shortest round-trip ``repr`` for floats."""
-    return map(str, _values(col))
-
-
-def _json_cells(col) -> list:
-    """JSON cells: ``json.dumps`` of each value.
-
-    ``json.dumps`` of an int or a finite float is its ``str``, so a numeric
-    ndarray takes ``str`` and only its non-finite floats go through
-    ``json.dumps``; any other column goes through ``json.dumps`` throughout.
-    """
-    if not (isinstance(col, np.ndarray) and col.dtype.kind in "iuf"):
-        return list(map(json.dumps, _values(col)))
-    cells = list(map(str, _values(col)))
-    if col.dtype.kind == "f":
-        for i in np.flatnonzero(~np.isfinite(col)).tolist():
-            cells[i] = json.dumps(float(col[i]))
-    return cells
-
-
-class _Cells:
-    """A table's cells, slice by slice; ``convert`` turns a column into cells.
-
-    Encoded columns' values are converted once per values object and reused
-    by every column and following slice that carries the same object.  The
-    cache is keyed by the object's ``id`` and holds a reference to the
-    object, so the id cannot be reused while its entry lives.  It keeps only
-    the values objects that the current and the previous slice use.
-    """
-
-    def __init__(self, convert) -> None:
-        self._convert = convert
-        self._current: dict = {}  # id(values) -> (values, cells)
-        self._previous: dict = {}
-
-    def slices(self, header, blocks):
-        """The blocks' rows as tuples of cells, in slices of ``_ROWS_PER_SLICE`` rows at most."""
-        for cols in blocks:
-            for lo in range(0, len(cols[0]), _ROWS_PER_SLICE):
-                self._previous, self._current = self._current, {}
-                part = [self._column(h, c[lo : lo + _ROWS_PER_SLICE]) for h, c in zip(header, cols)]
-                yield zip(*part, strict=True)
-
-    def _column(self, name: str, col):
-        if not isinstance(col, EncodedColumn):
-            return self._convert(col)
-        key = id(col.values)
-        entry = self._current.get(key) or self._previous.get(key)
-        if entry is None:
-            entry = (col.values, list(self._convert(col.values)))
-        self._current[key] = entry
-        cells = entry[1]
-        codes = col.codes
-        if codes.size and (codes.min() < 0 or codes.max() >= len(cells)):
-            raise ValueError(
-                f"{name}: codes span [{codes.min()}, {codes.max()}], outside the {len(cells)} values"
-            )
-        return map(cells.__getitem__, codes.tolist())
 
 
 def write_table(out_dir: str, name: str, blocks, fmt: str) -> str:
     """Write the table ``name`` as CSV (or a JSON array of row objects).
 
     ``blocks`` is an iterable of column blocks, each a tuple of equal-length
-    columns in the order of ``SCHEMAS[name]``.  A column is an ndarray, a
-    list, or an ``EncodedColumn`` (codes into a values array), which writes
-    the same bytes as the decoded column; a code outside the values raises
-    ``ValueError`` naming the column.  Both formats take their cells from
-    one path: CSV cells are ``str`` of each value, which for Python floats
-    is the shortest round-trip ``repr``; JSON cells are ``json.dumps`` of
-    each value, which is that same ``str`` for ints and finite floats, and
-    fill a row template built once from the header keys, so a row is the
-    ``json.dumps`` of its row object.  One cache per table converts each
-    values object once, however many encoded columns share it, and keeps it
-    while consecutive slices use it: it retains only the values objects of
-    the current and the previous slice.  A slice's Python values are dropped
-    before the next block is requested, so a streamed table never holds more
-    than one slice of them.  The table's file in the other format is deleted
-    first, so that ``read_table`` cannot pick up a stale copy from an
-    earlier run.
+    columns in the order of ``SCHEMAS[name]``: ndarrays, lists, or
+    ``EncodedColumn``s, which write the bytes of the decoded column (a code
+    outside the values raises ``ValueError`` naming the column).  A CSV cell
+    is ``str`` of its value, a JSON row the ``json.dumps`` of its row object.
+    The table's file in the other format is deleted first, so that
+    ``read_table`` cannot pick up a stale copy from an earlier run.
     """
+    from .tabletext import Rows  # imported at the first write, which keeps its compile out of start-up
+
     header = SCHEMAS[name]
     path = os.path.join(out_dir, f"{name}.{fmt}")
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(out_dir, f"{name}.{'csv' if fmt == 'json' else 'json'}"))
-    rows_of = _Cells(_json_cells if fmt == "json" else _csv_cells).slices(header, blocks)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if fmt == "json":
-            template = "{" + ", ".join(json.dumps(key).replace("%", "%%") + ": %s" for key in header) + "}"
-            sep = "[\n"
-            for rows in rows_of:
-                fh.write(sep + ",\n".join(map(template.__mod__, rows)))
-                sep = ",\n"
-            fh.write("[]\n" if sep == "[\n" else "\n]\n")
-        else:
-            fh.write(",".join(header) + "\n")
-            for rows in rows_of:
-                fh.write("\n".join(map(",".join, rows)) + "\n")
+    rows = Rows(header, json=fmt == "json")
+    with open(path, "wb") as fh:
+        if fmt == "csv":
+            fh.write((",".join(header) + "\n").encode())
+        for cols in blocks:
+            for lo in range(0, len(cols[0]), _ROWS_PER_SLICE):
+                rows.write(fh, [c[lo : lo + _ROWS_PER_SLICE] for c in cols])
+        fh.write(rows.end())
     return path
 
 
@@ -428,12 +346,18 @@ def read_table(out_dir: str, name: str) -> Optional[Dict[str, np.ndarray]]:
                 raise SchemaError(f"{name}.csv: {exc}") from exc
         return {k: rows[k].astype(str) if t is str else rows[k] for k, t in zip(schema, dtypes)}
     if os.path.exists(json_path):
+
+        def row_values(pairs):
+            # a row object as the tuple of its values, so no dict per row is kept
+            _check_schema(name, [key for key, _ in pairs], schema)
+            return tuple(value for _, value in pairs)
+
         with open(json_path, "r", encoding="utf-8") as fh:
-            rows = json.load(fh)
-        for row in rows:
-            _check_schema(name, list(row.keys()), schema)
+            rows = json.load(fh, object_pairs_hook=row_values)
+        if not isinstance(rows, list) or not all(isinstance(row, tuple) for row in rows):
+            raise SchemaError(f"{name}.json: expected an array of row objects")
         try:
-            return {k: np.asarray([row[k] for row in rows], dtype=t) for k, t in zip(schema, dtypes)}
+            return {k: np.asarray([row[i] for row in rows], dtype=t) for i, (k, t) in enumerate(zip(schema, dtypes))}
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{name}.json: {exc}") from exc
     return None
@@ -567,8 +491,10 @@ def cmd_homodyne(cfg: Dict) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     acc = EnsembleAutocorrelation(params.n_steps, max_lag)
-    steps = np.arange(params.n_steps)
-    one_value = np.zeros(params.n_steps, dtype=np.int8)  # codes of a one-value column
+    # one written block per group of records of an engine block, about a slice of rows
+    group = max(1, _ROWS_PER_SLICE // params.n_steps)
+    steps = np.arange(group * params.n_steps)
+    t_codes, id_codes = steps % params.n_steps, steps // params.n_steps
 
     # Records, not blocks: bench/child.py and bench/tracing.py time the engine
     # through ``iter_homodyne_records`` where this module looks it up.
@@ -580,11 +506,18 @@ def cmd_homodyne(cfg: Dict) -> int:
             kick=None if kick is None else float(kick),
             threads=int(cfg["threads"]),
         ):
+            block = rec.block
+            j = rec.traj_id - block.traj_ids.start
             # the autocorrelation takes the engine's whole block, at its first record
-            if rec.traj_id == rec.block.traj_ids.start:
-                acc.add(rec.block.current)
-            current, sigma_x = _shared_values(rec.current, rec.sigma_x, steps)
-            yield EncodedColumn(one_value, [rec.traj_id]), EncodedColumn(steps, rec.times), current, sigma_x
+            if j == 0:
+                acc.add(block.current)
+            if (j + 1) % group and rec.traj_id + 1 != block.traj_ids.stop:
+                continue
+            rows = slice(j - j % group, j + 1)
+            n = (rows.stop - rows.start) * params.n_steps
+            current, sigma_x = _shared_values(block.current[rows].ravel(), block.sigma_x[rows].ravel(), steps[:n])
+            ids, t = EncodedColumn(id_codes[:n], block.traj_ids[rows]), EncodedColumn(t_codes[:n], rec.times)
+            yield ids, t, current, sigma_x
 
     write_table(out_dir, "signal", blocks(), fmt)
     zeta = acc.result()

@@ -4,10 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qdecay import cli
+from qdecay import cli, tabletext
 from qdecay.cli import SCHEMAS, EncodedColumn, SchemaError, _shared_values, main, read_table, write_table
 from qdecay.core import ModelParams, derive_stream
 from qdecay.homodyne import (
@@ -288,13 +288,13 @@ class TestEncodedColumns:
             EncodedColumn(codes // 2, values),
         )
         converted = []
-        python_values = cli._values
+        format_values = tabletext.cells
 
-        def spy(col):
+        def spy(col, json):
             converted.append(col is values)
-            return python_values(col)
+            return format_values(col, json)
 
-        monkeypatch.setattr(cli, "_values", spy)
+        monkeypatch.setattr(tabletext, "cells", spy)
         enc, plain = self.write_both(tmp_path, "signal", [cols, cols], fmt)
         assert enc == plain
         assert converted.count(True) == 1
@@ -425,10 +425,11 @@ class TestReadTable:
         with pytest.raises(SchemaError, match="^decay_times.csv: "):
             read_table(str(tmp_path), "decay_times")
 
-    def test_parse_peak_is_bounded(self, tmp_path):
+    @pytest.mark.parametrize("fmt, bound", [("csv", 4e6), ("json", 20e6)], ids=["csv", "json"])
+    def test_parse_peak_is_bounded(self, tmp_path, fmt, bound):
         rng = np.random.default_rng(5)
         n = 100_000
-        write_table(str(tmp_path), "decay_times", [(np.arange(n), rng.exponential(size=n))], "csv")
+        write_table(str(tmp_path), "decay_times", [(np.arange(n), rng.exponential(size=n))], fmt)
         tracemalloc.start()
         try:
             cols = read_table(str(tmp_path), "decay_times")
@@ -436,7 +437,95 @@ class TestReadTable:
         finally:
             tracemalloc.stop()
         assert cols["t_decay"].size == n
-        assert peak < 4e6
+        assert peak < bound
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ('[{"traj_id": 0, "t_decay": 0.5}, {"t_decay": 1.5, "traj_id": 1}]', "column 1 expected 'traj_id'"),
+            ('[{"traj_id": 0}]', "column 2 expected 't_decay', got '<missing>'"),
+            ('[{"traj_id": 0, "t_decay": 0.5, "kind": 1}]', "unexpected extra columns"),
+            ('[{"traj_id": 0, "t_decay": "soon"}]', "^decay_times.json: "),
+            ('[[0, 0.5]]', "^decay_times.json: "),
+            ('{"traj_id": 0, "t_decay": 0.5}', "^decay_times.json: "),
+        ],
+    )
+    def test_bad_json_names_the_column_or_table(self, tmp_path, text, match):
+        (tmp_path / "decay_times.json").write_text(text)
+        with pytest.raises(SchemaError, match=match):
+            read_table(str(tmp_path), "decay_times")
+
+
+def written_cells(tmp_path, col, fmt):
+    """The text ``write_table`` gives each value of ``col``, written as a table's second column."""
+    write_table(str(tmp_path), "decay_times", [(np.arange(len(col)), col)], fmt)
+    lines = read_bytes(str(tmp_path), f"decay_times.{fmt}").decode().splitlines()
+    if fmt == "csv":
+        return [line.split(",", 1)[1] for line in lines[1:]]
+    return [line[line.index('"t_decay": ') + len('"t_decay": ') : line.rindex("}")] for line in lines[1:-1]]
+
+
+def reference_cells(col, fmt):
+    values = col.tolist() if isinstance(col, np.ndarray) else col
+    return [str(x) if fmt == "csv" else json.dumps(x) for x in values]
+
+
+def special_doubles():
+    """Powers of two and ten, the layout edges and their neighbours, zeros, NaN and infinities, both signs."""
+    edges = np.array([1e-4, 1e-5, 1e15, 1e16, 2.0**53, 2.0**54])
+    v = np.concatenate(
+        [
+            [2.0**k for k in range(-1074, 1024)],
+            [float(f"1e{k}") for k in range(-323, 309)],
+            edges,
+            np.nextafter(edges, np.inf),
+            np.nextafter(edges, -np.inf),
+            [0.0, float("nan"), float("inf"), 5e-324],
+        ]
+    )
+    return np.concatenate([v, -v])
+
+
+class TestCellText:
+    """Each cell ``write_table`` writes is ``str`` (CSV) or ``json.dumps`` (JSON) of its value."""
+
+    @settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_float_bit_patterns(self, tmp_path, bits):
+        # repeated to 300 values: a short column is formatted by str, not by the kernel
+        v = np.resize(np.array(bits, dtype=np.uint64), 300).view(np.float64)
+        for fmt in ("csv", "json"):
+            assert written_cells(tmp_path, v, fmt) == reference_cells(v, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_special_doubles(self, tmp_path, fmt):
+        v = special_doubles()
+        assert written_cells(tmp_path, v, fmt) == reference_cells(v, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_random_bit_patterns(self, tmp_path, fmt):
+        bits = np.random.default_rng(2024).integers(0, 2**64 - 1, 10**6, dtype=np.uint64, endpoint=True)
+        for part in np.array_split(bits.view(np.float64), 4):
+            assert written_cells(tmp_path, part, fmt) == reference_cells(part, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "col",
+        [
+            np.array([-(2**63), 2**63 - 1, 0, -1, 9, 10, 10**18], dtype=np.int64),
+            np.array([2**64 - 1, 0, 10**19 - 1, 10**19], dtype=np.uint64),
+            np.array([-128, 0, 127], dtype=np.int8),
+            np.random.default_rng(3).standard_normal(1000).astype(np.float32),
+            np.array([True, False]),
+            np.array(["quantum_jump", "", "\u00fc", 2.5, None], dtype=object),
+            [1, 2.5, "x", None, float("nan")],
+        ],
+        ids=["int64", "uint64", "int8", "float32", "bool", "object", "list"],
+    )
+    @pytest.mark.parametrize("length", [5, 300], ids=["short", "long"])
+    def test_other_columns(self, tmp_path, fmt, col, length):
+        col = np.resize(col, length) if isinstance(col, np.ndarray) else col * length
+        assert written_cells(tmp_path, col, fmt) == reference_cells(col, fmt)
 
 
 SIGN_BIT = -(2**63)

@@ -5,8 +5,9 @@
 
 Each ROOT is a checkout whose ``src/`` holds the ``qdecay`` package.  Under
 each tree, in a fresh interpreter, the script runs a fixed matrix of small
-runs: ``decay`` qmop/swf/nsm with and without ``record_steps``, ``homodyne``
-with white noise and the nsm point process, and ``rabi`` qmop/nsm, each in
+runs: ``decay`` qmop/swf/nsm with and without ``record_steps`` (and a qmop
+run whose times print in exponent notation), ``homodyne`` with white noise
+and the nsm point process (at theta 0 and 0.7), and ``rabi`` qmop/nsm, each in
 CSV and JSON at ``--threads`` 1 and 3.  It then compares the sha256 of every
 file the runs wrote.  It exits 0 when every file is identical, 1 naming each
 file that differs or that only one tree wrote, and 2 when a run fails.
@@ -35,8 +36,12 @@ CONFIGS = {
         for model in ("qmop", "swf", "nsm")
         for steps in (False, True)
     },
+    # gamma 2e4 on a 1e-6 grid: decay times below 1e-4 print in exponent notation
+    "decay-qmop-exponent": ("decay", dict(_DECAY, model="qmop", gamma=2e4, dt=1e-6, t_max=1e-3)),
     "homodyne-white": ("homodyne", dict(_HOMODYNE, noise="white")),
     "homodyne-pp": ("homodyne", dict(_HOMODYNE, noise="nsm_point_process", beta=10.0)),
+    # at theta 0.7 the current shares no cell with sigma_x
+    "homodyne-pp-theta": ("homodyne", dict(_HOMODYNE, noise="nsm_point_process", beta=10.0, theta=0.7)),
     "rabi-qmop": ("rabi", dict(_RABI, model="qmop")),
     "rabi-nsm": ("rabi", dict(_RABI, model="nsm", beta=0.5)),
 }
