@@ -126,10 +126,18 @@ def _shift_right(lo: np.ndarray, hi: np.ndarray, shift: np.ndarray) -> np.ndarra
     return (lo >> shift) | (hi << (np.uint64(64) - shift))
 
 
+def _n_digits(u: np.ndarray) -> np.ndarray:
+    """The decimal digits of each uint64 (1 for 0), from its bit length as in "Bit Twiddling Hacks"."""
+    u = u | np.uint64(1)
+    bits = (u.astype(np.float64).view(np.int64) >> 52) - 1022  # one too many where the float rounded up
+    t = bits * 1233 >> 12
+    return t + (u >= _POW10[t])
+
+
 def _layout(digits: np.ndarray, n_digits: int, layouts: np.ndarray, key: np.ndarray, chars: np.ndarray, exp=None):
     """Write ``digits`` (and the exponent ``exp``) into source rows, then lay them out by class ``key``."""
     source = np.empty((len(key), _SOURCE), dtype=np.uint8)
-    source[:, 24:] = np.frombuffer(_CONSTANTS, dtype=np.uint8)
+    source.view(np.uint64)[:, 3] = np.frombuffer(_CONSTANTS, dtype=np.uint64)
     words, quads, ten4 = source.view(np.uint32), _quads(), np.uint64(10_000)
     for col in range(4, 4 - -(-n_digits // 4), -1):
         q = digits // ten4
@@ -137,8 +145,8 @@ def _layout(digits: np.ndarray, n_digits: int, layouts: np.ndarray, key: np.ndar
         digits = q
     if exp is not None:
         words[:, 5] = quads[exp]
-    rows = np.arange(0, source.size, _SOURCE, dtype=np.int32)[:, None]
-    source.ravel().take(np.take(layouts, key, axis=0) + rows, out=chars)
+    rows = np.arange(0, source.size, _SOURCE, dtype=np.intp)[:, None]
+    source.ravel().take(np.take(layouts, key, axis=0) + rows, out=chars, mode="clip")
 
 
 def _float_cells(v: np.ndarray, json: bool, chars: np.ndarray) -> None:
@@ -180,7 +188,7 @@ def _float_cells(v: np.ndarray, json: bool, chars: np.ndarray) -> None:
     np.copyto(vr, q, where=removed > 0)
     out = vr + ((vr == vm) | ((removed > 0) & (last >= 5)))
     out[slow] = 0
-    n_digits = np.searchsorted(_POW10[1:17], out, side="right") + 1
+    n_digits = _n_digits(out)
     point = tab["e10"][exponent] + removed + n_digits
     point[slow] = 1
     x = np.abs(point - 1)
@@ -198,7 +206,7 @@ def _int_cells(v: np.ndarray, json: bool, chars: np.ndarray) -> None:
     negative = v < 0
     u = v.astype(np.int64 if v.dtype.kind == "i" else np.uint64).view(np.uint64)
     u = np.where(negative, np.uint64(0) - u, u)
-    n_digits = np.searchsorted(_POW10[1:], u, side="right") + 1
+    n_digits = _n_digits(u)
     _layout(u, int(n_digits.max()), _int_layouts(), n_digits - 1 + 20 * negative, chars)
 
 
