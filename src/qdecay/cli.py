@@ -47,6 +47,7 @@ from .homodyne import (
     default_kick,
     iter_homodyne_records,
 )
+from .tabletext import Rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -287,8 +288,6 @@ def write_table(out_dir: str, name: str, blocks, fmt: str) -> str:
     The table's file in the other format is deleted first, so that
     ``read_table`` cannot pick up a stale copy from an earlier run.
     """
-    from .tabletext import Rows  # imported at the first write, which keeps its compile out of start-up
-
     header = SCHEMAS[name]
     path = os.path.join(out_dir, f"{name}.{fmt}")
     with contextlib.suppress(FileNotFoundError):

@@ -5,12 +5,13 @@ holding ``str`` of it (CSV) or ``json.dumps`` of it (JSON), byte for byte.
 Floats get CPython's shortest round-trip ``repr`` digits from the common
 branch of Ryū's ``d2d`` in uint64 arithmetic (Adams, "Ryū: fast
 float-to-string conversion", PLDI 2018); zero, subnormals, non-finite values,
-``|v| >= 2**50`` and Ryū's trailing-zero cases go through ``str`` one by one.
-Integers get their digits by division by 10**4; other values, and columns
-too short to pay for the kernels, go through ``str``.  Digits land right-aligned in a source row per value, and a gather
-through a table of layouts, an index row per layout class, makes the text.
-``Rows`` lays a slice's cells between the table's separators and drops the
-padding.  The tables are built on first use.
+``|v| >= 2**50`` and Ryū's trailing-zero cases go through ``str`` (or
+``json.dumps``) one by one.  Integers get their digits by division by 10**4;
+other values, and columns too short to pay for the kernels, go through
+``str`` (``json.dumps``).  Digits land right-aligned in a source row per
+value, and a gather through a table of layouts, an index row per layout
+class, makes the text.  ``Rows`` lays a slice's cells between the table's
+separators and drops the padding.  The tables are built on first use.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qdecay import cli, tabletext
+from qdecay import tabletext
 from qdecay.cli import SCHEMAS, EncodedColumn, SchemaError, _shared_values, main, read_table, write_table
 from qdecay.core import ModelParams, derive_stream
 from qdecay.homodyne import (
@@ -526,6 +526,13 @@ class TestCellText:
     def test_other_columns(self, tmp_path, fmt, col, length):
         col = np.resize(col, length) if isinstance(col, np.ndarray) else col * length
         assert written_cells(tmp_path, col, fmt) == reference_cells(col, fmt)
+
+    def test_nul_in_a_csv_cell_raises(self, tmp_path):
+        # NUL pads the cells, so a CSV cell cannot hold one; JSON escapes it
+        col = np.array(["a\0b"], dtype=object)
+        with pytest.raises(ValueError, match="NUL"):
+            write_table(str(tmp_path), "decay_times", [(np.arange(1), col)], "csv")
+        assert written_cells(tmp_path, col, "json") == [json.dumps("a\0b")]
 
 
 SIGN_BIT = -(2**63)
