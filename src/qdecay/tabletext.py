@@ -260,18 +260,18 @@ class Rows:
     def write(self, fh, cols) -> None:
         """Write the rows of ``cols``, one column slice per header key, to the binary file ``fh``."""
         previous, self._cache = self._cache, {}
-        cells = [self._column(name, col, previous) for name, col in zip(self.header, cols, strict=True)]
+        columns = [self._column(name, col, previous) for name, col in zip(self.header, cols, strict=True)]
         pieces = [self._separators[0]]
-        for chars, sep in zip(cells, self._separators[1:]):
+        for chars, sep in zip(columns, self._separators[1:]):
             pieces += [np.zeros(chars.shape[1], dtype=np.uint8), sep]
-        text = np.empty((len(cells[0]), sum(map(len, pieces))), dtype=np.uint8)
+        text = np.empty((len(columns[0]), sum(map(len, pieces))), dtype=np.uint8)
         text[:] = np.concatenate(pieces)
         at = len(pieces[0])
-        for chars, sep in zip(cells, self._separators[1:]):
+        for chars, sep in zip(columns, self._separators[1:]):
             text[:, at : at + chars.shape[1]] = chars
             at += chars.shape[1] + len(sep)
         out = text[text != 0]
-        if self.json and self.n_rows == 0 and len(text):
+        if self.json and self.n_rows == 0 and len(text):  # the table's first row opens the array
             out[:2] = np.frombuffer(b"[\n", dtype=np.uint8)
         self.n_rows += len(text)
         fh.write(out)
