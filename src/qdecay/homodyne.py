@@ -229,10 +229,15 @@ def point_process_increments(stream, n: int, dt: float, beta: float, kick: float
     """
     if beta < 0.0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    gen = as_generator(stream)
+    counts, net = _pulses(as_generator(stream), n, dt, beta)
+    return kick * net, counts
+
+
+def _pulses(gen, n: int, dt: float, beta: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-step pulse counts (Poisson, mean beta*dt) and net kicks ``2*heads - counts``, both int64."""
     counts = gen.poisson(beta * dt, n)
     heads = gen.binomial(counts, 0.5)
-    return kick * (2.0 * heads - counts), counts
+    return counts, 2 * heads - counts
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +249,9 @@ def point_process_increments(stream, n: int, dt: float, beta: float, kick: float
 class HomodyneRecord:
     """Sampled difference current and dipole of one monitored trajectory.
 
-    ``block`` is the engine block the record was cut from: its arrays are
+    ``kick_counts`` (point process only) holds the pulses per step, in the
+    narrowest signed integer dtype that holds the largest count of the
+    record's engine block.  ``block`` is that block: the record's arrays are
     rows of the block's.
     """
 
@@ -263,6 +270,9 @@ class HomodyneBlock:
 
     Row ``j`` of ``current``, ``sigma_x`` and ``kick_counts`` belongs to
     trajectory ``traj_ids[j]``; every trajectory shares ``times``.
+    ``kick_counts`` has the narrowest signed integer dtype that holds the
+    block's largest count (int8 up to 127 pulses in a step), so a sparse
+    point process keeps one byte per step.
     """
 
     traj_ids: range
@@ -296,18 +306,29 @@ def _lockstep_run(params, noise_model, theta, kick, rho0, m, gens):
     to the end of its noise before the next is requested.  Every operation is
     elementwise over the block, so results per trajectory are identical
     however trajectories are grouped into blocks.
+
+    The noise is held step-major, row ``k`` for step ``k``, and the increment
+    is ``scale * steps[k]``: the Wiener increments with scale 1, or the net
+    pulse counts with scale ``kick``, in the narrowest signed integer dtype
+    that holds the block's largest count (``kick_counts`` too).  Either
+    product is the float the sampler returns, bit for bit.
     """
     n_steps = params.n_steps
     dt = params.dt
-    noise = np.empty((m, n_steps))
     counts = None
     if noise_model is NoiseModel.WHITE:
+        steps, scale = np.empty((n_steps, m)), 1.0
         for j, gen in enumerate(gens):
-            noise[j] = white_noise_increments(gen, n_steps, dt)
+            steps[:, j] = white_noise_increments(gen, n_steps, dt)
     else:
-        counts = np.empty((m, n_steps), dtype=np.int64)
+        steps, scale = np.empty((n_steps, m), dtype=np.int8), kick
+        counts = np.empty((m, n_steps), dtype=np.int8)
         for j, gen in enumerate(gens):
-            noise[j], counts[j] = point_process_increments(gen, n_steps, dt, params.beta, kick)
+            c, net = _pulses(gen, n_steps, dt, params.beta)
+            wide = np.promote_types(counts.dtype, np.min_scalar_type(-1 - int(c.max(initial=0))))
+            if wide != counts.dtype:
+                steps, counts = steps.astype(wide), counts.astype(wide)
+            steps[:, j], counts[j] = net, c
 
     ee = np.full(m, rho0.rho_ee)
     gg = np.full(m, rho0.rho_gg)
@@ -323,7 +344,7 @@ def _lockstep_run(params, noise_model, theta, kick, rho0, m, gens):
     cos_p, sin_p = math.cos(phi), math.sin(phi)
 
     for k in range(n_steps):
-        dW = noise[:, k]
+        dW = scale * steps[k]
         sig[:, k] = 2.0 * re
         cur[:, k] = 2.0 * (cos_t * re - sin_t * im) + dW / dt
 

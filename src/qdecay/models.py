@@ -515,10 +515,12 @@ _NSM_BUFFER = 4 * _NSM_BUFFER_CTRS
 class _StreamCursors:
     """Draw ``pos[j]`` of the stream ``(seed, ids[j])``, read by position from Philox blocks.
 
-    Each trajectory keeps its own position and a buffer of the
-    ``_NSM_BUFFER`` draws from the start of the counter holding it.  When
-    one of the rows asked for runs short, every one of them that is under
-    half full is refilled, so refills batch into few ``philox_uniforms``
+    Each trajectory keeps its own position and a window of the
+    ``_NSM_BUFFER`` draws from ``base[j]`` on.  When one of the rows asked
+    for runs short, every one of them whose position is in the upper half
+    of its window slides it by half: the upper half moves down and only the
+    counters of the new upper half are evaluated, so no ``(id, counter)``
+    pair is evaluated twice, and refills batch into few ``philox_uniforms``
     calls.
     """
 
@@ -527,18 +529,20 @@ class _StreamCursors:
         self.seed = seed
         self.ids = ids.start + np.arange(m, dtype=np.uint64)
         self.pos = np.zeros(m, dtype=np.int64)
-        self.base = np.full(m, -_NSM_BUFFER, dtype=np.int64)  # empty buffers
+        self.base = np.full(m, -_NSM_BUFFER, dtype=np.int64)  # empty windows, ending before draw 0
         self.buf = np.empty((m, _NSM_BUFFER))
 
     def take(self, rows: np.ndarray, need: int) -> np.ndarray:
         """The next draw of each of ``rows``, after making sure ``need`` of them are buffered."""
+        half = _NSM_BUFFER // 2
         left = self.base[rows] + _NSM_BUFFER - self.pos[rows]
         if (left < need).any():
-            r = rows[left < _NSM_BUFFER // 2]
-            ctr = self.pos[r] // 4
-            self.base[r] = 4 * ctr
-            counters = ctr[:, None] + np.arange(1, _NSM_BUFFER_CTRS + 1)
-            self.buf[r] = philox_uniforms(self.seed, self.ids[r][:, None], counters).reshape(r.size, _NSM_BUFFER)
+            r = rows[left < half]
+            self.base[r] += half
+            self.buf[r, :half] = self.buf[r, half:]
+            # draw d is lane d % 4 of counter d // 4 + 1
+            counters = (self.base[r] + half)[:, None] // 4 + np.arange(1, half // 4 + 1)
+            self.buf[r, half:] = philox_uniforms(self.seed, self.ids[r][:, None], counters).reshape(r.size, half)
         p = self.pos[rows]
         self.pos[rows] = p + 1
         return self.buf[rows, p - self.base[rows]]
@@ -564,10 +568,21 @@ def _fluctuation_gaps(draws: _StreamCursors, rows: np.ndarray, beta: float) -> n
 
 
 def _trajectory_order(rounds: list) -> Tuple[np.ndarray, ...]:
-    """The rounds' column tuples joined and stably sorted on their first column."""
-    cols = [np.concatenate(c) for c in zip(*rounds)]
-    order = np.argsort(cols[0], kind="stable")
-    return tuple(c[order] for c in cols)
+    """The rounds' column tuples joined and stably sorted on their first column.
+
+    Empties ``rounds``: one column at a time is joined, its pieces released
+    and the join gathered in order.
+    """
+    columns = [list(c) for c in zip(*rounds)]
+    rounds.clear()
+    out = []
+    for pieces in columns:
+        joined = np.concatenate(pieces)
+        pieces.clear()
+        if not out:
+            order = np.argsort(joined, kind="stable")
+        out.append(joined[order])
+    return tuple(out)
 
 
 def _covering_segment(segments, n: int, traj: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -649,8 +664,9 @@ def _fluctuation_rounds(params: ModelParams, seed: int, ids: range, live: np.nda
     the rest and returns the fluctuations' columns, the columns of the
     segments they start and a mask of the trajectories that go on.  A
     trajectory also leaves when its next fluctuation falls past ``t_max``.
-    Returns the columns ``(traj, t, gap, drop, ...)`` and ``(traj, k_start,
-    ...)``, ``first`` the segments from step 0, in trajectory order.
+    Returns two lists with a column tuple per round, ``(traj, t, gap, drop,
+    ...)`` and ``(traj, k_start, ...)``, ``first`` the segments from step 0,
+    for ``_trajectory_order`` to put in trajectory order.
     """
     m = len(ids)
     draws = _StreamCursors(seed, ids)
@@ -674,7 +690,7 @@ def _fluctuation_rounds(params: ModelParams, seed: int, ids: range, live: np.nda
             break
         live, t = live[stay], t[stay]
         t_prev[live] = t
-    return _trajectory_order(fluct), _trajectory_order(segs)
+    return fluct, segs
 
 
 def _lockstep_nsm(params: ModelParams, w_exc0: float, seed: int, ids: range, forced: Optional[np.ndarray] = None):
@@ -685,11 +701,12 @@ def _lockstep_nsm(params: ModelParams, w_exc0: float, seed: int, ids: range, for
     otherwise it is terminal, and the emission time inside the gap comes
     from ``u`` by conditioning.  A ground input, or ``beta == 0`` without
     ``forced`` times, draws nothing.  Returns the decay times (nan where
-    censored) and the columns of ``_fluctuation_rounds``: ``(traj, t, gap,
-    drop, terminal, survive)`` and ``(traj, k_start, w, t_reset)``, from
-    grid step ``k_start`` on ``w * exp(-gamma * (k * dt - t_reset))``: each
-    trajectory starts with ``(0, w_exc0, 0)``, a reset at ``t`` adds ``(k,
-    1, t)`` and the jump ``(k, 0, 0)``, ``k`` the first grid step >= ``t``.
+    censored) and the columns of ``_fluctuation_rounds`` in trajectory
+    order: ``(traj, t, gap, drop, terminal, survive)`` and ``(traj, k_start,
+    w, t_reset)``, from grid step ``k_start`` on ``w * exp(-gamma * (k * dt
+    - t_reset))``: each trajectory starts with ``(0, w_exc0, 0)``, a reset at
+    ``t`` adds ``(k, 1, t)`` and the jump ``(k, 0, 0)``, ``k`` the first grid
+    step >= ``t``.
     """
     grid = np.arange(params.n_steps + 1) * params.dt
     m = len(ids)
@@ -709,7 +726,8 @@ def _lockstep_nsm(params: ModelParams, w_exc0: float, seed: int, ids: range, for
         return (terminal, survive), seg, ~terminal
 
     live = np.arange(m if w_exc0 > 0.0 and (params.beta > 0.0 or forced is not None) else 0)
-    return decay_times, *_fluctuation_rounds(params, seed, ids, live, (w.copy(), np.zeros(m)), reduce, forced)
+    rounds = _fluctuation_rounds(params, seed, ids, live, (w.copy(), np.zeros(m)), reduce, forced)
+    return decay_times, *map(_trajectory_order, rounds)
 
 
 def _nsm_occupation(segments, gamma: float, grid: np.ndarray, traj: np.ndarray, k: np.ndarray) -> np.ndarray:

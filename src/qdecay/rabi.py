@@ -60,6 +60,7 @@ from .models import (
     _segment_bin_means,
     _step_rows,
     _trajectory_events,
+    _trajectory_order,
     _truncated_exponential_time,
 )
 
@@ -285,10 +286,10 @@ def _lockstep_driven_nsm(plan: _DrivenPlan, seed: int, ids: range):
     against the table's occupation there and, on the to-ground branch only,
     the photon.
 
-    Returns ``(fluctuations, segments)`` (``models._fluctuation_rounds``):
-    ``(traj, t, gap, drop, to_ground, emitted, p_exc)`` and ``(traj, k_start,
-    table)``, from whose step ``k_start`` on the occupation series reads
-    ``occ[table][k - k_start]``.
+    Returns the rounds of ``models._fluctuation_rounds``, fluctuations
+    ``(traj, t, gap, drop, to_ground, emitted, p_exc)`` and segments
+    ``(traj, k_start, table)``, from whose step ``k_start`` on the occupation
+    series reads ``occ[table][k - k_start]``; ``_trajectory_order`` joins them.
     """
     n, dt = plan.params.n_steps, plan.params.dt
     m = len(ids)
@@ -350,7 +351,7 @@ def run_driven_trajectory(
     nsm_events: tuple = ()
     if params.model is Model.NSM:
         i = stream.stream_id
-        fluct, segments = _lockstep_driven_nsm(plan, stream.root_seed, range(i, i + 1))
+        fluct, segments = map(_trajectory_order, _lockstep_driven_nsm(plan, stream.root_seed, range(i, i + 1)))
         _, t_c, gap, drop, to_ground, emitted, p_exc = fluct
         outcomes = [(NsmOutcome.RESET_TO_EXCITED, NsmOutcome.JUMP_TO_GROUND)[b] for b in to_ground.tolist()]
         nsm_events = tuple(map(NsmEvent, t_c.tolist(), gap.tolist(), drop.tolist(), outcomes))
@@ -422,19 +423,22 @@ def run_driven_ensemble(
     n_bins = n_steps // bin_steps if bin_steps else 0
     edges = np.arange(n_bins + 1) * (bin_steps or 1)
 
+    def nsm_group(group: range, vals: np.ndarray):
+        fluct, segments = _lockstep_driven_nsm(plan, params.seed, group)
+        if bin_steps:
+            occ = plan.nsm_tables()[0]
+            segments = _trajectory_order(segments)
+            occupation = partial(_segment_occupation, occ, segments, n_steps)
+            vals[:] = _segment_bin_means(segments, len(group), n_steps, bin_steps, occ, segments[2], occupation)
+        # the emissions and drops only: the other columns, and without bins the segments, are never joined
+        fluct = [(traj, t, drop, emitted) for traj, t, _, drop, _, emitted, _ in fluct]
+        _, t, drop, emitted = _trajectory_order(fluct)
+        return t[emitted], drop, drop[emitted]
+
     def nsm_work(ids: range):
-        occ = plan.nsm_tables()[0]
         vals = np.empty((len(ids), n_bins))
-        parts = []
-        for lo in range(0, len(ids), _NSM_GROUP):
-            group = ids[lo : lo + _NSM_GROUP]
-            fluct, segments = _lockstep_driven_nsm(plan, params.seed, group)
-            _, t, _, drop, _, emitted, _ = fluct
-            if bin_steps:
-                occupation = partial(_segment_occupation, occ, segments, n_steps)
-                bins = _segment_bin_means(segments, len(group), n_steps, bin_steps, occ, segments[2], occupation)
-                vals[lo : lo + len(group)] = bins
-            parts.append((t[emitted], drop, drop[emitted]))
+        starts = range(0, len(ids), _NSM_GROUP)
+        parts = [nsm_group(ids[lo : lo + _NSM_GROUP], vals[lo : lo + _NSM_GROUP]) for lo in starts]
         return (*map(np.concatenate, zip(*parts)), vals)
 
     def step_model_work(ids: range):

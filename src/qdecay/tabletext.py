@@ -33,6 +33,8 @@ _FLOAT_WIDTH = 24  # the longest repr: "-2.2250738585072014e-308"
 _INT_WIDTH = 21
 _CHUNK = 8192  # values per kernel call, which bounds its work arrays
 _KERNEL_MIN = 256  # fewer values than this go through str faster than the kernels' fixed cost
+_GATHER = 512  # values per gather: its intp index takes 8 bytes per character of a layout
+_PIECE = 1 << 16  # bytes of row text whose padding is dropped at once
 
 _M32 = np.uint64(0xFFFFFFFF)
 _MANTISSA = np.uint64((1 << 52) - 1)
@@ -146,14 +148,25 @@ def _layout(digits: np.ndarray, n_digits: int, layouts: np.ndarray, key: np.ndar
         digits = q
     if exp is not None:
         words[:, 5] = quads[exp]
-    rows = np.arange(0, source.size, _SOURCE, dtype=np.intp)[:, None]
-    source.ravel().take(np.take(layouts, key, axis=0) + rows, out=chars, mode="clip")
+    flat = source.ravel()
+    for lo in range(0, len(key), _GATHER):
+        index = np.take(layouts, key[lo : lo + _GATHER], axis=0) + np.arange(
+            lo * _SOURCE, min(lo + _GATHER, len(key)) * _SOURCE, _SOURCE, dtype=np.intp
+        )[:, None]
+        flat.take(index, out=chars[lo : lo + _GATHER], mode="clip")
 
 
-def _float_cells(v: np.ndarray, json: bool, chars: np.ndarray) -> None:
+def _product(mv: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The words ``(w0, w1, w2)``, low first, of the 192-bit ``mv * (t_hi:t_lo)``."""
+    a_hi, w0 = _mul64(mv, t_lo)
+    b_hi, b_lo = _mul64(mv, t_hi)
+    w1 = a_hi + b_lo
+    return w0, w1, b_hi + (w1 < a_hi)
+
+
+def _interval(bits: np.ndarray, exponent: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Ryū's ``vr``, ``vp`` and ``vm`` of each double, and whether it leaves the kernel's branch."""
     tab = _ryu()
-    bits = v.view(np.uint64)
-    exponent = (bits >> np.uint64(52)).view(np.int64) & 0x7FF
     mantissa = bits & _MANTISSA
     mv = (mantissa | np.uint64(1 << 52)) << np.uint64(2)
     low_q = (np.uint64(1) << tab["q63"][exponent]) - np.uint64(1)
@@ -162,20 +175,23 @@ def _float_cells(v: np.ndarray, json: bool, chars: np.ndarray) -> None:
     # shifted right by j; with P = 4*m2*T, the last two are P + 2T and
     # P - (1 + mmShift)T, so two wide products serve all three
     t_lo, t_hi, shift = tab["t_lo"][exponent], tab["t_hi"][exponent], tab["shift"][exponent]
-    a_hi, a_lo = _mul64(mv, t_lo)
-    b_hi, b_lo = _mul64(mv, t_hi)
-    w1 = a_hi + b_lo
-    w2 = b_hi + (w1 < a_hi)
+    w0, w1, w2 = _product(mv, t_lo, t_hi)
     vr = _shift_right(w1, w2, shift)
     d0, d1 = t_lo << np.uint64(1), (t_hi << np.uint64(1)) | (t_lo >> np.uint64(63))  # 2T
-    carry = (a_lo + d0 < d0) + d1
+    carry = (w0 + d0 < d0) + d1
     x1 = w1 + carry
     vp = _shift_right(x1, w2 + (x1 < carry), shift)
     mm_shift = (mantissa != 0) | (exponent <= 1)
-    borrow = (a_lo < np.where(mm_shift, d0, t_lo)) + np.where(mm_shift, d1, t_hi)
+    borrow = (w0 < np.where(mm_shift, d0, t_lo)) + np.where(mm_shift, d1, t_hi)
     vm = _shift_right(w1 - borrow, w2 - (w1 < borrow), shift)
+    return vr, vp, vm, slow
+
+
+def _shortest(bits: np.ndarray, exponent: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shortest digits of each double, the number of digits removed, and the ``slow`` mask."""
+    vr, vp, vm, slow = _interval(bits, exponent)
     # remove the most digits r with vp // 10**r > vm // 10**r, by bisection
-    removed = np.zeros(v.size, dtype=np.int64)
+    removed = np.zeros(vr.size, dtype=np.int64)
     for step in (16, 8, 4, 2, 1):
         vp_s, vm_s = vp // _POW10[step], vm // _POW10[step]
         drop = vp_s > vm_s
@@ -187,10 +203,17 @@ def _float_cells(v: np.ndarray, json: bool, chars: np.ndarray) -> None:
     q = vr // np.uint64(10)
     last = vr - q * np.uint64(10)
     np.copyto(vr, q, where=removed > 0)
-    out = vr + ((vr == vm) | ((removed > 0) & (last >= 5)))
+    return vr + ((vr == vm) | ((removed > 0) & (last >= 5))), removed, slow
+
+
+def _float_cells(v: np.ndarray, json: bool, chars: np.ndarray) -> None:
+    # each stage is a function, whose work arrays are freed when it returns
+    bits = v.view(np.uint64)
+    exponent = (bits >> np.uint64(52)).view(np.int64) & 0x7FF
+    out, removed, slow = _shortest(bits, exponent)
     out[slow] = 0
     n_digits = _n_digits(out)
-    point = tab["e10"][exponent] + removed + n_digits
+    point = _ryu()["e10"][exponent] + removed + n_digits
     point[slow] = 1
     x = np.abs(point - 1)
     key = np.where((point > -4) & (point <= 16), 17 * point + 51, 340 + 34 * (point < 1) + 17 * (x >= 100))
@@ -256,6 +279,7 @@ class Rows:
             texts = [""] + [","] * (len(self.header) - 1) + ["\n"]
         self._separators = [np.frombuffer(t.encode(), dtype=np.uint8) for t in texts]
         self._cache: dict = {}  # id(values) -> (values, cells)
+        self._text = np.empty(0, dtype=np.uint8)  # the slice's text, grown as needed and reused
 
     def write(self, fh, cols) -> None:
         """Write the rows of ``cols``, one column slice per header key, to the binary file ``fh``."""
@@ -264,17 +288,24 @@ class Rows:
         pieces = [self._separators[0]]
         for chars, sep in zip(columns, self._separators[1:]):
             pieces += [np.zeros(chars.shape[1], dtype=np.uint8), sep]
-        text = np.empty((len(columns[0]), sum(map(len, pieces))), dtype=np.uint8)
+        shape = (len(columns[0]), sum(map(len, pieces)))
+        size = shape[0] * shape[1]
+        if self._text.size < size:
+            self._text = np.empty(size, dtype=np.uint8)
+        text = self._text[:size].reshape(shape)
         text[:] = np.concatenate(pieces)
         at = len(pieces[0])
         for chars, sep in zip(columns, self._separators[1:]):
             text[:, at : at + chars.shape[1]] = chars
             at += chars.shape[1] + len(sep)
-        out = text[text != 0]
         if self.json and self.n_rows == 0 and len(text):  # the table's first row opens the array
-            out[:2] = np.frombuffer(b"[\n", dtype=np.uint8)
+            text[0, :2] = np.frombuffer(b"[\n", dtype=np.uint8)
         self.n_rows += len(text)
-        fh.write(out)
+        # the padding is dropped from a few rows at a time, which bounds the mask and the bytes out
+        step = max(1, _PIECE // shape[1])
+        for lo in range(0, len(text), step):
+            piece = text[lo : lo + step]
+            fh.write(piece[piece != 0])
 
     def end(self) -> bytes:
         """What follows the last row."""

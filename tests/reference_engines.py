@@ -11,6 +11,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from qdecay.core import EventKind, Model, ModelParams, QubitState, TrajectoryEvent, TrajectoryRecord, normalize
+from qdecay.homodyne import NoiseModel, point_process_increments, white_noise_increments
 from qdecay.models import (
     NSM_BETA_ZERO_FLAG,
     NsmEvent,
@@ -236,6 +237,51 @@ def driven_nsm_record(params, drive, stream, initial_state=None, record_steps=Fa
         nsm_events=tuple(NsmEvent(t, gap, a, outcomes[to_ground]) for t, gap, a, to_ground in fluctuations),
         occupation_series=series if record_steps else None,
     )
+
+
+def homodyne_block(params: ModelParams, noise_model: NoiseModel, theta: float, kick: float, rho0, gens):
+    """``(current, sigma_x, kick_counts)`` of a homodyne block, from a float64 noise matrix.
+
+    Each trajectory's increments come from the public samplers into one
+    ``(m, n_steps)`` float64 row, its counts into an int64 row; the state
+    loop is the lock-step engine's, one step at a time over the block.
+    """
+    gens = list(gens)
+    m, n_steps, dt = len(gens), params.n_steps, params.dt
+    noise = np.empty((m, n_steps))
+    counts = None
+    if noise_model is NoiseModel.WHITE:
+        for j, gen in enumerate(gens):
+            noise[j] = white_noise_increments(gen, n_steps, dt)
+    else:
+        counts = np.empty((m, n_steps), dtype=np.int64)
+        for j, gen in enumerate(gens):
+            noise[j], counts[j] = point_process_increments(gen, n_steps, dt, params.beta, kick)
+    ee, gg = np.full(m, rho0.rho_ee), np.full(m, rho0.rho_gg)
+    re, im = np.full(m, rho0.rho_eg.real), np.full(m, rho0.rho_eg.imag)
+    cur, sig = np.empty((m, n_steps)), np.empty((m, n_steps))
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    x = math.exp(-0.5 * params.gamma * dt)
+    phi = (params.omega0 - params.omega1) * dt
+    cos_p, sin_p = math.cos(phi), math.sin(phi)
+    for k in range(n_steps):
+        dW = noise[:, k]
+        sig[:, k] = 2.0 * re
+        cur[:, k] = 2.0 * (cos_t * re - sin_t * im) + dW / dt
+        tr = 2.0 * re
+        ee, gg, re, im = ee - dW * tr * ee, gg + dW * (2.0 * re - tr * gg), re + dW * (ee - tr * re), im - dW * tr * im
+        mean = 0.5 * (ee + gg)
+        disc = np.sqrt((0.5 * (ee - gg)) ** 2 + re * re + im * im)
+        lo = mean - disc
+        bad = lo < 0.0
+        if bad.any():
+            span = np.where(bad & (disc > 0.0), 2.0 * disc, 1.0)
+            ee, gg = np.where(bad, (ee - lo) / span, ee), np.where(bad, (gg - lo) / span, gg)
+            re, im = np.where(bad, re / span, re), np.where(bad, im / span, im)
+        t2 = x * x * ee + gg
+        ee, gg = x * x * ee / t2, gg / t2
+        re, im = x * (re * cos_p - im * sin_p) / t2, x * (re * sin_p + im * cos_p) / t2
+    return cur, sig, counts
 
 
 def patched_philox(real, values):

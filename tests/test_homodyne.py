@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_engines import homodyne_block
 
 from qdecay.core import ModelParams, QubitState, derive_stream
 from qdecay.homodyne import (
     DensityMatrix2,
     EnsembleAutocorrelation,
+    NoiseModel,
+    _initial_rho,
     apply_detection_exact,
     apply_detection_first_order,
     autocorrelation,
@@ -301,6 +304,46 @@ class TestHomodyneTrajectory:
                 ee, gg, eg = (ee - lo) / span, (gg - lo) / span, eg / span
             t2 = x * x * ee + gg
             rho = DensityMatrix2(x * x * ee / t2, gg / t2, x * eg / t2)
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+class TestLockstepNoise:
+    """The engine's narrow step-major noise against the float64 noise matrix it replaced."""
+
+    # beta 2e4: about 200 pulses per step, past int8 from the first
+    # trajectory on; beta 1e4 at seed 0: block 0's counts pass 127 only at
+    # its third trajectory, block 1's never do
+    CASES = {"white": ("white", 10.0, 3), "dense": ("nsm_point_process", 2e4, 5), "widening": ("nsm_point_process", 1e4, 0)}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_blocks_match_float_noise_oracle(self, case):
+        noise, beta, seed = self.CASES[case]
+        p = _quiet_params(model="nsm", beta=beta, dt=0.01, t_max=0.3, n_traj=10, seed=seed)
+        noise = NoiseModel(noise)
+        kick = default_kick(beta) if noise is NoiseModel.NSM_POINT_PROCESS else 0.0
+        recs = run_homodyne_ensemble(p, noise, theta=0.4, chunk=4)
+        dtypes = []
+        for lo in range(0, p.n_traj, 4):
+            ids = range(lo, min(lo + 4, p.n_traj))
+            gens = (derive_stream(p.seed, i).generator() for i in ids)
+            cur, sig, counts = homodyne_block(p, noise, 0.4, kick, _initial_rho(None), gens)
+            block = recs[lo].block
+            assert np.array_equal(bits(block.current), bits(cur)) and np.array_equal(bits(block.sigma_x), bits(sig))
+            if counts is None:
+                assert block.kick_counts is None
+                continue
+            assert np.array_equal(block.kick_counts, counts)
+            assert block.kick_counts.dtype == np.min_scalar_type(-1 - int(counts.max()))
+            dtypes.append(block.kick_counts.dtype)
+            for i in ids:
+                rec_counts = recs[i].kick_counts
+                expected = point_process_increments(derive_stream(p.seed, i), p.n_steps, p.dt, beta, kick)[1]
+                assert expected.dtype == np.int64 and np.array_equal(rec_counts, expected)
+                assert np.iinfo(rec_counts.dtype).max >= expected.max()
+        assert dtypes == {"white": [], "dense": [np.int16] * 3, "widening": [np.int16, np.int8, np.int8]}[case]
 
 
 class TestNoiseSamplers:

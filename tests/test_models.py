@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from reference_engines import PatchedGenerator, assert_same_record, nsm_record, patched_philox, step_decay_record
 from scipy.integrate import quad
 
-from qdecay import models, stats
+from qdecay import models, rabi, stats
 from qdecay.core import EncodedColumn, EventKind, ModelParams, QubitState, derive_stream
 from qdecay.models import (
     NSM_BETA_ZERO_FLAG,
@@ -692,6 +692,55 @@ class TestBatchedNsmEngine:
         for i in range(3):
             with pytest.raises(ValueError, match="strictly increasing from 0"):
                 run_nsm_trajectory(p, derive_stream(0, i), fluctuation_times=forced)
+
+
+class TestStreamCursors:
+    """Draws read by position: each is its stream's draw there, and each Philox pair is evaluated once."""
+
+    @staticmethod
+    def spy_pairs(monkeypatch) -> list:
+        pairs, real = [], models.philox_uniforms
+
+        def philox_uniforms(seed, ids, counters):
+            i, c = np.broadcast_arrays(np.asarray(ids, dtype=np.uint64), np.asarray(counters, dtype=np.uint64))
+            pairs.extend(zip(i.ravel().tolist(), c.ravel().tolist()))
+            return real(seed, ids, counters)
+
+        monkeypatch.setattr(models, "philox_uniforms", philox_uniforms)
+        return pairs
+
+    def test_each_pair_is_evaluated_once_per_group(self, monkeypatch):
+        pairs = self.spy_pairs(monkeypatch)
+        p = params(model="nsm", beta=30.0, t_max=1.01, seed=7)
+        models._lockstep_nsm(p, 1.0, p.seed, range(2**64 - 300, 2**64))
+        decay_pairs = list(pairs)
+        pairs.clear()
+        p = ModelParams(gamma=0.5, dt=0.01, t_max=4.0, n_traj=1, seed=7, model="nsm", beta=8.0, omega_rabi=4.0)
+        plan = rabi._driven_plan(p, rabi.DriveParams(omega_rabi=4.0), QubitState.ground())
+        rabi._lockstep_driven_nsm(plan, p.seed, range(300))
+        for requested, start in ((decay_pairs, 2**64 - 300), (pairs, 0)):
+            # every stream, and windows slid past their first eight counters
+            assert {i for i, _ in requested} == set(range(start, start + 300))
+            assert max(c for _, c in requested) > 8
+            assert len(set(requested)) == len(requested)
+
+    @settings(deadline=None, max_examples=40)
+    @example(seed=2**64 - 1, start=2**64 - 5, takes=[([True] * 5, 3)] * 90)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        start=st.one_of(st.sampled_from([0, 2**63 - 3, 2**64 - 5]), st.integers(0, 2**64 - 5)),
+        takes=st.lists(st.tuples(st.lists(st.booleans(), min_size=5, max_size=5), st.integers(1, 3)), max_size=120),
+    )
+    def test_positions_read_are_the_stream_draws(self, seed, start, takes):
+        ids = range(start, start + 5)
+        gens = [derive_stream(seed, i).generator() for i in ids]
+        with pytest.MonkeyPatch.context() as mp:
+            pairs = self.spy_pairs(mp)
+            cursors = models._StreamCursors(seed, ids)
+            for mask, need in takes:
+                rows = np.flatnonzero(mask)
+                assert cursors.take(rows, need).tolist() == [gens[j].random() for j in rows]
+        assert len(set(pairs)) == len(pairs)
 
 
 class TestEnsembleDeterminism:

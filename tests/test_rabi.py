@@ -243,13 +243,20 @@ class TestDrivenEnsemble:
         assert models._fluctuation_gaps(Rows(), np.arange(3), beta).tolist() == expected
         assert rows == [[], [], []]
 
-    def test_ensemble_without_bins(self):
+    # groups of 64: several lock-step groups in each thread's chunk
+    @pytest.mark.parametrize("group", [64, models._NSM_GROUP])
+    def test_ensemble_without_bins(self, monkeypatch, group):
         p = driven_params(model="nsm", gamma=0.5, beta=0.8, omega=4.0, dt=0.01, t_max=8.0, n_traj=300, seed=9)
         drive = DriveParams(omega_rabi=4.0)
-        with_bins = run_driven_ensemble(p, drive, bin_steps=40, threads=2)
+        one_group = run_driven_ensemble(p, drive, bin_steps=20)
+        monkeypatch.setattr(rabi, "_NSM_GROUP", group)
+        with_bins = run_driven_ensemble(p, drive, bin_steps=20, threads=2)
         without = run_driven_ensemble(p, drive, bin_steps=None, threads=2)
         for name in ("emission_times", "drop_all", "drop_emission"):
             assert np.array_equal(getattr(without, name), getattr(with_bins, name))
+            assert np.array_equal(getattr(with_bins, name), getattr(one_group, name))
+        assert np.array_equal(with_bins.occupation_mean, one_group.occupation_mean)
+        assert np.array_equal(with_bins.occupation_se, one_group.occupation_se)
         assert without.bin_centers is None and without.occupation_mean is None and without.occupation_se is None
         assert without.emission_times.size > 0
 
