@@ -150,9 +150,8 @@ def _layout(digits: np.ndarray, n_digits: int, layouts: np.ndarray, key: np.ndar
         words[:, 5] = quads[exp]
     flat = source.ravel()
     for lo in range(0, len(key), _GATHER):
-        index = np.take(layouts, key[lo : lo + _GATHER], axis=0) + np.arange(
-            lo * _SOURCE, min(lo + _GATHER, len(key)) * _SOURCE, _SOURCE, dtype=np.intp
-        )[:, None]
+        rows = np.arange(lo, min(lo + _GATHER, len(key)), dtype=np.intp)[:, None] * _SOURCE
+        index = np.take(layouts, key[lo : lo + _GATHER], axis=0) + rows
         flat.take(index, out=chars[lo : lo + _GATHER], mode="clip")
 
 
@@ -267,7 +266,8 @@ class Rows:
     ``[\\n ... \\n]\\n``.  An encoded column's values are formatted once and
     gathered by code.  That cache is keyed by the values object's ``id`` and
     holds the object, so the id cannot be reused while its entry lives; it
-    keeps the values objects of the last slice for the next one.
+    keeps the values objects of the last slice for the next one.  The
+    slices' text is laid out in one buffer, reused while the table lasts.
     """
 
     def __init__(self, header: Sequence[str], json: bool) -> None:

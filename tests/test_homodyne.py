@@ -316,7 +316,11 @@ class TestLockstepNoise:
     # beta 2e4: about 200 pulses per step, past int8 from the first
     # trajectory on; beta 1e4 at seed 0: block 0's counts pass 127 only at
     # its third trajectory, block 1's never do
-    CASES = {"white": ("white", 10.0, 3), "dense": ("nsm_point_process", 2e4, 5), "widening": ("nsm_point_process", 1e4, 0)}
+    CASES = {
+        "white": ("white", 10.0, 3),
+        "dense": ("nsm_point_process", 2e4, 5),
+        "widening": ("nsm_point_process", 1e4, 0),
+    }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_blocks_match_float_noise_oracle(self, case):

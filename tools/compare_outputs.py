@@ -9,8 +9,9 @@ runs: ``decay`` qmop/swf/nsm with and without ``record_steps`` (and a qmop
 run whose times print in exponent notation), ``homodyne`` with white noise
 and the nsm point process (at theta 0 and 0.7, and with about 200 pulses
 per step), and ``rabi`` qmop/nsm, each in CSV and JSON at ``--threads`` 1
-and 3.  It then compares the sha256 of every file the runs wrote.  It exits 0 when every file is identical, 1 naming each
-file that differs or that only one tree wrote, and 2 when a run fails.
+and 3.  It then compares the sha256 of every file the runs wrote.  It
+exits 0 when every file is identical, 1 naming each file that differs or
+that only one tree wrote, and 2 when a run fails.
 """
 
 from __future__ import annotations
