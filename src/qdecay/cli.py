@@ -219,8 +219,13 @@ def _check_types(cfg: Dict, command: str) -> None:
         raise ConfigError(f"max_lag: must be >= 1, got {cfg['max_lag']}")
     if cfg.get("drop_bins", 1) < 1:
         raise ConfigError(f"drop_bins: must be >= 1, got {cfg['drop_bins']}")
-    if command == "rabi" and cfg.get("bin_width", 1.0) <= 0:
+    if command == "rabi" and cfg["bin_width"] <= 0:
         raise ConfigError(f"bin_width: must be > 0, got {cfg['bin_width']}")
+    # the fluorescence bins end at a whole number of widths: emissions past the last edge would be dropped
+    if command == "rabi" and cfg["t_max"] > 0:
+        bins = cfg["t_max"] / cfg["bin_width"]
+        if not (math.isfinite(bins) and bins >= 0.5 and math.isclose(round(bins) * cfg["bin_width"], cfg["t_max"], rel_tol=1e-9)):
+            raise ConfigError(f"bin_width: must divide t_max = {cfg['t_max']:g} into whole bins, got {cfg['bin_width']:g}")
     if command == "homodyne" and cfg["noise"] == "nsm_point_process":
         if cfg.get("kick") is None and not cfg.get("beta", 0.0) > 0.0:
             raise ConfigError("beta: must be > 0 for nsm_point_process noise (or give kick)")

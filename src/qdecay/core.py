@@ -20,9 +20,9 @@ same doubles as ``RngStream.generator().random()``, bit for bit, so an
 engine reads any position of any stream without a ``Generator``; the
 qmop/swf decay engine and both nsm engines (decay and driven) read every
 draw this way, for a whole ensemble or for the one stream of a
-single-trajectory runner.  ``rekeyed_generators`` serves the scalar loops
-that still need a real ``Generator`` (driven qmop/swf, homodyne): it re-keys
-one bit generator per trajectory instead of building a new one.
+single-trajectory runner.  ``rekeyed_generators`` serves the readers that
+still need a real ``Generator`` (the driven qmop/swf hit reader, homodyne):
+it re-keys one bit generator per trajectory instead of building a new one.
 """
 
 from __future__ import annotations

@@ -223,25 +223,17 @@ def occupation_drop_moments(gamma: float, beta: float) -> DropMoments:
 # ---------------------------------------------------------------------------
 
 
-def _truncated_exponential_time(rate: float, width: float, v: float) -> float:
-    """Inverse-CDF sample of Exp(rate) conditioned on (0, width], v in [0, 1)."""
-    if rate <= 0.0:
-        return (v if v > 0.0 else 0.5) * width
-    q = -math.expm1(-rate * width)
-    s = -math.log1p(-v * q) / rate
-    # guard against rounding at the interval ends
-    return min(max(s, math.ulp(0.0)), width)
-
-
 def _math_map(fn, x: np.ndarray) -> np.ndarray:
     """``fn`` from ``math`` over ``x``: numpy's transcendentals may round differently."""
     return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
 def _truncated_exponential_times(rate: float, width, v: np.ndarray) -> np.ndarray:
-    """``_truncated_exponential_time`` over an array of ``v``, and of ``width`` or one float, bit for bit.
+    """Inverse-CDF samples of Exp(rate) conditioned on (0, width], one per ``v`` in [0, 1).
 
-    The arithmetic, ``min`` and ``max`` run in numpy, ``expm1`` and ``log1p`` on ``math``.
+    ``width`` is an array like ``v`` or one float; samples are clamped to
+    [ulp(0), width] against rounding.  The arithmetic, ``min`` and ``max``
+    run in numpy, ``expm1`` and ``log1p`` on ``math``.
     """
     if rate <= 0.0:
         return np.where(v > 0.0, v, 0.5) * width
@@ -267,9 +259,15 @@ class _StepPlan:
     jump_prob: np.ndarray  # per-step jump/detection probability, length n_steps
 
 
-def _step_plan(params: ModelParams, initial: QubitState, model: Model) -> _StepPlan:
+def _decay_initial(initial_state: Optional[QubitState]) -> QubitState:
+    """The normalized start state of a decay run (excited when None), which must be two-level."""
+    initial = QubitState.excited() if initial_state is None else normalize(initial_state)
     if initial.w_photon != 0.0:
         raise ValueError("photon component present: decay engines start two-level")
+    return initial
+
+
+def _step_plan(params: ModelParams, initial: QubitState, model: Model) -> _StepPlan:
     initial = normalize(initial)
     w_e = abs(initial.c_excited) ** 2
     w_g = abs(initial.c_ground) ** 2
@@ -442,8 +440,7 @@ def _step_decay_record(
     if not isinstance(stream, RngStream):
         name = type(stream).__name__
         raise TypeError(f"the {model.value} runner takes an RngStream from derive_stream(), got {name}")
-    initial = QubitState.excited() if initial_state is None else initial_state
-    plan = _step_plan(params, initial, model)
+    plan = _step_plan(params, _decay_initial(initial_state), model)
     i = stream.stream_id
     times, steps = _lockstep_step_decay(plan, stream.root_seed, range(i, i + 1))
     rows = _step_model_rows(plan, steps, times, model, record_steps)
@@ -502,10 +499,11 @@ def run_swf_trajectory(
 # ---------------------------------------------------------------------------
 
 
-# Trajectories per nsm lock-step group (decay and driven): bounds the draw
-# buffers, the per-fluctuation columns and the binning temporaries.  On 4e4
-# driven trajectories of 12.5 fluctuations each, groups of 8192 took ~10%
-# less time than 2048 but peaked ~14 MB higher.
+# Trajectories per nsm lock-step group (decay and driven), and per driven
+# qmop/swf group: bounds the draw buffers, the per-fluctuation or emission
+# columns and the binning temporaries.  On 4e4 driven trajectories of 12.5
+# fluctuations each, groups of 8192 took ~10% less time than 2048 but
+# peaked ~14 MB higher.
 _NSM_GROUP = 2048
 # Philox counters (four draws each) a trajectory's draw buffer holds.
 _NSM_BUFFER_CTRS = 8
@@ -590,14 +588,21 @@ def _covering_segment(segments, n: int, traj: np.ndarray, k: np.ndarray) -> np.n
 
     It is the trajectory's last segment starting at or before ``k`` (an
     empty segment, from several fluctuations in one step, never is).  Each
-    segment marks the first query at or after its start, and a running
-    maximum over the marks carries it forward.
+    segment of the queried trajectories marks the first query at or after
+    its start, and a running maximum over the marks carries it forward.
     """
-    seg_traj, k_start = segments[0], segments[1]
     key = traj * (n + 2) + k
+    lo, hi = np.searchsorted(segments[0], (traj[0], traj[-1] + 1)) if traj.size else (0, 0)
+    seg_key = segments[0][lo:hi] * (n + 2) + segments[1][lo:hi]
     mark = np.zeros(key.size + 1, dtype=np.int64)
-    np.maximum.at(mark, np.searchsorted(key, seg_traj * (n + 2) + k_start), np.arange(k_start.size))
+    np.maximum.at(mark, np.searchsorted(key, seg_key), np.arange(lo, hi))
     return np.maximum.accumulate(mark[:-1])
+
+
+def _segment_occupation(tables: np.ndarray, segments, n: int, traj: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Occupation of trajectory ``traj`` at step ``k``, row ``table`` of ``tables`` from its segment's start."""
+    s = _covering_segment(segments, n, traj, k)
+    return tables[segments[2][s], k - segments[1][s]]
 
 
 # Elements materialised at once when summing bins.
@@ -624,34 +629,51 @@ def _segment_bin_means(segments, m: int, n: int, bin_steps: int, tables, seg_tab
 
     The values equal ``np.add.reduceat(series[:n], edges[:-1]) / bin_steps``
     of each trajectory's occupation series bit for bit, without building it:
-    every bin sum is a reduceat over the bin's own elements, in order.  A bin
-    inside a segment ``s`` with ``seg_table[s] >= 0`` is a window of that row
-    of ``tables``, read from the segment's start and summed once per window
-    in use.  The other bins are summed over elements read by
+    every bin sum is a reduceat over the bin's own elements, in order.  A
+    segment ``s`` with ``seg_table[s] >= 0`` reads that row of ``tables``
+    from its start, so the whole bins inside it are windows 0, 1, ... of the
+    row from the phase of its first bin edge; each window of a (row, phase)
+    pair is summed once, however many segments use it.  The other bins (cut
+    by a segment start, in another segment, or the longer last bin when
+    ``bin_steps`` does not divide ``n``) are summed over elements read by
     ``occupation(traj, k)``.  Trajectories go in blocks of about
     ``_BIN_ELEMENTS`` bins, which bounds the per-bin index arrays.  Returns
     an (m, n_bins) array.
     """
     n_bins = n // bin_steps
-    starts = np.arange(n_bins) * bin_steps
     means = np.empty((m, n_bins))
-    per = max(1, _BIN_ELEMENTS // max(n_bins, 1))
-    for lo in range(0, m if n_bins else 0, per):
-        traj = np.repeat(np.arange(lo, min(lo + per, m)), n_bins)
-        k = np.tile(starts, traj.size // n_bins)
-        length = np.tile(np.diff(starts, append=n), traj.size // n_bins)
-        s = _covering_segment(segments, n, traj, k)
-        tab = np.where(s == _covering_segment(segments, n, traj, k + length - 1), seg_table[s], -1)
-        sums = np.empty(traj.size)
-        done = np.flatnonzero(tab >= 0)
-        window = (tab[done] * tables.shape[1] + k[done] - segments[1][s[done]]) * (n + 1) + length[done]
-        used, slot = np.unique(window, return_inverse=True)
-        first, size = np.divmod(used, n + 1)
-        sums[done] = _window_sums(size, lambda w: tables.reshape(-1)[_ragged(first[w], size[w])])[slot]
-        rest = np.flatnonzero(tab < 0)
-        t_r, k_r, size = traj[rest], k[rest], length[rest]
-        sums[rest] = _window_sums(size, lambda w: occupation(np.repeat(t_r[w], size[w]), _ragged(k_r[w], size[w])))
-        means[lo : lo + per] = (sums / bin_steps).reshape(-1, n_bins)
+    if not n_bins:
+        return means
+    seg_traj, k_start = segments[0], segments[1]
+    # a segment runs to the next one's start, the last of its trajectory to step n
+    k_end = np.append(k_start[1:], n)
+    k_end[np.flatnonzero(seg_traj[1:] != seg_traj[:-1])] = n
+    b_lo = -(-k_start // bin_steps)
+    whole = np.minimum(k_end // bin_steps, n_bins - (n % bin_steps > 0)) - b_lo
+    count = np.where(seg_table >= 0, np.maximum(whole, 0), 0)
+    pair = seg_table.clip(0) * bin_steps + b_lo * bin_steps - k_start
+    longest = np.zeros(tables.shape[0] * bin_steps, dtype=np.int64)
+    np.maximum.at(longest, pair, count)
+    used = np.flatnonzero(longest)
+    # window j of pair (row r, phase p) starts at element p + j * bin_steps of row r
+    first = np.repeat(used // bin_steps * tables.shape[1] + used % bin_steps, longest[used])
+    first += _ragged(0 * used, longest[used]) * bin_steps
+    width = np.full(first.size, bin_steps)
+    windows = _window_sums(width, lambda w: tables.reshape(-1)[_ragged(first[w], width[w])]) / bin_steps
+    run_slot = (np.cumsum(longest) - longest)[pair]
+    per = max(1, _BIN_ELEMENTS // n_bins)
+    for lo in range(0, m, per):
+        block = means[lo : lo + per].reshape(-1)
+        seg = slice(*np.searchsorted(seg_traj, (lo, lo + per)))
+        run = (seg_traj[seg] - lo) * n_bins + b_lo[seg]
+        pos = _ragged(run, count[seg])
+        block[pos] = windows[pos - np.repeat(run - run_slot[seg], count[seg])]
+        rest = np.ones(block.size, dtype=bool)
+        rest[pos] = False
+        traj, b = np.divmod(np.flatnonzero(rest), n_bins)
+        k, size = b * bin_steps, np.where(b < n_bins - 1, bin_steps, n - b * bin_steps)
+        sums = _window_sums(size, lambda w: occupation(np.repeat(lo + traj[w], size[w]), _ragged(k[w], size[w])))
+        block[rest] = sums / bin_steps
     return means
 
 
@@ -785,9 +807,7 @@ def run_nsm_trajectory(
     if not isinstance(stream, RngStream):
         name = type(stream).__name__
         raise TypeError(f"run_nsm_trajectory takes an RngStream from derive_stream(), got {name}")
-    initial = QubitState.excited() if initial_state is None else normalize(initial_state)
-    if initial.w_photon != 0.0:
-        raise ValueError("photon component present: decay engines start two-level")
+    initial = _decay_initial(initial_state)
     forced = None if fluctuation_times is None else np.asarray(fluctuation_times, dtype=float).reshape(-1)
     if forced is not None and not np.all(np.diff(forced, prepend=0.0) > 0.0):  # also false on a NaN
         raise ValueError("fluctuation times must be strictly increasing from 0")
@@ -893,20 +913,6 @@ def _bin_statistics(vals: np.ndarray, edges: np.ndarray, dt: float):
     return (edges[:-1] + edges[1:]) / 2.0 * dt, mean, var, np.sqrt(var / n)
 
 
-def _step_bin_means(plan: _StepPlan, jump_steps: np.ndarray, edges: np.ndarray, bin_steps: int) -> np.ndarray:
-    """Per-trajectory occupation means over the bins ``edges`` of a step-model ensemble.
-
-    Uses the fact that every live trajectory rides the same deterministic
-    no-jump curve: the per-trajectory series is the curve truncated at its
-    jump step, so binned values follow from prefix sums and the cutoffs.
-    """
-    prefix = np.concatenate([[0.0], np.cumsum(plan.occupation[: plan.n_steps])])
-    cut = np.where(jump_steps < 0, plan.n_steps, jump_steps + 1)
-    lo = np.minimum.outer(cut, edges[:-1])
-    hi = np.minimum.outer(cut, edges[1:])
-    return (prefix[hi] - prefix[lo]) / bin_steps  # (n_traj, n_bins)
-
-
 def run_decay_ensemble(
     params: ModelParams,
     initial_state: Optional[QubitState] = None,
@@ -921,7 +927,7 @@ def run_decay_ensemble(
     identical for any ``threads`` value.  The event table holds the scalar
     runners' ``events`` in trajectory order, STEP rows only with ``record_steps``.
     """
-    initial = QubitState.excited() if initial_state is None else normalize(initial_state)
+    initial = _decay_initial(initial_state)
     n = params.n_traj
     model = params.model
     n_bins = (params.n_steps // bin_steps) if bin_steps else 0
@@ -936,7 +942,12 @@ def run_decay_ensemble(
         )
         rows = _step_model_rows(plan, jump_steps, decay_times, model, record_steps)
         if bin_steps:
-            vals = _step_bin_means(plan, jump_steps, edges, bin_steps)
+            # every trajectory starts on the no-jump curve, and its jump at k starts the zero row at k + 1
+            jumped, start = np.flatnonzero(jump_steps >= 0), np.zeros(n, dtype=np.int64)
+            segments = _trajectory_order([(np.arange(n), start, start), (jumped, jump_steps[jumped] + 1, np.ones_like(jumped))])
+            tables = np.stack([plan.occupation, np.zeros(params.n_steps + 1)])
+            occupation = partial(_segment_occupation, tables, segments, params.n_steps)
+            vals = _segment_bin_means(segments, n, params.n_steps, bin_steps, tables, segments[2], occupation)
     elif model is not Model.NSM:  # pragma: no cover - enum is exhaustive
         raise ValueError(f"unknown model {model}")
     else:

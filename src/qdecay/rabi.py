@@ -18,14 +18,18 @@ Draw order per trajectory (part of the reproducibility contract):
 
 * nsm: per fluctuation, the gap uniform (redrawn while it is 0 or the gap
   ``-ln(u)/beta`` is 0), the reduction uniform and, on the to-ground branch
-  only, the photon uniform.  One engine, ``_lockstep_driven_nsm``, reads
-  them by position from the Philox4x64-10 streams in the fluctuation loop
-  it shares with nsm decay (``models._fluctuation_rounds``);
-  ``run_driven_ensemble`` runs it over groups of ids and
-  ``run_driven_trajectory`` over the one id of its stream.
+  only, the photon uniform.  ``_lockstep_driven_nsm`` reads them by
+  position from the Philox4x64-10 streams in the fluctuation loop it shares
+  with nsm decay (``models._fluctuation_rounds``).
 * qmop / swf: from each reset, one check uniform for every remaining step,
-  drawn at once, then the attribution uniform if a check hit; read from
-  ``stream.generator()``.
+  drawn at once, then the attribution uniform if a check hit, from the
+  stream's ``Generator`` (``_driven_hits``).
+
+Both engines return emissions and segments ``(traj, k_start, table)``: from
+step ``k_start`` on, a trajectory's occupation is row ``table`` of the
+the plan's ``occ``.  ``run_driven_ensemble`` runs the model's engine over
+groups of ids and bins through ``models._segment_bin_means``;
+``run_driven_trajectory`` runs it over the one id of its stream.
 """
 
 from __future__ import annotations
@@ -53,15 +57,15 @@ from .models import (
     NsmEvent,
     NsmOutcome,
     _bin_statistics,
-    _covering_segment,
     _fluctuation_rounds,
     _jump_strength,
     _merge_rows,
     _segment_bin_means,
+    _segment_occupation,
     _step_rows,
     _trajectory_events,
     _trajectory_order,
-    _truncated_exponential_time,
+    _truncated_exponential_times,
 )
 
 MAX_DRIVEN_STEP = 0.05  # guard on dt * max(gamma, omega_rabi)
@@ -146,24 +150,12 @@ def torrey_occupation(omega_rabi: float, gamma: float, t):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _DrivenTable:
-    """Deterministic between-jump evolution from one start state.
+def _driven_table(params: ModelParams, omega: float, start: QubitState, model: Model):
+    """``(occ, jump_prob, photon_w)`` of the between-jump evolution from ``start``.
 
-    ``amp_e``/``amp_g`` are the unnormalized amplitudes on the step grid
-    (rotation then decay factor per step, which is linear); ``occ`` is the
-    occupation at step starts, ``jump_prob`` the per-step emission check.
-    For the nsm engine the amplitudes stay unitary-weighted, so ``occ`` is
-    also the Born weight of the excited branch, and ``photon_w`` tracks the
-    weight leaked to the continuum since the segment start.
+    The amplitudes stay unnormalized on the step grid (rotation then decay
+    factor per step, which is linear).
     """
-
-    occ: np.ndarray  # length n_steps + 1
-    jump_prob: np.ndarray  # length n_steps (qmop/swf) or unused for nsm
-    photon_w: np.ndarray  # continuum weight since segment start (nsm)
-
-
-def _driven_table(params: ModelParams, omega: float, start: QubitState, model: Model) -> _DrivenTable:
     n = params.n_steps
     dt = params.dt
     half = 0.5 * omega * dt
@@ -199,23 +191,33 @@ def _driven_table(params: ModelParams, omega: float, start: QubitState, model: M
         occ_rot = w_rot / total[:n]
         jump_prob = occ_rot * _jump_strength(model, params.gamma, dt)
         photon_w = np.zeros(n + 1)
-    return _DrivenTable(occ=occ, jump_prob=jump_prob, photon_w=photon_w)
+    return occ, jump_prob, photon_w
 
 
-@dataclass
+@dataclass(frozen=True)
 class _DrivenPlan:
+    """Deterministic between-jump evolution of a driven run, one table row per start state.
+
+    Row 0 starts from the initial state, row 1 from excited (an nsm reset)
+    and row 2 from ground (an emission, or an nsm reduction onto ground); a
+    segment's table is its row.  ``occ`` is the occupation at step starts
+    and ``jump_prob`` the per-step qmop/swf emission check.  Under nsm the
+    amplitudes stay unitary-weighted, so ``occ`` is also the Born weight of
+    the excited branch, and ``photon_w`` tracks the weight leaked to the
+    continuum since the segment start.
+    """
+
     params: ModelParams
-    from_initial: _DrivenTable
-    from_excited: Optional[_DrivenTable]
-    from_ground: _DrivenTable
-
-    def nsm_tables(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(occ, photon_w)``, rows 0, 1 and 2 from the initial, excited and ground tables."""
-        tables = (self.from_initial, self.from_excited, self.from_ground)
-        return np.stack([t.occ for t in tables]), np.stack([t.photon_w for t in tables])
+    occ: np.ndarray  # (3, n_steps + 1)
+    jump_prob: np.ndarray  # (3, n_steps), zero under nsm
+    photon_w: np.ndarray  # (3, n_steps + 1), zero under qmop/swf
 
 
-def _driven_plan(params: ModelParams, drive: DriveParams, initial: QubitState) -> _DrivenPlan:
+def _driven_plan(params: ModelParams, drive: DriveParams, initial_state: Optional[QubitState]) -> _DrivenPlan:
+    """The plan of a driven run from ``initial_state`` (ground when None), which must be two-level."""
+    initial = QubitState.ground() if initial_state is None else initial_state
+    if initial.w_photon != 0.0:
+        raise ValueError("photon component present: driven runs start two-level")
     if params.dt * max(params.gamma, drive.omega_rabi) > MAX_DRIVEN_STEP:
         raise ValueError(
             f"step too large: dt*max(gamma, omega_rabi) = "
@@ -225,50 +227,49 @@ def _driven_plan(params: ModelParams, drive: DriveParams, initial: QubitState) -
         raise ValueError(
             f"inconsistent gamma: drive says {drive.gamma}, params say {params.gamma}"
         )
-    omega = drive.omega_rabi
-    model = params.model
-    from_excited = None
-    if model is Model.NSM:
-        from_excited = _driven_table(params, omega, QubitState.excited(), model)
-    return _DrivenPlan(
-        params=params,
-        from_initial=_driven_table(params, omega, initial, model),
-        from_excited=from_excited,
-        from_ground=_driven_table(params, omega, QubitState.ground(), model),
-    )
+    starts = (initial, QubitState.excited(), QubitState.ground())
+    rows = [_driven_table(params, drive.omega_rabi, start, params.model) for start in starts]
+    return _DrivenPlan(params, *map(np.stack, zip(*rows)))
 
 
-def _single_driven_step_model(plan: _DrivenPlan, gen):
-    """Driven qmop/swf trajectory: returns (emissions, occupation series).
+def _driven_hits(plan: _DrivenPlan, seed: int, ids: range):
+    """The hit reader of driven qmop/swf over the streams ``(seed, i)``, ``i`` in ``ids``.
 
-    Emissions are (time, occupation_before) pairs; occupation is recorded at
-    every step start, with segments riding the precomputed no-jump tables.
+    From each reset, step 0 on the initial table and then the step after
+    each hit on the ground table, the stream's ``Generator`` draws one check
+    uniform per remaining step at once, then the attribution uniform of the
+    first hit.  Returns ``(traj, k, v)`` per emission in trajectory order:
+    the offset into ``ids``, the step of the hit and the attribution uniform.
     """
-    params = plan.params
-    n = params.n_steps
-    dt = params.dt
-    series = np.empty(n + 1)
-    emissions: List[Tuple[float, float]] = []
-    table = plan.from_initial
-    k0 = 0
-    while k0 < n:
-        rem = n - k0
-        u = np.asarray(gen.random(rem))
-        hits = u < table.jump_prob[:rem]
-        if not hits.any():
-            series[k0:] = table.occ[: rem + 1]
-            return emissions, series
-        j = int(np.argmax(hits))
-        series[k0 : k0 + j + 1] = table.occ[: j + 1]
-        v = float(gen.random())
-        s = _truncated_exponential_time(params.gamma, dt, v)
-        # occupation entering the jump check is the post-rotation value;
-        # report the step-start occupation for the event log
-        emissions.append(((k0 + j) * dt + s, float(table.occ[j])))
-        k0 += j + 1
-        table = plan.from_ground
-    series[n] = table.occ[0]
-    return emissions, series
+    n = plan.params.n_steps
+    traj, steps, uniforms = [], [], []
+    for row, (_, gen) in enumerate(rekeyed_generators(seed, ids)):
+        prob, k0 = plan.jump_prob[0], 0
+        while k0 < n:
+            hit = gen.random(n - k0) < prob[: n - k0]
+            j = int(hit.argmax())
+            if not hit[j]:
+                break
+            traj.append(row)
+            steps.append(k0 + j)
+            uniforms.append(gen.random())
+            prob, k0 = plan.jump_prob[2], k0 + j + 1
+    return np.array(traj, dtype=np.int64), np.array(steps, dtype=np.int64), np.array(uniforms)
+
+
+def _driven_step_engine(plan: _DrivenPlan, seed: int, ids: range):
+    """The driven qmop/swf engine over the streams ``(seed, i)``, ``i`` in ``ids``.
+
+    An emission at step ``k`` happens at ``k * dt`` plus the Exp(gamma) time
+    within the step that its attribution uniform gives.  Returns the rounds
+    of emissions ``(traj, t, k)`` and of segments ``(traj, k_start, table)``
+    for ``_trajectory_order``: each trajectory starts on table 0 at step 0,
+    and its emission at ``k`` starts table 2 at ``k + 1``.
+    """
+    traj, k, v = _driven_hits(plan, seed, ids)
+    p, start = plan.params, np.zeros(len(ids), dtype=np.int64)
+    t = k * p.dt + _truncated_exponential_times(p.gamma, p.dt, v)
+    return [(traj, t, k)], [(np.arange(len(ids)), start, start), (traj, k + 1, np.full(k.size, 2))]
 
 
 def _lockstep_driven_nsm(plan: _DrivenPlan, seed: int, ids: range):
@@ -286,14 +287,12 @@ def _lockstep_driven_nsm(plan: _DrivenPlan, seed: int, ids: range):
     against the table's occupation there and, on the to-ground branch only,
     the photon.
 
-    Returns the rounds of ``models._fluctuation_rounds``, fluctuations
+    Returns the rounds of ``models._fluctuation_rounds``: fluctuations
     ``(traj, t, gap, drop, to_ground, emitted, p_exc)`` and segments
-    ``(traj, k_start, table)``, from whose step ``k_start`` on the occupation
-    series reads ``occ[table][k - k_start]``; ``_trajectory_order`` joins them.
+    ``(traj, k_start, table)``.
     """
     n, dt = plan.params.n_steps, plan.params.dt
     m = len(ids)
-    occ, photon_w = plan.nsm_tables()
     table = np.zeros(m, dtype=np.int64)
     k0 = np.zeros(m, dtype=np.int64)
 
@@ -301,12 +300,12 @@ def _lockstep_driven_nsm(plan: _DrivenPlan, seed: int, ids: range):
         start = k0[live]
         cur = table[live]
         b = np.minimum(np.maximum(np.ceil(t / dt).astype(np.int64), start), n)
-        p_exc = occ[cur, b - start]
+        p_exc = plan.occ[cur, b - start]
         to_ground = ~(draws.take(live, 2) < p_exc)
         ground = np.flatnonzero(to_ground)
         ground_branch = 1.0 - p_exc[ground]
         p_photon = np.zeros(ground.size)
-        np.divide(photon_w[cur[ground], (b - start)[ground]], ground_branch, out=p_photon, where=ground_branch > 0.0)
+        np.divide(plan.photon_w[cur[ground], (b - start)[ground]], ground_branch, out=p_photon, where=ground_branch > 0.0)
         emitted = np.zeros(live.size, dtype=bool)
         emitted[ground] = draws.take(live[ground], 1) < p_photon
         table[live] = np.where(to_ground, 2, 1)
@@ -315,12 +314,6 @@ def _lockstep_driven_nsm(plan: _DrivenPlan, seed: int, ids: range):
 
     live = np.arange(m if plan.params.beta > 0.0 else 0)
     return _fluctuation_rounds(plan.params, seed, ids, live, (table.copy(),), reduce)
-
-
-def _segment_occupation(occ: np.ndarray, segments, n: int, traj: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Occupation of trajectory ``traj`` at step ``k``, read off its segments."""
-    s = _covering_segment(segments, n, traj, k)
-    return occ[segments[2][s], k - segments[1][s]]
 
 
 def run_driven_trajectory(
@@ -337,40 +330,37 @@ def run_driven_trajectory(
     single trajectory can emit many photons; each one is a photon-detection
     event.  The default initial state is the ground state.  ``stream`` must
     be an ``RngStream`` (``derive_stream(seed, i)``); the result is
-    trajectory ``i`` of the ensemble, and under nsm it is the lock-step
-    engine run over that one id.
+    trajectory ``i`` of the ensemble, the model's engine run over that one id.
     """
     if not isinstance(stream, RngStream):
         name = type(stream).__name__
         raise TypeError(f"run_driven_trajectory takes an RngStream from derive_stream(), got {name}")
-    initial = QubitState.ground() if initial_state is None else initial_state
-    if initial.w_photon != 0.0:
-        raise ValueError("photon component present: driven runs start two-level")
-    plan = _driven_plan(params, drive, initial)
-
+    plan = _driven_plan(params, drive, initial_state)
+    occ, n, i, nsm = plan.occ, params.n_steps, stream.stream_id, params.model is Model.NSM
+    engine = _lockstep_driven_nsm if nsm else _driven_step_engine
+    events, segments = map(_trajectory_order, engine(plan, stream.root_seed, range(i, i + 1)))
     nsm_events: tuple = ()
-    if params.model is Model.NSM:
-        i = stream.stream_id
-        fluct, segments = map(_trajectory_order, _lockstep_driven_nsm(plan, stream.root_seed, range(i, i + 1)))
-        _, t_c, gap, drop, to_ground, emitted, p_exc = fluct
+    if nsm:
+        _, t_c, gap, drop, to_ground, emitted, p_exc = events
         outcomes = [(NsmOutcome.RESET_TO_EXCITED, NsmOutcome.JUMP_TO_GROUND)[b] for b in to_ground.tolist()]
         nsm_events = tuple(map(NsmEvent, t_c.tolist(), gap.tolist(), drop.tolist(), outcomes))
         t, occ_before = t_c[emitted], p_exc[emitted]
-        k = np.arange(params.n_steps + 1)
-        series = _segment_occupation(plan.nsm_tables()[0], segments, params.n_steps, np.zeros_like(k), k)
-    else:
-        emissions, series = _single_driven_step_model(plan, stream.generator())
-        t, occ_before = np.array(emissions, dtype=float).reshape(-1, 2).T
+    else:  # the occupation at the start of the emission's step
+        traj, t, k = events
+        occ_before = _segment_occupation(occ, segments, n, traj, k)
     rows = (t, np.full(t.size, _CODE[EventKind.PHOTON_DETECTION]), occ_before, np.zeros(t.size))
+    series = None
     if record_steps:
-        rows = _merge_rows(rows, _step_rows(series, params.dt, params.n_steps, t))
+        k = np.arange(n + 1)
+        series = _segment_occupation(occ, segments, n, np.zeros_like(k), k)
+        rows = _merge_rows(rows, _step_rows(series, params.dt, n, t))
 
     return TrajectoryRecord(
-        traj_id=stream.stream_id,
+        traj_id=i,
         events=_trajectory_events(*rows),
         decay_time=None,
         nsm_events=nsm_events,
-        occupation_series=series if record_steps else None,
+        occupation_series=series,
     )
 
 
@@ -413,45 +403,37 @@ def run_driven_ensemble(
     standard error over trajectories.  ``bin_steps=None`` skips the bins,
     leaving only the emission times and drops.  Trajectory i uses substream
     (seed, i) and merges happen in trajectory order, independent of
-    ``threads``.  Under nsm the lock-step engine runs over groups of at most
-    ``_NSM_GROUP`` trajectories.
+    ``threads``.  The model's engine runs over groups of at most
+    ``_NSM_GROUP`` trajectories; each group's segments give its bins
+    (``_segment_bin_means``) and its emissions go through ``_trajectory_order``.
     """
-    initial = QubitState.ground() if initial_state is None else initial_state
-    plan = _driven_plan(params, drive, initial)
+    plan = _driven_plan(params, drive, initial_state)
     n = params.n_traj
     n_steps = params.n_steps
     n_bins = n_steps // bin_steps if bin_steps else 0
     edges = np.arange(n_bins + 1) * (bin_steps or 1)
+    occ, nsm = plan.occ, params.model is Model.NSM
+    engine = _lockstep_driven_nsm if nsm else _driven_step_engine
 
-    def nsm_group(group: range, vals: np.ndarray):
-        fluct, segments = _lockstep_driven_nsm(plan, params.seed, group)
+    def group(ids: range, vals: np.ndarray):
+        events, segments = engine(plan, params.seed, ids)
         if bin_steps:
-            occ = plan.nsm_tables()[0]
             segments = _trajectory_order(segments)
             occupation = partial(_segment_occupation, occ, segments, n_steps)
-            vals[:] = _segment_bin_means(segments, len(group), n_steps, bin_steps, occ, segments[2], occupation)
+            vals[:] = _segment_bin_means(segments, len(ids), n_steps, bin_steps, occ, segments[2], occupation)
+        if not nsm:
+            return _trajectory_order(events)[1], np.empty(0), np.empty(0)
         # the emissions and drops only: the other columns, and without bins the segments, are never joined
-        fluct = [(traj, t, drop, emitted) for traj, t, _, drop, _, emitted, _ in fluct]
-        _, t, drop, emitted = _trajectory_order(fluct)
+        events = [(traj, t, drop, emitted) for traj, t, _, drop, _, emitted, _ in events]
+        _, t, drop, emitted = _trajectory_order(events)
         return t[emitted], drop, drop[emitted]
 
-    def nsm_work(ids: range):
+    def work(ids: range):
         vals = np.empty((len(ids), n_bins))
         starts = range(0, len(ids), _NSM_GROUP)
-        parts = [nsm_group(ids[lo : lo + _NSM_GROUP], vals[lo : lo + _NSM_GROUP]) for lo in starts]
+        parts = [group(ids[lo : lo + _NSM_GROUP], vals[lo : lo + _NSM_GROUP]) for lo in starts]
         return (*map(np.concatenate, zip(*parts)), vals)
 
-    def step_model_work(ids: range):
-        vals = np.empty((len(ids), n_bins))
-        em_times: List[float] = []
-        for j, (_, gen) in enumerate(rekeyed_generators(params.seed, ids)):
-            emissions, series = _single_driven_step_model(plan, gen)
-            if bin_steps:
-                vals[j] = np.add.reduceat(series[:n_steps], edges[:-1]) / bin_steps
-            em_times.extend(t for t, _ in emissions)
-        return np.array(em_times, dtype=float), np.empty(0), np.empty(0), vals
-
-    work = nsm_work if params.model is Model.NSM else step_model_work
     em_times, drop_all, drop_em, vals = run_ensemble(work, n, threads)
     centers = mean = se = None
     if bin_steps:

@@ -19,9 +19,18 @@ from qdecay.models import (
     _fluctuation_gap,
     _step_plan,
     _StepPlan,
-    _truncated_exponential_time,
 )
 from qdecay.rabi import _driven_plan, _DrivenPlan
+
+
+def _truncated_exponential_time(rate: float, width: float, v: float) -> float:
+    """Inverse-CDF sample of Exp(rate) conditioned on (0, width], v in [0, 1)."""
+    if rate <= 0.0:
+        return (v if v > 0.0 else 0.5) * width
+    q = -math.expm1(-rate * width)
+    s = -math.log1p(-v * q) / rate
+    # guard against rounding at the interval ends
+    return min(max(s, math.ulp(0.0)), width)
 
 
 def _single_step_decay(plan: _StepPlan, gen) -> Tuple[int, float]:
@@ -188,7 +197,7 @@ def _single_driven_nsm(plan: _DrivenPlan, gen):
     emissions: List[Tuple[float, float]] = []
     emission_drops: List[float] = []
     fluctuations: List[Tuple[float, float, float, bool]] = []
-    table = plan.from_initial
+    row = 0  # the plan's table: 0 initial, 1 excited, 2 ground
     k0 = 0
     t_prev = 0.0
     if beta > 0.0:
@@ -197,25 +206,25 @@ def _single_driven_nsm(plan: _DrivenPlan, gen):
         while t_c <= params.t_max:
             b = min(max(math.ceil(t_c / dt), k0), n)
             idx = b - k0
-            series[k0 : b + 1] = table.occ[: idx + 1]
-            p_exc = float(table.occ[idx])
+            series[k0 : b + 1] = plan.occ[row, : idx + 1]
+            p_exc = float(plan.occ[row, idx])
             a = -math.expm1(-gamma * gap)
             if gen.random() < p_exc:
                 fluctuations.append((t_c, gap, a, False))
-                table = plan.from_excited
+                row = 1
             else:
                 ground_branch = 1.0 - p_exc
-                p_photon = float(table.photon_w[idx]) / ground_branch if ground_branch > 0.0 else 0.0
+                p_photon = float(plan.photon_w[row, idx]) / ground_branch if ground_branch > 0.0 else 0.0
                 fluctuations.append((t_c, gap, a, True))
                 if gen.random() < p_photon:
                     emissions.append((t_c, p_exc))
                     emission_drops.append(a)
-                table = plan.from_ground
+                row = 2
             k0 = b
             t_prev = t_c
             gap = _fluctuation_gap(gen, beta)
             t_c = t_prev + gap
-    series[k0:] = table.occ[: n - k0 + 1]
+    series[k0:] = plan.occ[row, : n - k0 + 1]
     return emissions, emission_drops, series, fluctuations
 
 
@@ -235,6 +244,56 @@ def driven_nsm_record(params, drive, stream, initial_state=None, record_steps=Fa
         traj_id=stream.stream_id,
         events=events,
         nsm_events=tuple(NsmEvent(t, gap, a, outcomes[to_ground]) for t, gap, a, to_ground in fluctuations),
+        occupation_series=series if record_steps else None,
+    )
+
+
+def _single_driven_step_model(plan: _DrivenPlan, gen):
+    """Driven qmop/swf trajectory: returns (emissions, occupation series).
+
+    Emissions are (time, occupation_before) pairs; occupation is recorded at
+    every step start, with segments riding the precomputed no-jump tables.
+    """
+    params = plan.params
+    n = params.n_steps
+    dt = params.dt
+    series = np.empty(n + 1)
+    emissions: List[Tuple[float, float]] = []
+    row = 0  # the plan's table: 0 initial, 2 ground
+    k0 = 0
+    while k0 < n:
+        rem = n - k0
+        u = np.asarray(gen.random(rem))
+        hits = u < plan.jump_prob[row, :rem]
+        if not hits.any():
+            series[k0:] = plan.occ[row, : rem + 1]
+            return emissions, series
+        j = int(np.argmax(hits))
+        series[k0 : k0 + j + 1] = plan.occ[row, : j + 1]
+        v = float(gen.random())
+        s = _truncated_exponential_time(params.gamma, dt, v)
+        # occupation entering the jump check is the post-rotation value;
+        # report the step-start occupation for the event log
+        emissions.append(((k0 + j) * dt + s, float(plan.occ[row, j])))
+        k0 += j + 1
+        row = 2
+    series[n] = plan.occ[row, 0]
+    return emissions, series
+
+
+def driven_step_record(params, drive, stream, initial_state=None, record_steps=False) -> TrajectoryRecord:
+    """What ``run_driven_trajectory`` returns under qmop/swf."""
+    plan = _driven_plan(params, drive, initial_state)
+    emissions, series = _single_driven_step_model(plan, stream.generator())
+    events = [TrajectoryEvent(t, EventKind.PHOTON_DETECTION, occ, 0.0) for t, occ in emissions]
+    if record_steps:
+        taken = {t for t, _ in emissions}
+        grid = [(j + 1) * params.dt for j in range(params.n_steps)]
+        events += [TrajectoryEvent(t, EventKind.STEP, series[j], series[j + 1]) for j, t in enumerate(grid) if t not in taken]
+        events.sort(key=lambda ev: ev.t)
+    return TrajectoryRecord(
+        traj_id=stream.stream_id,
+        events=events,
         occupation_series=series if record_steps else None,
     )
 

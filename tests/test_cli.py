@@ -847,6 +847,16 @@ class TestConfigErrors:
         assert main([command, "--config", write_cfg(tmp_path, payload), "--out-dir", out]) == 2
         assert not os.path.exists(out)
 
+    def test_rabi_bin_width_must_divide_t_max(self, tmp_path, capsys):
+        # 25 / 0.3 ends the last of 83 bins at 24.9: emissions after it would be dropped
+        out = str(tmp_path / "run")
+        cfg = write_cfg(tmp_path, dict(RABI_CFG, model="qmop", t_max=25.0, bin_width=0.3, n_traj=5))
+        assert main(["rabi", "--config", cfg, "--out-dir", out]) == 2
+        assert "bin_width" in capsys.readouterr().err
+        assert not os.path.exists(out)
+        cfg = write_cfg(tmp_path, dict(RABI_CFG, model="qmop", t_max=25.0, bin_width=0.25, n_traj=5), "whole.json")
+        assert main(["rabi", "--config", cfg, "--out-dir", out]) == 0
+
     def test_homodyne_nsm_needs_beta(self, tmp_path):
         payload = dict(HOMODYNE_CFG)
         del payload["beta"]

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_engines import PatchedGenerator, assert_same_record, nsm_record, patched_philox, step_decay_record
+from reference_engines import (
+    PatchedGenerator,
+    _truncated_exponential_time,
+    assert_same_record,
+    nsm_record,
+    patched_philox,
+    step_decay_record,
+)
 from scipy.integrate import quad
 
 from qdecay import models, rabi, stats
@@ -12,7 +19,6 @@ from qdecay.core import EncodedColumn, EventKind, ModelParams, QubitState, deriv
 from qdecay.models import (
     NSM_BETA_ZERO_FLAG,
     NsmOutcome,
-    _truncated_exponential_time,
     _truncated_exponential_times,
     fluctuation_gap_density,
     jump_probability,
@@ -528,9 +534,11 @@ class TestBatchedStepEngine:
         if case == "censored":
             assert 0 < np.isnan(expected).sum() < p.n_traj
         for threads in (1, 3):
-            s = run_decay_ensemble(p, initial_state=initial, threads=threads, record_steps=record_steps)
+            s = run_decay_ensemble(p, initial_state=initial, threads=threads, bin_steps=7, record_steps=record_steps)
             assert np.array_equal(s.decay_times, expected, equal_nan=True)
             assert_table_holds(s.events, event_rows(records))
+            if record_steps:  # the records keep their series only then
+                assert_bins_hold(s, records, p, 7)
 
     @settings(deadline=None)
     @example(model="qmop", gamma=1.0, c_ground=0.0, t_max=3.0, seed=0, stream_id=2**63, record_steps=True)
@@ -591,6 +599,11 @@ def assert_nsm_ensemble_holds(s, records, p, bin_steps, record_steps):
     fluctuations = [ev for r in records for ev in r.nsm_events]
     assert s.drop_samples.tolist() == [ev.a_before for ev in fluctuations]
     assert s.drop_terminal.tolist() == [ev.outcome is NsmOutcome.JUMP_TO_GROUND for ev in fluctuations]
+    assert_bins_hold(s, records, p, bin_steps)
+
+
+def assert_bins_hold(s, records, p, bin_steps):
+    """The ensemble's occupation bins are those of the records' series, bit for bit."""
     edges = np.arange(p.n_steps // bin_steps + 1) * bin_steps
     vals = np.array([np.add.reduceat(r.occupation_series[: p.n_steps], edges[:-1]) / bin_steps for r in records])
     assert np.array_equal(s.occupation_mean, vals.mean(axis=0))
@@ -741,6 +754,31 @@ class TestStreamCursors:
                 rows = np.flatnonzero(mask)
                 assert cursors.take(rows, need).tolist() == [gens[j].random() for j in rows]
         assert len(set(pairs)) == len(pairs)
+
+
+PHOTON_WEIGHT = QubitState(0.6, 0.0, 0.64)
+
+
+@pytest.mark.parametrize("driven", [False, True], ids=["decay", "driven"])
+@pytest.mark.parametrize("model", ["qmop", "swf", "nsm"])
+def test_runner_and_ensemble_reject_photon_weight_alike(model, driven):
+    p = params(model=model, beta=1.0, t_max=1.0, n_traj=4, omega_rabi=2.0)
+    stream = derive_stream(0, 0)
+    if driven:
+        drive = rabi.DriveParams(omega_rabi=2.0)
+        calls = (
+            lambda: rabi.run_driven_trajectory(p, drive, stream, PHOTON_WEIGHT),
+            lambda: rabi.run_driven_ensemble(p, drive, PHOTON_WEIGHT),
+        )
+    else:
+        runner = {"qmop": run_qmop_trajectory, "swf": run_swf_trajectory, "nsm": run_nsm_trajectory}[model]
+        calls = (lambda: runner(p, stream, PHOTON_WEIGHT), lambda: run_decay_ensemble(p, PHOTON_WEIGHT))
+    messages = []
+    for call in calls:
+        with pytest.raises(ValueError, match="photon component present") as err:
+            call()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 class TestEnsembleDeterminism:

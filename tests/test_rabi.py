@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_engines import PatchedGenerator, assert_same_record, driven_nsm_record, patched_philox
+from reference_engines import PatchedGenerator, assert_same_record, driven_nsm_record, driven_step_record, patched_philox
 from scipy.stats import chi2 as chi2_dist
 
 from qdecay import models, rabi
-from qdecay.core import EventKind, ModelParams, TrajectoryEvent, TrajectoryRecord, derive_stream
+from qdecay.core import EventKind, ModelParams, QubitState, TrajectoryEvent, TrajectoryRecord, derive_stream
 from qdecay.rabi import (
     DriveParams,
     drop_histogram_from_samples,
@@ -171,17 +171,12 @@ class TestDrivenEnsemble:
         p = driven_params(model=model, gamma=0.5, beta=0.8, omega=4.0, dt=0.01, t_max=8.0, n_traj=120, seed=404)
         drive = DriveParams(omega_rabi=4.0)
         bin_steps = 40
-        records = [
-            run_driven_trajectory(p, drive, derive_stream(p.seed, i), record_steps=True)
-            for i in range(p.n_traj)
-        ]
-        if model == "nsm":
-            # the runner is the lock-step engine over one id: both it and the
-            # ensemble are checked against the scalar reference loop
-            refs = [driven_nsm_record(p, drive, derive_stream(p.seed, i), record_steps=True) for i in range(p.n_traj)]
-            for rec, ref in zip(records, refs):
-                assert_same_record(rec, ref)
-            records = refs
+        # the runner is the engine over one id: both it and the ensemble are
+        # checked against the scalar reference loop
+        reference = driven_nsm_record if model == "nsm" else driven_step_record
+        records = [reference(p, drive, derive_stream(p.seed, i), record_steps=True) for i in range(p.n_traj)]
+        for i, ref in enumerate(records):
+            assert_same_record(run_driven_trajectory(p, drive, derive_stream(p.seed, i), record_steps=True), ref)
         ens = run_driven_ensemble(p, drive, bin_steps=bin_steps, threads=threads)
         assert_ensemble_holds(ens, records, p, bin_steps)
         assert ens.emission_times.size > 0 and (ens.drop_all.size > 0) == (model == "nsm")
@@ -216,6 +211,41 @@ class TestDrivenEnsemble:
         assert_same_record(rec, driven_nsm_record(p, drive, stream, record_steps=record_steps))
         refs = [driven_nsm_record(p, drive, derive_stream(seed, i), record_steps=True) for i in range(p.n_traj)]
         assert_ensemble_holds(run_driven_ensemble(p, drive, bin_steps=bin_steps), refs, p, bin_steps)
+
+    # many emissions with some at a trajectory's last step; the README rabi
+    # drive; no drive, so nothing is emitted.  No n_steps is a multiple of 7.
+    STEP_CASES = {
+        "strong": dict(gamma=5.0, omega=5.0, dt=0.01, t_max=0.53),
+        "readme": dict(gamma=0.2, omega=2.0, dt=0.0125, t_max=4.05),
+        "undriven": dict(gamma=0.5, omega=0.0, dt=0.01, t_max=1.01),
+    }
+    INITIAL = {"ground": None, "excited": QubitState.excited(), "superposition": QubitState.superposition(0.6, 0.8j)}
+
+    @settings(deadline=None, max_examples=30)
+    @example(model="qmop", seed=2**64 - 1, stream_id=2**64 - 1, case="strong", initial="excited", bin_steps=1, record_steps=True)
+    @example(model="swf", seed=0, stream_id=2**63, case="readme", initial="superposition", bin_steps=7, record_steps=False)
+    @example(model="qmop", seed=21, stream_id=0, case="undriven", initial="ground", bin_steps=40, record_steps=True)
+    # an emission at the last step: trajectory 1 of seed 29, trajectory 2 of seed 1
+    @example(model="qmop", seed=29, stream_id=1, case="strong", initial="excited", bin_steps=7, record_steps=True)
+    @example(model="swf", seed=1, stream_id=2, case="strong", initial="ground", bin_steps=10**6, record_steps=True)
+    @given(
+        model=st.sampled_from(["qmop", "swf"]),
+        seed=st.integers(0, 2**64 - 1),
+        stream_id=st.one_of(st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+        case=st.sampled_from(sorted(STEP_CASES)),
+        initial=st.sampled_from(sorted(INITIAL)),
+        bin_steps=st.sampled_from([1, 7, 40, 10**6]),
+        record_steps=st.booleans(),
+    )
+    def test_step_models_match_reference_on_any_stream(self, model, seed, stream_id, case, initial, bin_steps, record_steps):
+        p = driven_params(model=model, n_traj=3, seed=seed, **self.STEP_CASES[case])
+        drive, state = DriveParams(omega_rabi=p.omega_rabi), self.INITIAL[initial]
+        stream = derive_stream(seed, stream_id)
+        rec = run_driven_trajectory(p, drive, stream, initial_state=state, record_steps=record_steps)
+        assert_same_record(rec, driven_step_record(p, drive, stream, state, record_steps=record_steps))
+        refs = [driven_step_record(p, drive, derive_stream(seed, i), state, record_steps=True) for i in range(p.n_traj)]
+        ens = run_driven_ensemble(p, drive, initial_state=state, bin_steps=bin_steps)
+        assert_ensemble_holds(ens, refs, p, bin_steps)
 
     def test_nsm_redrawn_gaps_keep_draw_positions(self, monkeypatch):
         # zero draws force the gap redraw: the first gap's first two draws,

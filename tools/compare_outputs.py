@@ -8,8 +8,8 @@ each tree, in a fresh interpreter, the script runs a fixed matrix of small
 runs: ``decay`` qmop/swf/nsm with and without ``record_steps`` (and a qmop
 run whose times print in exponent notation), ``homodyne`` with white noise
 and the nsm point process (at theta 0 and 0.7, and with about 200 pulses
-per step), and ``rabi`` qmop/nsm, each in CSV and JSON at ``--threads`` 1
-and 3.  It then compares the sha256 of every file the runs wrote.  It
+per step), and ``rabi`` qmop/swf/nsm, each in CSV and JSON at ``--threads``
+1 and 3.  It then compares the sha256 of every file the runs wrote.  It
 exits 0 when every file is identical, 1 naming each file that differs or
 that only one tree wrote, and 2 when a run fails.
 """
@@ -46,6 +46,7 @@ CONFIGS = {
     # about 200 pulses per step: the engine's pulse counts do not fit int8
     "homodyne-pp-dense": ("homodyne", dict(_HOMODYNE, noise="nsm_point_process", beta=2e4)),
     "rabi-qmop": ("rabi", dict(_RABI, model="qmop")),
+    "rabi-swf": ("rabi", dict(_RABI, model="swf")),
     "rabi-nsm": ("rabi", dict(_RABI, model="nsm", beta=0.5)),
 }
 FORMATS = ("csv", "json")
