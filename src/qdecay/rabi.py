@@ -27,8 +27,8 @@ Draw order per trajectory (part of the reproducibility contract):
 
 Both engines return emissions and segments ``(traj, k_start, table)``: from
 step ``k_start`` on, a trajectory's occupation is row ``table`` of the
-the plan's ``occ``.  ``run_driven_ensemble`` runs the model's engine over
-groups of ids and bins through ``models._segment_bin_means``;
+plan's ``occ``.  ``run_driven_ensemble`` runs the model's engine over groups
+of ids and bins through ``models._segment_bin_means``;
 ``run_driven_trajectory`` runs it over the one id of its stream.
 """
 

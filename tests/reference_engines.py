@@ -228,27 +228,32 @@ def _single_driven_nsm(plan: _DrivenPlan, gen):
     return emissions, emission_drops, series, fluctuations
 
 
-def driven_nsm_record(params, drive, stream, initial_state=None, record_steps=False, gen=None) -> TrajectoryRecord:
-    """What ``run_driven_trajectory`` returns under nsm; ``gen`` replaces ``stream.generator()``."""
-    initial = QubitState.ground() if initial_state is None else initial_state
-    plan = _driven_plan(params, drive, initial)
-    emissions, _, series, fluctuations = _single_driven_nsm(plan, stream.generator() if gen is None else gen)
+def _driven_record(params, stream, emissions, series, record_steps, nsm_events=()) -> TrajectoryRecord:
+    """The record of a driven trajectory from its ``(t, occupation_before)`` emissions and its series."""
     events = [TrajectoryEvent(t, EventKind.PHOTON_DETECTION, occ, 0.0) for t, occ in emissions]
     if record_steps:
         taken = {t for t, _ in emissions}
         grid = [(j + 1) * params.dt for j in range(params.n_steps)]
         events += [TrajectoryEvent(t, EventKind.STEP, series[j], series[j + 1]) for j, t in enumerate(grid) if t not in taken]
         events.sort(key=lambda ev: ev.t)
-    outcomes = (NsmOutcome.RESET_TO_EXCITED, NsmOutcome.JUMP_TO_GROUND)
     return TrajectoryRecord(
         traj_id=stream.stream_id,
         events=events,
-        nsm_events=tuple(NsmEvent(t, gap, a, outcomes[to_ground]) for t, gap, a, to_ground in fluctuations),
+        nsm_events=nsm_events,
         occupation_series=series if record_steps else None,
     )
 
 
-def _single_driven_step_model(plan: _DrivenPlan, gen):
+def driven_nsm_record(params, drive, stream, initial_state=None, record_steps=False, gen=None) -> TrajectoryRecord:
+    """What ``run_driven_trajectory`` returns under nsm; ``gen`` replaces ``stream.generator()``."""
+    plan = _driven_plan(params, drive, initial_state)
+    emissions, _, series, fluctuations = _single_driven_nsm(plan, stream.generator() if gen is None else gen)
+    outcomes = (NsmOutcome.RESET_TO_EXCITED, NsmOutcome.JUMP_TO_GROUND)
+    nsm_events = tuple(NsmEvent(t, gap, a, outcomes[to_ground]) for t, gap, a, to_ground in fluctuations)
+    return _driven_record(params, stream, emissions, series, record_steps, nsm_events)
+
+
+def _single_driven_step(plan: _DrivenPlan, gen):
     """Driven qmop/swf trajectory: returns (emissions, occupation series).
 
     Emissions are (time, occupation_before) pairs; occupation is recorded at
@@ -283,19 +288,8 @@ def _single_driven_step_model(plan: _DrivenPlan, gen):
 
 def driven_step_record(params, drive, stream, initial_state=None, record_steps=False) -> TrajectoryRecord:
     """What ``run_driven_trajectory`` returns under qmop/swf."""
-    plan = _driven_plan(params, drive, initial_state)
-    emissions, series = _single_driven_step_model(plan, stream.generator())
-    events = [TrajectoryEvent(t, EventKind.PHOTON_DETECTION, occ, 0.0) for t, occ in emissions]
-    if record_steps:
-        taken = {t for t, _ in emissions}
-        grid = [(j + 1) * params.dt for j in range(params.n_steps)]
-        events += [TrajectoryEvent(t, EventKind.STEP, series[j], series[j + 1]) for j, t in enumerate(grid) if t not in taken]
-        events.sort(key=lambda ev: ev.t)
-    return TrajectoryRecord(
-        traj_id=stream.stream_id,
-        events=events,
-        occupation_series=series if record_steps else None,
-    )
+    emissions, series = _single_driven_step(_driven_plan(params, drive, initial_state), stream.generator())
+    return _driven_record(params, stream, emissions, series, record_steps)
 
 
 def homodyne_block(params: ModelParams, noise_model: NoiseModel, theta: float, kick: float, rho0, gens):
