@@ -35,6 +35,7 @@ import math
 import os
 import sys
 import warnings
+from enum import EnumMeta
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -80,61 +81,37 @@ class SchemaError(ValueError):
 # config handling
 # ---------------------------------------------------------------------------
 
-_COMMON_KEYS = {"seed", "out_dir", "threads", "format"}
-_ALLOWED_KEYS = {
-    "decay": _COMMON_KEYS
-    | {"model", "gamma", "beta", "omega0", "omega1", "dt", "t_max", "n_traj", "record_steps"},
-    "homodyne": _COMMON_KEYS
-    | {
-        "gamma",
-        "beta",
-        "omega0",
-        "omega1",
-        "dt",
-        "t_max",
-        "n_traj",
-        "alpha_mag",
-        "theta",
-        "noise",
-        "kick",
-        "max_lag",
-    },
-    "rabi": _COMMON_KEYS
-    | {
-        "model",
-        "gamma",
-        "beta",
-        "omega0",
-        "omega1",
-        "omega_rabi",
-        "dt",
-        "t_max",
-        "n_traj",
-        "bin_width",
-        "drop_bins",
-    },
+# Every config key: (type, default, commands).  The type is float (a finite
+# number), int, bool, str, an Enum (one of its values) or a tuple of allowed
+# strings; JSON true/false is no number.  The default is a value (with None
+# the key may be null), _REQUIRED, or _NO_DEFAULT (absent unless given).  A
+# run names the first missing required key in table order.
+_REQUIRED, _NO_DEFAULT = object(), object()
+_ALL = ("decay", "homodyne", "rabi")
+_KEYS = {
+    "model": (Model, _REQUIRED, ("decay", "rabi")),
+    "gamma": (float, _REQUIRED, _ALL),
+    "omega_rabi": (float, _REQUIRED, ("rabi",)),
+    "dt": (float, _REQUIRED, _ALL),
+    "t_max": (float, _REQUIRED, _ALL),
+    "n_traj": (int, _REQUIRED, _ALL),
+    "noise": (NoiseModel, _REQUIRED, ("homodyne",)),
+    "beta": (float, 0.0, _ALL),
+    "omega0": (float, 0.0, _ALL),
+    "omega1": (float, 0.0, _ALL),
+    "record_steps": (bool, False, ("decay",)),
+    "theta": (float, 0.0, ("homodyne",)),
+    "alpha_mag": (float, 1.0, ("homodyne",)),
+    "kick": (float, None, ("homodyne",)),
+    "max_lag": (int, 100, ("homodyne",)),
+    "bin_width": (float, 0.25, ("rabi",)),
+    "drop_bins": (int, 20, ("rabi",)),
+    "seed": (int, 0, _ALL),
+    "threads": (int, 1, _ALL),
+    "format": (("csv", "json"), "csv", _ALL),
+    "out_dir": (str, _NO_DEFAULT, _ALL),
 }
-_REQUIRED_KEYS = {
-    "decay": ["model", "gamma", "dt", "t_max", "n_traj"],
-    "homodyne": ["gamma", "dt", "t_max", "n_traj", "noise"],
-    "rabi": ["model", "gamma", "omega_rabi", "dt", "t_max", "n_traj"],
-}
-_DEFAULTS = {
-    "beta": 0.0,
-    "omega0": 0.0,
-    "omega1": 0.0,
-    "omega_rabi": 0.0,
-    "seed": 0,
-    "threads": 1,
-    "format": "csv",
-    "record_steps": False,
-    "theta": 0.0,
-    "alpha_mag": 1.0,
-    "kick": None,
-    "max_lag": 100,
-    "bin_width": 0.25,
-    "drop_bins": 20,
-}
+_TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
 
 
 def load_config(path: str, command: str, overrides: Dict) -> Dict:
@@ -152,73 +129,42 @@ def load_config(path: str, command: str, overrides: Dict) -> Dict:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
 
-    allowed = _ALLOWED_KEYS[command]
-    unknown = sorted(set(raw) - allowed)
+    keys = {key: spec for key, spec in _KEYS.items() if command in spec[2]}
+    unknown = sorted(set(raw) - set(keys))
     if unknown:
-        raise ConfigError(f"unknown keys {unknown}; allowed keys are {sorted(allowed)}")
+        raise ConfigError(f"unknown keys {unknown}; allowed keys are {sorted(keys)}")
 
     cfg = dict(raw)
-    for key, val in overrides.items():
-        if val is not None:
-            cfg[key] = val
-    for key, val in _DEFAULTS.items():
-        if key in allowed:
-            cfg.setdefault(key, val)
-
-    missing = [k for k in _REQUIRED_KEYS[command] if k not in cfg]
-    if missing:
-        raise ConfigError(f"{missing[0]}: required field is missing")
-
-    _check_types(cfg, command)
+    cfg.update((key, val) for key, val in overrides.items() if val is not None)
+    for key, (_, default, _) in keys.items():
+        if default is _REQUIRED and key not in cfg:
+            raise ConfigError(f"{key}: required field is missing")
+    for key, (kind, default, _) in keys.items():
+        if key not in cfg and default is not _NO_DEFAULT:
+            cfg[key] = default
+        if key in cfg and not (cfg[key] is None and default is None):
+            _check_type(key, cfg[key], kind)
+    _check_rules(cfg, command)
     return cfg
 
 
-def _check_types(cfg: Dict, command: str) -> None:
-    def num(key, allow_none=False):
-        if key not in cfg:
-            return
-        v = cfg[key]
-        if v is None and allow_none:
-            return
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{key}: must be a number, got {v!r}")
-        if not math.isfinite(float(v)):
-            raise ConfigError(f"{key}: must be finite, got {v!r}")
+def _check_type(key: str, value, kind) -> None:
+    if isinstance(kind, EnumMeta):
+        kind = tuple(member.value for member in kind)
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{key}: must be one of {'|'.join(kind)}, got {value!r}")
+    elif isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ConfigError(f"{key}: must be {_TYPE_NAMES[kind]}, got {value!r}")
+    elif kind is float and not abs(value) <= sys.float_info.max:  # NaN, infinity, or an int past every double
+        raise ConfigError(f"{key}: must be finite, got {value!r}")
 
-    def integer(key):
-        if key not in cfg:
-            return
-        v = cfg[key]
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"{key}: must be an integer, got {v!r}")
 
-    for key in ("gamma", "beta", "omega0", "omega1", "omega_rabi", "dt", "t_max", "theta", "alpha_mag", "bin_width"):
-        num(key)
-    num("kick", allow_none=True)
-    for key in ("n_traj", "seed", "threads", "max_lag", "drop_bins"):
-        integer(key)
-    if "record_steps" in cfg and not isinstance(cfg["record_steps"], bool):
-        raise ConfigError(f"record_steps: must be true or false, got {cfg['record_steps']!r}")
-    if "model" in cfg:
-        try:
-            Model(cfg["model"])
-        except ValueError:
-            raise ConfigError(f"model: must be one of qmop|swf|nsm, got {cfg['model']!r}") from None
-    if "noise" in cfg:
-        try:
-            NoiseModel(cfg["noise"])
-        except ValueError:
-            raise ConfigError(
-                f"noise: must be one of white|nsm_point_process, got {cfg['noise']!r}"
-            ) from None
-    if "format" in cfg and cfg["format"] not in ("csv", "json"):
-        raise ConfigError(f"format: must be csv or json, got {cfg['format']!r}")
-    if cfg.get("threads", 1) < 1:
-        raise ConfigError(f"threads: must be >= 1, got {cfg['threads']}")
-    if cfg.get("max_lag", 1) < 1:
-        raise ConfigError(f"max_lag: must be >= 1, got {cfg['max_lag']}")
-    if cfg.get("drop_bins", 1) < 1:
-        raise ConfigError(f"drop_bins: must be >= 1, got {cfg['drop_bins']}")
+def _check_rules(cfg: Dict, command: str) -> None:
+    """The rules that span keys or bound a value, after every key's type."""
+    for key in ("threads", "max_lag", "drop_bins"):
+        if cfg.get(key, 1) < 1:
+            raise ConfigError(f"{key}: must be >= 1, got {cfg[key]}")
     if command == "rabi" and cfg["bin_width"] <= 0:
         raise ConfigError(f"bin_width: must be > 0, got {cfg['bin_width']}")
     # the fluorescence bins end at a whole number of widths: emissions past the last edge would be dropped
@@ -227,9 +173,9 @@ def _check_types(cfg: Dict, command: str) -> None:
         if not (math.isfinite(bins) and bins >= 0.5 and math.isclose(round(bins) * cfg["bin_width"], cfg["t_max"], rel_tol=1e-9)):
             raise ConfigError(f"bin_width: must divide t_max = {cfg['t_max']:g} into whole bins, got {cfg['bin_width']:g}")
     if command == "homodyne" and cfg["noise"] == "nsm_point_process":
-        if cfg.get("kick") is None and not cfg.get("beta", 0.0) > 0.0:
+        if cfg["kick"] is None and not cfg["beta"] > 0.0:
             raise ConfigError("beta: must be > 0 for nsm_point_process noise (or give kick)")
-        if cfg.get("kick") is not None and cfg["kick"] < 0:
+        if cfg["kick"] is not None and cfg["kick"] < 0:
             raise ConfigError(f"kick: must be >= 0, got {cfg['kick']}")
     # the nsm drop law takes r = beta/gamma: the decay drop moments (when
     # fluctuations occur) and the rabi drop histogram need gamma > 0

@@ -446,6 +446,8 @@ class ModelParams:
             raise ValueError(f"t_max must be > 0, got {self.t_max}")
         if self.dt > self.t_max:
             raise ValueError(f"dt={self.dt} must not exceed t_max={self.t_max}")
+        if not math.isfinite(self.t_max / self.dt):
+            raise ValueError(f"t_max/dt={self.t_max / self.dt} steps must be finite")
         if self.gamma * self.dt > MAX_GAMMA_DT:
             raise ValueError(
                 f"gamma*dt={self.gamma * self.dt:g} exceeds the accuracy guard {MAX_GAMMA_DT}"

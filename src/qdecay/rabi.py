@@ -489,7 +489,8 @@ def fluorescence_intensity(
 
     The intensity in a bin is (emissions in bin) / (n_traj * bin_width); in
     the stationary driven regime it approaches gamma times the mean
-    occupation.
+    occupation.  The bins are whole widths from 0 and cover the last event
+    of any record, so every emission is counted.
     """
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
@@ -502,8 +503,13 @@ def fluorescence_intensity(
         for ev in rec.events:
             t_last = max(t_last, ev.t)
         times.extend(_emission_times_of(rec))
-    t_max = max(t_last, bin_width)
-    return fluorescence_from_times(np.asarray(times), len(records), bin_width, t_max)
+    if not bin_width > 0.0:
+        raise ValueError(f"bin_width must be > 0, got {bin_width}")
+    # whole bins up to the last event: one more where the ceiling's product falls an ulp short
+    n_bins = max(1, math.ceil(t_last / bin_width))
+    if n_bins * bin_width < t_last:
+        n_bins += 1
+    return fluorescence_from_times(np.asarray(times), len(records), bin_width, n_bins * bin_width)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
+import itertools
 import json
 import os
 import tracemalloc
+from enum import EnumMeta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qdecay import tabletext
-from qdecay.cli import SCHEMAS, EncodedColumn, SchemaError, _shared_values, main, read_table, write_table
+from qdecay.cli import (
+    _KEYS,
+    _NO_DEFAULT,
+    _REQUIRED,
+    SCHEMAS,
+    EncodedColumn,
+    SchemaError,
+    _shared_values,
+    load_config,
+    main,
+    read_table,
+    write_table,
+)
 from qdecay.core import ModelParams, derive_stream
 from qdecay.homodyne import (
     EnsembleAutocorrelation,
@@ -793,8 +808,92 @@ MALFORMED_CONFIGS = [
     json.dumps(dict(DECAY_CFG, seed=-1)),
     json.dumps(dict(DECAY_CFG, unexpected="key")),
     json.dumps(dict(DECAY_CFG, record_steps="yes")),
+    json.dumps(dict(DECAY_CFG, gamma=10**400)),  # an int past every double
+    json.dumps(dict(DECAY_CFG, model="qmop", gamma=0.0, dt=1e-300, t_max=1e300)),  # t_max/dt overflows
     json.dumps({k: v for k, v in DECAY_CFG.items() if k != "gamma"}),
 ]
+
+
+BASE_CFGS = {"decay": DECAY_CFG, "homodyne": HOMODYNE_CFG, "rabi": RABI_CFG}
+COMMON_KEYS = ["seed", "threads", "format", "out_dir"]
+DECAY_KEYS = ["model", "gamma", "beta", "omega0", "omega1", "dt", "t_max", "n_traj", "record_steps", *COMMON_KEYS]
+HOMODYNE_KEYS = ["gamma", "beta", "omega0", "omega1", "dt", "t_max", "n_traj"]
+HOMODYNE_KEYS += ["alpha_mag", "theta", "noise", "kick", "max_lag", *COMMON_KEYS]
+RABI_KEYS = ["model", "gamma", "beta", "omega0", "omega1", "omega_rabi", "dt", "t_max", "n_traj"]
+RABI_KEYS += ["bin_width", "drop_bins", *COMMON_KEYS]
+# a value of the wrong type (or a non-finite number) for every config key
+WRONG_TYPES = {
+    "model": "wrong",
+    "noise": "pink",
+    "format": "xml",
+    "gamma": "one",
+    "beta": True,
+    "omega0": [0.0],
+    "omega1": None,
+    "omega_rabi": "2",
+    "dt": {"dt": 0.01},
+    "t_max": float("inf"),
+    "alpha_mag": None,
+    "theta": False,
+    "kick": "0.5",
+    "bin_width": [0.25],
+    "n_traj": 2.5,
+    "seed": "0",
+    "threads": True,
+    "max_lag": 10.0,
+    "drop_bins": None,
+    "record_steps": 1,
+    "out_dir": 5,
+}
+
+
+class TestResolvedConfig:
+    """The exact dict each command resolves a minimal config to: defaults drift shows here."""
+
+    COMMON = {"seed": 0, "threads": 1, "format": "csv", "beta": 0.0, "omega0": 0.0, "omega1": 0.0}
+    MINIMAL = {
+        "decay": {"model": "qmop", "gamma": 1.0, "dt": 0.01, "t_max": 1.0, "n_traj": 5},
+        "homodyne": {"gamma": 1.0, "dt": 0.01, "t_max": 1.0, "n_traj": 5, "noise": "white"},
+        "rabi": {"model": "qmop", "gamma": 1.0, "omega_rabi": 2.0, "dt": 0.01, "t_max": 1.0, "n_traj": 5},
+    }
+    DEFAULTS = {
+        "decay": {"record_steps": False},
+        "homodyne": {"theta": 0.0, "alpha_mag": 1.0, "kick": None, "max_lag": 100},
+        "rabi": {"bin_width": 0.25, "drop_bins": 20},
+    }
+
+    @pytest.mark.parametrize("command", ["decay", "homodyne", "rabi"])
+    @pytest.mark.parametrize("out_dir", [None, "run"])
+    def test_minimal_config(self, tmp_path, command, out_dir):
+        overrides = {"seed": None, "out_dir": out_dir, "threads": None, "format": None}
+        cfg = load_config(write_cfg(tmp_path, self.MINIMAL[command]), command, overrides)
+        want = dict(self.MINIMAL[command], **self.COMMON, **self.DEFAULTS[command])
+        if out_dir is not None:
+            want["out_dir"] = out_dir
+        # JSON text tells 0 from 0.0 and false from 0, as summary.json does
+        assert json.dumps(cfg, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_readme_lists_every_config_key():
+    """The README's config key table has one row per ``_KEYS`` entry, in order."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | commands | type | default |") + 2
+    rows = list(itertools.takewhile(lambda line: line.startswith("|"), lines[start:]))
+    names = {float: "number", int: "integer", bool: "`true` or `false`", str: "string"}
+    want = []
+    for key, (kind, default, commands) in _KEYS.items():
+        if isinstance(kind, EnumMeta):
+            kind = tuple(member.value for member in kind)
+        type_name = "one of " + ", ".join(f"`{v}`" for v in kind) if isinstance(kind, tuple) else names[kind]
+        if default is _REQUIRED:
+            shown = "required"
+        elif default is _NO_DEFAULT:
+            shown = "none"
+        else:
+            shown = f"`{json.dumps(default)}`"
+            type_name += " or `null`" if default is None else ""
+        want.append(f"| `{key}` | {', '.join(commands)} | {type_name} | {shown} |")
+    assert rows == want
 
 
 class TestConfigErrors:
@@ -856,6 +955,30 @@ class TestConfigErrors:
         assert not os.path.exists(out)
         cfg = write_cfg(tmp_path, dict(RABI_CFG, model="qmop", t_max=25.0, bin_width=0.25, n_traj=5), "whole.json")
         assert main(["rabi", "--config", cfg, "--out-dir", out]) == 0
+
+    @pytest.mark.parametrize(
+        "command,key",
+        [("decay", key) for key in DECAY_KEYS] + [("homodyne", key) for key in HOMODYNE_KEYS]
+        + [("rabi", key) for key in RABI_KEYS],
+    )
+    def test_wrongly_typed_key_is_named(self, tmp_path, monkeypatch, capsys, command, key):
+        payload = dict(BASE_CFGS[command], out_dir=str(tmp_path / "run"))
+        payload[key] = WRONG_TYPES[key]
+        monkeypatch.chdir(tmp_path)  # a bad out_dir would be created relative to here
+        assert main([command, "--config", write_cfg(tmp_path, payload)]) == 2
+        assert f"{key}:" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [("rabi", "record_steps", True), ("decay", "noise", "white"), ("homodyne", "bin_width", 0.5)],
+    )
+    def test_key_of_another_command_is_unknown(self, tmp_path, capsys, command, key, value):
+        out = str(tmp_path / "run")
+        cfg = write_cfg(tmp_path, dict(BASE_CFGS[command], **{key: value}))
+        assert main([command, "--config", cfg, "--out-dir", out]) == 2
+        assert f"unknown keys ['{key}']" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_homodyne_nsm_needs_beta(self, tmp_path):
         payload = dict(HOMODYNE_CFG)

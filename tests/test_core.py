@@ -294,6 +294,11 @@ class TestModelParams:
         with pytest.raises(ValueError, match="t_max"):
             ModelParams(gamma=1.0, dt=2.0, t_max=1.0)
 
+    def test_step_count_must_be_finite(self):
+        # 1e300 / 1e-300 overflows to inf: n_steps would raise OverflowError
+        with pytest.raises(ValueError, match="t_max/dt"):
+            ModelParams(gamma=0.0, dt=1e-300, t_max=1e300)
+
     def test_negative_gamma(self):
         with pytest.raises(ValueError, match="gamma"):
             ModelParams(gamma=-1.0, dt=0.01, t_max=1.0)

@@ -345,6 +345,18 @@ class TestFluorescence:
         with pytest.raises(ValueError, match="empty ensemble"):
             fluorescence_intensity([], gamma=1.0, bin_width=0.5)
 
+    @pytest.mark.parametrize(
+        "times,bin_width,n_bins",
+        [
+            ([1.0, 2.2], 0.5, 5),  # round(2.2 / 0.5) bins end at 2.0
+            ([math.nextafter(0.9, 1.0)], 0.1, 10),  # 9 * 0.1 is 0.9 < t, though t / 0.1 is 9.0
+        ],
+    )
+    def test_bins_reach_the_last_emission(self, times, bin_width, n_bins):
+        series = fluorescence_intensity([_record_with_emissions(0, times)], gamma=1.0, bin_width=bin_width)
+        assert series.intensity.size == n_bins
+        assert series.intensity.sum() * bin_width == pytest.approx(len(times))
+
     def test_from_times_matches_record_path(self):
         times = [0.3, 0.7, 1.4]
         recs = [_record_with_emissions(0, times, t_pad=2.0)]
