@@ -446,30 +446,33 @@ def cmd_homodyne(cfg: Dict) -> int:
     steps = np.arange(group * params.n_steps)
     t_codes, id_codes = steps % params.n_steps, steps // params.n_steps
 
-    # Records, not blocks: bench/child.py and bench/tracing.py time the engine
-    # through ``iter_homodyne_records`` where this module looks it up.
-    def blocks():
-        for rec in iter_homodyne_records(
-            params,
-            noise,
-            theta=float(cfg["theta"]),
-            kick=None if kick is None else float(kick),
-            threads=int(cfg["threads"]),
-        ):
-            block = rec.block
-            j = rec.traj_id - block.traj_ids.start
-            # the autocorrelation takes the engine's whole block, at its first record
-            if j == 0:
-                acc.add(block.current)
-            if (j + 1) % group and rec.traj_id + 1 != block.traj_ids.stop:
-                continue
-            rows = slice(j - j % group, j + 1)
-            n = (rows.stop - rows.start) * params.n_steps
-            current, sigma_x = _shared_values(block.current[rows].ravel(), block.sigma_x[rows].ravel(), steps[:n])
-            ids, t = EncodedColumn(id_codes[:n], block.traj_ids[rows]), EncodedColumn(t_codes[:n], rec.times)
-            yield ids, t, current, sigma_x
+    def columns(rec):
+        """The written block of the group that ``rec`` ends, else None."""
+        block = rec.block
+        j = rec.traj_id - block.traj_ids.start
+        # the autocorrelation takes the engine's whole block, at its first record
+        if j == 0:
+            acc.add(block.current)
+        if (j + 1) % group and rec.traj_id + 1 != block.traj_ids.stop:
+            return None
+        rows = slice(j - j % group, j + 1)
+        n = (rows.stop - rows.start) * params.n_steps
+        current, sigma_x = _shared_values(block.current[rows].ravel(), block.sigma_x[rows].ravel(), steps[:n])
+        ids, t = EncodedColumn(id_codes[:n], block.traj_ids[rows]), EncodedColumn(t_codes[:n], rec.times)
+        return ids, t, current, sigma_x
 
-    write_table(out_dir, "signal", blocks(), fmt)
+    # Records, not blocks: bench/child.py and bench/tracing.py time the engine
+    # through ``iter_homodyne_records`` where this module looks it up.  map and
+    # filter keep no record between items, so an engine block is freed before
+    # the next one is computed; the written columns are copies, not views.
+    records = iter_homodyne_records(
+        params,
+        noise,
+        theta=float(cfg["theta"]),
+        kick=None if kick is None else float(kick),
+        threads=int(cfg["threads"]),
+    )
+    write_table(out_dir, "signal", filter(None, map(columns, records)), fmt)
     zeta = acc.result()
     lags = np.arange(max_lag + 1) * params.dt
     write_table(out_dir, "autocorrelation", [(lags, zeta)], fmt)
@@ -562,7 +565,9 @@ def cmd_analyze(out_dir: str, strict: bool) -> int:
     if table is not None and table["t_decay"].size:
         gamma = float(cfg["gamma"])
         times = table["t_decay"]
-        dist = stats.ks_distance(times, lambda t: -np.expm1(-gamma * t))
+        # only the runs that decayed by t_max are in the table: the law conditioned on t <= t_max
+        reached = -math.expm1(-gamma * float(cfg["t_max"]))
+        dist = stats.ks_distance(times, lambda t: -np.expm1(-gamma * t) / reached)
         threshold = KS_HEADROOM * 1.36 / math.sqrt(times.size)
         checks["decay_ks"] = {
             "n": int(times.size),

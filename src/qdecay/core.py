@@ -27,6 +27,7 @@ it re-keys one bit generator per trajectory instead of building a new one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -287,16 +288,26 @@ def philox_uniforms(root_seed: int, stream_ids, counters) -> np.ndarray:
     i.e. lane ``lane`` of counter ``(counter, 0, 0, 0)`` under key
     ``(root_seed, stream_id)`` mapped to ``(x >> 11) * 2**-53``, exactly as
     ``Generator.random()`` maps it.  Pairs are processed in cache-sized
-    chunks with in-place ufuncs.
+    chunks with in-place ufuncs, each read straight from the broadcast:
+    whole rows of its last axis, or slices of one row longer than a chunk.
     """
     if not 0 <= int(root_seed) <= _U64_MAX:
         raise ValueError(f"root_seed must fit in 64 bits, got {root_seed}")
     ids, ctrs = np.broadcast_arrays(np.asarray(stream_ids, dtype=np.uint64), np.asarray(counters, dtype=np.uint64))
     shape = ids.shape
-    ids = ids.reshape(-1)
-    ctrs = ctrs.reshape(-1)
-    n = ids.size
-    out = np.empty((n, 4))
+    out = np.empty(shape + (4,))
+    if ids.size == 0:
+        return out
+    if ids.ndim > 2:
+        # one (rows, row) plane at a time: merging the leading axes of a broadcast can copy it
+        for plane in np.ndindex(shape[:-2]):
+            out[plane] = philox_uniforms(root_seed, ids[plane], ctrs[plane])
+        return out
+    # (rows, row) views of the broadcast; a scalar or 1-D broadcast is one row
+    row = shape[-1] if shape else 1
+    ids, ctrs, out = ids.reshape(-1, row), ctrs.reshape(-1, row), out.reshape(-1, row, 4)
+    n_rows = ids.shape[0]
+    rows_per_chunk, cols_per_chunk = max(1, _PHILOX_CHUNK // row), min(row, _PHILOX_CHUNK)
     keys0 = [np.uint64((int(root_seed) + r * _PHILOX_W0) & _U64_MAX) for r in range(_PHILOX_ROUNDS)]
     bump1 = np.uint64(_PHILOX_W1)
     # Round 0 multiplies v2 = 0, which leaves v1 = k0 for round 1 to multiply:
@@ -304,14 +315,15 @@ def philox_uniforms(root_seed: int, stream_ids, counters) -> np.ndarray:
     # high word it folds into v3 come from Python ints.
     key_product = int(keys0[0]) * _PHILOX_M0
     key_lo, key_hi = np.uint64(key_product & _U64_MAX), np.uint64(key_product >> 64)
-    work = np.empty((10, min(n, _PHILOX_CHUNK)), dtype=np.uint64)
-    for lo in range(0, n, _PHILOX_CHUNK):
-        hi = min(lo + _PHILOX_CHUNK, n)
-        v0, v1, v2, v3, k1, h0, h1, t0, t1, t2 = (row[: hi - lo] for row in work)
+    work = np.empty((10, min(ids.size, _PHILOX_CHUNK)), dtype=np.uint64)
+    for r0, c0 in itertools.product(range(0, n_rows, rows_per_chunk), range(0, row, cols_per_chunk)):
+        pairs = np.s_[r0 : r0 + rows_per_chunk, c0 : c0 + cols_per_chunk]
+        block = ids[pairs].shape
+        v0, v1, v2, v3, k1, h0, h1, t0, t1, t2 = (w[: block[0] * block[1]] for w in work)
         # round 0 on (ctr, 0, 0, 0) gives (k0, 0, hi(ctr*M0) ^ k1, lo(ctr*M0))
-        v3[...] = ctrs[lo:hi]
+        v3.reshape(block)[...] = ctrs[pairs]
         _mulhilo(v3, _MUL0, h0, t0, t1, t2)
-        k1[...] = ids[lo:hi]
+        k1.reshape(block)[...] = ids[pairs]
         np.bitwise_xor(h0, k1, out=v2)
         # round 1 on (k0, 0, v2, v3)
         np.add(k1, bump1, out=k1)
@@ -333,7 +345,7 @@ def philox_uniforms(root_seed: int, stream_ids, counters) -> np.ndarray:
             v0, v1, v2, v3 = v1, v2, v3, v0
         for lane, x in enumerate((v0, v1, v2, v3)):
             np.right_shift(x, _SHIFT11, out=x)
-            np.multiply(x, 2.0**-53, out=out[lo:hi, lane])
+            np.multiply(x.reshape(block), 2.0**-53, out=out[pairs + (lane,)])
     return out.reshape(shape + (4,))
 
 
@@ -348,9 +360,12 @@ def run_chunks(work, ranges: List[range], threads: int) -> Iterator:
     """Yield ``work(r)`` for each of ``ranges``, in order, on up to ``threads`` worker threads.
 
     With one thread each result is computed when it is requested, so a caller
-    that streams the results holds one at a time.  A pool computes ahead, but
-    keeps at most ``threads + 1`` ranges submitted and not yet yielded, so a
-    slow consumer holds a bounded number of results.
+    that streams the results holds one at a time, provided no frame of its own
+    refers to the previous result when it requests the next: a ``for`` loop
+    target or a ``zip`` tuple still holds the last item while the next one is
+    computed.  A pool computes ahead, but keeps at most ``threads + 1`` ranges
+    submitted and not yet yielded, so a slow consumer holds a bounded number
+    of results.
     """
     if threads <= 1 or len(ranges) == 1:
         yield from map(work, ranges)

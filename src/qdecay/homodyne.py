@@ -440,7 +440,9 @@ def iter_homodyne_records(
     Trajectory i uses substream (seed, i), so the stream of records is
     byte-identical for any chunk size or thread count.  Each record's
     ``block`` is its lock-step block of ``chunk`` trajectories; every block
-    shares one ``times`` array.
+    shares one ``times`` array.  A record keeps its whole block alive: with
+    one thread the stream holds one block at a time only if the caller lets
+    go of the previous record before it asks for the next.
     """
     noise_model = NoiseModel(noise_model)
     _warn_long_window(params)
@@ -448,13 +450,16 @@ def iter_homodyne_records(
     rho0 = _initial_rho(initial_state)
     times = np.arange(params.n_steps) * params.dt
 
-    def run_block(ids: range):
+    def run_block(ids: range) -> HomodyneBlock:
         gens = (gen for _, gen in rekeyed_generators(params.seed, ids))
-        return _lockstep_run(params, noise_model, theta, kick_val, rho0, len(ids), gens)
+        cur, sig, counts = _lockstep_run(params, noise_model, theta, kick_val, rho0, len(ids), gens)
+        return HomodyneBlock(ids, times, cur, sig, noise_model, counts)
 
     blocks = [range(lo, min(lo + chunk, params.n_traj)) for lo in range(0, params.n_traj, chunk)]
-    for ids, (cur, sig, counts) in zip(blocks, run_chunks(run_block, blocks, threads)):
-        yield from HomodyneBlock(ids, times, cur, sig, noise_model, counts).records()
+    # map hands each block straight to its records generator, which drops it when
+    # exhausted; a loop target or a zip tuple would keep it through the next run
+    for records in map(HomodyneBlock.records, run_chunks(run_block, blocks, threads)):
+        yield from records
 
 
 def run_homodyne_ensemble(params, noise_model, **kwargs) -> List[HomodyneRecord]:

@@ -725,6 +725,15 @@ class TestAnalyze:
         assert ks["margin"] == ks["threshold"] - ks["distance"] > 0
         assert drop["margin"] == drop["tolerance"] - drop["dev_mean_a"] > 0
 
+    def test_censored_decay_passes_strict(self, tmp_path):
+        # t_max 2 censors about 13% of the runs; the KS law is conditioned on t <= t_max
+        cfg = write_cfg(tmp_path, {"model": "swf", "gamma": 1.0, "dt": 0.01, "t_max": 2.0, "n_traj": 20_000, "seed": 3})
+        out = str(tmp_path / "run")
+        assert main(["decay", "--config", cfg, "--out-dir", out]) == 0
+        assert main(["analyze", "--out-dir", out, "--strict"]) == 0
+        ks = json.loads(read_bytes(out, "report.json"))["checks"]["decay_ks"]
+        assert ks["n"] < 20_000 and ks["pass"] is True
+
     def test_fluorescence_margin(self, tmp_path):
         cfg = write_cfg(tmp_path, RABI_CFG)
         out = str(tmp_path / "run")

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,8 +203,46 @@ class TestPhiloxKernel:
         for i in (0, 8191, 8192, 2 * 8192 + 1, n - 1):
             assert np.array_equal(u[i], derive_stream(7, i).generator().random(4))
 
+    @pytest.mark.parametrize(
+        "ids, counters",
+        [
+            (np.arange(3)[:, None, None], np.arange(1, 6)[None, :, None] + np.arange(0, 40, 10)),  # 3-D
+            (np.array([[5]]), np.arange(1, 20_001)),  # one id, a row longer than a chunk
+            (np.arange(20_000)[:, None], np.array([3])),  # many rows of one pair
+            (np.arange(20_000), 2),  # 1-D
+        ],
+        ids=["3d", "one-id", "one-counter", "1d"],
+    )
+    def test_broadcast_shapes(self, ids, counters):
+        u = philox_uniforms(11, ids, counters)
+        flat_ids, flat_ctrs = (a.reshape(-1) for a in np.broadcast_arrays(ids, counters))
+        assert u.shape == np.broadcast(ids, counters).shape + (4,)
+        flat = u.reshape(-1, 4)
+        for j in {0, 1, 8191, 8192, 8193, flat_ids.size // 2, flat_ids.size - 1} & set(range(flat_ids.size)):
+            bit_gen = np.random.Philox(key=np.array([11, flat_ids[j]], dtype=np.uint64), counter=flat_ctrs[j] - 1)
+            assert np.array_equal(flat[j], np.random.Generator(bit_gen).random(4))
+
+    @pytest.mark.parametrize(
+        "ids, counters",
+        [
+            (np.arange(1000, dtype=np.uint64)[:, None], np.arange(1, 101, dtype=np.uint64)),
+            (np.arange(100_000, dtype=np.uint64), 1),
+        ],
+        ids=["2d", "1d"],
+    )
+    def test_no_copy_of_the_broadcast(self, ids, counters):
+        tracemalloc.start()
+        try:
+            u = philox_uniforms(1, ids, counters)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result and ten work rows of one chunk each, with 100 kB to spare
+        assert peak < u.nbytes + 10 * 8 * 8192 + 100_000
+
     def test_empty_and_scalar(self):
         assert philox_uniforms(1, np.array([], dtype=np.uint64), 1).shape == (0, 4)
+        assert philox_uniforms(1, np.arange(4)[:, None], np.array([], dtype=np.uint64)).shape == (4, 0, 4)
         assert np.array_equal(philox_uniforms(1, 2, 1), derive_stream(1, 2).generator().random(4))
 
     def test_seed_validation(self):

@@ -1,4 +1,7 @@
+import collections
+import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_engines import homodyne_block
 
+from qdecay import homodyne
+from qdecay.cli import main
 from qdecay.core import ModelParams, QubitState, derive_stream
 from qdecay.homodyne import (
     DensityMatrix2,
@@ -20,6 +25,7 @@ from qdecay.homodyne import (
     beamsplitter_mix,
     default_kick,
     homodyne_current,
+    iter_homodyne_records,
     point_process_increments,
     run_homodyne_ensemble,
     run_homodyne_trajectory,
@@ -304,6 +310,39 @@ class TestHomodyneTrajectory:
                 ee, gg, eg = (ee - lo) / span, (gg - lo) / span, eg / span
             t2 = x * x * ee + gg
             rho = DensityMatrix2(x * x * ee / t2, gg / t2, x * eg / t2)
+
+
+class TestOneBlockAtATime:
+    """A streamed run frees each engine block before it computes the next one."""
+
+    @pytest.fixture
+    def previous_alive(self, monkeypatch):
+        """Per ``_lockstep_run`` call, whether the previous call's ``cur`` and ``sig`` were still alive."""
+        run = homodyne._lockstep_run
+        refs, alive = [], []
+
+        def spy(*args):
+            alive.append([ref() is not None for ref in refs])
+            cur, sig, counts = run(*args)
+            refs[:] = [weakref.ref(cur), weakref.ref(sig)]
+            return cur, sig, counts
+
+        monkeypatch.setattr(homodyne, "_lockstep_run", spy)
+        return alive
+
+    def test_records_stream(self, previous_alive):
+        p = _quiet_params(n_traj=10, seed=3)
+        collections.deque(iter_homodyne_records(p, "white", chunk=4), maxlen=0)
+        assert previous_alive == [[], [False, False], [False, False]]
+
+    def test_homodyne_command(self, tmp_path, previous_alive):
+        # 1100 trajectories: two full blocks of 512 and a partial one
+        cfg = tmp_path / "cfg.json"
+        payload = {"noise": "nsm_point_process", "gamma": 0.01, "beta": 8.0, "dt": 0.01, "t_max": 0.04}
+        cfg.write_text(json.dumps(dict(payload, n_traj=1100, seed=7, max_lag=2)))
+        argv = ["homodyne", "--config", str(cfg), "--out-dir", str(tmp_path / "run"), "--threads", "1"]
+        assert main(argv) == 0
+        assert previous_alive == [[], [False, False], [False, False]]
 
 
 def bits(x):

@@ -7,11 +7,11 @@ Each ROOT is a checkout whose ``src/`` holds the ``qdecay`` package.  Under
 each tree, in a fresh interpreter, the script runs a fixed matrix of small
 runs: ``decay`` qmop/swf/nsm with and without ``record_steps`` (and a qmop
 run whose times print in exponent notation), ``homodyne`` with white noise
-and the nsm point process (at theta 0 and 0.7, and with about 200 pulses
-per step), and ``rabi`` qmop/swf/nsm, each in CSV and JSON at ``--threads``
-1 and 3.  It then compares the sha256 of every file the runs wrote.  It
-exits 0 when every file is identical, 1 naming each file that differs or
-that only one tree wrote, and 2 when a run fails.
+and the nsm point process (at theta 0 and 0.7, with about 200 pulses per
+step, and over three engine blocks), and ``rabi`` qmop/swf/nsm, each in CSV
+and JSON at ``--threads`` 1 and 3.  It then compares the sha256 of every
+file the runs wrote.  It exits 0 when every file is identical, 1 naming each
+file that differs or that only one tree wrote, and 2 when a run fails.
 """
 
 from __future__ import annotations
@@ -45,6 +45,11 @@ CONFIGS = {
     "homodyne-pp-theta": ("homodyne", dict(_HOMODYNE, noise="nsm_point_process", beta=10.0, theta=0.7)),
     # about 200 pulses per step: the engine's pulse counts do not fit int8
     "homodyne-pp-dense": ("homodyne", dict(_HOMODYNE, noise="nsm_point_process", beta=2e4)),
+    # 1100 trajectories: two full engine blocks of 512, then a partial one of 76
+    "homodyne-pp-blocks": (
+        "homodyne",
+        dict(_HOMODYNE, noise="nsm_point_process", beta=10.0, t_max=0.2, n_traj=1100, max_lag=10),
+    ),
     "rabi-qmop": ("rabi", dict(_RABI, model="qmop")),
     "rabi-swf": ("rabi", dict(_RABI, model="swf")),
     "rabi-nsm": ("rabi", dict(_RABI, model="nsm", beta=0.5)),
