@@ -1,8 +1,8 @@
 """Experiment orchestration: JSON config in, CSV/JSON tables and reports out.
 
 Subcommands: ``decay | homodyne | rabi | analyze``.  A run validates its
-whole config before touching the filesystem, spawns trajectory workers up to
-``--threads`` and merges results in trajectory order; ``decay`` always runs
+whole config before touching the filesystem and runs its trajectories
+serially (``--threads`` is accepted and ignored); ``decay`` always runs
 ``models.run_decay_ensemble``, whose ``record_steps`` adds the grid STEP rows.
 The engines hand their tables over as column blocks: tuples of columns
 (ndarrays or lists) in the order of ``SCHEMAS[name]``.  A column drawn from
@@ -19,7 +19,7 @@ columns, a bounded row slice at a time and whole columns at once
 (``tabletext``), with the bytes of ``str`` (CSV) or ``json.dumps`` (JSON)
 of each value.  It formats a values object once while consecutive slices
 share it and deletes the table's file in the other format.  Identical
-(config, seed) therefore produce byte-identical outputs for any thread count.
+(config, seed) therefore produce byte-identical outputs.
 ``read_table`` parses a table back in bulk, one ndarray per column.
 
 Exit codes: 0 ok, 2 config/schema error, 3 I/O error, 4 analysis thresholds
@@ -211,7 +211,7 @@ def _provenance(cfg: Dict, command: str) -> Dict:
     """Config echo for summary.json: the scientific parameters plus the seed.
 
     Execution details (threads, out_dir, format) are excluded so outputs are
-    byte-identical across thread counts and destinations.
+    byte-identical across those settings and destinations.
     """
     skip = {"threads", "out_dir", "format"}
     out = {k: v for k, v in sorted(cfg.items()) if k not in skip}
@@ -364,9 +364,7 @@ def cmd_decay(cfg: Dict) -> int:
     out_dir = cfg["out_dir"]
     fmt = cfg["format"]
 
-    summary = models.run_decay_ensemble(
-        params, threads=int(cfg["threads"]), record_steps=cfg["record_steps"]
-    )
+    summary = models.run_decay_ensemble(params, record_steps=cfg["record_steps"])
     decay_times = summary.decay_times
     table = summary.events
     drop_samples = summary.drop_samples
@@ -470,7 +468,6 @@ def cmd_homodyne(cfg: Dict) -> int:
         noise,
         theta=float(cfg["theta"]),
         kick=None if kick is None else float(kick),
-        threads=int(cfg["threads"]),
     )
     write_table(out_dir, "signal", filter(None, map(columns, records)), fmt)
     zeta = acc.result()
@@ -504,7 +501,7 @@ def cmd_rabi(cfg: Dict) -> int:
     bin_width = float(cfg["bin_width"])
 
     # the run writes emission times and drops only, so it skips the occupation bins
-    ensemble = rabi.run_driven_ensemble(params, drive, bin_steps=None, threads=int(cfg["threads"]))
+    ensemble = rabi.run_driven_ensemble(params, drive, bin_steps=None)
     series = rabi.fluorescence_from_times(
         ensemble.emission_times, ensemble.n_traj, bin_width, params.t_max
     )
@@ -563,11 +560,11 @@ def cmd_analyze(out_dir: str, strict: bool) -> int:
 
     table = read_table(out_dir, "decay_times")
     if table is not None and table["t_decay"].size:
-        gamma = float(cfg["gamma"])
         times = table["t_decay"]
+        law = models.decay_time_cdf(Model(cfg["model"]), float(cfg["gamma"]), float(cfg["dt"]))
         # only the runs that decayed by t_max are in the table: the law conditioned on t <= t_max
-        reached = -math.expm1(-gamma * float(cfg["t_max"]))
-        dist = stats.ks_distance(times, lambda t: -np.expm1(-gamma * t) / reached)
+        reached = law(np.array([float(cfg["t_max"])]))[0]
+        dist = stats.ks_distance(times, lambda t: law(t) / reached)
         threshold = KS_HEADROOM * 1.36 / math.sqrt(times.size)
         checks["decay_ks"] = {
             "n": int(times.size),
@@ -658,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out-dir", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="trajectory workers")
+        p.add_argument("--threads", type=int, default=None, help="accepted for compatibility; runs are serial")
         p.add_argument("--format", choices=("csv", "json"), default=None)
     p = sub.add_parser("analyze")
     p.add_argument("--out-dir", required=True, help="run directory to analyze")

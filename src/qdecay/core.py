@@ -3,14 +3,15 @@
 Time is dimensionless throughout the package: the caller picks a unit and
 expresses every rate and angular frequency in the inverse unit, so only
 products such as ``gamma * t`` are ever meaningful.  All types defined here
-are immutable values, safe to share between threads.
+are immutable values.
 
 Per-trajectory randomness comes from numpy's counter-based Philox4x64-10
 generator keyed by ``(root_seed, stream_id)`` (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC'11).  Distinct stream ids give
 statistically independent substreams, and a fixed key reproduces the same bit
-stream on every platform and under any thread schedule, which is what makes
-full ensembles byte-reproducible regardless of worker count.
+stream on every platform.  Trajectory ``i`` reads only stream ``(seed, i)``,
+which is what makes full ensembles byte-reproducible however the engines
+group their trajectories.
 
 Because the generator is counter-based, draw ``p`` of stream ``(seed, i)``
 is a pure function of ``(seed, i, p)``: lane ``p % 4`` of the block for
@@ -29,10 +30,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -347,54 +347,6 @@ def philox_uniforms(root_seed: int, stream_ids, counters) -> np.ndarray:
             np.right_shift(x, _SHIFT11, out=x)
             np.multiply(x.reshape(block), 2.0**-53, out=out[pairs + (lane,)])
     return out.reshape(shape + (4,))
-
-
-def chunk_ranges(n: int, chunks: int) -> List[range]:
-    """Split ``range(n)`` into at most ``chunks`` contiguous, non-empty, ordered ranges."""
-    chunks = max(1, min(chunks, n))
-    bounds = np.linspace(0, n, chunks + 1).astype(int)
-    return [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
-def run_chunks(work, ranges: List[range], threads: int) -> Iterator:
-    """Yield ``work(r)`` for each of ``ranges``, in order, on up to ``threads`` worker threads.
-
-    With one thread each result is computed when it is requested, so a caller
-    that streams the results holds one at a time, provided no frame of its own
-    refers to the previous result when it requests the next: a ``for`` loop
-    target or a ``zip`` tuple still holds the last item while the next one is
-    computed.  A pool computes ahead, but keeps at most ``threads + 1`` ranges
-    submitted and not yet yielded, so a slow consumer holds a bounded number
-    of results.
-    """
-    if threads <= 1 or len(ranges) == 1:
-        yield from map(work, ranges)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = deque()
-        for r in ranges:
-            pending.append(pool.submit(work, r))
-            if len(pending) > threads:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
-def run_ensemble(work, n: int, threads: int) -> Tuple[np.ndarray, ...]:
-    """Run ``work(ids)`` over the chunks of ``range(n)`` and join its columns in id order.
-
-    ``work`` returns a tuple of ndarray columns whose rows belong to the
-    trajectories ``ids`` (any number of rows per trajectory, in id order).
-    Column ``k`` of the result is column ``k`` of every chunk, concatenated
-    along the first axis, so it does not depend on ``threads``.  A single
-    chunk's columns are returned as they are, not copied.
-    """
-    parts = list(run_chunks(work, chunk_ranges(n, threads), threads))
-    if len(parts) == 1:
-        return tuple(parts[0])
-    return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
 @dataclass(frozen=True)

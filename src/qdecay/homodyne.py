@@ -22,7 +22,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import ModelParams, QubitState, RngStream, as_generator, rekeyed_generators, run_chunks
+from .core import ModelParams, QubitState, RngStream, as_generator, rekeyed_generators
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -433,16 +433,16 @@ def iter_homodyne_records(
     kick: Optional[float] = None,
     initial_state: Optional[QubitState] = None,
     chunk: int = 512,
-    threads: int = 1,
 ) -> Iterator[HomodyneRecord]:
     """Yield ``params.n_traj`` records in trajectory order, blockwise lock-step.
 
     Trajectory i uses substream (seed, i), so the stream of records is
-    byte-identical for any chunk size or thread count.  Each record's
-    ``block`` is its lock-step block of ``chunk`` trajectories; every block
-    shares one ``times`` array.  A record keeps its whole block alive: with
-    one thread the stream holds one block at a time only if the caller lets
-    go of the previous record before it asks for the next.
+    byte-identical for any chunk size.  Each record's ``block`` is its
+    lock-step block of ``chunk`` trajectories; every block shares one
+    ``times`` array.  A record keeps its whole block alive, so the stream
+    holds one block at a time only if the caller lets go of the previous
+    record before it asks for the next: a ``for`` loop target or a ``zip``
+    tuple still holds the last item while the next one is computed.
     """
     noise_model = NoiseModel(noise_model)
     _warn_long_window(params)
@@ -456,9 +456,8 @@ def iter_homodyne_records(
         return HomodyneBlock(ids, times, cur, sig, noise_model, counts)
 
     blocks = [range(lo, min(lo + chunk, params.n_traj)) for lo in range(0, params.n_traj, chunk)]
-    # map hands each block straight to its records generator, which drops it when
-    # exhausted; a loop target or a zip tuple would keep it through the next run
-    for records in map(HomodyneBlock.records, run_chunks(run_block, blocks, threads)):
+    # map hands each block straight to its records generator, which drops it when exhausted
+    for records in map(HomodyneBlock.records, map(run_block, blocks)):
         yield from records
 
 

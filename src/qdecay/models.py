@@ -49,7 +49,6 @@ from .core import (
     as_generator,
     normalize,
     philox_uniforms,
-    run_ensemble,
 )
 
 NSM_BETA_ZERO_FLAG = "nsm_beta_zero_no_fluctuations"
@@ -246,6 +245,30 @@ def _truncated_exponential_times(rate: float, width, v: np.ndarray) -> np.ndarra
 def _jump_strength(model: Model, gamma: float, dt: float) -> float:
     """Jump probability of one step from the excited state: swf ``1 - exp(-gamma*dt)``, qmop ``gamma*dt``."""
     return -math.expm1(-gamma * dt) if model is Model.SWF else gamma * dt
+
+
+def decay_time_cdf(model: Model, gamma: float, dt: float):
+    """The exact law ``F(t)`` of an excited start's decay time under ``model``, for an ndarray ``t``.
+
+    A jump with per-step probability ``h``, placed inside its step by the truncated exponential,
+    has ``F(k*dt + f) = 1 - (1-h)^k (1 - h expm1(-gamma f) / expm1(-gamma dt))``.  swf's
+    ``h = 1 - exp(-gamma dt)`` gives the exponential law, which nsm follows too; qmop's
+    ``h = gamma dt`` is off it by O(gamma dt).
+    """
+    h = _jump_strength(Model.SWF if model is Model.NSM else model, gamma, dt)
+
+    def cdf(t):
+        # in place on divmod's two arrays: analyze holds no further array the size of t
+        k, f = np.divmod(t, dt)
+        f *= -gamma
+        np.expm1(f, out=f)
+        f *= -h / math.expm1(-gamma * dt)
+        f += 1.0
+        np.power(1.0 - h, k, out=k)
+        k *= f
+        return np.subtract(1.0, k, out=k)
+
+    return cdf
 
 
 @dataclass(frozen=True)
@@ -916,16 +939,15 @@ def _bin_statistics(vals: np.ndarray, edges: np.ndarray, dt: float):
 def run_decay_ensemble(
     params: ModelParams,
     initial_state: Optional[QubitState] = None,
-    threads: int = 1,
     bin_steps: Optional[int] = None,
     record_steps: bool = False,
 ) -> EnsembleSummary:
-    """Run ``params.n_traj`` trajectories of the selected model.
+    """Run ``params.n_traj`` trajectories of the selected model, serially.
 
     Trajectory ``i`` always consumes the substream ``derive_stream(seed, i)``
-    and partial results are merged in trajectory order, so the output is
-    identical for any ``threads`` value.  The event table holds the scalar
-    runners' ``events`` in trajectory order, STEP rows only with ``record_steps``.
+    and the engine's groups are joined in trajectory order.  The event table
+    holds the scalar runners' ``events`` in trajectory order, STEP rows only
+    with ``record_steps``.
     """
     initial = _decay_initial(initial_state)
     n = params.n_traj
@@ -937,9 +959,7 @@ def run_decay_ensemble(
 
     if model in (Model.QMOP, Model.SWF):
         plan = _step_plan(params, initial, model)
-        decay_times, jump_steps = run_ensemble(
-            lambda ids: _lockstep_step_decay(plan, params.seed, ids), n, threads
-        )
+        decay_times, jump_steps = _lockstep_step_decay(plan, params.seed, range(n))
         rows = _step_model_rows(plan, jump_steps, decay_times, model, record_steps)
         if bin_steps:
             # every trajectory starts on the no-jump curve, and its jump at k starts the zero row at k + 1
@@ -955,27 +975,25 @@ def run_decay_ensemble(
         grid = np.arange(params.n_steps + 1) * params.dt
         tables = np.stack([w_exc0 * np.exp(-params.gamma * grid), np.zeros(grid.size)])
 
-        def work(ids: range):
-            parts = []
-            for lo in range(0, len(ids), _NSM_GROUP):
-                group = ids[lo : lo + _NSM_GROUP]
-                m = len(group)
-                times, fluct, segments = _lockstep_nsm(params, w_exc0, params.seed, group)
-                traj, t, _, drop, terminal, occ = fluct
-                vals = np.empty((m, 0))
-                if bin_steps:
-                    # every trajectory starts on one arc, and a jump starts a segment of zeros
-                    seg_table = np.where(segments[1] == 0, 0, np.where(segments[2] == 0.0, 1, -1))
-                    occupation = partial(_nsm_occupation, segments, params.gamma, grid)
-                    vals = _segment_bin_means(segments, m, params.n_steps, bin_steps, tables, seg_table, occupation)
-                steps = ()
-                if record_steps:
-                    step_traj, step_t, *cols = _nsm_step_table(segments, params.gamma, grid, m, fluct)
-                    steps = (group.start + step_traj, step_t.codes, *cols)
-                parts.append((times, group.start + traj, t, occ, drop, terminal, vals, *steps))
-            return tuple(map(np.concatenate, zip(*parts)))
+        def group(lo: int):
+            ids = range(lo, min(lo + _NSM_GROUP, n))
+            m = len(ids)
+            times, fluct, segments = _lockstep_nsm(params, w_exc0, params.seed, ids)
+            traj, t, _, drop, terminal, occ = fluct
+            vals = np.empty((m, 0))
+            if bin_steps:
+                # every trajectory starts on one arc, and a jump starts a segment of zeros
+                seg_table = np.where(segments[1] == 0, 0, np.where(segments[2] == 0.0, 1, -1))
+                occupation = partial(_nsm_occupation, segments, params.gamma, grid)
+                vals = _segment_bin_means(segments, m, params.n_steps, bin_steps, tables, seg_table, occupation)
+            steps = ()
+            if record_steps:
+                step_traj, step_t, *cols = _nsm_step_table(segments, params.gamma, grid, m, fluct)
+                steps = (lo + step_traj, step_t.codes, *cols)
+            return (times, lo + traj, t, occ, drop, terminal, vals, *steps)
 
-        decay_times, traj_id, t_fluct, occ, drops, terminal, vals, *steps = run_ensemble(work, n, threads)
+        groups = map(group, range(0, n, _NSM_GROUP))
+        decay_times, traj_id, t_fluct, occ, drops, terminal, vals, *steps = map(np.concatenate, zip(*groups))
         rows = (traj_id, *_nsm_rows(t_fluct, occ, terminal))
         if record_steps:
             step_traj, step_t, *cols = steps

@@ -49,7 +49,6 @@ from .core import (
     RngStream,
     TrajectoryRecord,
     rekeyed_generators,
-    run_ensemble,
 )
 from .models import (
     _CODE,
@@ -394,7 +393,6 @@ def run_driven_ensemble(
     drive: DriveParams,
     initial_state: Optional[QubitState] = None,
     bin_steps: Optional[int] = 20,
-    threads: int = 1,
 ) -> DrivenEnsemble:
     """Run ``params.n_traj`` driven trajectories and aggregate statistics.
 
@@ -402,10 +400,10 @@ def run_driven_ensemble(
     trajectory's average occupation within the bin; the quoted error is the
     standard error over trajectories.  ``bin_steps=None`` skips the bins,
     leaving only the emission times and drops.  Trajectory i uses substream
-    (seed, i) and merges happen in trajectory order, independent of
-    ``threads``.  The model's engine runs over groups of at most
-    ``_NSM_GROUP`` trajectories; each group's segments give its bins
-    (``_segment_bin_means``) and its emissions go through ``_trajectory_order``.
+    (seed, i) and the groups are joined in trajectory order.  The model's
+    engine runs serially over groups of at most ``_NSM_GROUP`` trajectories;
+    each group's segments give its bins (``_segment_bin_means``) and its
+    emissions go through ``_trajectory_order``.
     """
     plan = _driven_plan(params, drive, initial_state)
     n = params.n_traj
@@ -428,13 +426,9 @@ def run_driven_ensemble(
         _, t, drop, emitted = _trajectory_order(events)
         return t[emitted], drop, drop[emitted]
 
-    def work(ids: range):
-        vals = np.empty((len(ids), n_bins))
-        starts = range(0, len(ids), _NSM_GROUP)
-        parts = [group(ids[lo : lo + _NSM_GROUP], vals[lo : lo + _NSM_GROUP]) for lo in starts]
-        return (*map(np.concatenate, zip(*parts)), vals)
-
-    em_times, drop_all, drop_em, vals = run_ensemble(work, n, threads)
+    ids, vals = range(n), np.empty((n, n_bins))
+    groups = (group(ids[lo : lo + _NSM_GROUP], vals[lo : lo + _NSM_GROUP]) for lo in range(0, n, _NSM_GROUP))
+    em_times, drop_all, drop_em = map(np.concatenate, zip(*groups))
     centers = mean = se = None
     if bin_steps:
         centers, mean, _, se = _bin_statistics(vals, edges, params.dt)

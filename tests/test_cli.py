@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import threading
 import tracemalloc
 from enum import EnumMeta
 from pathlib import Path
@@ -697,6 +698,34 @@ class TestRabiCommand:
         assert not os.path.exists(os.path.join(out, "drop_histogram.csv"))
 
 
+class TestSerialRuns:
+    """No run starts a worker thread, and ``--threads`` changes no byte."""
+
+    CASES = {
+        "decay-qmop": ("decay", dict(DECAY_CFG, model="qmop")),
+        "decay-nsm": ("decay", DECAY_CFG),
+        # 1100 trajectories: two full engine blocks of 512, then a partial one
+        "homodyne-pp": ("homodyne", dict(HOMODYNE_CFG, t_max=0.2, n_traj=1100, max_lag=10)),
+        "rabi-nsm": ("rabi", RABI_CFG),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_threads_flag_starts_no_thread(self, tmp_path, monkeypatch, case):
+        def refuse(thread):
+            raise RuntimeError(f"a run started the thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        command, payload = self.CASES[case]
+        cfg = write_cfg(tmp_path, payload)
+        outs = [str(tmp_path / f"t{threads}") for threads in ("1", "4")]
+        for out, threads in zip(outs, ("1", "4")):
+            assert main([command, "--config", cfg, "--out-dir", out, "--threads", threads]) == 0
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1])) and len(names) >= 3
+        for name in names:
+            assert read_bytes(outs[0], name) == read_bytes(outs[1], name), name
+
+
 class TestLongFluctuationGaps:
     """gamma*gap > ~37.4 rounds the nsm occupation drop to exactly 1.0."""
 
@@ -733,6 +762,16 @@ class TestAnalyze:
         assert main(["analyze", "--out-dir", out, "--strict"]) == 0
         ks = json.loads(read_bytes(out, "report.json"))["checks"]["decay_ks"]
         assert ks["n"] < 20_000 and ks["pass"] is True
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_qmop_passes_strict_against_its_step_law(self, tmp_path, seed):
+        # at gamma*dt 0.1 qmop's step law sits 0.019 from the exponential law, against a 0.011 limit
+        cfg = write_cfg(tmp_path, {"model": "qmop", "gamma": 1.0, "dt": 0.1, "t_max": 20.0, "n_traj": 100_000, "seed": seed})
+        out = str(tmp_path / "run")
+        assert main(["decay", "--config", cfg, "--out-dir", out]) == 0
+        assert main(["analyze", "--out-dir", out, "--strict"]) == 0
+        ks = json.loads(read_bytes(out, "report.json"))["checks"]["decay_ks"]
+        assert ks["distance"] < 0.005 < ks["threshold"]
 
     def test_fluorescence_margin(self, tmp_path):
         cfg = write_cfg(tmp_path, RABI_CFG)

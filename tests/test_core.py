@@ -1,5 +1,4 @@
 import math
-import time
 import tracemalloc
 
 import numpy as np
@@ -14,15 +13,12 @@ from qdecay.core import (
     RngStream,
     TrajectoryEvent,
     TrajectoryRecord,
-    chunk_ranges,
     derive_stream,
     normalize,
     occupation,
     philox_uniforms,
     photon_packet_length,
     rekeyed_generators,
-    run_chunks,
-    run_ensemble,
     sigma_x_expectation,
 )
 
@@ -263,50 +259,6 @@ class TestRekeyedGenerators:
 
     def test_yields_in_order(self):
         assert [i for i, _ in rekeyed_generators(0, range(3, 7))] == [3, 4, 5, 6]
-
-
-class TestChunks:
-    @given(st.integers(1, 500), st.integers(1, 12))
-    def test_ranges_partition_in_order(self, n, chunks):
-        ranges = chunk_ranges(n, chunks)
-        assert 1 <= len(ranges) <= chunks
-        assert [i for r in ranges for i in r] == list(range(n))
-
-    def test_run_chunks_keeps_order(self):
-        ranges = chunk_ranges(100, 7)
-        assert list(run_chunks(lambda r: r.start, ranges, 3)) == [r.start for r in ranges]
-
-    def test_run_chunks_streams_on_one_thread(self):
-        calls = []
-        results = run_chunks(lambda r: calls.append(r.start) or r.start, chunk_ranges(10, 5), 1)
-        assert calls == []
-        assert next(results) == 0 and calls == [0]
-        assert next(results) == 2 and calls == [0, 2]
-
-    def test_run_chunks_bounds_lookahead(self):
-        threads = 2
-        started = []
-        ranges = chunk_ranges(20, 20)
-        results = run_chunks(lambda r: started.append(r.start) or r.start, ranges, threads)
-        assert next(results) == 0
-        time.sleep(0.2)
-        assert len(started) <= threads + 1
-        assert list(results) == [r.start for r in ranges[1:]]
-
-    def test_run_ensemble_returns_a_single_chunk_uncopied(self):
-        made = []
-
-        def work(ids):
-            cols = (np.arange(ids.start, ids.stop) * 0.5, np.repeat(np.arange(ids.start, ids.stop), 2))
-            made.append(cols)
-            return cols
-
-        one = run_ensemble(work, 10, 1)
-        assert len(made) == 1 and all(np.shares_memory(a, b) for a, b in zip(one, made[0]))
-        three = run_ensemble(work, 10, 3)
-        assert len(made) == 4 and not any(np.shares_memory(a, b) for a, b in zip(three, made[1]))
-        for a, b in zip(one, three):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestPacketLength:

@@ -274,10 +274,10 @@ class TestHomodyneTrajectory:
             assert np.array_equal(solo.current, recs[i].current)
             assert np.array_equal(solo.sigma_x, recs[i].sigma_x)
 
-    def test_thread_and_chunk_invariance(self):
+    def test_chunk_invariance(self):
         p = _quiet_params(n_traj=60, seed=10)
-        base = run_homodyne_ensemble(p, "white", chunk=7, threads=1)
-        alt = run_homodyne_ensemble(p, "white", chunk=64, threads=4)
+        base = run_homodyne_ensemble(p, "white", chunk=7)
+        alt = run_homodyne_ensemble(p, "white", chunk=64)
         for a, b in zip(base, alt):
             assert np.array_equal(a.current, b.current)
             assert np.array_equal(a.sigma_x, b.sigma_x)

@@ -15,11 +15,12 @@ from reference_engines import (
 from scipy.integrate import quad
 
 from qdecay import models, rabi, stats
-from qdecay.core import EncodedColumn, EventKind, ModelParams, QubitState, derive_stream
+from qdecay.core import EncodedColumn, EventKind, Model, ModelParams, QubitState, derive_stream
 from qdecay.models import (
     NSM_BETA_ZERO_FLAG,
     NsmOutcome,
     _truncated_exponential_times,
+    decay_time_cdf,
     fluctuation_gap_density,
     jump_probability,
     occupation_drop_density,
@@ -157,6 +158,28 @@ class TestJumpProbability:
     def test_step_too_large(self):
         with pytest.raises(ValueError, match="step too large"):
             jump_probability(QubitState.excited(), 2.0, 0.1)
+
+
+class TestDecayTimeLaw:
+    """``decay_time_cdf``: the step law of qmop/swf, the exponential law of nsm."""
+
+    def test_swf_law_is_exponential(self):
+        t = np.linspace(0.0, 20.0, 2001) + 0.0037
+        law = decay_time_cdf(Model.SWF, 1.3, 0.05)
+        assert np.max(np.abs(law(t) + np.expm1(-1.3 * t))) < 1e-14
+
+    def test_qmop_law_steps_with_hazard_gamma_dt(self):
+        law = decay_time_cdf(Model.QMOP, 1.0, 0.1)
+        k = np.arange(200)
+        assert np.max(np.abs(law(k * 0.1) - (1.0 - (1.0 - 0.1) ** k))) < 1e-14
+        # within a step the law follows the truncated exponential, and stays off the exponential law by O(gamma dt)
+        t = np.linspace(0.0, 20.0, 20001)
+        assert np.all(np.diff(law(t)) >= 0.0)
+        assert 0.018 < np.max(np.abs(law(t) + np.expm1(-t))) < 0.02
+
+    def test_nsm_law_is_exponential(self):
+        t = np.linspace(0.0, 5.0, 11)
+        assert np.max(np.abs(decay_time_cdf(Model.NSM, 2.0, 0.1)(t) + np.expm1(-2.0 * t))) < 1e-14
 
 
 class TestQmopTrajectory:
@@ -533,12 +556,11 @@ class TestBatchedStepEngine:
         expected = np.array([math.nan if r.decay_time is None else r.decay_time for r in records])
         if case == "censored":
             assert 0 < np.isnan(expected).sum() < p.n_traj
-        for threads in (1, 3):
-            s = run_decay_ensemble(p, initial_state=initial, threads=threads, bin_steps=7, record_steps=record_steps)
-            assert np.array_equal(s.decay_times, expected, equal_nan=True)
-            assert_table_holds(s.events, event_rows(records))
-            if record_steps:  # the records keep their series only then
-                assert_bins_hold(s, records, p, 7)
+        s = run_decay_ensemble(p, initial_state=initial, bin_steps=7, record_steps=record_steps)
+        assert np.array_equal(s.decay_times, expected, equal_nan=True)
+        assert_table_holds(s.events, event_rows(records))
+        if record_steps:  # the records keep their series only then
+            assert_bins_hold(s, records, p, 7)
 
     @settings(deadline=None)
     @example(model="qmop", gamma=1.0, c_ground=0.0, t_max=3.0, seed=0, stream_id=2**63, record_steps=True)
@@ -616,9 +638,8 @@ class TestBatchedNsmEngine:
     INITIAL = {"excited": None, "superposition": QubitState.superposition(0.6, 0.8j), "ground": QubitState.ground()}
 
     @pytest.mark.parametrize("record_steps", [False, True])
-    @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("initial", sorted(INITIAL))
-    def test_ensemble_matches_scalar_trajectories(self, initial, threads, record_steps):
+    def test_ensemble_matches_scalar_trajectories(self, initial, record_steps):
         initial = self.INITIAL[initial]
         p = params(model="nsm", beta=1.5, t_max=3.0, n_traj=200, seed=99)
         bin_steps = 30
@@ -626,9 +647,7 @@ class TestBatchedNsmEngine:
         for i, ref in enumerate(records):
             rec = run_nsm_trajectory(p, derive_stream(p.seed, i), initial_state=initial, record_steps=record_steps)
             assert_same_record(rec, ref if record_steps else nsm_record(p, derive_stream(p.seed, i), initial))
-        s = run_decay_ensemble(
-            p, initial_state=initial, threads=threads, bin_steps=bin_steps, record_steps=record_steps
-        )
+        s = run_decay_ensemble(p, initial_state=initial, bin_steps=bin_steps, record_steps=record_steps)
         assert_nsm_ensemble_holds(s, records, p, bin_steps, record_steps)
         if initial is None:
             assert 0 < s.n_censored < p.n_traj and s.drop_terminal.sum() < s.drop_terminal.size
@@ -779,18 +798,6 @@ def test_runner_and_ensemble_reject_photon_weight_alike(model, driven):
             call()
         messages.append(str(err.value))
     assert messages[0] == messages[1]
-
-
-class TestEnsembleDeterminism:
-    @pytest.mark.parametrize("model,beta", [("qmop", 0.0), ("swf", 0.0), ("nsm", 1.5)])
-    def test_thread_count_does_not_change_results(self, model, beta):
-        p = params(model=model, beta=beta, t_max=40.0, n_traj=600, seed=1234)
-        base = run_decay_ensemble(p, threads=1)
-        for threads in (3, 8):
-            other = run_decay_ensemble(p, threads=threads)
-            assert np.array_equal(base.decay_times, other.decay_times, equal_nan=True)
-            assert np.array_equal(base.events.t, other.events.t)
-            assert kind_names(base.events) == kind_names(other.events)
 
 
 class TestEncodedEventColumns:

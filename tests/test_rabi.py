@@ -165,9 +165,8 @@ class TestDrivenEnsemble:
         z = np.abs(rate - target) / np.sqrt(rate_se**2 + target_se**2)
         assert np.all(z[stationary] <= 3.5)
 
-    @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("model", ["qmop", "nsm"])
-    def test_ensemble_matches_scalar_trajectories(self, model, threads):
+    def test_ensemble_matches_scalar_trajectories(self, model):
         p = driven_params(model=model, gamma=0.5, beta=0.8, omega=4.0, dt=0.01, t_max=8.0, n_traj=120, seed=404)
         drive = DriveParams(omega_rabi=4.0)
         bin_steps = 40
@@ -177,7 +176,7 @@ class TestDrivenEnsemble:
         records = [reference(p, drive, derive_stream(p.seed, i), record_steps=True) for i in range(p.n_traj)]
         for i, ref in enumerate(records):
             assert_same_record(run_driven_trajectory(p, drive, derive_stream(p.seed, i), record_steps=True), ref)
-        ens = run_driven_ensemble(p, drive, bin_steps=bin_steps, threads=threads)
+        ens = run_driven_ensemble(p, drive, bin_steps=bin_steps)
         assert_ensemble_holds(ens, records, p, bin_steps)
         assert ens.emission_times.size > 0 and (ens.drop_all.size > 0) == (model == "nsm")
 
@@ -273,15 +272,15 @@ class TestDrivenEnsemble:
         assert models._fluctuation_gaps(Rows(), np.arange(3), beta).tolist() == expected
         assert rows == [[], [], []]
 
-    # groups of 64: several lock-step groups in each thread's chunk
+    # groups of 64: several lock-step groups in one run
     @pytest.mark.parametrize("group", [64, models._NSM_GROUP])
     def test_ensemble_without_bins(self, monkeypatch, group):
         p = driven_params(model="nsm", gamma=0.5, beta=0.8, omega=4.0, dt=0.01, t_max=8.0, n_traj=300, seed=9)
         drive = DriveParams(omega_rabi=4.0)
         one_group = run_driven_ensemble(p, drive, bin_steps=20)
         monkeypatch.setattr(rabi, "_NSM_GROUP", group)
-        with_bins = run_driven_ensemble(p, drive, bin_steps=20, threads=2)
-        without = run_driven_ensemble(p, drive, bin_steps=None, threads=2)
+        with_bins = run_driven_ensemble(p, drive, bin_steps=20)
+        without = run_driven_ensemble(p, drive, bin_steps=None)
         for name in ("emission_times", "drop_all", "drop_emission"):
             assert np.array_equal(getattr(without, name), getattr(with_bins, name))
             assert np.array_equal(getattr(with_bins, name), getattr(one_group, name))
@@ -298,13 +297,6 @@ class TestDrivenEnsemble:
                 run_driven_trajectory(p, drive, derive_stream(0, 0).generator())
             with pytest.raises(TypeError, match="derive_stream"):
                 run_driven_trajectory(p, drive, np.random.default_rng(0))
-
-    def test_deterministic_across_threads(self):
-        p = driven_params(gamma=0.2, omega=2.0, t_max=10.0, n_traj=200, seed=33)
-        a = run_driven_ensemble(p, DriveParams(omega_rabi=2.0), threads=1)
-        b = run_driven_ensemble(p, DriveParams(omega_rabi=2.0), threads=5)
-        assert np.array_equal(a.emission_times, b.emission_times)
-        assert np.array_equal(a.occupation_mean, b.occupation_mean)
 
 
 def assert_ensemble_holds(ens, records, p, bin_steps):

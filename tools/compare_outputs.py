@@ -9,7 +9,7 @@ runs: ``decay`` qmop/swf/nsm with and without ``record_steps`` (and a qmop
 run whose times print in exponent notation), ``homodyne`` with white noise
 and the nsm point process (at theta 0 and 0.7, with about 200 pulses per
 step, and over three engine blocks), and ``rabi`` qmop/swf/nsm, each in CSV
-and JSON at ``--threads`` 1 and 3.  It then compares the sha256 of every
+and JSON.  It then compares the sha256 of every
 file the runs wrote.  It exits 0 when every file is identical, 1 naming each
 file that differs or that only one tree wrote, and 2 when a run fails.
 """
@@ -55,7 +55,6 @@ CONFIGS = {
     "rabi-nsm": ("rabi", dict(_RABI, model="nsm", beta=0.5)),
 }
 FORMATS = ("csv", "json")
-THREADS = (1, 3)
 
 # Runs every case of argv[3] (JSON) with the qdecay of argv[1]/src, under argv[2].
 _CHILD = """
@@ -66,12 +65,11 @@ sys.path.insert(0, os.path.join(root, "src"))
 from qdecay import cli
 if not os.path.abspath(cli.__file__).startswith(os.path.join(root, "src", "")):
     sys.exit(f"qdecay imported from {cli.__file__}, not from {root}/src")
-for run_dir, command, cfg, fmt, threads in cases:
+for run_dir, command, cfg, fmt in cases:
     path = os.path.join(out, run_dir + ".cfg.json")
     with open(path, "w") as fh:
         json.dump(cfg, fh)
-    argv = [command, "--config", path, "--out-dir", os.path.join(out, run_dir), "--format", fmt]
-    rc = cli.main(argv + ["--threads", str(threads)])
+    rc = cli.main([command, "--config", path, "--out-dir", os.path.join(out, run_dir), "--format", fmt])
     if rc != 0:
         sys.exit(f"{run_dir}: qdecay {command} exited {rc}")
 """
@@ -79,10 +77,9 @@ for run_dir, command, cfg, fmt, threads in cases:
 
 def cases() -> list:
     return [
-        (f"{name}/{fmt}-t{threads}", command, cfg, fmt, threads)
+        (f"{name}/{fmt}", command, cfg, fmt)
         for name, (command, cfg) in CONFIGS.items()
         for fmt in FORMATS
-        for threads in THREADS
     ]
 
 
