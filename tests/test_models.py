@@ -637,9 +637,12 @@ class TestBatchedNsmEngine:
 
     INITIAL = {"excited": None, "superposition": QubitState.superposition(0.6, 0.8j), "ground": QubitState.ground()}
 
+    # groups of 64: the 200 trajectories run as three full lock-step groups and a partial one
     @pytest.mark.parametrize("record_steps", [False, True])
+    @pytest.mark.parametrize("group", [64, models._NSM_GROUP])
     @pytest.mark.parametrize("initial", sorted(INITIAL))
-    def test_ensemble_matches_scalar_trajectories(self, initial, record_steps):
+    def test_ensemble_matches_scalar_trajectories(self, monkeypatch, initial, group, record_steps):
+        monkeypatch.setattr(models, "_NSM_GROUP", group)
         initial = self.INITIAL[initial]
         p = params(model="nsm", beta=1.5, t_max=3.0, n_traj=200, seed=99)
         bin_steps = 30
@@ -798,6 +801,25 @@ def test_runner_and_ensemble_reject_photon_weight_alike(model, driven):
             call()
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+class TestEnsembleDeterminism:
+    """How the engines split an ensemble into lock-step blocks changes no result."""
+
+    # the block bound of each engine: trajectories per nsm group, counters per qmop/swf block
+    BLOCK = {"qmop": "_LOCKSTEP_COUNTERS", "swf": "_LOCKSTEP_COUNTERS", "nsm": "_NSM_GROUP"}
+
+    @pytest.mark.parametrize("model,beta", [("qmop", 0.0), ("swf", 0.0), ("nsm", 1.5)])
+    def test_block_size_does_not_change_results(self, monkeypatch, model, beta):
+        p = params(model=model, beta=beta, t_max=40.0, n_traj=600, seed=1234)
+        base = run_decay_ensemble(p, bin_steps=50)
+        for size in (7, 256):
+            monkeypatch.setattr(models, self.BLOCK[model], size)
+            other = run_decay_ensemble(p, bin_steps=50)
+            assert np.array_equal(base.decay_times, other.decay_times, equal_nan=True)
+            assert np.array_equal(base.events.t, other.events.t)
+            assert kind_names(base.events) == kind_names(other.events)
+            assert np.array_equal(base.occupation_mean, other.occupation_mean)
 
 
 class TestEncodedEventColumns:
