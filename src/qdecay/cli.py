@@ -561,9 +561,10 @@ def cmd_analyze(out_dir: str, strict: bool) -> int:
     table = read_table(out_dir, "decay_times")
     if table is not None and table["t_decay"].size:
         times = table["t_decay"]
-        law = models.decay_time_cdf(Model(cfg["model"]), float(cfg["gamma"]), float(cfg["dt"]))
-        # only the runs that decayed by t_max are in the table: the law conditioned on t <= t_max
-        reached = law(np.array([float(cfg["t_max"])]))[0]
+        model, dt, t_max = Model(cfg["model"]), float(cfg["dt"]), float(cfg["t_max"])
+        law = models.decay_time_cdf(model, float(cfg["gamma"]), dt)
+        # only the runs that decayed by the engine's horizon (n_steps * dt; t_max for nsm) are in the table
+        reached = law(np.array([t_max if model is Model.NSM else round(t_max / dt) * dt]))[0]
         dist = stats.ks_distance(times, lambda t: law(t) / reached)
         threshold = KS_HEADROOM * 1.36 / math.sqrt(times.size)
         checks["decay_ks"] = {

@@ -255,7 +255,7 @@ _MUL0 = _split_multiplier(_PHILOX_M0)
 _MUL1 = _split_multiplier(_PHILOX_M1)
 
 
-def _mulhilo(x: np.ndarray, mul, hi: np.ndarray, t0: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> None:
+def mulhilo(x: np.ndarray, mul, hi: np.ndarray, t0: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> None:
     """In place: ``hi`` <- high word and ``x`` <- low word of the 128-bit ``x * m``.
 
     numpy has no 128-bit multiply, so the high word is assembled from the
@@ -322,12 +322,12 @@ def philox_uniforms(root_seed: int, stream_ids, counters) -> np.ndarray:
         v0, v1, v2, v3, k1, h0, h1, t0, t1, t2 = (w[: block[0] * block[1]] for w in work)
         # round 0 on (ctr, 0, 0, 0) gives (k0, 0, hi(ctr*M0) ^ k1, lo(ctr*M0))
         v3.reshape(block)[...] = ctrs[pairs]
-        _mulhilo(v3, _MUL0, h0, t0, t1, t2)
+        mulhilo(v3, _MUL0, h0, t0, t1, t2)
         k1.reshape(block)[...] = ids[pairs]
         np.bitwise_xor(h0, k1, out=v2)
         # round 1 on (k0, 0, v2, v3)
         np.add(k1, bump1, out=k1)
-        _mulhilo(v2, _MUL1, h1, t0, t1, t2)
+        mulhilo(v2, _MUL1, h1, t0, t1, t2)
         np.bitwise_xor(h1, keys0[1], out=v0)
         np.bitwise_xor(v3, key_hi, out=v3)
         np.bitwise_xor(v3, k1, out=v3)
@@ -335,8 +335,8 @@ def philox_uniforms(root_seed: int, stream_ids, counters) -> np.ndarray:
         v0, v1, v2, v3 = v0, v2, v3, v1
         for r in range(2, _PHILOX_ROUNDS):
             np.add(k1, bump1, out=k1)
-            _mulhilo(v0, _MUL0, h0, t0, t1, t2)
-            _mulhilo(v2, _MUL1, h1, t0, t1, t2)
+            mulhilo(v0, _MUL0, h0, t0, t1, t2)
+            mulhilo(v2, _MUL1, h1, t0, t1, t2)
             # (v0, v1, v2, v3) <- (hi1 ^ v1 ^ k0, lo1, hi0 ^ v3 ^ k1, lo0)
             np.bitwise_xor(v1, h1, out=v1)
             np.bitwise_xor(v1, keys0[r], out=v1)

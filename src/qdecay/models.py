@@ -17,13 +17,13 @@ Draw order per trajectory (part of the reproducibility contract):
   kernel, stopping each trajectory's checks at its first hit;
   ``run_decay_ensemble`` runs it over every id and the single-trajectory
   runners over the one id of their stream.
-* nsm: per fluctuation, the gap uniform (redrawn while it is 0 or the gap
-  ``-ln(u)/beta`` is 0), then the reduction uniform; the attribution uniform
-  is recovered from the reduction draw by conditioning, so no extra draw is
-  consumed.  Forced fluctuation times replace the gaps.  One engine,
-  ``_lockstep_nsm``, reads these positions in the fluctuation loop it shares
-  with the driven nsm engine; ``run_decay_ensemble`` runs it over groups of
-  ids and ``run_nsm_trajectory`` over the one id of its stream.
+* nsm: per fluctuation, the gap uniform of the fluctuation loop the
+  driven nsm engine shares (``lockstep`` states that part of the order),
+  then the reduction uniform; the attribution uniform is recovered from the
+  reduction draw by conditioning, so no extra draw is consumed.  Forced
+  fluctuation times replace the gaps.  One engine, ``_lockstep_nsm``, reads
+  these positions; ``run_decay_ensemble`` runs it over groups of ids and
+  ``run_nsm_trajectory`` over the one id of its stream.
 """
 
 from __future__ import annotations
@@ -36,20 +36,11 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (
-    MAX_GAMMA_DT,
-    EncodedColumn,
-    EventKind,
-    Model,
-    ModelParams,
-    QubitState,
-    RngStream,
-    TrajectoryEvent,
-    TrajectoryRecord,
-    as_generator,
-    normalize,
-    philox_uniforms,
-)
+from . import lockstep
+from .core import MAX_GAMMA_DT, EncodedColumn, EventKind, Model, ModelParams, QubitState, RngStream, TrajectoryRecord
+from .core import as_generator, normalize, philox_uniforms
+# the kind names and the attribution sampler moved to lockstep, and stay importable from here
+from .lockstep import EVENT_KIND_NAMES, truncated_exponential_times as _truncated_exponential_times  # noqa: F401
 
 NSM_BETA_ZERO_FLAG = "nsm_beta_zero_no_fluctuations"
 
@@ -222,27 +213,7 @@ def occupation_drop_moments(gamma: float, beta: float) -> DropMoments:
 # ---------------------------------------------------------------------------
 
 
-def _math_map(fn, x: np.ndarray) -> np.ndarray:
-    """``fn`` from ``math`` over ``x``: numpy's transcendentals may round differently."""
-    return np.fromiter(map(fn, x.tolist()), float, x.size)
-
-
-def _truncated_exponential_times(rate: float, width, v: np.ndarray) -> np.ndarray:
-    """Inverse-CDF samples of Exp(rate) conditioned on (0, width], one per ``v`` in [0, 1).
-
-    ``width`` is an array like ``v`` or one float; samples are clamped to
-    [ulp(0), width] against rounding.  The arithmetic, ``min`` and ``max``
-    run in numpy, ``expm1`` and ``log1p`` on ``math``.
-    """
-    if rate <= 0.0:
-        return np.where(v > 0.0, v, 0.5) * width
-    x = -rate * width
-    q = -(_math_map(math.expm1, x) if np.ndim(x) else math.expm1(x))
-    s = -_math_map(math.log1p, -v * q) / rate
-    return np.minimum(np.maximum(s, math.ulp(0.0)), width)
-
-
-def _jump_strength(model: Model, gamma: float, dt: float) -> float:
+def jump_strength(model: Model, gamma: float, dt: float) -> float:
     """Jump probability of one step from the excited state: swf ``1 - exp(-gamma*dt)``, qmop ``gamma*dt``."""
     return -math.expm1(-gamma * dt) if model is Model.SWF else gamma * dt
 
@@ -255,7 +226,7 @@ def decay_time_cdf(model: Model, gamma: float, dt: float):
     ``h = 1 - exp(-gamma dt)`` gives the exponential law, which nsm follows too; qmop's
     ``h = gamma dt`` is off it by O(gamma dt).
     """
-    h = _jump_strength(Model.SWF if model is Model.NSM else model, gamma, dt)
+    h = jump_strength(Model.SWF if model is Model.NSM else model, gamma, dt)
 
     def cdf(t):
         # in place on divmod's two arrays: analyze holds no further array the size of t
@@ -303,7 +274,7 @@ def _step_plan(params: ModelParams, initial: QubitState, model: Model) -> _StepP
     else:
         s = np.exp(-params.gamma * t)
         occ = w_e * s / (w_g + w_e * s)
-    jump_prob = occ[:n_steps] * _jump_strength(model, params.gamma, params.dt)
+    jump_prob = occ[:n_steps] * jump_strength(model, params.gamma, params.dt)
     return _StepPlan(n_steps, params.dt, params.gamma, occ, jump_prob)
 
 
@@ -355,68 +326,13 @@ def _lockstep_step_decay(plan: _StepPlan, seed: int, ids: range) -> Tuple[np.nda
         part = decayed[lo : lo + _ATTRIBUTION_CHUNK]
         stream_ids = ids.start + part.astype(np.uint64)
         v = philox_uniforms(seed, stream_ids, attribution_ctr + 1)[:, attribution_lane]
-        times[part] = steps[part] * plan.dt + _truncated_exponential_times(plan.gamma, plan.dt, v)
+        times[part] = steps[part] * plan.dt + lockstep.truncated_exponential_times(plan.gamma, plan.dt, v)
     return times, steps
 
 
-# Event rows: columns (t, kind, before, after), kind an int8 index into _KINDS.
-# A column may be an EncodedColumn; _merge_rows and _trajectory_events take both.
-_KINDS = tuple(EventKind)
-_CODE = {kind: np.int8(code) for code, kind in enumerate(_KINDS)}
-# The name of each kind code, as the events table spells it.
-EVENT_KIND_NAMES = tuple(kind.value for kind in _KINDS)
 # Occupation after a jump, and after an nsm fluctuation (code 0: reset, 1: jump).
 _AFTER_JUMP = (0.0,)
 _AFTER_FLUCTUATION = (1.0, 0.0)
-
-
-def _step_rows(series, dt: float, n: int, taken=()):
-    """STEP rows ``(t, kind, before, after)`` at the ends of the first ``n`` grid steps.
-
-    ``series`` holds the occupation at step starts.  Grid times in ``taken``
-    are skipped: an event already logged there (a fluctuation or emission
-    landing exactly on the grid) keeps the time.
-    """
-    t = np.arange(1, n + 1) * dt
-    keep = ~np.isin(t, taken)
-    return t[keep], np.full(keep.sum(), _CODE[EventKind.STEP]), series[:n][keep], series[1 : n + 1][keep]
-
-
-def _joined(a, b):
-    """Column ``a`` followed by column ``b``, encoded when the longer of the two is.
-
-    Encoded columns join their codes, offsetting ``b``'s by the length of
-    ``a``'s values unless the two share one values object; a shorter plain
-    column joins as codes into itself, a shorter encoded one decoded.
-    """
-    if not isinstance(max(a, b, key=len), EncodedColumn):
-        return np.concatenate((np.asarray(a), np.asarray(b)))
-    a, b = (c if isinstance(c, EncodedColumn) else EncodedColumn(np.arange(len(c)), c) for c in (a, b))
-    if a.values is b.values:
-        return EncodedColumn(np.concatenate((a.codes, b.codes)), a.values)
-    codes = np.concatenate((a.codes, b.codes)).astype(np.int64, copy=False)
-    codes[len(a) :] += len(a.values)
-    return EncodedColumn(codes, np.concatenate((np.asarray(a.values), np.asarray(b.values))))
-
-
-def _merge_rows(first, second):
-    """The rows of ``first`` then ``second``, stably sorted on their first column, then their second."""
-    cols = list(map(_joined, first, second))
-    order = np.lexsort((np.asarray(cols[1]), np.asarray(cols[0])))
-    for i, c in enumerate(cols):  # one at a time, so each joined column is freed once gathered
-        cols[i] = EncodedColumn(c.codes[order], c.values) if isinstance(c, EncodedColumn) else c[order]
-    return tuple(cols)
-
-
-def _ragged(start: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """The indices ``start[i] .. start[i] + size[i] - 1`` of every window ``i``, in order."""
-    return np.repeat(start - np.cumsum(size) + size, size) + np.arange(size.sum())
-
-
-def _trajectory_events(t, kind, before, after) -> Tuple[TrajectoryEvent, ...]:
-    """The ``TrajectoryEvent``s of one trajectory's event rows."""
-    kinds = [_KINDS[c] for c in kind.tolist()]
-    return tuple(map(TrajectoryEvent, t.tolist(), kinds, before.tolist(), after.tolist()))
 
 
 def _step_model_rows(plan: _StepPlan, jump_steps, decay_times, model: Model, record_steps: bool):
@@ -433,23 +349,23 @@ def _step_model_rows(plan: _StepPlan, jump_steps, decay_times, model: Model, rec
     k = jump_steps[decayed]
     before = EncodedColumn(k, plan.occupation)
     after = EncodedColumn(np.zeros(k.size, dtype=np.int8), _AFTER_JUMP)
-    rows = (decayed, decay_times[decayed], np.full(k.size, _CODE[terminal]), before, after)
+    rows = (decayed, decay_times[decayed], np.full(k.size, lockstep.KIND_CODE[terminal]), before, after)
     if not record_steps:
         return rows
     # every trajectory rides the same no-jump curve, so its STEP rows are
     # the first n_i steps of the grid: row j runs from grid point j to j + 1
     n_i = np.where(jump_steps < 0, plan.n_steps, jump_steps)
-    j = _ragged(0 * n_i, n_i)
+    j = lockstep.ragged(0 * n_i, n_i)
     end = j + 1
     grid = np.arange(plan.n_steps + 1) * plan.dt
     steps = (
         EncodedColumn(np.repeat(np.arange(n_i.size), n_i), np.arange(n_i.size)),
         EncodedColumn(end, grid),
-        np.full(j.size, _CODE[EventKind.STEP]),
+        np.full(j.size, lockstep.KIND_CODE[EventKind.STEP]),
         EncodedColumn(j, plan.occupation),
         EncodedColumn(end, plan.occupation),
     )
-    return _merge_rows(steps, rows)
+    return lockstep.merge_rows(steps, rows)
 
 
 def _step_decay_record(
@@ -460,12 +376,9 @@ def _step_decay_record(
     record_steps: bool,
 ) -> TrajectoryRecord:
     """``_lockstep_step_decay`` over the one id of ``stream``, as a record."""
-    if not isinstance(stream, RngStream):
-        name = type(stream).__name__
-        raise TypeError(f"the {model.value} runner takes an RngStream from derive_stream(), got {name}")
+    ids = lockstep.stream_ids(stream, f"the {model.value} runner")
     plan = _step_plan(params, _decay_initial(initial_state), model)
-    i = stream.stream_id
-    times, steps = _lockstep_step_decay(plan, stream.root_seed, range(i, i + 1))
+    times, steps = _lockstep_step_decay(plan, stream.root_seed, ids)
     rows = _step_model_rows(plan, steps, times, model, record_steps)
     k = int(steps[0])
 
@@ -475,8 +388,8 @@ def _step_decay_record(
         if k >= 0:
             series[k + 1 :] = 0.0
     return TrajectoryRecord(
-        traj_id=i,
-        events=_trajectory_events(*rows[1:]),
+        traj_id=ids.start,
+        events=lockstep.trajectory_events(*rows[1:]),
         decay_time=None if k < 0 else float(times[0]),
         occupation_series=series,
     )
@@ -522,222 +435,6 @@ def run_swf_trajectory(
 # ---------------------------------------------------------------------------
 
 
-# Trajectories per nsm lock-step group (decay and driven), and per driven
-# qmop/swf group: bounds the draw buffers, the per-fluctuation or emission
-# columns and the binning temporaries.  On 4e4 driven trajectories of 12.5
-# fluctuations each, groups of 8192 took ~10% less time than 2048 but
-# peaked ~14 MB higher.
-_NSM_GROUP = 2048
-# Philox counters (four draws each) a trajectory's draw buffer holds.
-_NSM_BUFFER_CTRS = 8
-_NSM_BUFFER = 4 * _NSM_BUFFER_CTRS
-
-
-class _StreamCursors:
-    """Draw ``pos[j]`` of the stream ``(seed, ids[j])``, read by position from Philox blocks.
-
-    Each trajectory keeps its own position and a window of the
-    ``_NSM_BUFFER`` draws from ``base[j]`` on.  When one of the rows asked
-    for runs short, every one of them whose position is in the upper half
-    of its window slides it by half: the upper half moves down and only the
-    counters of the new upper half are evaluated, so no ``(id, counter)``
-    pair is evaluated twice, and refills batch into few ``philox_uniforms``
-    calls.
-    """
-
-    def __init__(self, seed: int, ids: range):
-        m = len(ids)
-        self.seed = seed
-        self.ids = ids.start + np.arange(m, dtype=np.uint64)
-        self.pos = np.zeros(m, dtype=np.int64)
-        self.base = np.full(m, -_NSM_BUFFER, dtype=np.int64)  # empty windows, ending before draw 0
-        self.buf = np.empty((m, _NSM_BUFFER))
-
-    def take(self, rows: np.ndarray, need: int) -> np.ndarray:
-        """The next draw of each of ``rows``, after making sure ``need`` of them are buffered."""
-        half = _NSM_BUFFER // 2
-        left = self.base[rows] + _NSM_BUFFER - self.pos[rows]
-        if (left < need).any():
-            r = rows[left < half]
-            self.base[r] += half
-            self.buf[r, :half] = self.buf[r, half:]
-            # draw d is lane d % 4 of counter d // 4 + 1
-            counters = (self.base[r] + half)[:, None] // 4 + np.arange(1, half // 4 + 1)
-            self.buf[r, half:] = philox_uniforms(self.seed, self.ids[r][:, None], counters).reshape(r.size, half)
-        p = self.pos[rows]
-        self.pos[rows] = p + 1
-        return self.buf[rows, p - self.base[rows]]
-
-
-def _fluctuation_gaps(draws: _StreamCursors, rows: np.ndarray, beta: float) -> np.ndarray:
-    """One gap ``-ln(u)/beta`` per row, each redrawing u while the gap is not positive.
-
-    The masked form of ``_fluctuation_gap``: rows whose ``u`` is 0, or whose
-    gap underflows to 0, draw again; the others are done.
-    """
-    gaps = np.empty(rows.size)
-    todo = np.arange(rows.size)
-    while todo.size:
-        u = draws.take(rows[todo], 3)  # the gap, the reduction and the driven photon
-        gap = np.zeros(todo.size)
-        drawn = u > 0.0
-        gap[drawn] = -_math_map(math.log, u[drawn]) / beta
-        done = gap > 0.0
-        gaps[todo[done]] = gap[done]
-        todo = todo[~done]
-    return gaps
-
-
-def _trajectory_order(rounds: list) -> Tuple[np.ndarray, ...]:
-    """The rounds' column tuples joined and stably sorted on their first column.
-
-    Empties ``rounds``: one column at a time is joined, its pieces released
-    and the join gathered in order.
-    """
-    columns = [list(c) for c in zip(*rounds)]
-    rounds.clear()
-    out = []
-    for pieces in columns:
-        joined = np.concatenate(pieces)
-        pieces.clear()
-        if not out:
-            order = np.argsort(joined, kind="stable")
-        out.append(joined[order])
-    return tuple(out)
-
-
-def _covering_segment(segments, n: int, traj: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Index of the segment that holds step ``k`` of trajectory ``traj``, for queries sorted on (traj, k).
-
-    It is the trajectory's last segment starting at or before ``k`` (an
-    empty segment, from several fluctuations in one step, never is).  Each
-    segment of the queried trajectories marks the first query at or after
-    its start, and a running maximum over the marks carries it forward.
-    """
-    key = traj * (n + 2) + k
-    lo, hi = np.searchsorted(segments[0], (traj[0], traj[-1] + 1)) if traj.size else (0, 0)
-    seg_key = segments[0][lo:hi] * (n + 2) + segments[1][lo:hi]
-    mark = np.zeros(key.size + 1, dtype=np.int64)
-    np.maximum.at(mark, np.searchsorted(key, seg_key), np.arange(lo, hi))
-    return np.maximum.accumulate(mark[:-1])
-
-
-def _segment_occupation(tables: np.ndarray, segments, n: int, traj: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Occupation of trajectory ``traj`` at step ``k``, row ``table`` of ``tables`` from its segment's start."""
-    s = _covering_segment(segments, n, traj, k)
-    return tables[segments[2][s], k - segments[1][s]]
-
-
-# Elements materialised at once when summing bins.
-_BIN_ELEMENTS = 1 << 16
-
-
-def _window_sums(size: np.ndarray, elements) -> np.ndarray:
-    """``np.add.reduceat`` sums of consecutive windows of the given sizes.
-
-    ``elements(w)`` returns the elements of the windows in slice ``w``, in
-    order; it is called for slices of about ``_BIN_ELEMENTS`` elements.
-    """
-    sums = np.empty(size.size)
-    per = max(1, _BIN_ELEMENTS // int(size.max())) if size.size else 1
-    for lo in range(0, size.size, per):
-        w = slice(lo, lo + per)
-        first = np.cumsum(size[w]) - size[w]
-        sums[w] = np.add.reduceat(elements(w).reshape(-1), first)
-    return sums
-
-
-def _segment_bin_means(segments, m: int, n: int, bin_steps: int, tables, seg_table, occupation) -> np.ndarray:
-    """Per-trajectory occupation means over the bins of ``bin_steps`` steps, from segments.
-
-    The values equal ``np.add.reduceat(series[:n], edges[:-1]) / bin_steps``
-    of each trajectory's occupation series bit for bit, without building it:
-    every bin sum is a reduceat over the bin's own elements, in order.  A
-    segment ``s`` with ``seg_table[s] >= 0`` reads that row of ``tables``
-    from its start, so the whole bins inside it are windows 0, 1, ... of the
-    row from the phase of its first bin edge; each window of a (row, phase)
-    pair is summed once, however many segments use it.  The other bins (cut
-    by a segment start, in another segment, or the longer last bin when
-    ``bin_steps`` does not divide ``n``) are summed over elements read by
-    ``occupation(traj, k)``.  Trajectories go in blocks of about
-    ``_BIN_ELEMENTS`` bins, which bounds the per-bin index arrays.  Returns
-    an (m, n_bins) array.
-    """
-    n_bins = n // bin_steps
-    means = np.empty((m, n_bins))
-    if not n_bins:
-        return means
-    seg_traj, k_start = segments[0], segments[1]
-    # a segment runs to the next one's start, the last of its trajectory to step n
-    k_end = np.append(k_start[1:], n)
-    k_end[np.flatnonzero(seg_traj[1:] != seg_traj[:-1])] = n
-    b_lo = -(-k_start // bin_steps)
-    whole = np.minimum(k_end // bin_steps, n_bins - (n % bin_steps > 0)) - b_lo
-    count = np.where(seg_table >= 0, np.maximum(whole, 0), 0)
-    pair = seg_table.clip(0) * bin_steps + b_lo * bin_steps - k_start
-    longest = np.zeros(tables.shape[0] * bin_steps, dtype=np.int64)
-    np.maximum.at(longest, pair, count)
-    used = np.flatnonzero(longest)
-    # window j of pair (row r, phase p) starts at element p + j * bin_steps of row r
-    first = np.repeat(used // bin_steps * tables.shape[1] + used % bin_steps, longest[used])
-    first += _ragged(0 * used, longest[used]) * bin_steps
-    width = np.full(first.size, bin_steps)
-    windows = _window_sums(width, lambda w: tables.reshape(-1)[_ragged(first[w], width[w])]) / bin_steps
-    run_slot = (np.cumsum(longest) - longest)[pair]
-    per = max(1, _BIN_ELEMENTS // n_bins)
-    for lo in range(0, m, per):
-        block = means[lo : lo + per].reshape(-1)
-        seg = slice(*np.searchsorted(seg_traj, (lo, lo + per)))
-        run = (seg_traj[seg] - lo) * n_bins + b_lo[seg]
-        pos = _ragged(run, count[seg])
-        block[pos] = windows[pos - np.repeat(run - run_slot[seg], count[seg])]
-        rest = np.ones(block.size, dtype=bool)
-        rest[pos] = False
-        traj, b = np.divmod(np.flatnonzero(rest), n_bins)
-        k, size = b * bin_steps, np.where(b < n_bins - 1, bin_steps, n - b * bin_steps)
-        sums = _window_sums(size, lambda w: occupation(np.repeat(lo + traj[w], size[w]), _ragged(k[w], size[w])))
-        block[rest] = sums / bin_steps
-    return means
-
-
-def _fluctuation_rounds(params: ModelParams, seed: int, ids: range, live: np.ndarray, first, reduce, forced=None):
-    """The nsm fluctuation loop over the streams ``(seed, i)``, ``i`` in ``ids``.
-
-    One round advances every trajectory in ``live`` by one fluctuation: the
-    gap (redrawn while ``u == 0`` or the gap is 0), or the next ``forced``
-    time whatever ``beta``, then ``reduce(draws, live, t, gap)``, which draws
-    the rest and returns the fluctuations' columns, the columns of the
-    segments they start and a mask of the trajectories that go on.  A
-    trajectory also leaves when its next fluctuation falls past ``t_max``.
-    Returns two lists with a column tuple per round, ``(traj, t, gap, drop,
-    ...)`` and ``(traj, k_start, ...)``, ``first`` the segments from step 0,
-    for ``_trajectory_order`` to put in trajectory order.
-    """
-    m = len(ids)
-    draws = _StreamCursors(seed, ids)
-    t_prev = np.zeros(m)
-    times = None if forced is None else iter(forced.tolist())
-    fluct = []
-    segs = [(np.arange(m), np.zeros(m, dtype=np.int64), *first)]
-    while True:
-        if times is None:
-            gap = _fluctuation_gaps(draws, live, params.beta)
-            t = t_prev[live] + gap
-        else:  # past the last forced time every trajectory leaves
-            t = np.full(live.size, next(times, math.inf))
-            gap = t - t_prev[live]
-        inside = t <= params.t_max
-        live, gap, t = live[inside], gap[inside], t[inside]
-        cols, seg, stay = reduce(draws, live, t, gap)
-        fluct.append((live, t, gap, -_math_map(math.expm1, -params.gamma * gap), *cols))
-        segs.append((live, *seg))
-        if not live.size:
-            break
-        live, t = live[stay], t[stay]
-        t_prev[live] = t
-    return fluct, segs
-
-
 def _lockstep_nsm(params: ModelParams, w_exc0: float, seed: int, ids: range, forced: Optional[np.ndarray] = None):
     """The nsm decay engine over the streams ``(seed, i)``, ``i`` in ``ids``.
 
@@ -746,7 +443,7 @@ def _lockstep_nsm(params: ModelParams, w_exc0: float, seed: int, ids: range, for
     otherwise it is terminal, and the emission time inside the gap comes
     from ``u`` by conditioning.  A ground input, or ``beta == 0`` without
     ``forced`` times, draws nothing.  Returns the decay times (nan where
-    censored) and the columns of ``_fluctuation_rounds`` in trajectory
+    censored) and the columns of ``lockstep.fluctuation_rounds`` in trajectory
     order: ``(traj, t, gap, drop, terminal, survive)`` and ``(traj, k_start,
     w, t_reset)``, from grid step ``k_start`` on ``w * exp(-gamma * (k * dt
     - t_reset))``: each trajectory starts with ``(0, w_exc0, 0)``, a reset at
@@ -759,48 +456,34 @@ def _lockstep_nsm(params: ModelParams, w_exc0: float, seed: int, ids: range, for
     w = np.full(m, w_exc0)
 
     def reduce(draws, live, t, gap):
-        survive = w[live] * _math_map(math.exp, -params.gamma * gap)
+        survive = w[live] * lockstep.math_map(math.exp, -params.gamma * gap)
         u = draws.take(live, 1)
         # u < 1, so a terminal step has survive < 1 and conditions u without another draw
         terminal = u >= survive
         j = np.flatnonzero(terminal)
         v = (u[j] - survive[j]) / (1.0 - survive[j])
-        decay_times[live[j]] = (t[j] - gap[j]) + _truncated_exponential_times(params.gamma, gap[j], v)
+        decay_times[live[j]] = (t[j] - gap[j]) + lockstep.truncated_exponential_times(params.gamma, gap[j], v)
         w[live] = 1.0
         seg = (np.searchsorted(grid, t), np.where(terminal, 0.0, 1.0), np.where(terminal, 0.0, t))
         return (terminal, survive), seg, ~terminal
 
     live = np.arange(m if w_exc0 > 0.0 and (params.beta > 0.0 or forced is not None) else 0)
-    rounds = _fluctuation_rounds(params, seed, ids, live, (w.copy(), np.zeros(m)), reduce, forced)
-    return decay_times, *map(_trajectory_order, rounds)
+    rounds = lockstep.fluctuation_rounds(params, seed, ids, live, (w.copy(), np.zeros(m)), reduce, forced)
+    return decay_times, *map(lockstep.trajectory_order, rounds)
 
 
 def _nsm_occupation(segments, gamma: float, grid: np.ndarray, traj: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Occupation of trajectory ``traj`` at grid step ``k``, read off its segments; queries sorted on (traj, k)."""
-    s = _covering_segment(segments, grid.size - 1, traj, k)
+    s = lockstep.covering_segment(segments, grid.size - 1, traj, k)
     return segments[2][s] * np.exp(-gamma * (grid[k] - segments[3][s]))
 
 
 def _nsm_step_table(segments, gamma: float, grid: np.ndarray, m: int, fluct):
-    """STEP rows ``(traj, t, kind, before, after)`` of trajectories ``0 .. m - 1``, read off their segments.
-
-    A trajectory has a row at the end of every grid step before its jump
-    (every step when censored), except at grid times its fluctuations take.
-    ``t`` is an ``EncodedColumn`` of codes into ``grid``.
-    """
+    """``lockstep.step_table`` of nsm trajectories ``0 .. m - 1``: no row from a jump's step on or at a fluctuation."""
     f_traj, f_t, terminal = fluct[0], fluct[1], fluct[4]
-    n = grid.size - 1
-    n_rows = np.full(m, n)
+    n_rows = np.full(m, grid.size - 1)
     n_rows[f_traj[terminal]] = np.searchsorted(grid, f_t[terminal]) - 1
-    size = n_rows + 1  # grid points 0 .. n_rows
-    traj = np.repeat(np.arange(m), size)
-    k = _ragged(0 * size, size)
-    occ = _nsm_occupation(segments, gamma, grid, traj, k)
-    k_f = np.minimum(np.searchsorted(grid, f_t), n)
-    taken = (f_traj * (n + 2) + k_f)[grid[k_f] == f_t]
-    row = np.flatnonzero((k < n_rows[traj]) & ~np.isin(traj * (n + 2) + k + 1, taken))
-    t = EncodedColumn(k[row] + 1, grid)
-    return traj[row], t, np.full(row.size, _CODE[EventKind.STEP]), occ[row], occ[row + 1]
+    return lockstep.step_table(partial(_nsm_occupation, segments, gamma, grid), grid, n_rows, f_traj, f_t)
 
 
 def run_nsm_trajectory(
@@ -827,15 +510,12 @@ def run_nsm_trajectory(
     """
     if params.model is not Model.NSM:
         raise ValueError(f"run_nsm_trajectory needs model=nsm, got {params.model.value}")
-    if not isinstance(stream, RngStream):
-        name = type(stream).__name__
-        raise TypeError(f"run_nsm_trajectory takes an RngStream from derive_stream(), got {name}")
+    ids = lockstep.stream_ids(stream, "run_nsm_trajectory")
     initial = _decay_initial(initial_state)
     forced = None if fluctuation_times is None else np.asarray(fluctuation_times, dtype=float).reshape(-1)
     if forced is not None and not np.all(np.diff(forced, prepend=0.0) > 0.0):  # also false on a NaN
         raise ValueError("fluctuation times must be strictly increasing from 0")
-    w_exc0, i = abs(initial.c_excited) ** 2, stream.stream_id
-    times, fluct, segments = _lockstep_nsm(params, w_exc0, stream.root_seed, range(i, i + 1), forced)
+    times, fluct, segments = _lockstep_nsm(params, abs(initial.c_excited) ** 2, stream.root_seed, ids, forced)
     _, t, gap, drop, terminal, occ = fluct
     outcomes = [(NsmOutcome.RESET_TO_EXCITED, NsmOutcome.JUMP_TO_GROUND)[b] for b in terminal.tolist()]
     nsm_events = tuple(map(NsmEvent, t.tolist(), gap.tolist(), drop.tolist(), outcomes))
@@ -845,10 +525,10 @@ def run_nsm_trajectory(
         k = np.arange(params.n_steps + 1)
         grid = k * params.dt
         series = _nsm_occupation(segments, params.gamma, grid, 0 * k, k)
-        rows = _merge_rows(rows, _nsm_step_table(segments, params.gamma, grid, 1, fluct)[1:])
+        rows = lockstep.merge_rows(rows, _nsm_step_table(segments, params.gamma, grid, 1, fluct)[1:])
     return TrajectoryRecord(
-        traj_id=i,
-        events=_trajectory_events(*rows),
+        traj_id=ids.start,
+        events=lockstep.trajectory_events(*rows),
         decay_time=None if math.isnan(times[0]) else float(times[0]),
         nsm_events=nsm_events,
         occupation_series=series,
@@ -862,7 +542,8 @@ def _nsm_rows(t: np.ndarray, occ: np.ndarray, terminal: np.ndarray):
     A fluctuation resets the atom to excited, or, where ``terminal``, jumps
     it to ground; ``after`` is ``terminal`` as codes into ``(1.0, 0.0)``.
     """
-    kind = np.where(terminal, _CODE[EventKind.QUANTUM_JUMP], _CODE[EventKind.FLUCTUATION_NO_JUMP])
+    code = lockstep.KIND_CODE
+    kind = np.where(terminal, code[EventKind.QUANTUM_JUMP], code[EventKind.FLUCTUATION_NO_JUMP])
     return t, kind, occ, EncodedColumn(terminal.astype(np.int8), _AFTER_FLUCTUATION)
 
 
@@ -923,19 +604,6 @@ class EnsembleSummary:
         return self.decay_times[~np.isnan(self.decay_times)]
 
 
-def _bin_statistics(vals: np.ndarray, edges: np.ndarray, dt: float):
-    """(centers, mean, var, se) over trajectories of per-bin occupation means.
-
-    ``vals`` has one row per trajectory and one column per bin, and ``edges``
-    are the bin edges in steps.  The reduction runs over the merged matrix,
-    so it does not depend on how trajectories were grouped into chunks.
-    """
-    n = vals.shape[0]
-    mean = vals.mean(axis=0)
-    var = vals.var(axis=0, ddof=1) if n > 1 else np.zeros(vals.shape[1])
-    return (edges[:-1] + edges[1:]) / 2.0 * dt, mean, var, np.sqrt(var / n)
-
-
 def run_decay_ensemble(
     params: ModelParams,
     initial_state: Optional[QubitState] = None,
@@ -952,8 +620,6 @@ def run_decay_ensemble(
     initial = _decay_initial(initial_state)
     n = params.n_traj
     model = params.model
-    n_bins = (params.n_steps // bin_steps) if bin_steps else 0
-    edges = np.arange(n_bins + 1) * (bin_steps or 1)
     drops = terminal = None
     flags: Tuple[str, ...] = ()
 
@@ -964,10 +630,11 @@ def run_decay_ensemble(
         if bin_steps:
             # every trajectory starts on the no-jump curve, and its jump at k starts the zero row at k + 1
             jumped, start = np.flatnonzero(jump_steps >= 0), np.zeros(n, dtype=np.int64)
-            segments = _trajectory_order([(np.arange(n), start, start), (jumped, jump_steps[jumped] + 1, np.ones_like(jumped))])
+            segs = [(np.arange(n), start, start), (jumped, jump_steps[jumped] + 1, np.ones_like(jumped))]
+            segments = lockstep.trajectory_order(segs)
             tables = np.stack([plan.occupation, np.zeros(params.n_steps + 1)])
-            occupation = partial(_segment_occupation, tables, segments, params.n_steps)
-            vals = _segment_bin_means(segments, n, params.n_steps, bin_steps, tables, segments[2], occupation)
+            occupation = partial(lockstep.segment_occupation, tables, segments, params.n_steps)
+            vals = lockstep.segment_bin_means(segments, n, params.n_steps, bin_steps, tables, segments[2], occupation)
     elif model is not Model.NSM:  # pragma: no cover - enum is exhaustive
         raise ValueError(f"unknown model {model}")
     else:
@@ -975,30 +642,29 @@ def run_decay_ensemble(
         grid = np.arange(params.n_steps + 1) * params.dt
         tables = np.stack([w_exc0 * np.exp(-params.gamma * grid), np.zeros(grid.size)])
 
-        def group(lo: int):
-            ids = range(lo, min(lo + _NSM_GROUP, n))
+        def group(ids: range, vals: np.ndarray):
             m = len(ids)
             times, fluct, segments = _lockstep_nsm(params, w_exc0, params.seed, ids)
             traj, t, _, drop, terminal, occ = fluct
-            vals = np.empty((m, 0))
             if bin_steps:
                 # every trajectory starts on one arc, and a jump starts a segment of zeros
                 seg_table = np.where(segments[1] == 0, 0, np.where(segments[2] == 0.0, 1, -1))
                 occupation = partial(_nsm_occupation, segments, params.gamma, grid)
-                vals = _segment_bin_means(segments, m, params.n_steps, bin_steps, tables, seg_table, occupation)
+                vals[:] = lockstep.segment_bin_means(segments, m, params.n_steps, bin_steps, tables, seg_table, occupation)
             steps = ()
             if record_steps:
                 step_traj, step_t, *cols = _nsm_step_table(segments, params.gamma, grid, m, fluct)
-                steps = (lo + step_traj, step_t.codes, *cols)
-            return (times, lo + traj, t, occ, drop, terminal, vals, *steps)
+                steps = (ids.start + step_traj, step_t.codes, *cols)
+            return (times, ids.start + traj, t, occ, drop, terminal, *steps)
 
-        groups = map(group, range(0, n, _NSM_GROUP))
-        decay_times, traj_id, t_fluct, occ, drops, terminal, vals, *steps = map(np.concatenate, zip(*groups))
+        vals, decay_times, traj_id, t_fluct, occ, drops, terminal, *steps = lockstep.run_groups(
+            group, n, params.n_steps, bin_steps
+        )
         rows = (traj_id, *_nsm_rows(t_fluct, occ, terminal))
         if record_steps:
             step_traj, step_t, *cols = steps
             steps = (EncodedColumn(step_traj, np.arange(n)), EncodedColumn(step_t, grid), *cols)
-            rows = _merge_rows(rows, steps)
+            rows = lockstep.merge_rows(rows, steps)
         if params.beta == 0.0:
             flags = (NSM_BETA_ZERO_FLAG,)
 
@@ -1013,10 +679,6 @@ def run_decay_ensemble(
         flags=flags,
     )
     if bin_steps:
-        (
-            summary.bin_centers,
-            summary.occupation_mean,
-            summary.occupation_var,
-            summary.occupation_se,
-        ) = _bin_statistics(vals, edges, params.dt)
+        bins = lockstep.bin_statistics(vals, bin_steps, params.dt)
+        summary.bin_centers, summary.occupation_mean, summary.occupation_var, summary.occupation_se = bins
     return summary

@@ -16,11 +16,11 @@ the drive frequency; the two conventions differ by that factor of two and
 
 Draw order per trajectory (part of the reproducibility contract):
 
-* nsm: per fluctuation, the gap uniform (redrawn while it is 0 or the gap
-  ``-ln(u)/beta`` is 0), the reduction uniform and, on the to-ground branch
-  only, the photon uniform.  ``_lockstep_driven_nsm`` reads them by
-  position from the Philox4x64-10 streams in the fluctuation loop it shares
-  with nsm decay (``models._fluctuation_rounds``).
+* nsm: per fluctuation, the gap uniform of the fluctuation loop nsm decay
+  shares (``lockstep.fluctuation_rounds``, whose module states that part of
+  the order), the reduction uniform and, on the to-ground branch only, the
+  photon uniform.  ``_lockstep_driven_nsm`` reads them by position from the
+  Philox4x64-10 streams.
 * qmop / swf: from each reset, one check uniform for every remaining step,
   drawn at once, then the attribution uniform if a check hit, from the
   stream's ``Generator`` (``_driven_hits``).
@@ -28,7 +28,7 @@ Draw order per trajectory (part of the reproducibility contract):
 Both engines return emissions and segments ``(traj, k_start, table)``: from
 step ``k_start`` on, a trajectory's occupation is row ``table`` of the
 plan's ``occ``.  ``run_driven_ensemble`` runs the model's engine over groups
-of ids and bins through ``models._segment_bin_means``;
+of ids and bins through ``lockstep.segment_bin_means``;
 ``run_driven_trajectory`` runs it over the one id of its stream.
 """
 
@@ -41,31 +41,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (
-    EventKind,
-    Model,
-    ModelParams,
-    QubitState,
-    RngStream,
-    TrajectoryRecord,
-    rekeyed_generators,
-)
-from .models import (
-    _CODE,
-    _NSM_GROUP,
-    NsmEvent,
-    NsmOutcome,
-    _bin_statistics,
-    _fluctuation_rounds,
-    _jump_strength,
-    _merge_rows,
-    _segment_bin_means,
-    _segment_occupation,
-    _step_rows,
-    _trajectory_events,
-    _trajectory_order,
-    _truncated_exponential_times,
-)
+from . import lockstep
+from .core import EventKind, Model, ModelParams, QubitState, RngStream, TrajectoryRecord, rekeyed_generators
+from .models import NsmEvent, NsmOutcome, jump_strength, occupation_drop_density
 
 MAX_DRIVEN_STEP = 0.05  # guard on dt * max(gamma, omega_rabi)
 
@@ -188,7 +166,7 @@ def _driven_table(params: ModelParams, omega: float, start: QubitState, model: M
         total = w_e + w_g
         occ = w_e / total
         occ_rot = w_rot / total[:n]
-        jump_prob = occ_rot * _jump_strength(model, params.gamma, dt)
+        jump_prob = occ_rot * jump_strength(model, params.gamma, dt)
         photon_w = np.zeros(n + 1)
     return occ, jump_prob, photon_w
 
@@ -262,12 +240,12 @@ def _driven_step_engine(plan: _DrivenPlan, seed: int, ids: range):
     An emission at step ``k`` happens at ``k * dt`` plus the Exp(gamma) time
     within the step that its attribution uniform gives.  Returns the rounds
     of emissions ``(traj, t, k)`` and of segments ``(traj, k_start, table)``
-    for ``_trajectory_order``: each trajectory starts on table 0 at step 0,
+    for ``lockstep.trajectory_order``: each trajectory starts on table 0 at step 0,
     and its emission at ``k`` starts table 2 at ``k + 1``.
     """
     traj, k, v = _driven_hits(plan, seed, ids)
     p, start = plan.params, np.zeros(len(ids), dtype=np.int64)
-    t = k * p.dt + _truncated_exponential_times(p.gamma, p.dt, v)
+    t = k * p.dt + lockstep.truncated_exponential_times(p.gamma, p.dt, v)
     return [(traj, t, k)], [(np.arange(len(ids)), start, start), (traj, k + 1, np.full(k.size, 2))]
 
 
@@ -286,7 +264,7 @@ def _lockstep_driven_nsm(plan: _DrivenPlan, seed: int, ids: range):
     against the table's occupation there and, on the to-ground branch only,
     the photon.
 
-    Returns the rounds of ``models._fluctuation_rounds``: fluctuations
+    Returns the rounds of ``lockstep.fluctuation_rounds``: fluctuations
     ``(traj, t, gap, drop, to_ground, emitted, p_exc)`` and segments
     ``(traj, k_start, table)``.
     """
@@ -312,7 +290,7 @@ def _lockstep_driven_nsm(plan: _DrivenPlan, seed: int, ids: range):
         return (to_ground, emitted, p_exc), (b, table[live]), np.ones(live.size, dtype=bool)
 
     live = np.arange(m if plan.params.beta > 0.0 else 0)
-    return _fluctuation_rounds(plan.params, seed, ids, live, (table.copy(),), reduce)
+    return lockstep.fluctuation_rounds(plan.params, seed, ids, live, (table.copy(),), reduce)
 
 
 def run_driven_trajectory(
@@ -331,13 +309,11 @@ def run_driven_trajectory(
     be an ``RngStream`` (``derive_stream(seed, i)``); the result is
     trajectory ``i`` of the ensemble, the model's engine run over that one id.
     """
-    if not isinstance(stream, RngStream):
-        name = type(stream).__name__
-        raise TypeError(f"run_driven_trajectory takes an RngStream from derive_stream(), got {name}")
+    ids = lockstep.stream_ids(stream, "run_driven_trajectory")
     plan = _driven_plan(params, drive, initial_state)
-    occ, n, i, nsm = plan.occ, params.n_steps, stream.stream_id, params.model is Model.NSM
+    occ, n, nsm = plan.occ, params.n_steps, params.model is Model.NSM
     engine = _lockstep_driven_nsm if nsm else _driven_step_engine
-    events, segments = map(_trajectory_order, engine(plan, stream.root_seed, range(i, i + 1)))
+    events, segments = map(lockstep.trajectory_order, engine(plan, stream.root_seed, ids))
     nsm_events: tuple = ()
     if nsm:
         _, t_c, gap, drop, to_ground, emitted, p_exc = events
@@ -346,17 +322,18 @@ def run_driven_trajectory(
         t, occ_before = t_c[emitted], p_exc[emitted]
     else:  # the occupation at the start of the emission's step
         traj, t, k = events
-        occ_before = _segment_occupation(occ, segments, n, traj, k)
-    rows = (t, np.full(t.size, _CODE[EventKind.PHOTON_DETECTION]), occ_before, np.zeros(t.size))
+        occ_before = lockstep.segment_occupation(occ, segments, n, traj, k)
+    rows = (t, np.full(t.size, lockstep.KIND_CODE[EventKind.PHOTON_DETECTION]), occ_before, np.zeros(t.size))
     series = None
     if record_steps:
         k = np.arange(n + 1)
-        series = _segment_occupation(occ, segments, n, np.zeros_like(k), k)
-        rows = _merge_rows(rows, _step_rows(series, params.dt, n, t))
+        series = lockstep.segment_occupation(occ, segments, n, np.zeros_like(k), k)
+        steps = lockstep.step_table(lambda _, j: series[j], k * params.dt, np.array([n]), np.zeros_like(t, int), t)
+        rows = lockstep.merge_rows(rows, steps[1:])
 
     return TrajectoryRecord(
-        traj_id=i,
-        events=_trajectory_events(*rows),
+        traj_id=ids.start,
+        events=lockstep.trajectory_events(*rows),
         decay_time=None,
         nsm_events=nsm_events,
         occupation_series=series,
@@ -401,39 +378,33 @@ def run_driven_ensemble(
     standard error over trajectories.  ``bin_steps=None`` skips the bins,
     leaving only the emission times and drops.  Trajectory i uses substream
     (seed, i) and the groups are joined in trajectory order.  The model's
-    engine runs serially over groups of at most ``_NSM_GROUP`` trajectories;
-    each group's segments give its bins (``_segment_bin_means``) and its
-    emissions go through ``_trajectory_order``.
+    engine runs serially over the groups of ``lockstep.run_groups``; each
+    group's segments give its bins (``lockstep.segment_bin_means``) and its
+    emissions go through ``lockstep.trajectory_order``.
     """
     plan = _driven_plan(params, drive, initial_state)
-    n = params.n_traj
-    n_steps = params.n_steps
-    n_bins = n_steps // bin_steps if bin_steps else 0
-    edges = np.arange(n_bins + 1) * (bin_steps or 1)
-    occ, nsm = plan.occ, params.model is Model.NSM
+    n_steps, occ, nsm = params.n_steps, plan.occ, params.model is Model.NSM
     engine = _lockstep_driven_nsm if nsm else _driven_step_engine
 
     def group(ids: range, vals: np.ndarray):
         events, segments = engine(plan, params.seed, ids)
         if bin_steps:
-            segments = _trajectory_order(segments)
-            occupation = partial(_segment_occupation, occ, segments, n_steps)
-            vals[:] = _segment_bin_means(segments, len(ids), n_steps, bin_steps, occ, segments[2], occupation)
+            segments = lockstep.trajectory_order(segments)
+            occupation = partial(lockstep.segment_occupation, occ, segments, n_steps)
+            vals[:] = lockstep.segment_bin_means(segments, len(ids), n_steps, bin_steps, occ, segments[2], occupation)
         if not nsm:
-            return _trajectory_order(events)[1], np.empty(0), np.empty(0)
+            return lockstep.trajectory_order(events)[1], np.empty(0), np.empty(0)
         # the emissions and drops only: the other columns, and without bins the segments, are never joined
         events = [(traj, t, drop, emitted) for traj, t, _, drop, _, emitted, _ in events]
-        _, t, drop, emitted = _trajectory_order(events)
+        _, t, drop, emitted = lockstep.trajectory_order(events)
         return t[emitted], drop, drop[emitted]
 
-    ids, vals = range(n), np.empty((n, n_bins))
-    groups = (group(ids[lo : lo + _NSM_GROUP], vals[lo : lo + _NSM_GROUP]) for lo in range(0, n, _NSM_GROUP))
-    em_times, drop_all, drop_em = map(np.concatenate, zip(*groups))
+    vals, em_times, drop_all, drop_em = lockstep.run_groups(group, params.n_traj, n_steps, bin_steps)
     centers = mean = se = None
     if bin_steps:
-        centers, mean, _, se = _bin_statistics(vals, edges, params.dt)
+        centers, mean, _, se = lockstep.bin_statistics(vals, bin_steps, params.dt)
     return DrivenEnsemble(
-        n_traj=n,
+        n_traj=params.n_traj,
         dt=params.dt,
         t_max=params.t_max,
         bin_centers=centers,
@@ -522,8 +493,6 @@ class DropHistogram:
 
 
 def drop_histogram_from_samples(samples: np.ndarray, gamma: float, beta: float, bin_width: float) -> DropHistogram:
-    from .models import occupation_drop_density
-
     if not 0.0 < bin_width <= 1.0:
         raise ValueError(f"bin_width must lie in (0, 1], got {bin_width}")
     if not gamma > 0.0:

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .core import EncodedColumn, _mulhilo
+from .core import EncodedColumn, mulhilo
 
 # A source row: up to 20 digits right-aligned in bytes [0, 20), an exponent
 # as "0htu" in [20, 24), then the constant characters, NUL last.
@@ -120,7 +120,7 @@ def _int_layouts() -> np.ndarray:
 def _mul64(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """High and low words of ``a * b``, elementwise."""
     lo, hi, work = a.copy(), np.empty_like(a), [np.empty_like(a) for _ in range(3)]
-    _mulhilo(lo, (b, b & _M32, b >> np.uint64(32)), hi, *work)
+    mulhilo(lo, (b, b & _M32, b >> np.uint64(32)), hi, *work)
     return hi, lo
 
 

@@ -1,8 +1,10 @@
 """Scalar reference engines: independent oracles for the batched engines in ``src/``.
 
 Each one reads its draws from a plain ``numpy.random.Generator`` in the
-order of the reproducibility contract (``qdecay.models`` docstring), one
-trajectory at a time, and builds the record's events with a Python loop.
+order of the reproducibility contract (the ``qdecay.models`` and
+``qdecay.rabi`` docstrings, and ``qdecay.lockstep`` for the part of the nsm
+order the two share), one trajectory at a time, and builds the record's
+events with a Python loop.
 """
 
 import math
@@ -348,6 +350,18 @@ def patched_philox(real, values):
         return u
 
     return philox_uniforms
+
+
+def spy_calls(monkeypatch, module, name) -> list:
+    """Wrap ``module.name`` so that each call appends its positional arguments to the returned list."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 class PatchedGenerator:

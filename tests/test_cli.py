@@ -773,6 +773,15 @@ class TestAnalyze:
         ks = json.loads(read_bytes(out, "report.json"))["checks"]["decay_ks"]
         assert ks["distance"] < 0.005 < ks["threshold"]
 
+    def test_step_law_is_conditioned_on_the_engine_horizon(self, tmp_path):
+        # t_max 1.04 is not a whole number of steps: the engine stops at 10 steps, t = 1.0
+        cfg = write_cfg(tmp_path, {"model": "qmop", "gamma": 1.0, "dt": 0.1, "t_max": 1.04, "n_traj": 100_000, "seed": 1})
+        out = str(tmp_path / "run")
+        assert main(["decay", "--config", cfg, "--out-dir", out]) == 0
+        assert main(["analyze", "--out-dir", out, "--strict"]) == 0
+        ks = json.loads(read_bytes(out, "report.json"))["checks"]["decay_ks"]
+        assert ks["distance"] < 0.006 < ks["threshold"]
+
     def test_fluorescence_margin(self, tmp_path):
         cfg = write_cfg(tmp_path, RABI_CFG)
         out = str(tmp_path / "run")

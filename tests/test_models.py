@@ -10,11 +10,12 @@ from reference_engines import (
     assert_same_record,
     nsm_record,
     patched_philox,
+    spy_calls,
     step_decay_record,
 )
 from scipy.integrate import quad
 
-from qdecay import models, rabi, stats
+from qdecay import lockstep, models, rabi, stats
 from qdecay.core import EncodedColumn, EventKind, Model, ModelParams, QubitState, derive_stream
 from qdecay.models import (
     NSM_BETA_ZERO_FLAG,
@@ -639,10 +640,10 @@ class TestBatchedNsmEngine:
 
     # groups of 64: the 200 trajectories run as three full lock-step groups and a partial one
     @pytest.mark.parametrize("record_steps", [False, True])
-    @pytest.mark.parametrize("group", [64, models._NSM_GROUP])
+    @pytest.mark.parametrize("group", [64, lockstep.GROUP_SIZE])
     @pytest.mark.parametrize("initial", sorted(INITIAL))
     def test_ensemble_matches_scalar_trajectories(self, monkeypatch, initial, group, record_steps):
-        monkeypatch.setattr(models, "_NSM_GROUP", group)
+        monkeypatch.setattr(lockstep, "GROUP_SIZE", group)
         initial = self.INITIAL[initial]
         p = params(model="nsm", beta=1.5, t_max=3.0, n_traj=200, seed=99)
         bin_steps = 30
@@ -650,7 +651,9 @@ class TestBatchedNsmEngine:
         for i, ref in enumerate(records):
             rec = run_nsm_trajectory(p, derive_stream(p.seed, i), initial_state=initial, record_steps=record_steps)
             assert_same_record(rec, ref if record_steps else nsm_record(p, derive_stream(p.seed, i), initial))
+        groups = spy_calls(monkeypatch, models, "_lockstep_nsm")
         s = run_decay_ensemble(p, initial_state=initial, bin_steps=bin_steps, record_steps=record_steps)
+        assert len(groups) == -(-p.n_traj // group)
         assert_nsm_ensemble_holds(s, records, p, bin_steps, record_steps)
         if initial is None:
             assert 0 < s.n_censored < p.n_traj and s.drop_terminal.sum() < s.drop_terminal.size
@@ -709,7 +712,7 @@ class TestBatchedNsmEngine:
     @pytest.mark.parametrize("case", sorted(REDRAWS))
     def test_redrawn_gaps_keep_draw_positions(self, monkeypatch, case):
         beta, initial, values = self.REDRAWS[case]
-        monkeypatch.setattr(models, "philox_uniforms", patched_philox(models.philox_uniforms, values))
+        monkeypatch.setattr(lockstep, "philox_uniforms", patched_philox(lockstep.philox_uniforms, values))
         p = params(model="nsm", gamma=0.1, beta=beta, t_max=6.0, seed=12)
         for i in range(4):
             stream = derive_stream(p.seed, i)
@@ -734,14 +737,14 @@ class TestStreamCursors:
 
     @staticmethod
     def spy_pairs(monkeypatch) -> list:
-        pairs, real = [], models.philox_uniforms
+        pairs, real = [], lockstep.philox_uniforms
 
         def philox_uniforms(seed, ids, counters):
             i, c = np.broadcast_arrays(np.asarray(ids, dtype=np.uint64), np.asarray(counters, dtype=np.uint64))
             pairs.extend(zip(i.ravel().tolist(), c.ravel().tolist()))
             return real(seed, ids, counters)
 
-        monkeypatch.setattr(models, "philox_uniforms", philox_uniforms)
+        monkeypatch.setattr(lockstep, "philox_uniforms", philox_uniforms)
         return pairs
 
     def test_each_pair_is_evaluated_once_per_group(self, monkeypatch):
@@ -771,10 +774,12 @@ class TestStreamCursors:
         gens = [derive_stream(seed, i).generator() for i in ids]
         with pytest.MonkeyPatch.context() as mp:
             pairs = self.spy_pairs(mp)
-            cursors = models._StreamCursors(seed, ids)
+            cursors = lockstep.StreamCursors(seed, ids)
             for mask, need in takes:
                 rows = np.flatnonzero(mask)
                 assert cursors.take(rows, need).tolist() == [gens[j].random() for j in rows]
+        # windows start empty, so any row taken evaluated pairs through the spy
+        assert bool(pairs) == any(any(mask) for mask, _ in takes)
         assert len(set(pairs)) == len(pairs)
 
 
@@ -806,16 +811,25 @@ def test_runner_and_ensemble_reject_photon_weight_alike(model, driven):
 class TestEnsembleDeterminism:
     """How the engines split an ensemble into lock-step blocks changes no result."""
 
-    # the block bound of each engine: trajectories per nsm group, counters per qmop/swf block
-    BLOCK = {"qmop": "_LOCKSTEP_COUNTERS", "swf": "_LOCKSTEP_COUNTERS", "nsm": "_NSM_GROUP"}
-
     @pytest.mark.parametrize("model,beta", [("qmop", 0.0), ("swf", 0.0), ("nsm", 1.5)])
     def test_block_size_does_not_change_results(self, monkeypatch, model, beta):
         p = params(model=model, beta=beta, t_max=40.0, n_traj=600, seed=1234)
         base = run_decay_ensemble(p, bin_steps=50)
         for size in (7, 256):
-            monkeypatch.setattr(models, self.BLOCK[model], size)
-            other = run_decay_ensemble(p, bin_steps=50)
+            with monkeypatch.context() as mp:
+                # the block bound of each engine: trajectories per nsm group, counters per qmop/swf block
+                if model == "nsm":
+                    mp.setattr(lockstep, "GROUP_SIZE", size)
+                    calls = spy_calls(mp, models, "_lockstep_nsm")
+                else:
+                    mp.setattr(models, "_LOCKSTEP_COUNTERS", size)
+                    calls = spy_calls(mp, models, "philox_uniforms")
+                other = run_decay_ensemble(p, bin_steps=50)
+            if model == "nsm":
+                assert len(calls) == -(-p.n_traj // size)
+            else:  # each block of checks (ids as a column) evaluates at most `size` counters
+                checks = [np.size(ids) * np.size(ctrs) for _, ids, ctrs in calls if np.ndim(ids) == 2]
+                assert checks and max(checks) <= size
             assert np.array_equal(base.decay_times, other.decay_times, equal_nan=True)
             assert np.array_equal(base.events.t, other.events.t)
             assert kind_names(base.events) == kind_names(other.events)
@@ -858,8 +872,8 @@ class TestEncodedEventColumns:
         rng = np.random.default_rng(sum(sizes))
         first = [np.sort(rng.integers(0, 4, sizes[0])), self.column(kinds[0], sizes[0], rng)]
         second = [np.sort(rng.integers(0, 4, sizes[1])), self.column(kinds[1], sizes[1], rng)]
-        merged = models._merge_rows(first, second)
-        plain = models._merge_rows([np.asarray(c) for c in first], [np.asarray(c) for c in second])
+        merged = lockstep.merge_rows(first, second)
+        plain = lockstep.merge_rows([np.asarray(c) for c in first], [np.asarray(c) for c in second])
         for got, want in zip(merged, plain):
             assert np.asarray(got).view(np.int64).tolist() == want.view(np.int64).tolist()
         longer = max(first[1], second[1], key=len)
@@ -869,6 +883,6 @@ class TestEncodedEventColumns:
         values = np.linspace(0.0, 1.0, 7)
         a = EncodedColumn(np.array([0, 6]), values)
         b = EncodedColumn(np.array([3], dtype=np.int8), values)
-        merged = models._merge_rows([np.array([0, 2]), a], [np.array([1]), b])
+        merged = lockstep.merge_rows([np.array([0, 2]), a], [np.array([1]), b])
         assert merged[1].values is values
         assert merged[1].tolist() == [0.0, 0.5, 1.0]

@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_engines import PatchedGenerator, assert_same_record, driven_nsm_record, driven_step_record, patched_philox
+from reference_engines import (
+    PatchedGenerator,
+    assert_same_record,
+    driven_nsm_record,
+    driven_step_record,
+    patched_philox,
+    spy_calls,
+)
 from scipy.stats import chi2 as chi2_dist
 
-from qdecay import models, rabi
+from qdecay import lockstep, rabi
 from qdecay.core import EventKind, ModelParams, QubitState, TrajectoryEvent, TrajectoryRecord, derive_stream
 from qdecay.rabi import (
     DriveParams,
@@ -250,7 +257,7 @@ class TestDrivenEnsemble:
         # zero draws force the gap redraw: the first gap's first two draws,
         # and draws further along the stream, whatever they are used for
         zeroed = dict.fromkeys([0, 1, 6, 7, 9, 30], 0.0)
-        monkeypatch.setattr(models, "philox_uniforms", patched_philox(models.philox_uniforms, zeroed))
+        monkeypatch.setattr(lockstep, "philox_uniforms", patched_philox(lockstep.philox_uniforms, zeroed))
         p = driven_params(model="nsm", gamma=0.5, beta=4.0, omega=4.0, dt=0.01, t_max=3.0, seed=12)
         drive = DriveParams(omega_rabi=4.0)
         for i in range(4):
@@ -269,18 +276,20 @@ class TestDrivenEnsemble:
                 return np.array([rows[j].pop(0) for j in which.tolist()])
 
         expected = [-math.log(0.25) / beta, -math.log(0.5) / beta, -math.log(0.75) / beta]
-        assert models._fluctuation_gaps(Rows(), np.arange(3), beta).tolist() == expected
+        assert lockstep._fluctuation_gaps(Rows(), np.arange(3), beta).tolist() == expected
         assert rows == [[], [], []]
 
     # groups of 64: several lock-step groups in one run
-    @pytest.mark.parametrize("group", [64, models._NSM_GROUP])
+    @pytest.mark.parametrize("group", [64, lockstep.GROUP_SIZE])
     def test_ensemble_without_bins(self, monkeypatch, group):
         p = driven_params(model="nsm", gamma=0.5, beta=0.8, omega=4.0, dt=0.01, t_max=8.0, n_traj=300, seed=9)
         drive = DriveParams(omega_rabi=4.0)
         one_group = run_driven_ensemble(p, drive, bin_steps=20)
-        monkeypatch.setattr(rabi, "_NSM_GROUP", group)
+        monkeypatch.setattr(lockstep, "GROUP_SIZE", group)
+        groups = spy_calls(monkeypatch, rabi, "_lockstep_driven_nsm")
         with_bins = run_driven_ensemble(p, drive, bin_steps=20)
         without = run_driven_ensemble(p, drive, bin_steps=None)
+        assert len(groups) == 2 * -(-p.n_traj // group)
         for name in ("emission_times", "drop_all", "drop_emission"):
             assert np.array_equal(getattr(without, name), getattr(with_bins, name))
             assert np.array_equal(getattr(with_bins, name), getattr(one_group, name))

@@ -9,7 +9,8 @@ runs: ``decay`` qmop/swf/nsm with and without ``record_steps`` (and a qmop
 run whose times print in exponent notation), ``homodyne`` with white noise
 and the nsm point process (at theta 0 and 0.7, with about 200 pulses per
 step, and over three engine blocks), and ``rabi`` qmop/swf/nsm, each in CSV
-and JSON.  It then compares the sha256 of every
+and JSON; decay nsm with ``record_steps`` and rabi qmop/nsm also run over
+two lock-step groups.  It then compares the sha256 of every
 file the runs wrote.  It exits 0 when every file is identical, 1 naming each
 file that differs or that only one tree wrote, and 2 when a run fails.
 """
@@ -53,6 +54,13 @@ CONFIGS = {
     "rabi-qmop": ("rabi", dict(_RABI, model="qmop")),
     "rabi-swf": ("rabi", dict(_RABI, model="swf")),
     "rabi-nsm": ("rabi", dict(_RABI, model="nsm", beta=0.5)),
+    # 2100 trajectories: a full lock-step group of 2048, then a partial one of 52
+    "decay-nsm-steps-groups": (
+        "decay",
+        dict(_DECAY, model="nsm", beta=1.0, record_steps=True, t_max=1.0, n_traj=2100),
+    ),
+    "rabi-qmop-groups": ("rabi", dict(_RABI, model="qmop", t_max=2.0, n_traj=2100)),
+    "rabi-nsm-groups": ("rabi", dict(_RABI, model="nsm", beta=0.5, t_max=2.0, n_traj=2100)),
 }
 FORMATS = ("csv", "json")
 
