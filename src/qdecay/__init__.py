@@ -38,6 +38,7 @@ from .homodyne import (
     signal_autocorrelation,
 )
 from .models import (
+    DecayBlock,
     DropMoments,
     EnsembleSummary,
     NsmEvent,

@@ -3,7 +3,10 @@
 Subcommands: ``decay | homodyne | rabi | analyze``.  A run validates its
 whole config before touching the filesystem and runs its trajectories
 serially (``--threads`` is accepted and ignored); ``decay`` always runs
-``models.run_decay_ensemble``, whose ``record_steps`` adds the grid STEP rows.
+``models.run_decay_ensemble``, whose ``record_steps`` adds the grid STEP rows,
+and writes its ``decay_times`` and ``events`` rows from each block of
+trajectories as the engine hands it over, so it holds one block, not the
+ensemble (homodyne streams its engine blocks the same way).
 The engines hand their tables over as column blocks: tuples of columns
 (ndarrays or lists) in the order of ``SCHEMAS[name]``.  A column drawn from
 a small set of values may come dictionary-encoded instead, as a
@@ -14,11 +17,12 @@ homodyne ``traj_id`` (one value per record), homodyne ``current`` and
 decay ``kind`` (the engines' int8 codes), and the ``EventTable`` columns
 the engines encode (qmop/swf occupations, nsm ``occupation_after``, and
 with ``record_steps`` the STEP rows' ``t`` and ``traj_id``; see
-``models.EventTable``).  ``write_table`` is the one place that formats
+``models.EventTable``).  ``TableWriter`` is the one place that formats
 columns, a bounded row slice at a time and whole columns at once
 (``tabletext``), with the bytes of ``str`` (CSV) or ``json.dumps`` (JSON)
-of each value.  It formats a values object once while consecutive slices
-share it and deletes the table's file in the other format.  Identical
+of each value; ``write_table`` writes a whole table through it.  It
+formats a values object once while consecutive slices share it and deletes
+the table's file in the other format.  Identical
 (config, seed) therefore produce byte-identical outputs.
 ``read_table`` parses a table back in bulk, one ndarray per column.
 
@@ -228,30 +232,52 @@ def _provenance(cfg: Dict, command: str) -> Dict:
 _ROWS_PER_SLICE = 4096
 
 
-def write_table(out_dir: str, name: str, blocks, fmt: str) -> str:
-    """Write the table ``name`` as CSV (or a JSON array of row objects).
+class TableWriter:
+    """The table ``name`` open for writing as CSV (or a JSON array of row objects), at ``path``.
 
-    ``blocks`` is an iterable of column blocks, each a tuple of equal-length
-    columns in the order of ``SCHEMAS[name]``: ndarrays, lists, or
-    ``EncodedColumn``s, which write the bytes of the decoded column (a code
-    outside the values raises ``ValueError`` naming the column).  A CSV cell
-    is ``str`` of its value, a JSON row the ``json.dumps`` of its row object.
-    The table's file in the other format is deleted first, so that
-    ``read_table`` cannot pick up a stale copy from an earlier run.
+    Opening deletes the table's file in the other format, so that
+    ``read_table`` cannot pick up a stale copy from an earlier run, and
+    writes the CSV header; leaving the ``with`` block without an error
+    writes what follows the last row.  Several tables may be open at once.
     """
-    header = SCHEMAS[name]
-    path = os.path.join(out_dir, f"{name}.{fmt}")
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(out_dir, f"{name}.{'csv' if fmt == 'json' else 'json'}"))
-    rows = Rows(header, json=fmt == "json")
-    with open(path, "wb") as fh:
+
+    def __init__(self, out_dir: str, name: str, fmt: str) -> None:
+        header = SCHEMAS[name]
+        self.path = os.path.join(out_dir, f"{name}.{fmt}")
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, f"{name}.{'csv' if fmt == 'json' else 'json'}"))
+        self._rows = Rows(header, json=fmt == "json")
+        self._fh = open(self.path, "wb")
         if fmt == "csv":
-            fh.write((",".join(header) + "\n").encode())
+            self._fh.write((",".join(header) + "\n").encode())
+
+    def write(self, cols) -> None:
+        """Append one column block, a bounded row slice at a time.
+
+        ``cols`` is a tuple of equal-length columns in the order of
+        ``SCHEMAS[name]``: ndarrays, lists, or ``EncodedColumn``s, which write
+        the bytes of the decoded column (a code outside the values raises
+        ``ValueError`` naming the column).  A CSV cell is ``str`` of its
+        value, a JSON row the ``json.dumps`` of its row object.
+        """
+        for lo in range(0, len(cols[0]), _ROWS_PER_SLICE):
+            self._rows.write(self._fh, [c[lo : lo + _ROWS_PER_SLICE] for c in cols])
+
+    def __enter__(self) -> "TableWriter":
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        with self._fh:
+            if exc_type is None:
+                self._fh.write(self._rows.end())
+
+
+def write_table(out_dir: str, name: str, blocks, fmt: str) -> str:
+    """Write the table ``name`` from an iterable of column blocks (see ``TableWriter``); returns its path."""
+    with TableWriter(out_dir, name, fmt) as table:
         for cols in blocks:
-            for lo in range(0, len(cols[0]), _ROWS_PER_SLICE):
-                rows.write(fh, [c[lo : lo + _ROWS_PER_SLICE] for c in cols])
-        fh.write(rows.end())
-    return path
+            table.write(cols)
+    return table.path
 
 
 def write_summary(out_dir: str, payload: Dict) -> str:
@@ -363,38 +389,34 @@ def cmd_decay(cfg: Dict) -> int:
     params = _model_params(cfg)
     out_dir = cfg["out_dir"]
     fmt = cfg["format"]
+    counts = {"n_censored": 0, "n_observed": 0, "n_events": 0}
+    drops: List[np.ndarray] = []  # nsm: the moments' pairwise sums need every fluctuation's drop in one array
 
-    summary = models.run_decay_ensemble(params, record_steps=cfg["record_steps"])
-    decay_times = summary.decay_times
-    table = summary.events
-    drop_samples = summary.drop_samples
+    with contextlib.ExitStack() as stack:
+        tables: List[TableWriter] = []
 
-    os.makedirs(out_dir, exist_ok=True)
-    observed = ~np.isnan(decay_times)
-    write_table(out_dir, "decay_times", [(np.flatnonzero(observed), decay_times[observed])], fmt)
-    write_table(
-        out_dir,
-        "events",
-        [
-            (
-                table.traj_id,
-                table.t,
-                EncodedColumn(table.kind, models.EVENT_KIND_NAMES),
-                table.occupation_before,
-                table.occupation_after,
-            )
-        ],
-        fmt,
-    )
+        def write(block: models.DecayBlock) -> None:
+            # the first block opens the tables, once the plan and the start state are built
+            if not tables:
+                os.makedirs(out_dir, exist_ok=True)
+                for name in ("decay_times", "events"):
+                    tables.append(stack.enter_context(TableWriter(out_dir, name, fmt)))
+            observed = np.flatnonzero(~np.isnan(block.decay_times))
+            tables[0].write((block.ids.start + observed, block.decay_times[observed]))
+            ev = block.events
+            kind = EncodedColumn(ev.kind, models.EVENT_KIND_NAMES)
+            tables[1].write((ev.traj_id, ev.t, kind, ev.occupation_before, ev.occupation_after))
+            counts["n_censored"] += block.decay_times.size - observed.size
+            counts["n_observed"] += observed.size
+            counts["n_events"] += len(ev)
+            drops.append(block.drop_samples)
 
-    payload = {
-        "config": _provenance(cfg, "decay"),
-        "n_censored": summary.n_censored,
-        "n_observed": int(observed.sum()),
-        "n_events": len(table),
-        "flags": sorted(summary.flags),
-    }
-    if params.model is Model.NSM and drop_samples is not None and drop_samples.size >= 2:
+        # one call, looked up here: bench/child.py and bench/tracing.py time the engine through it
+        flags = models.run_decay_ensemble(params, record_steps=cfg["record_steps"], on_block=write)
+
+    payload = {"config": _provenance(cfg, "decay"), **counts, "flags": sorted(flags)}
+    drop_samples = np.concatenate(drops) if params.model is Model.NSM else None
+    if drop_samples is not None and drop_samples.size >= 2:
         mean_a, var_a, se_a = stats.mean_var_se(drop_samples)
         analytic = models.occupation_drop_moments(params.gamma, params.beta)
         payload["moments"] = {
@@ -561,10 +583,11 @@ def cmd_analyze(out_dir: str, strict: bool) -> int:
     table = read_table(out_dir, "decay_times")
     if table is not None and table["t_decay"].size:
         times = table["t_decay"]
-        model, dt, t_max = Model(cfg["model"]), float(cfg["dt"]), float(cfg["t_max"])
-        law = models.decay_time_cdf(model, float(cfg["gamma"]), dt)
+        model, gamma, dt, t_max = Model(cfg["model"]), float(cfg["gamma"]), float(cfg["dt"]), float(cfg["t_max"])
+        law = models.decay_time_cdf(model, gamma, dt)
         # only the runs that decayed by the engine's horizon (n_steps * dt; t_max for nsm) are in the table
-        reached = law(np.array([t_max if model is Model.NSM else round(t_max / dt) * dt]))[0]
+        horizon = t_max if model is Model.NSM else round(t_max / dt) * dt
+        reached = law(np.array([horizon]))[0]
         dist = stats.ks_distance(times, lambda t: law(t) / reached)
         threshold = KS_HEADROOM * 1.36 / math.sqrt(times.size)
         checks["decay_ks"] = {
@@ -573,6 +596,8 @@ def cmd_analyze(out_dir: str, strict: bool) -> int:
             "threshold": threshold,
             "margin": threshold - float(dist),
             "pass": bool(dist < threshold),
+            # how far the law checked lies from the exponential law, without sampling
+            "law_distance": models.law_distance(model, gamma, dt, horizon),
         }
 
     moments = summary.get("moments")

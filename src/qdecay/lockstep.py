@@ -10,8 +10,8 @@ An engine advances a group of trajectories together in numpy, trajectory
   ``covering_segment``, ``segment_occupation``, ``ragged``,
   ``segment_bin_means`` and ``bin_statistics``;
 * event rows ``([traj,] t, kind, before, after)``, ``kind`` an int8 code
-  (``KIND_CODE``, ``EVENT_KIND_NAMES``): ``step_table``, ``merge_rows`` and
-  ``trajectory_events``;
+  (``KIND_CODE``, ``EVENT_KIND_NAMES``): ``step_table``, ``merge_rows``,
+  ``concatenate`` and ``trajectory_events``;
 * groups: ``run_groups``, over ``GROUP_SIZE`` trajectories at a time, and
   ``stream_ids`` for a one-trajectory runner.
 
@@ -57,8 +57,21 @@ def run_groups(group, n: int, n_steps: int, bin_steps: Optional[int]):
     matrix, then each column ``group`` returns, joined in trajectory order.
     """
     ids, vals = range(n), np.empty((n, n_steps // bin_steps if bin_steps else 0))
-    groups = (group(ids[lo : lo + GROUP_SIZE], vals[lo : lo + GROUP_SIZE]) for lo in range(0, n, GROUP_SIZE))
-    return (vals, *map(np.concatenate, zip(*groups)))
+    groups = [group(ids[lo : lo + GROUP_SIZE], vals[lo : lo + GROUP_SIZE]) for lo in range(0, n, GROUP_SIZE)]
+    return (vals, *_joined_columns(groups))
+
+
+def _joined_columns(tuples: list):
+    """Each column of the equal-length column ``tuples``, joined; empties ``tuples``.
+
+    One column at a time is joined and its pieces released, so the pieces
+    of the columns already joined are not held beside their joins.
+    """
+    columns = [list(c) for c in zip(*tuples)]
+    tuples.clear()
+    for pieces in columns:
+        yield np.concatenate(pieces)
+        pieces.clear()
 
 
 def math_map(fn, x: np.ndarray) -> np.ndarray:
@@ -180,12 +193,8 @@ def trajectory_order(rounds: list) -> Tuple[np.ndarray, ...]:
     Empties ``rounds``: one column at a time is joined, its pieces released
     and the join gathered in order.
     """
-    columns = [list(c) for c in zip(*rounds)]
-    rounds.clear()
     out = []
-    for pieces in columns:
-        joined = np.concatenate(pieces)
-        pieces.clear()
+    for joined in _joined_columns(rounds):
         if not out:
             order = np.argsort(joined, kind="stable")
         out.append(joined[order])
@@ -313,26 +322,28 @@ KIND_CODE = {kind: np.int8(code) for code, kind in enumerate(_KINDS)}
 EVENT_KIND_NAMES = tuple(kind.value for kind in _KINDS)
 
 
-def _joined(a, b):
-    """Column ``a`` followed by column ``b``, encoded when the longer of the two is.
+def concatenate(pieces):
+    """The columns ``pieces`` one after another, encoded when the first longest of them is.
 
-    Encoded columns join their codes, offsetting ``b``'s by the length of
-    ``a``'s values unless the two share one values object; a shorter plain
-    column joins as codes into itself, a shorter encoded one decoded.
+    Encoded columns join their codes, each offset by the lengths of the
+    values before its own unless all share one values object; a plain
+    column joins as codes into itself, or decoded when the first longest is
+    plain.
     """
-    if not isinstance(max(a, b, key=len), EncodedColumn):
-        return np.concatenate((np.asarray(a), np.asarray(b)))
-    a, b = (c if isinstance(c, EncodedColumn) else EncodedColumn(np.arange(len(c)), c) for c in (a, b))
-    if a.values is b.values:
-        return EncodedColumn(np.concatenate((a.codes, b.codes)), a.values)
-    codes = np.concatenate((a.codes, b.codes)).astype(np.int64, copy=False)
-    codes[len(a) :] += len(a.values)
-    return EncodedColumn(codes, np.concatenate((np.asarray(a.values), np.asarray(b.values))))
+    if not isinstance(max(pieces, key=len), EncodedColumn):
+        return np.concatenate([np.asarray(c) for c in pieces])
+    pieces = [c if isinstance(c, EncodedColumn) else EncodedColumn(np.arange(len(c)), c) for c in pieces]
+    if all(c.values is pieces[0].values for c in pieces):
+        return EncodedColumn(np.concatenate([c.codes for c in pieces]), pieces[0].values)
+    codes = np.concatenate([c.codes for c in pieces]).astype(np.int64, copy=False)
+    sizes = np.array([len(c.values) for c in pieces])
+    codes += np.repeat(np.cumsum(sizes) - sizes, [len(c) for c in pieces])
+    return EncodedColumn(codes, np.concatenate([np.asarray(c.values) for c in pieces]))
 
 
 def merge_rows(first, second):
     """The rows of ``first`` then ``second``, stably sorted on their first column, then their second."""
-    cols = list(map(_joined, first, second))
+    cols = list(map(concatenate, zip(first, second)))
     order = np.lexsort((np.asarray(cols[1]), np.asarray(cols[0])))
     for i, c in enumerate(cols):  # one at a time, so each joined column is freed once gathered
         cols[i] = EncodedColumn(c.codes[order], c.values) if isinstance(c, EncodedColumn) else c[order]

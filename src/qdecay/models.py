@@ -15,24 +15,30 @@ Draw order per trajectory (part of the reproducibility contract):
   occurred.  One engine, ``_lockstep_step_decay``, reads those positions of
   the Philox4x64-10 streams through the batched ``core.philox_uniforms``
   kernel, stopping each trajectory's checks at its first hit;
-  ``run_decay_ensemble`` runs it over every id and the single-trajectory
-  runners over the one id of their stream.
+  ``run_decay_ensemble`` runs it over blocks of ``_LOCKSTEP_COUNTERS`` ids
+  and the single-trajectory runners over the one id of their stream.
 * nsm: per fluctuation, the gap uniform of the fluctuation loop the
   driven nsm engine shares (``lockstep`` states that part of the order),
   then the reduction uniform; the attribution uniform is recovered from the
   reduction draw by conditioning, so no extra draw is consumed.  Forced
   fluctuation times replace the gaps.  One engine, ``_lockstep_nsm``, reads
-  these positions; ``run_decay_ensemble`` runs it over groups of ids and
-  ``run_nsm_trajectory`` over the one id of its stream.
+  these positions; ``run_decay_ensemble`` runs it over groups of
+  ``lockstep.GROUP_SIZE`` ids and ``run_nsm_trajectory`` over the one id of
+  its stream.
+
+``run_decay_ensemble`` hands each block of consecutive ids to a consumer as
+soon as it is computed (``DecayBlock``), or joins the blocks into one
+``EnsembleSummary``; the ``decay`` command writes its tables block by block,
+so its memory does not grow with ``n_traj``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -242,6 +248,19 @@ def decay_time_cdf(model: Model, gamma: float, dt: float):
     return cdf
 
 
+def law_distance(model: Model, gamma: float, dt: float, horizon: float) -> float:
+    """Sup over ``[0, horizon]`` of ``|F(t)/F(horizon) - E(t)/E(horizon)|``, ``F`` the ``decay_time_cdf``.
+
+    ``E(t) = 1 - exp(-gamma t)`` is the exponential law; both laws are
+    conditioned on decay by the horizon, and ``gamma`` must be > 0.  Inside
+    a step both are affine in ``1 - exp(-gamma f)``, so their difference is
+    too, and its sup lies at a grid time or at the horizon.
+    """
+    t = np.minimum(np.arange(math.ceil(horizon / dt) + 1) * dt, horizon)
+    law, exponential = decay_time_cdf(model, gamma, dt)(t), -np.expm1(-gamma * t)
+    return float(np.max(np.abs(law / law[-1] - exponential / exponential[-1])))
+
+
 @dataclass(frozen=True)
 class _StepPlan:
     """Deterministic no-jump data shared by every trajectory of an ensemble."""
@@ -249,6 +268,7 @@ class _StepPlan:
     n_steps: int
     dt: float
     gamma: float
+    grid: np.ndarray  # step start times, length n_steps + 1
     occupation: np.ndarray  # occupation at step starts, length n_steps + 1
     jump_prob: np.ndarray  # per-step jump/detection probability, length n_steps
 
@@ -275,12 +295,14 @@ def _step_plan(params: ModelParams, initial: QubitState, model: Model) -> _StepP
         s = np.exp(-params.gamma * t)
         occ = w_e * s / (w_g + w_e * s)
     jump_prob = occ[:n_steps] * jump_strength(model, params.gamma, params.dt)
-    return _StepPlan(n_steps, params.dt, params.gamma, occ, jump_prob)
+    return _StepPlan(n_steps, params.dt, params.gamma, t, occ, jump_prob)
 
 
-# Philox counters evaluated per lock-step block (live trajectories x counters
-# each), which bounds the engine's working memory to ~2 MB of uniforms.
-_LOCKSTEP_COUNTERS = 1 << 16
+# Trajectories per qmop/swf ensemble block, and Philox counters a check pass
+# evaluates (live trajectories x counters each): one kernel chunk, ~256 KB
+# of uniforms.  Passes of 65536 counters took ~20% longer in the decay
+# command, blocks of 2048 ids ~30% longer.
+_LOCKSTEP_COUNTERS = 8192
 # Trajectories per attribution batch: short lists of Python floats keep the
 # allocator from holding on to arenas that would raise the peak RSS.
 _ATTRIBUTION_CHUNK = 4096
@@ -292,12 +314,13 @@ def _lockstep_step_decay(plan: _StepPlan, seed: int, ids: range) -> Tuple[np.nda
     Returns (decay_times, jump_steps); a trajectory that survives to t_max
     has jump step -1 and decay time nan.  Jump check ``k`` reads draw ``k``
     and the attribution reads draw ``n_steps``, both straight from
-    ``philox_uniforms``.  Groups of at most ``_LOCKSTEP_COUNTERS``
-    trajectories advance in lock-step, a block of counters at a time, and
-    each trajectory leaves the live set at its first hit, so it costs the
-    draws up to its jump instead of all ``n_steps``.  Blocks grow as the live
-    set shrinks, keeping live x block at or below ``_LOCKSTEP_COUNTERS``.
-    Offsets into ``ids`` are uint64, so ids up to 2**64 - 1 work.
+    ``philox_uniforms``.  The trajectories advance in lock-step, a block of
+    counters at a time, and each leaves the live set at its first hit, so it
+    costs the draws up to its jump instead of all ``n_steps``.  Blocks grow
+    as the live set shrinks, keeping live x block at or below
+    ``_LOCKSTEP_COUNTERS`` once ``len(ids)`` is (``run_decay_ensemble``
+    passes at most that many ids).  Offsets into ``ids`` are uint64, so ids
+    up to 2**64 - 1 work.
     """
     n = len(ids)
     times = np.full(n, math.nan)
@@ -309,18 +332,16 @@ def _lockstep_step_decay(plan: _StepPlan, seed: int, ids: range) -> Tuple[np.nda
     prob = np.zeros(4 * n_ctr)
     prob[:n_checks] = plan.jump_prob[:n_checks]
     attribution_ctr, attribution_lane = divmod(plan.n_steps, 4)
-    for lo in range(0, n, _LOCKSTEP_COUNTERS):
-        live = np.arange(lo, min(lo + _LOCKSTEP_COUNTERS, n), dtype=np.uint64)
-        ctr = 0
-        while live.size and ctr < n_ctr:
-            block = min(max(1, _LOCKSTEP_COUNTERS // live.size), n_ctr - ctr)
-            counters = np.arange(ctr + 1, ctr + block + 1)
-            u = philox_uniforms(seed, ids.start + live[:, None], counters).reshape(live.size, 4 * block)
-            hits = u < prob[4 * ctr : 4 * (ctr + block)]
-            hit = hits.any(axis=1)
-            steps[live[hit]] = 4 * ctr + np.argmax(hits[hit], axis=1)
-            live = live[~hit]
-            ctr += block
+    live, ctr = np.arange(n, dtype=np.uint64), 0
+    while live.size and ctr < n_ctr:
+        block = min(max(1, _LOCKSTEP_COUNTERS // live.size), n_ctr - ctr)
+        counters = np.arange(ctr + 1, ctr + block + 1)
+        u = philox_uniforms(seed, ids.start + live[:, None], counters).reshape(live.size, 4 * block)
+        hits = u < prob[4 * ctr : 4 * (ctr + block)]
+        hit = hits.any(axis=1)
+        steps[live[hit]] = 4 * ctr + np.argmax(hits[hit], axis=1)
+        live = live[~hit]
+        ctr += block
     decayed = np.flatnonzero(steps >= 0)
     for lo in range(0, decayed.size, _ATTRIBUTION_CHUNK):
         part = decayed[lo : lo + _ATTRIBUTION_CHUNK]
@@ -335,21 +356,21 @@ _AFTER_JUMP = (0.0,)
 _AFTER_FLUCTUATION = (1.0, 0.0)
 
 
-def _step_model_rows(plan: _StepPlan, jump_steps, decay_times, model: Model, record_steps: bool):
-    """Event rows ``(traj_id, t, kind, before, after)`` of qmop/swf trajectories ``0 .. n - 1``.
+def _step_model_rows(plan: _StepPlan, first: int, jump_steps, decay_times, model: Model, record_steps: bool):
+    """Event rows ``(traj_id, t, kind, before, after)`` of qmop/swf trajectories ``first, first + 1, ...``.
 
     Occupations are ``EncodedColumn``s: codes into ``plan.occupation``, and
     into ``(0.0,)`` after the jump.  With ``record_steps``, a STEP row per
     grid step before the jump (all when censored) precedes a trajectory's
-    terminal row; its ``t`` is a code into the step grid and its ``traj_id``
-    a code into ``arange(n)``.
+    terminal row; its ``t`` is a code into ``plan.grid`` and its ``traj_id``
+    a code into the trajectories' ids.
     """
     decayed = np.flatnonzero(jump_steps >= 0)
     terminal = EventKind.PHOTON_DETECTION if model is Model.SWF else EventKind.QUANTUM_JUMP
     k = jump_steps[decayed]
     before = EncodedColumn(k, plan.occupation)
     after = EncodedColumn(np.zeros(k.size, dtype=np.int8), _AFTER_JUMP)
-    rows = (decayed, decay_times[decayed], np.full(k.size, lockstep.KIND_CODE[terminal]), before, after)
+    rows = (first + decayed, decay_times[decayed], np.full(k.size, lockstep.KIND_CODE[terminal]), before, after)
     if not record_steps:
         return rows
     # every trajectory rides the same no-jump curve, so its STEP rows are
@@ -357,10 +378,9 @@ def _step_model_rows(plan: _StepPlan, jump_steps, decay_times, model: Model, rec
     n_i = np.where(jump_steps < 0, plan.n_steps, jump_steps)
     j = lockstep.ragged(0 * n_i, n_i)
     end = j + 1
-    grid = np.arange(plan.n_steps + 1) * plan.dt
     steps = (
-        EncodedColumn(np.repeat(np.arange(n_i.size), n_i), np.arange(n_i.size)),
-        EncodedColumn(end, grid),
+        EncodedColumn(np.repeat(np.arange(n_i.size), n_i), first + np.arange(n_i.size)),
+        EncodedColumn(end, plan.grid),
         np.full(j.size, lockstep.KIND_CODE[EventKind.STEP]),
         EncodedColumn(j, plan.occupation),
         EncodedColumn(end, plan.occupation),
@@ -379,7 +399,7 @@ def _step_decay_record(
     ids = lockstep.stream_ids(stream, f"the {model.value} runner")
     plan = _step_plan(params, _decay_initial(initial_state), model)
     times, steps = _lockstep_step_decay(plan, stream.root_seed, ids)
-    rows = _step_model_rows(plan, steps, times, model, record_steps)
+    rows = _step_model_rows(plan, 0, steps, times, model, record_steps)  # the record drops traj_id
     k = int(steps[0])
 
     series = None
@@ -563,7 +583,7 @@ class EventTable:
     codes into the no-jump occupation grid (and ``(0.0,)`` after the jump),
     nsm ``occupation_after`` codes into ``(1.0, 0.0)``, and with
     ``record_steps`` the STEP rows' ``t`` codes into the step grid and
-    ``traj_id`` codes into ``arange(n_traj)``.
+    ``traj_id`` codes into the ids of the trajectories.
     """
 
     traj_id: np.ndarray | EncodedColumn
@@ -574,6 +594,25 @@ class EventTable:
 
     def __len__(self) -> int:
         return len(self.kind)
+
+
+@dataclass
+class DecayBlock:
+    """The trajectories ``ids`` of a decay run, consecutive ids in order.
+
+    ``decay_times`` (NaN where censored) and, with ``bin_steps``,
+    ``occupation_bins`` (each trajectory's bin means) have a row per id;
+    ``events`` holds the block's event rows under their ensemble
+    ``traj_id``.  An nsm block has the occupation drop of every fluctuation
+    and whether it was terminal, in trajectory order.
+    """
+
+    ids: range
+    decay_times: np.ndarray
+    events: EventTable
+    drop_samples: Optional[np.ndarray] = None
+    drop_terminal: Optional[np.ndarray] = None
+    occupation_bins: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -609,76 +648,91 @@ def run_decay_ensemble(
     initial_state: Optional[QubitState] = None,
     bin_steps: Optional[int] = None,
     record_steps: bool = False,
-) -> EnsembleSummary:
-    """Run ``params.n_traj`` trajectories of the selected model, serially.
+    on_block: Optional[Callable[[DecayBlock], None]] = None,
+) -> EnsembleSummary | Tuple[str, ...]:
+    """Run ``params.n_traj`` trajectories of the selected model, serially, a block of ids at a time.
 
-    Trajectory ``i`` always consumes the substream ``derive_stream(seed, i)``
-    and the engine's groups are joined in trajectory order.  The event table
-    holds the scalar runners' ``events`` in trajectory order, STEP rows only
-    with ``record_steps``.
+    Trajectory ``i`` always consumes the substream ``derive_stream(seed, i)``.
+    The blocks are consecutive ids, ``_LOCKSTEP_COUNTERS`` of them for
+    qmop/swf and ``lockstep.GROUP_SIZE`` for nsm.  Without ``on_block`` they
+    are joined in trajectory order into the returned summary, whose event
+    table holds the scalar runners' ``events`` in trajectory order, STEP
+    rows only with ``record_steps``.  With it, each ``DecayBlock`` goes to
+    ``on_block`` as soon as it is computed and is not kept, so the run holds
+    one block at a time, and the run's flags are returned.
     """
     initial = _decay_initial(initial_state)
-    n = params.n_traj
     model = params.model
-    drops = terminal = None
-    flags: Tuple[str, ...] = ()
+    n_steps = params.n_steps
 
-    if model in (Model.QMOP, Model.SWF):
-        plan = _step_plan(params, initial, model)
-        decay_times, jump_steps = _lockstep_step_decay(plan, params.seed, range(n))
-        rows = _step_model_rows(plan, jump_steps, decay_times, model, record_steps)
-        if bin_steps:
-            # every trajectory starts on the no-jump curve, and its jump at k starts the zero row at k + 1
-            jumped, start = np.flatnonzero(jump_steps >= 0), np.zeros(n, dtype=np.int64)
-            segs = [(np.arange(n), start, start), (jumped, jump_steps[jumped] + 1, np.ones_like(jumped))]
-            segments = lockstep.trajectory_order(segs)
-            tables = np.stack([plan.occupation, np.zeros(params.n_steps + 1)])
-            occupation = partial(lockstep.segment_occupation, tables, segments, params.n_steps)
-            vals = lockstep.segment_bin_means(segments, n, params.n_steps, bin_steps, tables, segments[2], occupation)
-    elif model is not Model.NSM:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unknown model {model}")
-    else:
+    if model is Model.NSM:
         w_exc0 = abs(initial.c_excited) ** 2
-        grid = np.arange(params.n_steps + 1) * params.dt
+        grid = np.arange(n_steps + 1) * params.dt
         tables = np.stack([w_exc0 * np.exp(-params.gamma * grid), np.zeros(grid.size)])
+        size = lockstep.GROUP_SIZE
 
-        def group(ids: range, vals: np.ndarray):
+        def block(ids: range) -> DecayBlock:
             m = len(ids)
             times, fluct, segments = _lockstep_nsm(params, w_exc0, params.seed, ids)
             traj, t, _, drop, terminal, occ = fluct
+            rows = (ids.start + traj, *_nsm_rows(t, occ, terminal))
+            if record_steps:
+                step_traj, *cols = _nsm_step_table(segments, params.gamma, grid, m, fluct)
+                rows = lockstep.merge_rows(rows, (EncodedColumn(step_traj, ids.start + np.arange(m)), *cols))
+            bins = None
             if bin_steps:
                 # every trajectory starts on one arc, and a jump starts a segment of zeros
                 seg_table = np.where(segments[1] == 0, 0, np.where(segments[2] == 0.0, 1, -1))
                 occupation = partial(_nsm_occupation, segments, params.gamma, grid)
-                vals[:] = lockstep.segment_bin_means(segments, m, params.n_steps, bin_steps, tables, seg_table, occupation)
-            steps = ()
-            if record_steps:
-                step_traj, step_t, *cols = _nsm_step_table(segments, params.gamma, grid, m, fluct)
-                steps = (ids.start + step_traj, step_t.codes, *cols)
-            return (times, ids.start + traj, t, occ, drop, terminal, *steps)
+                bins = lockstep.segment_bin_means(segments, m, n_steps, bin_steps, tables, seg_table, occupation)
+            return DecayBlock(ids, times, EventTable(*rows), drop, terminal, bins)
 
-        vals, decay_times, traj_id, t_fluct, occ, drops, terminal, *steps = lockstep.run_groups(
-            group, n, params.n_steps, bin_steps
-        )
-        rows = (traj_id, *_nsm_rows(t_fluct, occ, terminal))
-        if record_steps:
-            step_traj, step_t, *cols = steps
-            steps = (EncodedColumn(step_traj, np.arange(n)), EncodedColumn(step_t, grid), *cols)
-            rows = lockstep.merge_rows(rows, steps)
-        if params.beta == 0.0:
-            flags = (NSM_BETA_ZERO_FLAG,)
+    else:
+        plan = _step_plan(params, initial, model)
+        tables = np.stack([plan.occupation, np.zeros(n_steps + 1)])
+        size = _LOCKSTEP_COUNTERS
 
+        def block(ids: range) -> DecayBlock:
+            m = len(ids)
+            times, jump_steps = _lockstep_step_decay(plan, params.seed, ids)
+            rows = _step_model_rows(plan, ids.start, jump_steps, times, model, record_steps)
+            bins = None
+            if bin_steps:
+                # every trajectory starts on the no-jump curve, and its jump at k starts the zero row at k + 1
+                jumped, start = np.flatnonzero(jump_steps >= 0), np.zeros(m, dtype=np.int64)
+                segs = [(np.arange(m), start, start), (jumped, jump_steps[jumped] + 1, np.ones_like(jumped))]
+                segments = lockstep.trajectory_order(segs)
+                occupation = partial(lockstep.segment_occupation, tables, segments, n_steps)
+                bins = lockstep.segment_bin_means(segments, m, n_steps, bin_steps, tables, segments[2], occupation)
+            return DecayBlock(ids, times, EventTable(*rows), occupation_bins=bins)
+
+    flags = (NSM_BETA_ZERO_FLAG,) if model is Model.NSM and params.beta == 0.0 else ()
+    blocks: list = []
+    ids = range(params.n_traj)
+    for lo in range(0, params.n_traj, size):
+        (on_block or blocks.append)(block(ids[lo : lo + size]))
+    if on_block is not None:
+        return flags
+    return _joined_summary(params, blocks, bin_steps, flags)
+
+
+def _joined_summary(params: ModelParams, blocks: list, bin_steps: Optional[int], flags) -> EnsembleSummary:
+    """The summary of a run from its blocks, joined in trajectory order."""
+    decay_times = np.concatenate([b.decay_times for b in blocks])
+    columns = zip(*([getattr(b.events, f.name) for f in fields(EventTable)] for b in blocks))
+    events = EventTable(*map(lockstep.concatenate, columns))
     summary = EnsembleSummary(
-        model=model,
-        n_traj=n,
+        model=params.model,
+        n_traj=params.n_traj,
         decay_times=decay_times,
         n_censored=int(np.isnan(decay_times).sum()),
-        events=EventTable(*rows),
-        drop_samples=drops,
-        drop_terminal=terminal,
+        events=events,
         flags=flags,
     )
+    if params.model is Model.NSM:
+        summary.drop_samples = np.concatenate([b.drop_samples for b in blocks])
+        summary.drop_terminal = np.concatenate([b.drop_terminal for b in blocks])
     if bin_steps:
-        bins = lockstep.bin_statistics(vals, bin_steps, params.dt)
+        bins = lockstep.bin_statistics(np.concatenate([b.occupation_bins for b in blocks]), bin_steps, params.dt)
         summary.bin_centers, summary.occupation_mean, summary.occupation_var, summary.occupation_se = bins
     return summary

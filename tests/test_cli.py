@@ -11,7 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qdecay import tabletext
+from reference_engines import spy_calls
+
+from qdecay import lockstep, models, tabletext
 from qdecay.cli import (
     _KEYS,
     _NO_DEFAULT,
@@ -132,6 +134,43 @@ class TestDecayCommand:
         assert main(["decay", "--config", cfg, "--out-dir", out, "--format", "json"]) == 0
         rows = json.loads(read_bytes(out, "decay_times.json"))
         assert rows and set(rows[0]) == {"traj_id", "t_decay"}
+
+
+class TestStreamedDecay:
+    """``decay`` writes each engine block as it comes: block sizes change no byte, and memory stays bounded."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("record_steps", [False, True])
+    @pytest.mark.parametrize("model", ["qmop", "swf", "nsm"])
+    def test_block_sizes_change_no_byte(self, tmp_path, monkeypatch, model, record_steps, fmt):
+        cfg = write_cfg(tmp_path, dict(DECAY_CFG, model=model, n_traj=150, t_max=1.0, record_steps=record_steps))
+        base, small = str(tmp_path / "base"), str(tmp_path / "small")
+        assert main(["decay", "--config", cfg, "--out-dir", base, "--format", fmt]) == 0
+        monkeypatch.setattr(models, "_LOCKSTEP_COUNTERS", 7)
+        monkeypatch.setattr(lockstep, "GROUP_SIZE", 64)
+        engine, size = ("_lockstep_nsm", 64) if model == "nsm" else ("_lockstep_step_decay", 7)
+        blocks = spy_calls(monkeypatch, models, engine)
+        assert main(["decay", "--config", cfg, "--out-dir", small, "--format", fmt]) == 0
+        assert len(blocks) == -(-150 // size)
+        names = sorted(os.listdir(base))
+        assert names == sorted(os.listdir(small)) and f"events.{fmt}" in names
+        for name in names:
+            assert read_bytes(base, name) == read_bytes(small, name), name
+
+    def test_peak_does_not_grow_with_n_traj(self, tmp_path, monkeypatch):
+        # 4 blocks against 40: a run that held its ensemble would grow by ~46 bytes per trajectory
+        monkeypatch.setattr(models, "_LOCKSTEP_COUNTERS", 1024)
+        peaks = []
+        for n in (4 * 1024, 4 * 1024, 40 * 1024):  # the first run builds the writer's lookup tables
+            payload = {"model": "qmop", "gamma": 1.0, "dt": 0.01, "t_max": 20.0, "n_traj": n, "seed": 5}
+            cfg = write_cfg(tmp_path, payload)
+            tracemalloc.start()
+            try:
+                assert main(["decay", "--config", cfg, "--out-dir", str(tmp_path / "run")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[2] - peaks[1]) < 256 * 1024, peaks
 
 
 class TestTableFormat:
@@ -752,6 +791,7 @@ class TestAnalyze:
         assert report["pass"] is True
         ks, drop = report["checks"]["decay_ks"], report["checks"]["drop_moments"]
         assert ks["margin"] == ks["threshold"] - ks["distance"] > 0
+        assert 0.0 <= ks["law_distance"] < 1e-14  # nsm is checked against the exponential law itself
         assert drop["margin"] == drop["tolerance"] - drop["dev_mean_a"] > 0
 
     def test_censored_decay_passes_strict(self, tmp_path):
@@ -772,6 +812,7 @@ class TestAnalyze:
         assert main(["analyze", "--out-dir", out, "--strict"]) == 0
         ks = json.loads(read_bytes(out, "report.json"))["checks"]["decay_ks"]
         assert ks["distance"] < 0.005 < ks["threshold"]
+        assert ks["law_distance"] == pytest.approx(0.0192, abs=5e-5)  # the law checked, off the exponential
 
     def test_step_law_is_conditioned_on_the_engine_horizon(self, tmp_path):
         # t_max 1.04 is not a whole number of steps: the engine stops at 10 steps, t = 1.0

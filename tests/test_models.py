@@ -182,6 +182,22 @@ class TestDecayTimeLaw:
         t = np.linspace(0.0, 5.0, 11)
         assert np.max(np.abs(decay_time_cdf(Model.NSM, 2.0, 0.1)(t) + np.expm1(-2.0 * t))) < 1e-14
 
+    @pytest.mark.parametrize("dt, qmop", [(0.01, 0.00185), (0.05, 0.0094), (0.1, 0.0192)])
+    def test_law_distance_from_the_exponential(self, dt, qmop):
+        assert models.law_distance(Model.QMOP, 1.0, dt, 20.0) == pytest.approx(qmop, abs=5e-5)
+        assert models.law_distance(Model.SWF, 1.0, dt, 20.0) < 1e-14
+        assert models.law_distance(Model.NSM, 1.0, dt, 20.0 - dt / 3) < 1e-14
+
+    @pytest.mark.parametrize("model, horizon", [(Model.QMOP, 3.0), (Model.QMOP, 2.0 + 0.1 / 3), (Model.SWF, 3.0)])
+    def test_law_distance_is_the_sup_over_the_horizon(self, model, horizon):
+        # the two conditioned laws differ by an affine function of 1 - exp(-gamma f) inside a step:
+        # a fine grid over the whole horizon never exceeds the value at the step ends
+        law = decay_time_cdf(model, 1.0, 0.1)
+        t = np.linspace(0.0, horizon, 100_001)
+        fine = np.max(np.abs(law(t) / law(np.array([horizon]))[0] - np.expm1(-t) / np.expm1(-horizon)))
+        assert fine <= models.law_distance(model, 1.0, 0.1, horizon) + 1e-15
+        assert fine == pytest.approx(models.law_distance(model, 1.0, 0.1, horizon), abs=1e-5)
+
 
 class TestQmopTrajectory:
     def test_gamma_zero_never_jumps(self):
@@ -836,6 +852,29 @@ class TestEnsembleDeterminism:
             assert np.array_equal(base.occupation_mean, other.occupation_mean)
 
 
+class TestDecayBlocks:
+    """``run_decay_ensemble`` hands its blocks to ``on_block`` in order, and joins the same blocks into the summary."""
+
+    @pytest.mark.parametrize("model,beta", [("qmop", 0.0), ("swf", 0.0), ("nsm", 1.5), ("nsm", 0.0)])
+    def test_blocks_join_into_the_summary(self, monkeypatch, model, beta):
+        monkeypatch.setattr(models, "_LOCKSTEP_COUNTERS", 32)
+        monkeypatch.setattr(lockstep, "GROUP_SIZE", 32)
+        p = params(model=model, beta=beta, t_max=2.0, n_traj=100, seed=17)
+        blocks = []
+        flags = run_decay_ensemble(p, record_steps=True, on_block=blocks.append)
+        s = run_decay_ensemble(p, record_steps=True)
+        assert flags == s.flags == ((models.NSM_BETA_ZERO_FLAG,) if model == "nsm" and beta == 0.0 else ())
+        assert [b.ids for b in blocks] == [range(0, 32), range(32, 64), range(64, 96), range(96, 100)]
+        assert np.array_equal(np.concatenate([b.decay_times for b in blocks]), s.decay_times, equal_nan=True)
+        for name in ("traj_id", "t", "kind", "occupation_before", "occupation_after"):
+            joined = np.concatenate([np.asarray(getattr(b.events, name)) for b in blocks])
+            assert joined.tolist() == np.asarray(getattr(s.events, name)).tolist()
+        for b in blocks:  # each block holds only its own trajectories' rows
+            assert set(np.asarray(b.events.traj_id).tolist()) <= set(b.ids)
+        if model == "nsm":
+            assert np.concatenate([b.drop_samples for b in blocks]).tolist() == s.drop_samples.tolist()
+
+
 class TestEncodedEventColumns:
     """Event columns drawn from a shared grid stay codes into it, and decode to the plain rows."""
 
@@ -878,6 +917,15 @@ class TestEncodedEventColumns:
             assert np.asarray(got).view(np.int64).tolist() == want.view(np.int64).tolist()
         longer = max(first[1], second[1], key=len)
         assert isinstance(merged[1], EncodedColumn) == isinstance(longer, EncodedColumn)
+
+    @pytest.mark.parametrize("kinds", [("plain", "int8", "int64"), ("int64", "plain", "int64"), ("plain",) * 3])
+    def test_concatenate_decodes_to_the_plain_concatenation(self, kinds):
+        rng = np.random.default_rng(len(kinds[0]))
+        pieces = [self.column(kind, n, rng) for kind, n in zip(kinds, (30, 0, 45))]
+        joined = lockstep.concatenate(pieces)
+        want = np.concatenate([np.asarray(c) for c in pieces])
+        assert np.asarray(joined).view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert isinstance(joined, EncodedColumn) == isinstance(pieces[2], EncodedColumn)
 
     def test_merge_shares_one_values_object(self):
         values = np.linspace(0.0, 1.0, 7)

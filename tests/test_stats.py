@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qdecay import stats
+from qdecay.core import Model
+from qdecay.models import decay_time_cdf
 from qdecay.stats import ecdf, histogram, ks_distance, mean_var_se, power_spectrum
 
 
@@ -142,3 +145,15 @@ class TestPowerSpectrum:
         res = power_spectrum(zeta, dt=0.25)
         assert np.all(res.power >= 0.0)
         assert np.all(np.isfinite(res.power))
+
+
+@pytest.mark.parametrize("size", [7, stats._KS_SLICE])
+def test_ks_distance_over_slices_is_the_unsliced_formula(monkeypatch, size):
+    # the qmop step law that analyze checks, over a sample spanning several slices
+    monkeypatch.setattr(stats, "_KS_SLICE", size)
+    law = decay_time_cdf(Model.QMOP, 1.0, 0.1)
+    samples = np.random.default_rng(4).exponential(size=3 * stats._KS_SLICE + 5)
+    xs = np.sort(samples)
+    f, i, n = law(xs) / law(np.array([20.0]))[0], np.arange(xs.size), xs.size
+    want = float(max(np.max(f - i / n), np.max((i + 1) / n - f)))
+    assert ks_distance(samples, lambda t: law(t) / law(np.array([20.0]))[0]) == want
