@@ -17,13 +17,11 @@ homodyne ``traj_id`` (one value per record), homodyne ``current`` and
 decay ``kind`` (the engines' int8 codes), and the ``EventTable`` columns
 the engines encode (qmop/swf occupations, nsm ``occupation_after``, and
 with ``record_steps`` the STEP rows' ``t`` and ``traj_id``; see
-``models.EventTable``).  ``TableWriter`` is the one place that formats
-columns, a bounded row slice at a time and whole columns at once
-(``tabletext``), with the bytes of ``str`` (CSV) or ``json.dumps`` (JSON)
-of each value; ``write_table`` writes a whole table through it.  It
-formats a values object once while consecutive slices share it and deletes
-the table's file in the other format.  Identical
-(config, seed) therefore produce byte-identical outputs.
+``models.EventTable``).  ``tabletext.Table`` writes every table, a bounded
+row slice at a time with whole columns formatted at once, as the bytes of
+``str`` (CSV) or ``json.dumps`` (JSON) of each value; a values object is
+formatted once while consecutive slices share it.  Identical (config,
+seed) therefore produce byte-identical outputs.
 ``read_table`` parses a table back in bulk, one ndarray per column.
 
 Exit codes: 0 ok, 2 config/schema error, 3 I/O error, 4 analysis thresholds
@@ -52,7 +50,8 @@ from .homodyne import (
     default_kick,
     iter_homodyne_records,
 )
-from .tabletext import Rows
+from .lockstep import EVENT_KIND_NAMES
+from .tabletext import ROWS_PER_SLICE, Table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -228,63 +227,29 @@ def _provenance(cfg: Dict, command: str) -> Dict:
 # ---------------------------------------------------------------------------
 
 
-# Rows formatted per write: bounds the work arrays alive at once.
-_ROWS_PER_SLICE = 4096
-
-
-class TableWriter:
-    """The table ``name`` open for writing as CSV (or a JSON array of row objects), at ``path``.
-
-    Opening deletes the table's file in the other format, so that
-    ``read_table`` cannot pick up a stale copy from an earlier run, and
-    writes the CSV header; leaving the ``with`` block without an error
-    writes what follows the last row.  Several tables may be open at once.
-    """
-
-    def __init__(self, out_dir: str, name: str, fmt: str) -> None:
-        header = SCHEMAS[name]
-        self.path = os.path.join(out_dir, f"{name}.{fmt}")
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(out_dir, f"{name}.{'csv' if fmt == 'json' else 'json'}"))
-        self._rows = Rows(header, json=fmt == "json")
-        self._fh = open(self.path, "wb")
-        if fmt == "csv":
-            self._fh.write((",".join(header) + "\n").encode())
-
-    def write(self, cols) -> None:
-        """Append one column block, a bounded row slice at a time.
-
-        ``cols`` is a tuple of equal-length columns in the order of
-        ``SCHEMAS[name]``: ndarrays, lists, or ``EncodedColumn``s, which write
-        the bytes of the decoded column (a code outside the values raises
-        ``ValueError`` naming the column).  A CSV cell is ``str`` of its
-        value, a JSON row the ``json.dumps`` of its row object.
-        """
-        for lo in range(0, len(cols[0]), _ROWS_PER_SLICE):
-            self._rows.write(self._fh, [c[lo : lo + _ROWS_PER_SLICE] for c in cols])
-
-    def __enter__(self) -> "TableWriter":
-        return self
-
-    def __exit__(self, exc_type, *_) -> None:
-        with self._fh:
-            if exc_type is None:
-                self._fh.write(self._rows.end())
+def _open_table(out_dir: str, name: str, fmt: str) -> Table:
+    """The table ``name`` open for writing; its file in the other format, stale to ``read_table``, is deleted."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, f"{name}.{'csv' if fmt == 'json' else 'json'}"))
+    return Table(os.path.join(out_dir, f"{name}.{fmt}"), SCHEMAS[name], json=fmt == "json")
 
 
 def write_table(out_dir: str, name: str, blocks, fmt: str) -> str:
-    """Write the table ``name`` from an iterable of column blocks (see ``TableWriter``); returns its path."""
-    with TableWriter(out_dir, name, fmt) as table:
+    """Write the table ``name`` from an iterable of column blocks (see ``tabletext.Table``); returns its path."""
+    with _open_table(out_dir, name, fmt) as table:
         for cols in blocks:
             table.write(cols)
     return table.path
 
 
-def write_summary(out_dir: str, payload: Dict) -> str:
-    path = os.path.join(out_dir, "summary.json")
+def _write_json(path: str, payload: Dict) -> str:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def write_summary(out_dir: str, payload: Dict) -> str:
+    return _write_json(os.path.join(out_dir, "summary.json"), payload)
 
 
 # Columns read as strings; every other column is read as float64.
@@ -328,8 +293,11 @@ def read_table(out_dir: str, name: str) -> Optional[Dict[str, np.ndarray]]:
             _check_schema(name, [key for key, _ in pairs], schema)
             return tuple(value for _, value in pairs)
 
-        with open(json_path, "r", encoding="utf-8") as fh:
-            rows = json.load(fh, object_pairs_hook=row_values)
+        try:
+            with open(json_path, "r", encoding="utf-8") as fh:
+                rows = json.load(fh, object_pairs_hook=row_values)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{name}.json: {exc}") from exc
         if not isinstance(rows, list) or not all(isinstance(row, tuple) for row in rows):
             raise SchemaError(f"{name}.json: expected an array of row objects")
         try:
@@ -393,18 +361,18 @@ def cmd_decay(cfg: Dict) -> int:
     drops: List[np.ndarray] = []  # nsm: the moments' pairwise sums need every fluctuation's drop in one array
 
     with contextlib.ExitStack() as stack:
-        tables: List[TableWriter] = []
+        tables: List[Table] = []
 
         def write(block: models.DecayBlock) -> None:
             # the first block opens the tables, once the plan and the start state are built
             if not tables:
                 os.makedirs(out_dir, exist_ok=True)
                 for name in ("decay_times", "events"):
-                    tables.append(stack.enter_context(TableWriter(out_dir, name, fmt)))
+                    tables.append(stack.enter_context(_open_table(out_dir, name, fmt)))
             observed = np.flatnonzero(~np.isnan(block.decay_times))
             tables[0].write((block.ids.start + observed, block.decay_times[observed]))
             ev = block.events
-            kind = EncodedColumn(ev.kind, models.EVENT_KIND_NAMES)
+            kind = EncodedColumn(ev.kind, EVENT_KIND_NAMES)
             tables[1].write((ev.traj_id, ev.t, kind, ev.occupation_before, ev.occupation_after))
             counts["n_censored"] += block.decay_times.size - observed.size
             counts["n_observed"] += observed.size
@@ -462,7 +430,7 @@ def cmd_homodyne(cfg: Dict) -> int:
     os.makedirs(out_dir, exist_ok=True)
     acc = EnsembleAutocorrelation(params.n_steps, max_lag)
     # one written block per group of records of an engine block, about a slice of rows
-    group = max(1, _ROWS_PER_SLICE // params.n_steps)
+    group = max(1, ROWS_PER_SLICE // params.n_steps)
     steps = np.arange(group * params.n_steps)
     t_codes, id_codes = steps % params.n_steps, steps // params.n_steps
 
@@ -644,8 +612,7 @@ def cmd_analyze(out_dir: str, strict: bool) -> int:
 
     gated = [c["pass"] for c in checks.values() if "pass" in c]
     report = {"source": out_dir, "checks": checks, "pass": bool(all(gated)) if gated else True}
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_json(os.path.join(out_dir, "report.json"), report)
     if strict and not report["pass"]:
         return EXIT_ANALYSIS
     return EXIT_OK

@@ -25,6 +25,7 @@ import numpy as np
 from .core import ModelParams, QubitState, RngStream, as_generator, rekeyed_generators
 
 _SQRT2 = math.sqrt(2.0)
+BLOCK_SIZE = 512  # trajectories per lock-step block of iter_homodyne_records
 
 
 class NoiseModel(str, Enum):
@@ -432,13 +433,12 @@ def iter_homodyne_records(
     theta: float = 0.0,
     kick: Optional[float] = None,
     initial_state: Optional[QubitState] = None,
-    chunk: int = 512,
 ) -> Iterator[HomodyneRecord]:
     """Yield ``params.n_traj`` records in trajectory order, blockwise lock-step.
 
     Trajectory i uses substream (seed, i), so the stream of records is
-    byte-identical for any chunk size.  Each record's ``block`` is its
-    lock-step block of ``chunk`` trajectories; every block shares one
+    byte-identical for any ``BLOCK_SIZE``.  Each record's ``block`` is its
+    lock-step block of ``BLOCK_SIZE`` trajectories; every block shares one
     ``times`` array.  A record keeps its whole block alive, so the stream
     holds one block at a time only if the caller lets go of the previous
     record before it asks for the next: a ``for`` loop target or a ``zip``
@@ -455,7 +455,7 @@ def iter_homodyne_records(
         cur, sig, counts = _lockstep_run(params, noise_model, theta, kick_val, rho0, len(ids), gens)
         return HomodyneBlock(ids, times, cur, sig, noise_model, counts)
 
-    blocks = [range(lo, min(lo + chunk, params.n_traj)) for lo in range(0, params.n_traj, chunk)]
+    blocks = [range(lo, min(lo + BLOCK_SIZE, params.n_traj)) for lo in range(0, params.n_traj, BLOCK_SIZE)]
     # map hands each block straight to its records generator, which drops it when exhausted
     for records in map(HomodyneBlock.records, map(run_block, blocks)):
         yield from records

@@ -45,8 +45,6 @@ import numpy as np
 from . import lockstep
 from .core import MAX_GAMMA_DT, EncodedColumn, EventKind, Model, ModelParams, QubitState, RngStream, TrajectoryRecord
 from .core import as_generator, normalize, philox_uniforms
-# the kind names and the attribution sampler moved to lockstep, and stay importable from here
-from .lockstep import EVENT_KIND_NAMES, truncated_exponential_times as _truncated_exponential_times  # noqa: F401
 
 NSM_BETA_ZERO_FLAG = "nsm_beta_zero_no_fluctuations"
 
@@ -170,7 +168,7 @@ def sample_fluctuation_gap(beta: float, stream, size: Optional[int] = None):
 def _fluctuation_gap(gen, beta: float) -> float:
     """One gap -ln(u)/beta for ``beta > 0``, redrawing u until the gap is positive.
 
-    The unchecked core of ``sample_fluctuation_gap`` for the engines' hot loops.
+    The unchecked core of ``sample_fluctuation_gap``; the engines draw their gaps in bulk through ``lockstep``.
     """
     while True:
         u = gen.random()
@@ -576,7 +574,7 @@ def _nsm_rows(t: np.ndarray, occ: np.ndarray, terminal: np.ndarray):
 class EventTable:
     """Column-oriented event log, cheap to accumulate and to stream to CSV.
 
-    ``kind`` holds int8 codes; code ``c`` is the kind ``EVENT_KIND_NAMES[c]``.
+    ``kind`` holds int8 codes; code ``c`` is the kind ``lockstep.EVENT_KIND_NAMES[c]``.
     The other columns are ndarrays or ``EncodedColumn``s (codes into a
     values array, decoded by ``tolist()`` and ``numpy.asarray``), which the
     table writer formats once per distinct value: qmop/swf occupations are

@@ -10,8 +10,8 @@ float-to-string conversion", PLDI 2018); zero, subnormals, non-finite values,
 other values, and columns too short to pay for the kernels, go through
 ``str`` (``json.dumps``).  Digits land right-aligned in a source row per
 value, and a gather through a table of layouts, an index row per layout
-class, makes the text.  ``Rows`` lays a slice's cells between the table's
-separators and drops the padding.  The tables are built on first use.
+class, makes the text.  ``Table`` writes a table file, each slice's cells
+laid between its separators; the layout tables are built on first use.
 """
 
 from __future__ import annotations
@@ -258,31 +258,48 @@ def cells(values, json: bool) -> np.ndarray:
     return chars
 
 
-class Rows:
-    """A table's rows as bytes, one column slice at a time.
+ROWS_PER_SLICE = 4096  # rows formatted per write: bounds the work arrays alive at once
+
+
+class Table:
+    """The file at ``path`` open for writing: CSV rows under a header, or a JSON array of row objects.
 
     A CSV row is its cells joined by ``,`` and ended by ``\\n``; a JSON row
     fills the template ``{"key": cell, ...}``, rows joined by ``,\\n`` inside
-    ``[\\n ... \\n]\\n``.  An encoded column's values are formatted once and
-    gathered by code.  That cache is keyed by the values object's ``id`` and
-    holds the object, so the id cannot be reused while its entry lives; it
-    keeps the values objects of the last slice for the next one.  The
-    slices' text is laid out in one buffer, reused while the table lasts.
+    ``[\\n ... \\n]\\n``, or ``[]\\n``.  A clean exit from the ``with`` block
+    writes the closing bytes; after an error a JSON table stays unclosed.  An
+    encoded column's values are formatted once while consecutive slices share
+    them, and a code outside them raises ``ValueError`` naming the column.
     """
 
-    def __init__(self, header: Sequence[str], json: bool) -> None:
-        self.header, self.json, self.n_rows = list(header), json, 0
+    def __init__(self, path: str, header: Sequence[str], json: bool) -> None:
+        self.path, self.header, self.json, self.n_rows = path, list(header), json, 0
         if json:
             keys = [_json.dumps(k) + ": " for k in self.header]
             texts = [",\n{" + keys[0]] + [", " + k for k in keys[1:]] + ["}"]
         else:
             texts = [""] + [","] * (len(self.header) - 1) + ["\n"]
         self._separators = [np.frombuffer(t.encode(), dtype=np.uint8) for t in texts]
-        self._cache: dict = {}  # id(values) -> (values, cells)
+        self._cache: dict = {}  # id(values) -> (values, cells); holding values keeps the id from reuse
         self._text = np.empty(0, dtype=np.uint8)  # the slice's text, grown as needed and reused
+        self._fh = open(path, "wb")
+        if not json:
+            self._fh.write((",".join(self.header) + "\n").encode())
 
-    def write(self, fh, cols) -> None:
-        """Write the rows of ``cols``, one column slice per header key, to the binary file ``fh``."""
+    def __enter__(self) -> "Table":
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        with self._fh:
+            if exc_type is None and self.json:
+                self._fh.write(b"\n]\n" if self.n_rows else b"[]\n")
+
+    def write(self, cols) -> None:
+        """Append a block of equal-length columns, one per header key, ``ROWS_PER_SLICE`` rows at a time."""
+        for lo in range(0, len(cols[0]), ROWS_PER_SLICE):
+            self._write_slice([c[lo : lo + ROWS_PER_SLICE] for c in cols])
+
+    def _write_slice(self, cols) -> None:
         previous, self._cache = self._cache, {}
         columns = [self._column(name, col, previous) for name, col in zip(self.header, cols, strict=True)]
         pieces = [self._separators[0]]
@@ -305,11 +322,7 @@ class Rows:
         step = max(1, _PIECE // shape[1])
         for lo in range(0, len(text), step):
             piece = text[lo : lo + step]
-            fh.write(piece[piece != 0])
-
-    def end(self) -> bytes:
-        """What follows the last row."""
-        return (b"\n]\n" if self.n_rows else b"[]\n") if self.json else b""
+            self._fh.write(piece[piece != 0])
 
     def _column(self, name: str, col, previous: dict) -> np.ndarray:
         if not isinstance(col, EncodedColumn):

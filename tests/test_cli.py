@@ -33,8 +33,8 @@ from qdecay.homodyne import (
     ensemble_autocorrelation,
     run_homodyne_ensemble,
 )
+from qdecay.lockstep import EVENT_KIND_NAMES
 from qdecay.models import (
-    EVENT_KIND_NAMES,
     run_decay_ensemble,
     run_nsm_trajectory,
     run_qmop_trajectory,
@@ -417,6 +417,27 @@ class TestWriterMatchesRowFormatting:
         cols = (np.empty(0, dtype=np.int64), np.empty(0))
         write_table(str(tmp_path), "decay_times", [cols], fmt)
         assert read_bytes(str(tmp_path), f"decay_times.{fmt}").decode() == oracle_text("decay_times", cols, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_an_error_leaves_the_written_rows_unclosed(self, tmp_path, fmt):
+        # the second block fails: the first block's two slices stay on disk, without the closing bytes
+        n = 4096 + 9
+        cols = (np.arange(n), np.linspace(0.0, 1.0, n))
+
+        def blocks():
+            yield cols
+            raise RuntimeError("the engine failed")
+
+        with pytest.raises(RuntimeError, match="the engine failed"):
+            write_table(str(tmp_path), "decay_times", blocks(), fmt)
+        text = read_bytes(str(tmp_path), f"decay_times.{fmt}").decode()
+        if fmt == "csv":
+            assert text == oracle_text("decay_times", cols, fmt)
+            assert read_table(str(tmp_path), "decay_times")["t_decay"].tolist() == cols[1].tolist()
+        else:
+            assert text + "\n]\n" == oracle_text("decay_times", cols, fmt)
+            with pytest.raises(SchemaError, match="^decay_times.json: "):
+                read_table(str(tmp_path), "decay_times")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("record_steps", [False, True])

@@ -265,19 +265,22 @@ class TestHomodyneTrajectory:
         lam = beta * p.t_max
         assert abs(total - lam) < 3 * math.sqrt(lam) + 1
 
-    def test_single_trajectory_matches_ensemble_member(self):
+    def test_single_trajectory_matches_ensemble_member(self, monkeypatch):
         # the lock-step block math is elementwise, so block width is invisible
         p = _quiet_params(n_traj=9, seed=13)
-        recs = run_homodyne_ensemble(p, "white", chunk=4)
+        monkeypatch.setattr(homodyne, "BLOCK_SIZE", 4)
+        recs = run_homodyne_ensemble(p, "white")
         for i in (0, 4, 8):
             solo = run_homodyne_trajectory(p, "white", derive_stream(13, i))
             assert np.array_equal(solo.current, recs[i].current)
             assert np.array_equal(solo.sigma_x, recs[i].sigma_x)
 
-    def test_chunk_invariance(self):
+    def test_chunk_invariance(self, monkeypatch):
         p = _quiet_params(n_traj=60, seed=10)
-        base = run_homodyne_ensemble(p, "white", chunk=7)
-        alt = run_homodyne_ensemble(p, "white", chunk=64)
+        monkeypatch.setattr(homodyne, "BLOCK_SIZE", 7)
+        base = run_homodyne_ensemble(p, "white")
+        monkeypatch.setattr(homodyne, "BLOCK_SIZE", 64)
+        alt = run_homodyne_ensemble(p, "white")
         for a, b in zip(base, alt):
             assert np.array_equal(a.current, b.current)
             assert np.array_equal(a.sigma_x, b.sigma_x)
@@ -330,9 +333,10 @@ class TestOneBlockAtATime:
         monkeypatch.setattr(homodyne, "_lockstep_run", spy)
         return alive
 
-    def test_records_stream(self, previous_alive):
+    def test_records_stream(self, previous_alive, monkeypatch):
         p = _quiet_params(n_traj=10, seed=3)
-        collections.deque(iter_homodyne_records(p, "white", chunk=4), maxlen=0)
+        monkeypatch.setattr(homodyne, "BLOCK_SIZE", 4)
+        collections.deque(iter_homodyne_records(p, "white"), maxlen=0)
         assert previous_alive == [[], [False, False], [False, False]]
 
     def test_homodyne_command(self, tmp_path, previous_alive):
@@ -362,12 +366,13 @@ class TestLockstepNoise:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_blocks_match_float_noise_oracle(self, case):
+    def test_blocks_match_float_noise_oracle(self, case, monkeypatch):
         noise, beta, seed = self.CASES[case]
         p = _quiet_params(model="nsm", beta=beta, dt=0.01, t_max=0.3, n_traj=10, seed=seed)
         noise = NoiseModel(noise)
         kick = default_kick(beta) if noise is NoiseModel.NSM_POINT_PROCESS else 0.0
-        recs = run_homodyne_ensemble(p, noise, theta=0.4, chunk=4)
+        monkeypatch.setattr(homodyne, "BLOCK_SIZE", 4)
+        recs = run_homodyne_ensemble(p, noise, theta=0.4)
         dtypes = []
         for lo in range(0, p.n_traj, 4):
             ids = range(lo, min(lo + 4, p.n_traj))

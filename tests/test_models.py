@@ -20,7 +20,6 @@ from qdecay.core import EncodedColumn, EventKind, Model, ModelParams, QubitState
 from qdecay.models import (
     NSM_BETA_ZERO_FLAG,
     NsmOutcome,
-    _truncated_exponential_times,
     decay_time_cdf,
     fluctuation_gap_density,
     jump_probability,
@@ -539,7 +538,7 @@ def event_rows(records, steps=True):
 
 def kind_names(table):
     """The event table's kind codes, decoded to the names the events file spells."""
-    return [models.EVENT_KIND_NAMES[code] for code in table.kind.tolist()]
+    return [lockstep.EVENT_KIND_NAMES[code] for code in table.kind.tolist()]
 
 
 def assert_table_holds(table, rows):
@@ -614,7 +613,7 @@ class TestBatchedStepEngine:
     )
     def test_vector_attribution_is_scalar_attribution(self, rate, width, v):
         expected = [_truncated_exponential_time(rate, width, x) for x in v]
-        assert _truncated_exponential_times(rate, width, np.array(v, dtype=float)).tolist() == expected
+        assert lockstep.truncated_exponential_times(rate, width, np.array(v, dtype=float)).tolist() == expected
 
     def test_superposition_varies_jump_probability(self):
         from qdecay.core import Model

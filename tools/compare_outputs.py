@@ -5,10 +5,11 @@
 
 Each ROOT is a checkout whose ``src/`` holds the ``qdecay`` package.  Under
 each tree, in a fresh interpreter, the script runs a fixed matrix of small
-runs: ``decay`` qmop/swf/nsm with and without ``record_steps`` (and a qmop
-run whose times print in exponent notation), ``homodyne`` with white noise
-and the nsm point process (at theta 0 and 0.7, with about 200 pulses per
-step, and over three engine blocks), and ``rabi`` qmop/swf/nsm, each in CSV
+runs: ``decay`` qmop/swf/nsm with and without ``record_steps`` (and qmop
+runs whose times print in exponent notation and whose tables hold no row,
+at gamma 0), ``homodyne`` with white noise and the nsm point process (at
+theta 0 and 0.7, with about 200 pulses per step, and over three engine
+blocks), and ``rabi`` qmop/swf/nsm, each in CSV
 and JSON; decay nsm with and without ``record_steps`` and rabi qmop/nsm
 also run over two lock-step groups, and decay qmop/swf with and without
 ``record_steps`` over two blocks.  It then compares the sha256 of every
@@ -41,6 +42,8 @@ CONFIGS = {
     },
     # gamma 2e4 on a 1e-6 grid: decay times below 1e-4 print in exponent notation
     "decay-qmop-exponent": ("decay", dict(_DECAY, model="qmop", gamma=2e4, dt=1e-6, t_max=1e-3)),
+    # gamma 0: no trajectory decays, so both tables hold no row (a header-only CSV, a `[]` JSON array)
+    "decay-qmop-none": ("decay", dict(_DECAY, model="qmop", gamma=0.0)),
     "homodyne-white": ("homodyne", dict(_HOMODYNE, noise="white")),
     "homodyne-pp": ("homodyne", dict(_HOMODYNE, noise="nsm_point_process", beta=10.0)),
     # at theta 0.7 the current shares no cell with sigma_x
