@@ -6,7 +6,8 @@ serially (``--threads`` is accepted and ignored); ``decay`` always runs
 ``models.run_decay_ensemble``, whose ``record_steps`` adds the grid STEP rows,
 and writes its ``decay_times`` and ``events`` rows from each block of
 trajectories as the engine hands it over, so it holds one block, not the
-ensemble (homodyne streams its engine blocks the same way).
+ensemble (homodyne streams its engine blocks the same way, and ``rabi``
+keeps only the counts of each lock-step group's drops).
 The engines hand their tables over as column blocks: tuples of columns
 (ndarrays or lists) in the order of ``SCHEMAS[name]``.  A column drawn from
 a small set of values may come dictionary-encoded instead, as a
@@ -256,19 +257,22 @@ def write_summary(out_dir: str, payload: Dict) -> str:
 _STRING_COLUMNS = {("events", "kind")}
 
 
-def read_table(out_dir: str, name: str) -> Optional[Dict[str, np.ndarray]]:
+def read_table(out_dir: str, name: str, columns: Optional[Sequence[str]] = None) -> Optional[Dict[str, np.ndarray]]:
     """Read a table written by this tool; returns None when absent.
 
-    Returns one ndarray per column, parsed in bulk: float64 (each value
-    equals ``float`` of its cell, bit for bit), or strings for
-    ``events.kind``.  A header-only CSV or a ``[]`` JSON file gives empty
-    columns.  The header (or JSON keys) must match the declared schema
-    exactly; the first offending column is named in the error, and a row
-    with the wrong number of cells or a cell that does not parse raises
-    ``SchemaError`` naming the table.
+    Returns one ndarray per column, or per column of ``columns`` in that
+    order, parsed in bulk: float64 (each value equals ``float`` of its cell,
+    bit for bit), or strings for ``events.kind``.  A header-only CSV or a
+    ``[]`` JSON file gives empty columns.  The header (or JSON keys) must
+    match the declared schema exactly; the first offending column is named
+    in the error, and a row with the wrong number of cells or a cell that
+    does not parse, in any column, raises ``SchemaError`` naming the table.
+    A CSV is parsed ``ROWS_PER_SLICE`` rows at a time, keeping only the
+    asked-for columns of each slice.
     """
     schema = SCHEMAS[name]
     dtypes = [str if (name, k) in _STRING_COLUMNS else np.float64 for k in schema]
+    keep = range(len(schema)) if columns is None else [schema.index(k) for k in columns]
     csv_path = os.path.join(out_dir, f"{name}.csv")
     json_path = os.path.join(out_dir, f"{name}.json")
     if os.path.exists(csv_path):
@@ -277,15 +281,22 @@ def read_table(out_dir: str, name: str) -> Optional[Dict[str, np.ndarray]]:
             if not header:
                 raise SchemaError(f"{name}.csv: empty file, expected header {schema}")
             _check_schema(name, header.rstrip("\n").split(","), schema)
-            # numpy parses the rest of the open file in C, straight into one record array
+            # numpy parses the rest of the open file in C, a slice of rows at a time into one record array
             record = np.dtype([(k, object if t is str else t) for k, t in zip(schema, dtypes)])
+            pieces, done = [], 0
             try:
                 with warnings.catch_warnings():
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                    rows = np.loadtxt(fh, dtype=record, delimiter=",", comments=None, ndmin=1)
-            except ValueError as exc:
-                raise SchemaError(f"{name}.csv: {exc}") from exc
-        return {k: rows[k].astype(str) if t is str else rows[k] for k, t in zip(schema, dtypes)}
+                    while True:
+                        rows = np.loadtxt(fh, dtype=record, delimiter=",", comments=None, ndmin=1, max_rows=ROWS_PER_SLICE)
+                        pieces.append([rows[schema[i]].copy() for i in keep])
+                        done += rows.size
+                        if rows.size < ROWS_PER_SLICE:
+                            break
+            except ValueError as exc:  # numpy counts the rows of the slice
+                raise SchemaError(f"{name}.csv: {exc}" + (f" (in the rows from data row {done + 1})" if done else "")) from exc
+        joined = (np.concatenate(c) for c in zip(*pieces))
+        return {schema[i]: c.astype(str) if dtypes[i] is str else c for i, c in zip(keep, joined)}
     if os.path.exists(json_path):
 
         def row_values(pairs):
@@ -301,7 +312,7 @@ def read_table(out_dir: str, name: str) -> Optional[Dict[str, np.ndarray]]:
         if not isinstance(rows, list) or not all(isinstance(row, tuple) for row in rows):
             raise SchemaError(f"{name}.json: expected an array of row objects")
         try:
-            return {k: np.asarray([row[i] for row in rows], dtype=t) for i, (k, t) in enumerate(zip(schema, dtypes))}
+            return {schema[i]: np.asarray([row[i] for row in rows], dtype=dtypes[i]) for i in keep}
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{name}.json: {exc}") from exc
     return None
@@ -490,8 +501,9 @@ def cmd_rabi(cfg: Dict) -> int:
     fmt = cfg["format"]
     bin_width = float(cfg["bin_width"])
 
-    # the run writes emission times and drops only, so it skips the occupation bins
-    ensemble = rabi.run_driven_ensemble(params, drive, bin_steps=None)
+    # no occupation bins are written, and each group's drops at emissions are counted as they come
+    drops = rabi.DropCounts(1.0 / int(cfg["drop_bins"]))
+    ensemble = rabi.run_driven_ensemble(params, drive, bin_steps=None, on_group=lambda g: drops.add(g.drop_emission))
     series = rabi.fluorescence_from_times(
         ensemble.emission_times, ensemble.n_traj, bin_width, params.t_max
     )
@@ -510,9 +522,7 @@ def cmd_rabi(cfg: Dict) -> int:
         "emission_rate_tail": _tail_rate(series),
     }
     if params.model is Model.NSM:
-        hist = rabi.drop_histogram_from_samples(
-            ensemble.drop_emission, params.gamma, params.beta, 1.0 / int(cfg["drop_bins"])
-        )
+        hist = drops.histogram(params.gamma, params.beta)
         write_table(
             out_dir, "drop_histogram", [(hist.a_centers, hist.counts, hist.density_analytic)], fmt
         )
@@ -548,7 +558,8 @@ def cmd_analyze(out_dir: str, strict: bool) -> int:
     cfg = summary.get("config", {})
     checks: Dict[str, Dict] = {}
 
-    table = read_table(out_dir, "decay_times")
+    # the decay times only: the ids would double what the table holds
+    table = read_table(out_dir, "decay_times", ["t_decay"])
     if table is not None and table["t_decay"].size:
         times = table["t_decay"]
         model, gamma, dt, t_max = Model(cfg["model"]), float(cfg["gamma"]), float(cfg["dt"]), float(cfg["t_max"])

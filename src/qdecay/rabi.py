@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -345,13 +345,22 @@ def run_driven_trajectory(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class DrivenGroup:
+    """The drops of the trajectories ``ids`` of a driven run, in trajectory order, as ``DrivenEnsemble`` has them."""
+
+    ids: range
+    drop_all: np.ndarray
+    drop_emission: np.ndarray
+
+
 @dataclass
 class DrivenEnsemble:
     """Aggregated driven run: binned occupation plus the raw emission log.
 
-    ``drop_all`` / ``drop_emission`` hold the nsm occupation-drop values at
-    every fluctuation and at emissions only; both are empty for qmop/swf.
-    The bin fields are None for a run without bins.
+    ``drop_all`` / ``drop_emission`` hold the nsm occupation drops at every
+    fluctuation and at emissions only (empty for qmop/swf, None when handed
+    to a consumer); the bin fields are None for a run without bins.
     """
 
     n_traj: int
@@ -361,8 +370,8 @@ class DrivenEnsemble:
     occupation_mean: Optional[np.ndarray]
     occupation_se: Optional[np.ndarray]
     emission_times: np.ndarray
-    drop_all: np.ndarray
-    drop_emission: np.ndarray
+    drop_all: Optional[np.ndarray]
+    drop_emission: Optional[np.ndarray]
 
 
 def run_driven_ensemble(
@@ -370,6 +379,7 @@ def run_driven_ensemble(
     drive: DriveParams,
     initial_state: Optional[QubitState] = None,
     bin_steps: Optional[int] = 20,
+    on_group: Optional[Callable[[DrivenGroup], None]] = None,
 ) -> DrivenEnsemble:
     """Run ``params.n_traj`` driven trajectories and aggregate statistics.
 
@@ -380,7 +390,9 @@ def run_driven_ensemble(
     (seed, i) and the groups are joined in trajectory order.  The model's
     engine runs serially over the groups of ``lockstep.run_groups``; each
     group's segments give its bins (``lockstep.segment_bin_means``) and its
-    emissions go through ``lockstep.trajectory_order``.
+    emissions go through ``lockstep.trajectory_order``.  With ``on_group``,
+    each group's drops go to it as a ``DrivenGroup`` as soon as the group is
+    computed and are not kept: the returned ensemble's drop fields are None.
     """
     plan = _driven_plan(params, drive, initial_state)
     n_steps, occ, nsm = params.n_steps, plan.occ, params.model is Model.NSM
@@ -392,28 +404,23 @@ def run_driven_ensemble(
             segments = lockstep.trajectory_order(segments)
             occupation = partial(lockstep.segment_occupation, occ, segments, n_steps)
             vals[:] = lockstep.segment_bin_means(segments, len(ids), n_steps, bin_steps, occ, segments[2], occupation)
-        if not nsm:
-            return lockstep.trajectory_order(events)[1], np.empty(0), np.empty(0)
-        # the emissions and drops only: the other columns, and without bins the segments, are never joined
-        events = [(traj, t, drop, emitted) for traj, t, _, drop, _, emitted, _ in events]
-        _, t, drop, emitted = lockstep.trajectory_order(events)
-        return t[emitted], drop, drop[emitted]
+        if nsm:
+            # the emissions and drops only: the other columns, and without bins the segments, are never joined
+            events = [(traj, t, drop, emitted) for traj, t, _, drop, _, emitted, _ in events]
+            _, t, drop, emitted = lockstep.trajectory_order(events)
+            t, drops = t[emitted], (drop, drop[emitted])
+        else:
+            t, drops = lockstep.trajectory_order(events)[1], (np.empty(0), np.empty(0))
+        if on_group is None:
+            return t, *drops
+        on_group(DrivenGroup(ids, *drops))
+        return (t,)
 
-    vals, em_times, drop_all, drop_em = lockstep.run_groups(group, params.n_traj, n_steps, bin_steps)
+    vals, em_times, *drops = lockstep.run_groups(group, params.n_traj, n_steps, bin_steps)
     centers = mean = se = None
     if bin_steps:
         centers, mean, _, se = lockstep.bin_statistics(vals, bin_steps, params.dt)
-    return DrivenEnsemble(
-        n_traj=params.n_traj,
-        dt=params.dt,
-        t_max=params.t_max,
-        bin_centers=centers,
-        occupation_mean=mean,
-        occupation_se=se,
-        emission_times=em_times,
-        drop_all=drop_all,
-        drop_emission=drop_em,
-    )
+    return DrivenEnsemble(params.n_traj, params.dt, params.t_max, centers, mean, se, em_times, *(drops or (None, None)))
 
 
 @dataclass(frozen=True)
@@ -492,22 +499,34 @@ class DropHistogram:
         return self.counts / (self.n_samples * width) if self.n_samples else self.counts * 0.0
 
 
+class DropCounts:
+    """Occupation drops counted in ``round(1 / bin_width)`` bins over [0, 1], an array of samples at a time.
+
+    Integer counts added in parts are the counts of the joined samples, in any order.
+    """
+
+    def __init__(self, bin_width: float):
+        if not 0.0 < bin_width <= 1.0:
+            raise ValueError(f"bin_width must lie in (0, 1], got {bin_width}")
+        self.edges = np.linspace(0.0, 1.0, max(1, int(round(1.0 / bin_width))) + 1)
+        self.counts = np.zeros(self.edges.size - 1, dtype=np.int64)
+
+    def add(self, samples: np.ndarray) -> None:
+        self.counts += np.histogram(samples, bins=self.edges)[0]
+
+    def histogram(self, gamma: float, beta: float) -> DropHistogram:
+        """The counts so far, with the analytic overlay of ``r = beta / gamma``."""
+        if not gamma > 0.0:
+            raise ValueError(f"gamma must be > 0, got {gamma}")
+        centers = (self.edges[:-1] + self.edges[1:]) / 2.0
+        analytic = np.array([occupation_drop_density(beta / gamma, a) for a in centers])
+        return DropHistogram(centers, self.counts.copy(), analytic, int(self.counts.sum()))
+
+
 def drop_histogram_from_samples(samples: np.ndarray, gamma: float, beta: float, bin_width: float) -> DropHistogram:
-    if not 0.0 < bin_width <= 1.0:
-        raise ValueError(f"bin_width must lie in (0, 1], got {bin_width}")
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    n_bins = max(1, int(round(1.0 / bin_width)))
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
-    counts, _ = np.histogram(samples, bins=edges)
-    centers = (edges[:-1] + edges[1:]) / 2.0
-    analytic = np.array([occupation_drop_density(beta / gamma, a) for a in centers])
-    return DropHistogram(
-        a_centers=centers,
-        counts=counts.astype(np.int64),
-        density_analytic=analytic,
-        n_samples=int(counts.sum()),
-    )
+    counts = DropCounts(bin_width)
+    counts.add(samples)
+    return counts.histogram(gamma, beta)
 
 
 def fluorescence_fluctuation_histogram(

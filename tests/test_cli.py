@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from reference_engines import spy_calls
 
-from qdecay import lockstep, models, tabletext
+from qdecay import lockstep, models, rabi, tabletext
 from qdecay.cli import (
     _KEYS,
     _NO_DEFAULT,
@@ -495,11 +495,28 @@ class TestReadTable:
             ("t_decay", np.float64, (0,)),
         ]
 
-    @pytest.mark.parametrize("row", ["3,0.5,7", "3", "3,zero"])
-    def test_bad_row_names_the_table(self, tmp_path, row):
+    @pytest.mark.parametrize("columns", [None, ["t_decay"]])
+    @pytest.mark.parametrize("rows_per_slice", [2, tabletext.ROWS_PER_SLICE])
+    @pytest.mark.parametrize("row", ["3,0.5,7", "3", "3,zero", "three,0.5"])
+    def test_bad_row_names_the_table(self, tmp_path, monkeypatch, row, rows_per_slice, columns):
+        # a cell count or a cell in a column that is not kept, in a later slice, raises all the same
+        monkeypatch.setattr("qdecay.cli.ROWS_PER_SLICE", rows_per_slice)
         (tmp_path / "decay_times.csv").write_text(f"traj_id,t_decay\n0,0.25\n1,0.5\n{row}\n")
         with pytest.raises(SchemaError, match="^decay_times.csv: "):
-            read_table(str(tmp_path), "decay_times")
+            read_table(str(tmp_path), "decay_times", columns)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_slices_and_kept_columns_change_no_value(self, tmp_path, monkeypatch, fmt):
+        t = self.values()
+        write_table(str(tmp_path), "decay_times", [(np.arange(t.size), t)], fmt)
+        whole = read_table(str(tmp_path), "decay_times")
+        monkeypatch.setattr("qdecay.cli.ROWS_PER_SLICE", 7)
+        sliced = read_table(str(tmp_path), "decay_times")
+        kept = read_table(str(tmp_path), "decay_times", ["t_decay"])
+        assert list(kept) == ["t_decay"] and kept["t_decay"].base is None  # it holds no record array
+        for k in ("traj_id", "t_decay"):
+            assert sliced[k].tobytes() == whole[k].tobytes()
+        assert kept["t_decay"].tobytes() == whole["t_decay"].tobytes()
 
     @pytest.mark.parametrize("fmt, bound", [("csv", 4e6), ("json", 20e6)], ids=["csv", "json"])
     def test_parse_peak_is_bounded(self, tmp_path, fmt, bound):
@@ -756,6 +773,41 @@ class TestRabiCommand:
         out = str(tmp_path / "run")
         assert main(["rabi", "--config", cfg, "--out-dir", out]) == 0
         assert not os.path.exists(os.path.join(out, "drop_histogram.csv"))
+
+
+class TestStreamedRabi:
+    """``rabi`` counts each lock-step group's drops as they come: group sizes change no byte, and memory stays bounded."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("model", ["qmop", "nsm"])
+    def test_group_sizes_change_no_byte(self, tmp_path, monkeypatch, model, fmt):
+        cfg = write_cfg(tmp_path, dict(RABI_CFG, model=model, t_max=5.0))
+        base, small = str(tmp_path / "base"), str(tmp_path / "small")
+        assert main(["rabi", "--config", cfg, "--out-dir", base, "--format", fmt]) == 0
+        monkeypatch.setattr(lockstep, "GROUP_SIZE", 64)
+        groups = spy_calls(monkeypatch, rabi, "_lockstep_driven_nsm" if model == "nsm" else "_driven_step_engine")
+        assert main(["rabi", "--config", cfg, "--out-dir", small, "--format", fmt]) == 0
+        assert len(groups) == -(-RABI_CFG["n_traj"] // 64)
+        names = sorted(os.listdir(base))
+        assert names == sorted(os.listdir(small)) and (f"drop_histogram.{fmt}" in names) == (model == "nsm")
+        for name in names:
+            assert read_bytes(base, name) == read_bytes(small, name), name
+
+    def test_peak_does_not_grow_with_n_traj(self, tmp_path, monkeypatch):
+        # 4 groups against 40, of ~20 fluctuations and ~0.1 emissions per trajectory: a run
+        # that joined every fluctuation's drop would grow by ~300 bytes per trajectory
+        monkeypatch.setattr(lockstep, "GROUP_SIZE", 256)
+        peaks = []
+        for n in (4 * 256, 4 * 256, 40 * 256):  # the first run builds the writer's lookup tables
+            payload = dict(RABI_CFG, gamma=0.05, beta=5.0, omega_rabi=1.0, t_max=4.0, n_traj=n)
+            cfg = write_cfg(tmp_path, payload)
+            tracemalloc.start()
+            try:
+                assert main(["rabi", "--config", cfg, "--out-dir", str(tmp_path / "run")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[2] - peaks[1]) < 256 * 1024, peaks
 
 
 class TestSerialRuns:

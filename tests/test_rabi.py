@@ -18,6 +18,7 @@ from qdecay import lockstep, rabi
 from qdecay.core import EventKind, ModelParams, QubitState, TrajectoryEvent, TrajectoryRecord, derive_stream
 from qdecay.rabi import (
     DriveParams,
+    DropCounts,
     drop_histogram_from_samples,
     fluorescence_fluctuation_histogram,
     fluorescence_from_times,
@@ -297,6 +298,28 @@ class TestDrivenEnsemble:
         assert np.array_equal(with_bins.occupation_se, one_group.occupation_se)
         assert without.bin_centers is None and without.occupation_mean is None and without.occupation_se is None
         assert without.emission_times.size > 0
+        # a consumer gets each group's drops in id order, as the join has them bit for bit, and they are not kept
+        handed = []
+        streamed = run_driven_ensemble(p, drive, bin_steps=20, on_group=handed.append)
+        assert [g.ids for g in handed] == [range(lo, min(lo + group, p.n_traj)) for lo in range(0, p.n_traj, group)]
+        for name in ("drop_all", "drop_emission"):
+            joined = np.concatenate([getattr(g, name) for g in handed])
+            assert joined.dtype == np.float64 and joined.tobytes() == getattr(with_bins, name).tobytes()
+            assert getattr(streamed, name) is None
+        assert streamed.emission_times.tobytes() == with_bins.emission_times.tobytes()
+        assert streamed.occupation_mean.tobytes() == with_bins.occupation_mean.tobytes()
+        assert streamed.occupation_se.tobytes() == with_bins.occupation_se.tobytes()
+        assert np.array_equal(streamed.bin_centers, with_bins.bin_centers)
+
+    def test_qmop_groups_hand_over_no_drops(self, monkeypatch):
+        p = driven_params(gamma=0.5, omega=4.0, dt=0.01, t_max=4.0, n_traj=150, seed=9)
+        monkeypatch.setattr(lockstep, "GROUP_SIZE", 64)
+        handed = []
+        streamed = run_driven_ensemble(p, DriveParams(omega_rabi=4.0), bin_steps=None, on_group=handed.append)
+        assert [g.ids for g in handed] == [range(0, 64), range(64, 128), range(128, 150)]
+        assert all(g.drop_all.size == g.drop_emission.size == 0 for g in handed)
+        joined = run_driven_ensemble(p, DriveParams(omega_rabi=4.0), bin_steps=None)
+        assert streamed.emission_times.tobytes() == joined.emission_times.tobytes() and joined.emission_times.size
 
     def test_runner_takes_only_rngstreams(self):
         drive = DriveParams(omega_rabi=4.0)
@@ -367,6 +390,26 @@ class TestFluorescence:
 
 
 class TestDropHistogram:
+    def test_counts_added_in_parts_are_the_counts_of_the_join(self):
+        rng = np.random.default_rng(3)
+        edges = np.linspace(0.0, 1.0, 21)
+        samples = np.concatenate([rng.random(5000), edges, np.nextafter(edges, 2.0), np.nextafter(edges, -1.0)])
+        samples = samples[(samples >= 0.0) & (samples <= 1.0)]
+        whole = drop_histogram_from_samples(samples, 0.5, 0.8, 0.05)
+        counts = DropCounts(0.05)
+        for part in np.split(samples, [0, 7, 7, 2000, 4093]):
+            counts.add(part)
+        hist = counts.histogram(0.5, 0.8)
+        assert hist.counts.tolist() == whole.counts.tolist() and hist.n_samples == samples.size
+        assert hist.a_centers.tobytes() == whole.a_centers.tobytes()
+        assert hist.density_analytic.tobytes() == whole.density_analytic.tobytes()
+
+    def test_bad_bin_width_or_gamma(self):
+        with pytest.raises(ValueError, match="bin_width"):
+            drop_histogram_from_samples(np.array([0.5]), 0.0, 0.8, 1.5)
+        with pytest.raises(ValueError, match="gamma"):
+            drop_histogram_from_samples(np.array([0.5]), 0.0, 0.8, 0.05)
+
     def test_all_events_follow_drop_law(self):
         # collected over every fluctuation the drops follow r(1-a)^(r-1);
         # beta*t_max is large so window censoring of the last gap is negligible

@@ -11,8 +11,8 @@ at gamma 0), ``homodyne`` with white noise and the nsm point process (at
 theta 0 and 0.7, with about 200 pulses per step, and over three engine
 blocks), and ``rabi`` qmop/swf/nsm, each in CSV
 and JSON; decay nsm with and without ``record_steps`` and rabi qmop/nsm
-also run over two lock-step groups, and decay qmop/swf with and without
-``record_steps`` over two blocks.  It then compares the sha256 of every
+also run over two lock-step groups, rabi nsm over three, and decay qmop/swf
+with and without ``record_steps`` over two blocks.  It then compares the sha256 of every
 file the runs wrote.  It exits 0 when every file is identical, 1 naming each
 file that differs or that only one tree wrote, and 2 when a run fails.
 """
@@ -65,6 +65,8 @@ CONFIGS = {
     ),
     "rabi-qmop-groups": ("rabi", dict(_RABI, model="qmop", t_max=2.0, n_traj=2100)),
     "rabi-nsm-groups": ("rabi", dict(_RABI, model="nsm", beta=0.5, t_max=2.0, n_traj=2100)),
+    # 4100 trajectories: two full groups and a partial one of 4, whose drop counts add across two group bounds
+    "rabi-nsm-three-groups": ("rabi", dict(_RABI, model="nsm", beta=0.5, t_max=2.0, n_traj=4100)),
     # decay writes a block at a time: 2100 nsm trajectories, and 8244 qmop/swf ones, a full
     # block of 8192 and a partial one of 52
     "decay-nsm-groups": ("decay", dict(_DECAY, model="nsm", beta=1.0, t_max=1.0, n_traj=2100)),
