@@ -12,8 +12,9 @@ An engine advances a group of trajectories together in numpy, trajectory
 * event rows ``([traj,] t, kind, before, after)``, ``kind`` an int8 code
   (``KIND_CODE``, ``EVENT_KIND_NAMES``): ``step_table``, ``merge_rows``,
   ``concatenate`` and ``trajectory_events``;
-* groups: ``run_groups``, over ``GROUP_SIZE`` trajectories at a time, and
-  ``stream_ids`` for a one-trajectory runner.
+* groups: ``run_groups``, the one runner of decay and driven ensembles, a
+  group of consecutive ids at a time, and ``stream_ids`` for a
+  one-trajectory runner.
 
 Draw order of the nsm fluctuation loop (part of the reproducibility
 contract): per fluctuation, the gap uniform, redrawn while it is 0 or the
@@ -25,7 +26,7 @@ stream is lane ``p % 4`` of its Philox counter ``p // 4 + 1``.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -49,20 +50,20 @@ def stream_ids(stream, runner: str) -> range:
     return range(stream.stream_id, stream.stream_id + 1)
 
 
-def run_groups(group, n: int, n_steps: int, bin_steps: Optional[int]):
-    """``group(ids, vals)`` over consecutive groups of at most ``GROUP_SIZE`` ids of ``range(n)``.
+def run_groups(group, n: int, size: int, n_bins: int):
+    """``group(ids, vals)`` over consecutive groups of at most ``size`` ids of ``range(n)``.
 
-    ``vals`` is the group's rows of one ``(n, n_steps // bin_steps)`` bin
-    matrix (no columns without ``bin_steps``) for it to fill.  Returns the
-    matrix, then each column ``group`` returns, joined in trajectory order.
+    ``vals`` is the group's rows of one ``(n, n_bins)`` bin matrix for it to
+    fill.  Returns the matrix, then each column ``group`` returns, joined in
+    trajectory order by ``concatenate`` (a group returning ``()`` keeps none).
     """
-    ids, vals = range(n), np.empty((n, n_steps // bin_steps if bin_steps else 0))
-    groups = [group(ids[lo : lo + GROUP_SIZE], vals[lo : lo + GROUP_SIZE]) for lo in range(0, n, GROUP_SIZE)]
+    ids, vals = range(n), np.empty((n, n_bins))
+    groups = [group(ids[lo : lo + size], vals[lo : lo + size]) for lo in range(0, n, size)]
     return (vals, *_joined_columns(groups))
 
 
 def _joined_columns(tuples: list):
-    """Each column of the equal-length column ``tuples``, joined; empties ``tuples``.
+    """Each column of the equal-length column ``tuples``, joined by ``concatenate``; empties ``tuples``.
 
     One column at a time is joined and its pieces released, so the pieces
     of the columns already joined are not held beside their joins.
@@ -70,7 +71,7 @@ def _joined_columns(tuples: list):
     columns = [list(c) for c in zip(*tuples)]
     tuples.clear()
     for pieces in columns:
-        yield np.concatenate(pieces)
+        yield concatenate(pieces)
         pieces.clear()
 
 

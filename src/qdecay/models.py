@@ -26,8 +26,9 @@ Draw order per trajectory (part of the reproducibility contract):
   ``lockstep.GROUP_SIZE`` ids and ``run_nsm_trajectory`` over the one id of
   its stream.
 
-``run_decay_ensemble`` hands each block of consecutive ids to a consumer as
-soon as it is computed (``DecayBlock``), or joins the blocks into one
+``run_decay_ensemble`` runs blocks of consecutive ids through
+``lockstep.run_groups``, as driven runs do, and hands each to a consumer as
+soon as it is computed (``DecayBlock``), or joins them into one
 ``EnsembleSummary``; the ``decay`` command writes its tables block by block,
 so its memory does not grow with ``n_traj``.
 """
@@ -280,7 +281,7 @@ def _decay_initial(initial_state: Optional[QubitState]) -> QubitState:
 
 
 def _step_plan(params: ModelParams, initial: QubitState, model: Model) -> _StepPlan:
-    initial = normalize(initial)
+    """The no-jump plan from ``initial``, a start state ``_decay_initial`` has normalized."""
     w_e = abs(initial.c_excited) ** 2
     w_g = abs(initial.c_ground) ** 2
     n_steps = params.n_steps
@@ -599,7 +600,8 @@ class DecayBlock:
     """The trajectories ``ids`` of a decay run, consecutive ids in order.
 
     ``decay_times`` (NaN where censored) and, with ``bin_steps``,
-    ``occupation_bins`` (each trajectory's bin means) have a row per id;
+    ``occupation_bins`` (each trajectory's bin means: the block's rows of
+    the run's bin matrix, a view) have a row per id;
     ``events`` holds the block's event rows under their ensemble
     ``traj_id``.  An nsm block has the occupation drop of every fluctuation
     and whether it was terminal, in trajectory order.
@@ -651,13 +653,14 @@ def run_decay_ensemble(
     """Run ``params.n_traj`` trajectories of the selected model, serially, a block of ids at a time.
 
     Trajectory ``i`` always consumes the substream ``derive_stream(seed, i)``.
-    The blocks are consecutive ids, ``_LOCKSTEP_COUNTERS`` of them for
-    qmop/swf and ``lockstep.GROUP_SIZE`` for nsm.  Without ``on_block`` they
-    are joined in trajectory order into the returned summary, whose event
-    table holds the scalar runners' ``events`` in trajectory order, STEP
-    rows only with ``record_steps``.  With it, each ``DecayBlock`` goes to
-    ``on_block`` as soon as it is computed and is not kept, so the run holds
-    one block at a time, and the run's flags are returned.
+    ``lockstep.run_groups`` runs blocks of consecutive ids,
+    ``_LOCKSTEP_COUNTERS`` for qmop/swf and ``lockstep.GROUP_SIZE`` for nsm,
+    whose bins fill their rows of one ``(n_traj, n_bins)`` matrix.  Without
+    ``on_block`` the blocks' columns are joined in trajectory order into the
+    returned summary, whose event table holds the scalar runners' ``events``
+    in trajectory order, STEP rows only with ``record_steps``.  With it,
+    each ``DecayBlock`` goes to ``on_block`` as soon as it is computed and is
+    not kept, so the run holds one block and the matrix, and its flags are returned.
     """
     initial = _decay_initial(initial_state)
     model = params.model
@@ -669,7 +672,7 @@ def run_decay_ensemble(
         tables = np.stack([w_exc0 * np.exp(-params.gamma * grid), np.zeros(grid.size)])
         size = lockstep.GROUP_SIZE
 
-        def block(ids: range) -> DecayBlock:
+        def block(ids: range, vals: np.ndarray) -> DecayBlock:
             m = len(ids)
             times, fluct, segments = _lockstep_nsm(params, w_exc0, params.seed, ids)
             traj, t, _, drop, terminal, occ = fluct
@@ -677,60 +680,47 @@ def run_decay_ensemble(
             if record_steps:
                 step_traj, *cols = _nsm_step_table(segments, params.gamma, grid, m, fluct)
                 rows = lockstep.merge_rows(rows, (EncodedColumn(step_traj, ids.start + np.arange(m)), *cols))
-            bins = None
             if bin_steps:
                 # every trajectory starts on one arc, and a jump starts a segment of zeros
                 seg_table = np.where(segments[1] == 0, 0, np.where(segments[2] == 0.0, 1, -1))
                 occupation = partial(_nsm_occupation, segments, params.gamma, grid)
-                bins = lockstep.segment_bin_means(segments, m, n_steps, bin_steps, tables, seg_table, occupation)
-            return DecayBlock(ids, times, EventTable(*rows), drop, terminal, bins)
+                vals[:] = lockstep.segment_bin_means(segments, m, n_steps, bin_steps, tables, seg_table, occupation)
+            return DecayBlock(ids, times, EventTable(*rows), drop, terminal)
 
     else:
         plan = _step_plan(params, initial, model)
         tables = np.stack([plan.occupation, np.zeros(n_steps + 1)])
         size = _LOCKSTEP_COUNTERS
 
-        def block(ids: range) -> DecayBlock:
+        def block(ids: range, vals: np.ndarray) -> DecayBlock:
             m = len(ids)
             times, jump_steps = _lockstep_step_decay(plan, params.seed, ids)
             rows = _step_model_rows(plan, ids.start, jump_steps, times, model, record_steps)
-            bins = None
             if bin_steps:
                 # every trajectory starts on the no-jump curve, and its jump at k starts the zero row at k + 1
                 jumped, start = np.flatnonzero(jump_steps >= 0), np.zeros(m, dtype=np.int64)
                 segs = [(np.arange(m), start, start), (jumped, jump_steps[jumped] + 1, np.ones_like(jumped))]
                 segments = lockstep.trajectory_order(segs)
                 occupation = partial(lockstep.segment_occupation, tables, segments, n_steps)
-                bins = lockstep.segment_bin_means(segments, m, n_steps, bin_steps, tables, segments[2], occupation)
-            return DecayBlock(ids, times, EventTable(*rows), occupation_bins=bins)
+                vals[:] = lockstep.segment_bin_means(segments, m, n_steps, bin_steps, tables, segments[2], occupation)
+            return DecayBlock(ids, times, EventTable(*rows))
 
+    def group(ids: range, vals: np.ndarray):
+        b = block(ids, vals)
+        b.occupation_bins = vals if bin_steps else None
+        if on_block is not None:
+            on_block(b)
+            return ()
+        events = tuple(getattr(b.events, f.name) for f in fields(EventTable))
+        return (b.decay_times, *events, *((b.drop_samples, b.drop_terminal) if model is Model.NSM else ()))
+
+    n_bins = n_steps // bin_steps if bin_steps else 0
+    vals, *columns = lockstep.run_groups(group, params.n_traj, size, n_bins)
     flags = (NSM_BETA_ZERO_FLAG,) if model is Model.NSM and params.beta == 0.0 else ()
-    blocks: list = []
-    ids = range(params.n_traj)
-    for lo in range(0, params.n_traj, size):
-        (on_block or blocks.append)(block(ids[lo : lo + size]))
     if on_block is not None:
         return flags
-    return _joined_summary(params, blocks, bin_steps, flags)
-
-
-def _joined_summary(params: ModelParams, blocks: list, bin_steps: Optional[int], flags) -> EnsembleSummary:
-    """The summary of a run from its blocks, joined in trajectory order."""
-    decay_times = np.concatenate([b.decay_times for b in blocks])
-    columns = zip(*([getattr(b.events, f.name) for f in fields(EventTable)] for b in blocks))
-    events = EventTable(*map(lockstep.concatenate, columns))
-    summary = EnsembleSummary(
-        model=params.model,
-        n_traj=params.n_traj,
-        decay_times=decay_times,
-        n_censored=int(np.isnan(decay_times).sum()),
-        events=events,
-        flags=flags,
-    )
-    if params.model is Model.NSM:
-        summary.drop_samples = np.concatenate([b.drop_samples for b in blocks])
-        summary.drop_terminal = np.concatenate([b.drop_terminal for b in blocks])
-    if bin_steps:
-        bins = lockstep.bin_statistics(np.concatenate([b.occupation_bins for b in blocks]), bin_steps, params.dt)
-        summary.bin_centers, summary.occupation_mean, summary.occupation_var, summary.occupation_se = bins
-    return summary
+    decay_times, *events = columns[:6]
+    bins = lockstep.bin_statistics(vals, bin_steps, params.dt) if bin_steps else (None,) * 4
+    n_censored = int(np.isnan(decay_times).sum())
+    drops = columns[6:]  # nsm's drop_samples and drop_terminal
+    return EnsembleSummary(model, params.n_traj, decay_times, n_censored, EventTable(*events), *bins, *drops, flags=flags)

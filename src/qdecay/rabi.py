@@ -388,8 +388,9 @@ def run_driven_ensemble(
     standard error over trajectories.  ``bin_steps=None`` skips the bins,
     leaving only the emission times and drops.  Trajectory i uses substream
     (seed, i) and the groups are joined in trajectory order.  The model's
-    engine runs serially over the groups of ``lockstep.run_groups``; each
-    group's segments give its bins (``lockstep.segment_bin_means``) and its
+    engine runs serially over ``lockstep.GROUP_SIZE`` ids at a time through
+    ``lockstep.run_groups``, as decay runs do; each group's segments fill its
+    rows of one bin matrix (``lockstep.segment_bin_means``) and its
     emissions go through ``lockstep.trajectory_order``.  With ``on_group``,
     each group's drops go to it as a ``DrivenGroup`` as soon as the group is
     computed and are not kept: the returned ensemble's drop fields are None.
@@ -416,10 +417,9 @@ def run_driven_ensemble(
         on_group(DrivenGroup(ids, *drops))
         return (t,)
 
-    vals, em_times, *drops = lockstep.run_groups(group, params.n_traj, n_steps, bin_steps)
-    centers = mean = se = None
-    if bin_steps:
-        centers, mean, _, se = lockstep.bin_statistics(vals, bin_steps, params.dt)
+    n_bins = n_steps // bin_steps if bin_steps else 0
+    vals, em_times, *drops = lockstep.run_groups(group, params.n_traj, lockstep.GROUP_SIZE, n_bins)
+    centers, mean, _, se = lockstep.bin_statistics(vals, bin_steps, params.dt) if bin_steps else (None,) * 4
     return DrivenEnsemble(params.n_traj, params.dt, params.t_max, centers, mean, se, em_times, *(drops or (None, None)))
 
 

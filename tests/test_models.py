@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -854,14 +855,15 @@ class TestEnsembleDeterminism:
 class TestDecayBlocks:
     """``run_decay_ensemble`` hands its blocks to ``on_block`` in order, and joins the same blocks into the summary."""
 
+    @pytest.mark.parametrize("bin_steps", [None, 7])
     @pytest.mark.parametrize("model,beta", [("qmop", 0.0), ("swf", 0.0), ("nsm", 1.5), ("nsm", 0.0)])
-    def test_blocks_join_into_the_summary(self, monkeypatch, model, beta):
+    def test_blocks_join_into_the_summary(self, monkeypatch, model, beta, bin_steps):
         monkeypatch.setattr(models, "_LOCKSTEP_COUNTERS", 32)
         monkeypatch.setattr(lockstep, "GROUP_SIZE", 32)
         p = params(model=model, beta=beta, t_max=2.0, n_traj=100, seed=17)
         blocks = []
-        flags = run_decay_ensemble(p, record_steps=True, on_block=blocks.append)
-        s = run_decay_ensemble(p, record_steps=True)
+        flags = run_decay_ensemble(p, bin_steps=bin_steps, record_steps=True, on_block=blocks.append)
+        s = run_decay_ensemble(p, bin_steps=bin_steps, record_steps=True)
         assert flags == s.flags == ((models.NSM_BETA_ZERO_FLAG,) if model == "nsm" and beta == 0.0 else ())
         assert [b.ids for b in blocks] == [range(0, 32), range(32, 64), range(64, 96), range(96, 100)]
         assert np.array_equal(np.concatenate([b.decay_times for b in blocks]), s.decay_times, equal_nan=True)
@@ -872,6 +874,33 @@ class TestDecayBlocks:
             assert set(np.asarray(b.events.traj_id).tolist()) <= set(b.ids)
         if model == "nsm":
             assert np.concatenate([b.drop_samples for b in blocks]).tolist() == s.drop_samples.tolist()
+        if bin_steps is None:
+            assert all(b.occupation_bins is None for b in blocks)
+            return
+        # every block's bins are its rows of one (n_traj, n_bins) matrix, whose statistics the summary holds
+        assert len({id(b.occupation_bins.base) for b in blocks}) == 1
+        assert blocks[0].occupation_bins.base.shape == (p.n_traj, p.n_steps // bin_steps)
+        bins = np.concatenate([b.occupation_bins for b in blocks])
+        centers, mean, var, se = lockstep.bin_statistics(bins, bin_steps, p.dt)
+        assert np.array_equal(centers, s.bin_centers)
+        for got, want in ((mean, s.occupation_mean), (var, s.occupation_var), (se, s.occupation_se)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("model,beta", [("qmop", 0.0), ("nsm", 1.0)])
+    def test_joined_run_holds_no_block_beside_its_join(self, monkeypatch, model, beta):
+        # 8 blocks: the run holds its bin matrix, and var's temporary of the same size, but no block's bins
+        monkeypatch.setattr(models, "_LOCKSTEP_COUNTERS", 1024)
+        monkeypatch.setattr(lockstep, "GROUP_SIZE", 1024)
+        run_decay_ensemble(params(model=model, beta=beta, t_max=20.0, n_traj=1024, seed=5), bin_steps=20)
+        p = params(model=model, beta=beta, t_max=20.0, n_traj=8 * 1024, seed=5)
+        tracemalloc.start()
+        try:
+            run_decay_ensemble(p, bin_steps=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix = p.n_traj * (p.n_steps // 20) * 8
+        assert peak < 2.5 * matrix, peak / matrix
 
 
 class TestEncodedEventColumns:

@@ -12,9 +12,15 @@ theta 0 and 0.7, with about 200 pulses per step, and over three engine
 blocks), and ``rabi`` qmop/swf/nsm, each in CSV
 and JSON; decay nsm with and without ``record_steps`` and rabi qmop/nsm
 also run over two lock-step groups, rabi nsm over three, and decay qmop/swf
-with and without ``record_steps`` over two blocks.  It then compares the sha256 of every
-file the runs wrote.  It exits 0 when every file is identical, 1 naming each
-file that differs or that only one tree wrote, and 2 when a run fails.
+with and without ``record_steps`` over two blocks.  A library case then
+calls ``models.run_decay_ensemble`` and ``rabi.run_driven_ensemble`` with
+``bin_steps`` for qmop, swf and nsm, each over a full block or lock-step
+group and a partial one, and saves every array of the returned summary (the
+bin centers, means, variances and standard errors, the joined decay or
+emission times and drops, and the decoded event columns) as ``.npy`` files.
+It then compares the sha256 of every file the runs wrote.  It exits 0 when
+every file is identical, 1 naming each file that differs or that only one
+tree wrote, and 2 when a run fails.
 """
 
 from __future__ import annotations
@@ -81,13 +87,27 @@ CONFIGS = {
 }
 FORMATS = ("csv", "json")
 
-# Runs every case of argv[3] (JSON) with the qdecay of argv[1]/src, under argv[2].
+# name -> (ensemble, params, bin_steps) of the library case: 8244 qmop/swf decay trajectories are
+# a full block of 8192 and a partial one of 52, 2100 nsm decay or driven ones a full lock-step
+# group of 2048 and a partial one of 52; 7-step bins leave a longer last bin
+LIBRARY = {
+    "bins-decay-qmop": ("decay", dict(_DECAY, model="qmop", t_max=0.5, n_traj=8244), 7),
+    "bins-decay-swf": ("decay", dict(_DECAY, model="swf", t_max=0.5, n_traj=8244), 7),
+    "bins-decay-nsm": ("decay", dict(_DECAY, model="nsm", beta=1.0, t_max=1.0, n_traj=2100), 7),
+    "bins-rabi-qmop": ("rabi", dict(_RABI, model="qmop", t_max=2.0, n_traj=2100), 7),
+    "bins-rabi-swf": ("rabi", dict(_RABI, model="swf", t_max=2.0, n_traj=2100), 7),
+    "bins-rabi-nsm": ("rabi", dict(_RABI, model="nsm", beta=0.5, t_max=2.0, n_traj=2100), 7),
+}
+
+# Runs every case of argv[3] and the library case argv[4] (JSON) with the qdecay of argv[1]/src, under argv[2].
 _CHILD = """
-import json, os, sys
+import dataclasses, json, os, sys
+import numpy as np
 sys.dont_write_bytecode = True
-root, out, cases = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+root, out, cases, library = sys.argv[1], sys.argv[2], json.loads(sys.argv[3]), json.loads(sys.argv[4])
 sys.path.insert(0, os.path.join(root, "src"))
-from qdecay import cli
+from qdecay import cli, models, rabi
+from qdecay.core import ModelParams
 if not os.path.abspath(cli.__file__).startswith(os.path.join(root, "src", "")):
     sys.exit(f"qdecay imported from {cli.__file__}, not from {root}/src")
 for run_dir, command, cfg, fmt in cases:
@@ -97,6 +117,19 @@ for run_dir, command, cfg, fmt in cases:
     rc = cli.main([command, "--config", path, "--out-dir", os.path.join(out, run_dir), "--format", fmt])
     if rc != 0:
         sys.exit(f"{run_dir}: qdecay {command} exited {rc}")
+for run_dir, (ensemble, cfg, bin_steps) in library.items():
+    p = ModelParams(**cfg)
+    if ensemble == "decay":
+        result = models.run_decay_ensemble(p, bin_steps=bin_steps)
+    else:
+        result = rabi.run_driven_ensemble(p, rabi.DriveParams(omega_rabi=p.omega_rabi), bin_steps=bin_steps)
+    for field in dataclasses.fields(result):
+        value = getattr(result, field.name)
+        if isinstance(value, models.EventTable):
+            for c in dataclasses.fields(value):
+                np.save(os.path.join(out, run_dir, f"events.{c.name}.npy"), np.asarray(getattr(value, c.name)))
+        elif isinstance(value, np.ndarray):
+            np.save(os.path.join(out, run_dir, f"{field.name}.npy"), value)
 """
 
 
@@ -108,12 +141,17 @@ def cases() -> list:
     ]
 
 
+def run_dirs() -> list:
+    """Every run directory: a CLI case's, then each library run's."""
+    return [run_dir for run_dir, *_ in cases()] + list(LIBRARY)
+
+
 def run_tree(root: str, out: str) -> None:
     """Run every case with the qdecay under ``root/src``, writing under ``out``."""
-    for name in CONFIGS:
+    for name in (*CONFIGS, *LIBRARY):
         os.makedirs(os.path.join(out, name))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    argv = [sys.executable, "-c", _CHILD, os.path.abspath(root), out, json.dumps(cases())]
+    argv = [sys.executable, "-c", _CHILD, os.path.abspath(root), out, json.dumps(cases()), json.dumps(LIBRARY)]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         last = proc.stderr.strip().splitlines()[-1:] or [f"exit {proc.returncode}"]
@@ -123,7 +161,7 @@ def run_tree(root: str, out: str) -> None:
 def digests(out: str) -> dict:
     """sha256 of every file the runs wrote, keyed by its path under ``out``."""
     found = {}
-    for run_dir, *_ in cases():
+    for run_dir in run_dirs():
         base = os.path.join(out, run_dir)
         for name in sorted(os.listdir(base)):
             with open(os.path.join(base, name), "rb") as fh:
@@ -150,7 +188,7 @@ def main(argv) -> int:
     for path in differ:
         why = "differs" if path in old and path in new else f"only under {'OLD' if path in old else 'NEW'}"
         print(f"{why}: {path}")
-    print(f"{len(old.keys() | new.keys())} files in {len(cases())} run directories, {len(differ)} differ")
+    print(f"{len(old.keys() | new.keys())} files in {len(run_dirs())} run directories, {len(differ)} differ")
     return 1 if differ else 0
 
 
