@@ -48,8 +48,8 @@ from .core import MAX_NSM_FLUCTUATIONS, EncodedColumn, Model, ModelParams
 from .homodyne import (
     EnsembleAutocorrelation,
     NoiseModel,
-    default_kick,
     iter_homodyne_records,
+    resolve_kick,
 )
 from .lockstep import EVENT_KIND_NAMES
 from .tabletext import ROWS_PER_SLICE, Table
@@ -201,10 +201,10 @@ def _model_params(cfg: Dict, model: Optional[str] = None) -> ModelParams:
             t_max=float(cfg["t_max"]),
             n_traj=int(cfg["n_traj"]),
             seed=int(cfg["seed"]),
-            model=Model(model if model is not None else cfg.get("model", "qmop")),
-            beta=float(cfg.get("beta", 0.0)),
-            omega0=float(cfg.get("omega0", 0.0)),
-            omega1=float(cfg.get("omega1", 0.0)),
+            model=Model(model if model is not None else cfg["model"]),
+            beta=float(cfg["beta"]),
+            omega0=float(cfg["omega0"]),
+            omega1=float(cfg["omega1"]),
             omega_rabi=float(cfg.get("omega_rabi", 0.0)),
         )
     except ValueError as exc:
@@ -433,7 +433,7 @@ def cmd_homodyne(cfg: Dict) -> int:
     out_dir = cfg["out_dir"]
     fmt = cfg["format"]
     noise = NoiseModel(cfg["noise"])
-    kick = cfg.get("kick")
+    kick = resolve_kick(params, noise, cfg["kick"])
     if params.n_steps < 2:
         raise ConfigError(f"t_max: the spectrum needs at least 2 steps of dt, got {params.n_steps}")
     max_lag = min(int(cfg["max_lag"]), params.n_steps - 1)
@@ -468,7 +468,7 @@ def cmd_homodyne(cfg: Dict) -> int:
         params,
         noise,
         theta=float(cfg["theta"]),
-        kick=None if kick is None else float(kick),
+        kick=kick,
     )
     write_table(out_dir, "signal", filter(None, map(columns, records)), fmt)
     zeta = acc.result()
@@ -477,16 +477,13 @@ def cmd_homodyne(cfg: Dict) -> int:
     spec = stats.power_spectrum(zeta, params.dt)
     write_table(out_dir, "spectrum", [(spec.frequencies, spec.power)], fmt)
 
-    resolved_kick = None
-    if noise is NoiseModel.NSM_POINT_PROCESS:
-        resolved_kick = float(kick) if kick is not None else default_kick(params.beta)
     write_summary(
         out_dir,
         {
             "config": _provenance(cfg, "homodyne"),
             "n_steps": params.n_steps,
             "max_lag": max_lag,
-            "resolved_kick": resolved_kick,
+            "resolved_kick": kick if noise is NoiseModel.NSM_POINT_PROCESS else None,
             "zeta0": float(zeta[0]),
         },
     )

@@ -382,8 +382,10 @@ class ModelParams:
     """Simulation parameters shared by every engine.
 
     All rates and angular frequencies are in the inverse of the (arbitrary)
-    time unit.  ``beta`` is the vacuum-fluctuation rate and is only consumed
-    by the NSM engine; ``omega_rabi`` only by the driven engines.
+    time unit.  ``beta`` is the vacuum-fluctuation rate, read by the NSM
+    engines and by the homodyne point-process noise.  No engine reads
+    ``omega_rabi``: the driven engines take the drive from
+    ``rabi.DriveParams.omega_rabi``, which a caller may build from it.
     """
 
     gamma: float

@@ -168,40 +168,52 @@ def back_action_increment(rho: DensityMatrix2, dW: float) -> np.ndarray:
     return np.array([[d_ee, d_eg], [d_eg.conjugate(), d_gg]], dtype=complex)
 
 
-def _project_physical(ee: float, gg: float, eg: complex) -> Tuple[float, float, complex]:
-    """Clip a negative eigenvalue at zero and renormalize the trace."""
+def _kick(ee, gg, re, im, dW):
+    """One detection kick: the traceless first-order increment, then the positivity clip.
+
+    Takes the state's entries ``rho_ee``, ``rho_gg`` and ``rho_eg``'s real and
+    imaginary parts, as floats or as arrays over trajectories, and returns them
+    kicked.  The increment is taken from the pre-kick state.  Where it pushed
+    the smaller eigenvalue ``lo`` below zero, the clip subtracts ``lo`` from the
+    diagonal and divides the state by ``2 * disc``, its eigenvalue spread, so
+    that eigenvalue lands on zero and the trace comes out one.
+    """
+    tr = 2.0 * re
+    ee, gg, re, im = (
+        ee - dW * tr * ee,
+        gg + dW * (2.0 * re - tr * gg),
+        re + dW * (ee - tr * re),
+        im - dW * tr * im,
+    )
+
+    # positivity clip where the kick overshot the physical set; np.square is what
+    # an array's ** 2 runs, while a float's ** 2 calls pow, which can round differently
     mean = 0.5 * (ee + gg)
-    disc = math.sqrt((0.5 * (ee - gg)) ** 2 + abs(eg) ** 2)
+    disc = np.sqrt(np.square(0.5 * (ee - gg)) + re * re + im * im)
     lo = mean - disc
-    if lo >= 0.0 and abs(ee + gg - 1.0) <= 1e-12:
-        return ee, gg, eg
-    if disc == 0.0:
-        return 0.5, 0.5, 0.0j
-    hi = mean + disc
-    if lo < 0.0:
-        span = hi - lo
-        return (ee - lo) / span, (gg - lo) / span, eg / span
-    tr = ee + gg
-    return ee / tr, gg / tr, eg / tr
+    bad = lo < 0.0
+    if np.any(bad):
+        span = np.where(bad & (disc > 0.0), 2.0 * disc, 1.0)
+        ee = np.where(bad, (ee - lo) / span, ee)
+        gg = np.where(bad, (gg - lo) / span, gg)
+        re = np.where(bad, re / span, re)
+        im = np.where(bad, im / span, im)
+    return ee, gg, re, im
 
 
 def back_action_step(rho: DensityMatrix2, dW: float) -> DensityMatrix2:
-    """Apply one detection kick to the qubit state.
+    """Apply one detection kick to the qubit state: the homodyne engine's own kick.
 
-    The increment is traceless by construction; if it pushes the state
-    outside the physical set the negative eigenvalue is clipped at zero and
-    the trace renormalized.
+    The increment is traceless, so the state keeps its trace to rounding; if
+    the kick pushes the state outside the physical set, its negative
+    eigenvalue is clipped at zero.
     """
     if not math.isfinite(dW):
         raise ValueError(f"dW must be finite, got {dW!r}")
     if abs(dW) > 0.1:
         raise ValueError(f"step too large: |dW| = {abs(dW):g} exceeds 0.1")
-    delta = back_action_increment(rho, dW)
-    ee = rho.rho_ee + delta[0, 0].real
-    gg = rho.rho_gg + delta[1, 1].real
-    eg = rho.rho_eg + delta[0, 1]
-    ee, gg, eg = _project_physical(ee, gg, eg)
-    return DensityMatrix2(ee, gg, eg)
+    ee, gg, re, im = _kick(rho.rho_ee, rho.rho_gg, rho.rho_eg.real, rho.rho_eg.imag, dW)
+    return DensityMatrix2(ee, gg, complex(re, im))
 
 
 # ---------------------------------------------------------------------------
@@ -348,27 +360,7 @@ def _lockstep_run(params, noise_model, theta, kick, rho0, m, gens):
         dW = scale * steps[k]
         sig[:, k] = 2.0 * re
         cur[:, k] = 2.0 * (cos_t * re - sin_t * im) + dW / dt
-
-        # detection back-action: traceless increment from the pre-step state
-        tr = 2.0 * re
-        ee, gg, re, im = (
-            ee - dW * tr * ee,
-            gg + dW * (2.0 * re - tr * gg),
-            re + dW * (ee - tr * re),
-            im - dW * tr * im,
-        )
-
-        # positivity clip where the kick overshot the physical set
-        mean = 0.5 * (ee + gg)
-        disc = np.sqrt((0.5 * (ee - gg)) ** 2 + re * re + im * im)
-        lo = mean - disc
-        bad = lo < 0.0
-        if bad.any():
-            span = np.where(bad & (disc > 0.0), 2.0 * disc, 1.0)
-            ee = np.where(bad, (ee - lo) / span, ee)
-            gg = np.where(bad, (gg - lo) / span, gg)
-            re = np.where(bad, re / span, re)
-            im = np.where(bad, im / span, im)
+        ee, gg, re, im = _kick(ee, gg, re, im, dW)
 
         # deterministic no-jump drift, renormalized
         t2 = x2 * ee + gg
@@ -379,7 +371,8 @@ def _lockstep_run(params, noise_model, theta, kick, rho0, m, gens):
     return cur, sig, counts
 
 
-def _resolve_kick(params: ModelParams, noise_model: NoiseModel, kick: Optional[float]) -> float:
+def resolve_kick(params: ModelParams, noise_model: NoiseModel, kick: Optional[float]) -> float:
+    """The kick size a run uses: 0 for white noise, else ``kick``, or ``default_kick(beta)`` when None."""
     if noise_model is NoiseModel.WHITE:
         return 0.0
     if kick is not None:
@@ -417,7 +410,7 @@ def run_homodyne_trajectory(
     """
     noise_model = NoiseModel(noise_model)
     _warn_long_window(params)
-    kick_val = _resolve_kick(params, noise_model, kick)
+    kick_val = resolve_kick(params, noise_model, kick)
     gen = as_generator(stream)
     rho0 = _initial_rho(initial_state)
     cur, sig, counts = _lockstep_run(params, noise_model, theta, kick_val, rho0, 1, [gen])
@@ -446,7 +439,7 @@ def iter_homodyne_records(
     """
     noise_model = NoiseModel(noise_model)
     _warn_long_window(params)
-    kick_val = _resolve_kick(params, noise_model, kick)
+    kick_val = resolve_kick(params, noise_model, kick)
     rho0 = _initial_rho(initial_state)
     times = np.arange(params.n_steps) * params.dt
 

@@ -54,14 +54,11 @@ class DriveParams:
 
     With both vectors given, the Rabi frequency is their dot product (charge
     constant folded to one) and any explicit ``omega_rabi`` must agree.
-    ``gamma`` is optional and, when set, must match the decay rate of the
-    ``ModelParams`` it is used with.
     """
 
     omega_rabi: Optional[float] = None
     dipole: Optional[Tuple[float, float, float]] = None
     field: Optional[Tuple[float, float, float]] = None
-    gamma: Optional[float] = None
 
     def __post_init__(self) -> None:
         if (self.dipole is None) != (self.field is None):
@@ -86,8 +83,6 @@ class DriveParams:
         object.__setattr__(self, "omega_rabi", float(self.omega_rabi))
         if self.omega_rabi < 0.0:
             raise ValueError(f"omega_rabi must be >= 0, got {self.omega_rabi}")
-        if self.gamma is not None and self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 
 
 def rabi_frequency(dipole: Sequence[float], field: Sequence[float]) -> float:
@@ -199,10 +194,6 @@ def _driven_plan(params: ModelParams, drive: DriveParams, initial_state: Optiona
         raise ValueError(
             f"step too large: dt*max(gamma, omega_rabi) = "
             f"{params.dt * max(params.gamma, drive.omega_rabi):g} exceeds {MAX_DRIVEN_STEP}"
-        )
-    if drive.gamma is not None and abs(drive.gamma - params.gamma) > 1e-12:
-        raise ValueError(
-            f"inconsistent gamma: drive says {drive.gamma}, params say {params.gamma}"
         )
     starts = (initial, QubitState.excited(), QubitState.ground())
     rows = [_driven_table(params, drive.omega_rabi, start, params.model) for start in starts]

@@ -114,9 +114,12 @@ def mean_var_se(samples: Sequence[float]) -> Tuple[float, float, float]:
 def power_spectrum(zeta: Sequence[float], dt: float) -> SpectrumResult:
     """Cosine transform of the symmetric autocorrelation, Bartlett-windowed.
 
-    The window tapers lags linearly to zero, which keeps the spectrum of any
-    nonnegative-definite correlation sequence nonnegative; residual negative
-    rounding is clipped at zero.
+    The window tapers lags linearly to zero, which keeps the spectrum of a
+    nonnegative-definite correlation sequence nonnegative.  The homodyne
+    autocorrelations divide lag ``k`` by ``n - k``, which is not
+    nonnegative-definite, so the power can come out negative by more than
+    rounding (down to -0.053 on a two-trajectory white-noise run, lags up to
+    400 of 500 steps); those bins are clipped at zero.
     """
     z = np.asarray(zeta, dtype=float)
     if z.size < 2:

@@ -314,6 +314,34 @@ class TestHomodyneTrajectory:
             t2 = x * x * ee + gg
             rho = DensityMatrix2(x * x * ee / t2, gg / t2, x * eg / t2)
 
+    def test_back_action_step_is_the_engine_kick(self):
+        # at gamma 0 and omega0 = omega1 = 0 the engine's drift only divides by
+        # the trace, so back_action_step plus that division is the whole step
+        class Increments:
+            random = None  # as_generator takes any stream with a ``random`` attribute
+
+            def __init__(self, z):
+                self.z = z
+
+            def standard_normal(self, n):
+                return self.z[:n]
+
+        p = _quiet_params(gamma=0.0, dt=0.01, t_max=2.0)
+        z = np.random.default_rng(23).uniform(-1.0, 1.0, p.n_steps)  # |dW| = |z| sqrt(dt) <= 0.1
+        start = QubitState.superposition(0.6, 0.8j)
+        rec = run_homodyne_trajectory(p, "white", Increments(z), initial_state=start)
+
+        dws = z * math.sqrt(p.dt)
+        rho, clipped = DensityMatrix2.from_state(start), 0
+        for k, dw in enumerate(dws.tolist()):
+            assert bits(rec.sigma_x[k]) == bits(rho.sigma_x())
+            assert bits(rec.current[k]) == bits(rho.sigma_x() + dw / p.dt)
+            clipped += np.linalg.eigvalsh(rho.as_array() + back_action_increment(rho, dw))[0] < 0.0
+            rho = back_action_step(rho, dw)
+            t2 = rho.rho_ee + rho.rho_gg
+            rho = DensityMatrix2(rho.rho_ee / t2, rho.rho_gg / t2, complex(rho.rho_eg.real / t2, rho.rho_eg.imag / t2))
+        assert clipped >= 1
+
 
 class TestOneBlockAtATime:
     """A streamed run frees each engine block before it computes the next one."""

@@ -9,10 +9,12 @@ runs: ``decay`` qmop/swf/nsm with and without ``record_steps`` (and qmop
 runs whose times print in exponent notation and whose tables hold no row,
 at gamma 0), ``homodyne`` with white noise and the nsm point process (at
 theta 0 and 0.7, with about 200 pulses per step, and over three engine
-blocks), and ``rabi`` qmop/swf/nsm, each in CSV
-and JSON; decay nsm with and without ``record_steps`` and rabi qmop/nsm
-also run over two lock-step groups, rabi nsm over three, and decay qmop/swf
-with and without ``record_steps`` over two blocks.  A library case then
+blocks), and ``rabi`` qmop/swf/nsm, each in CSV and JSON.  Every case runs
+at omega0 = omega1 = 0 but three, which run at omega0 0.3 and omega1 1.1:
+homodyne white and point-process runs at theta 0.4, and a rabi qmop run.
+Decay nsm with and without ``record_steps`` and rabi qmop/nsm also run over
+two lock-step groups, rabi nsm over three, and decay qmop/swf with and
+without ``record_steps`` over two blocks.  A library case then
 calls ``models.run_decay_ensemble`` and ``rabi.run_driven_ensemble`` with
 ``bin_steps`` for qmop, swf and nsm, each over a full block or lock-step
 group and a partial one, and saves every array of the returned summary (the
@@ -35,6 +37,7 @@ import tempfile
 _DECAY = {"gamma": 1.0, "dt": 0.01, "t_max": 5.0, "n_traj": 300, "seed": 42}
 _HOMODYNE = {"gamma": 0.01, "dt": 0.01, "t_max": 1.0, "n_traj": 600, "max_lag": 20, "seed": 7}
 _RABI = {"gamma": 0.2, "omega_rabi": 2.0, "dt": 0.0125, "t_max": 10.0, "n_traj": 200, "seed": 21}
+_PHASE = {"omega0": 0.3, "omega1": 1.1}
 
 # name -> (subcommand, config); homodyne's 600 trajectories span two engine blocks
 CONFIGS = {
@@ -61,9 +64,17 @@ CONFIGS = {
         "homodyne",
         dict(_HOMODYNE, noise="nsm_point_process", beta=10.0, t_max=0.2, n_traj=1100, max_lag=10),
     ),
+    # omega0 != omega1: the drift's phase rotation, at theta 0.4, in one engine block
+    "homodyne-white-phase": ("homodyne", dict(_HOMODYNE, noise="white", n_traj=100, theta=0.4, **_PHASE)),
+    "homodyne-pp-phase": (
+        "homodyne",
+        dict(_HOMODYNE, noise="nsm_point_process", beta=10.0, n_traj=100, theta=0.4, **_PHASE),
+    ),
     "rabi-qmop": ("rabi", dict(_RABI, model="qmop")),
     "rabi-swf": ("rabi", dict(_RABI, model="swf")),
     "rabi-nsm": ("rabi", dict(_RABI, model="nsm", beta=0.5)),
+    # omega0 != omega1: the detuning phases of the driven no-jump rows
+    "rabi-qmop-phase": ("rabi", dict(_RABI, model="qmop", **_PHASE)),
     # 2100 trajectories: a full lock-step group of 2048, then a partial one of 52
     "decay-nsm-steps-groups": (
         "decay",
