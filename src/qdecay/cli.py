@@ -493,17 +493,20 @@ def cmd_homodyne(cfg: Dict) -> int:
 
 def cmd_rabi(cfg: Dict) -> int:
     params = _model_params(cfg)
-    drive = rabi.DriveParams(omega_rabi=float(cfg["omega_rabi"]))
+    drive = rabi.DriveParams(omega_rabi=params.omega_rabi)
     out_dir = cfg["out_dir"]
     fmt = cfg["format"]
-    bin_width = float(cfg["bin_width"])
 
-    # no occupation bins are written, and each group's drops at emissions are counted as they come
+    # no occupation bins are written, and each group's emission times and drops are counted as they come
+    emissions = rabi.EmissionCounts(float(cfg["bin_width"]), params.t_max)
     drops = rabi.DropCounts(1.0 / int(cfg["drop_bins"]))
-    ensemble = rabi.run_driven_ensemble(params, drive, bin_steps=None, on_group=lambda g: drops.add(g.drop_emission))
-    series = rabi.fluorescence_from_times(
-        ensemble.emission_times, ensemble.n_traj, bin_width, params.t_max
-    )
+
+    def count(group: rabi.DrivenGroup) -> None:
+        emissions.add(group.emission_times)
+        drops.add(group.drop_emission)
+
+    ensemble = rabi.run_driven_ensemble(params, drive, bin_steps=None, on_group=count)
+    series = emissions.series(ensemble.n_traj)
     os.makedirs(out_dir, exist_ok=True)
     torrey = (
         params.gamma * rabi.torrey_occupation(drive.omega_rabi, params.gamma, series.bin_centers)
@@ -515,7 +518,7 @@ def cmd_rabi(cfg: Dict) -> int:
     )
     payload = {
         "config": _provenance(cfg, "rabi"),
-        "n_emissions": int(ensemble.emission_times.size),
+        "n_emissions": emissions.n_emissions,
         "emission_rate_tail": _tail_rate(series),
     }
     if params.model is Model.NSM:

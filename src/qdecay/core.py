@@ -385,7 +385,8 @@ class ModelParams:
     time unit.  ``beta`` is the vacuum-fluctuation rate, read by the NSM
     engines and by the homodyne point-process noise.  No engine reads
     ``omega_rabi``: the driven engines take the drive from
-    ``rabi.DriveParams.omega_rabi``, which a caller may build from it.
+    ``rabi.DriveParams.omega_rabi``, which a caller may build from it, and
+    the driven runners reject a nonzero ``omega_rabi`` that differs from it.
     """
 
     gamma: float

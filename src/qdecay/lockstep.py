@@ -4,7 +4,8 @@ An engine advances a group of trajectories together in numpy, trajectory
 ``j`` reading the stream ``(seed, ids[j])``.  The interface:
 
 * draws by position: ``StreamCursors``, the nsm loop ``fluctuation_rounds``
-  built on it, ``math_map`` and ``truncated_exponential_times``;
+  built on it with ``occupation_drops`` and ``joined_rounds``, ``math_map``
+  and ``truncated_exponential_times``;
 * trajectory order, segments ``(traj, k_start, ...)`` (a trajectory's
   occupation from grid step ``k_start`` on) and bins: ``trajectory_order``,
   ``covering_segment``, ``segment_occupation``, ``ragged``,
@@ -34,9 +35,10 @@ from .core import EncodedColumn, EventKind, ModelParams, RngStream, TrajectoryEv
 
 # Trajectories per nsm lock-step group (decay and driven), and per driven
 # qmop/swf group: bounds the draw buffers, the per-fluctuation or emission
-# columns and the binning temporaries.  On 4e4 driven trajectories of 12.5
-# fluctuations each, groups of 8192 took ~10% less time than 2048 but
-# peaked ~14 MB higher.
+# columns and the binning temporaries.  On a streamed driven nsm run of 4e4
+# trajectories of 12.5 fluctuations each (`qdecay rabi`, fresh processes),
+# groups of 8192 took ~6% less time than 2048 but peaked ~4.3 MB higher
+# (39.1 against 34.8 MB).
 GROUP_SIZE = 2048
 # Philox counters (four draws each) a trajectory's draw buffer holds.
 _NSM_BUFFER_CTRS = 8
@@ -150,8 +152,8 @@ def _fluctuation_gaps(draws: StreamCursors, rows: np.ndarray, beta: float) -> np
     return gaps
 
 
-def fluctuation_rounds(params: ModelParams, seed: int, ids: range, live: np.ndarray, first, reduce, forced=None):
-    """The nsm fluctuation loop over the streams ``(seed, i)``, ``i`` in ``ids``.
+def fluctuation_rounds(params: ModelParams, seed: int, ids: range, live: np.ndarray, reduce, forced=None):
+    """The nsm fluctuation loop over the streams ``(seed, i)``, ``i`` in ``ids``, yielded a round at a time.
 
     One round advances every trajectory in ``live`` by one fluctuation: the
     gap (redrawn while ``u == 0`` or the gap is 0), or the next ``forced``
@@ -159,16 +161,14 @@ def fluctuation_rounds(params: ModelParams, seed: int, ids: range, live: np.ndar
     the rest and returns the fluctuations' columns, the columns of the
     segments they start and a mask of the trajectories that go on.  A
     trajectory also leaves when its next fluctuation falls past ``t_max``.
-    Returns two lists with a column tuple per round, ``(traj, t, gap, drop,
-    ...)`` and ``(traj, k_start, ...)``, ``first`` the segments from step 0,
-    for ``trajectory_order`` to put in trajectory order.
+    Each round yields its fluctuations ``(traj, t, gap, ...)`` and segments
+    ``(traj, k_start, ...)``, rows in trajectory order, and its caller keeps
+    the rows it reads: ``joined_rounds`` keeps them all.
     """
     m = len(ids)
     draws = StreamCursors(seed, ids)
     t_prev = np.zeros(m)
     times = None if forced is None else iter(forced.tolist())
-    fluct = []
-    segs = [(np.arange(m), np.zeros(m, dtype=np.int64), *first)]
     while True:
         if times is None:
             gap = _fluctuation_gaps(draws, live, params.beta)
@@ -179,13 +179,31 @@ def fluctuation_rounds(params: ModelParams, seed: int, ids: range, live: np.ndar
         inside = t <= params.t_max
         live, gap, t = live[inside], gap[inside], t[inside]
         cols, seg, stay = reduce(draws, live, t, gap)
-        fluct.append((live, t, gap, -math_map(math.expm1, -params.gamma * gap), *cols))
-        segs.append((live, *seg))
+        yield (live, t, gap, *cols), (live, *seg)
         if not live.size:
-            break
+            return
         live, t = live[stay], t[stay]
         t_prev[live] = t
-    return fluct, segs
+
+
+def occupation_drops(gamma: float, gap: np.ndarray) -> np.ndarray:
+    """The occupation drop ``1 - exp(-gamma * gap)`` at the fluctuation ending each gap, on ``math.expm1``."""
+    return -math_map(math.expm1, -gamma * gap)
+
+
+def joined_rounds(gamma: float, first, rounds):
+    """Every fluctuation and segment of ``fluctuation_rounds``' ``rounds``, each in trajectory order.
+
+    ``first`` holds the segments from step 0.  Returns the fluctuations
+    ``(traj, t, gap, drop, ...)``, ``drop`` the ``occupation_drops`` of the
+    gaps, and the segments ``(traj, k_start, ...)``.
+    """
+    fluct, segs = [], [first]
+    for f, s in rounds:
+        fluct.append(f)
+        segs.append(s)
+    traj, t, gap, *cols = trajectory_order(fluct)
+    return (traj, t, gap, occupation_drops(gamma, gap), *cols), trajectory_order(segs)
 
 
 def trajectory_order(rounds: list) -> Tuple[np.ndarray, ...]:

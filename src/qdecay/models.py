@@ -462,7 +462,7 @@ def _lockstep_nsm(params: ModelParams, w_exc0: float, seed: int, ids: range, for
     otherwise it is terminal, and the emission time inside the gap comes
     from ``u`` by conditioning.  A ground input, or ``beta == 0`` without
     ``forced`` times, draws nothing.  Returns the decay times (nan where
-    censored) and the columns of ``lockstep.fluctuation_rounds`` in trajectory
+    censored) and the columns of ``lockstep.joined_rounds`` in trajectory
     order: ``(traj, t, gap, drop, terminal, survive)`` and ``(traj, k_start,
     w, t_reset)``, from grid step ``k_start`` on ``w * exp(-gamma * (k * dt
     - t_reset))``: each trajectory starts with ``(0, w_exc0, 0)``, a reset at
@@ -487,8 +487,9 @@ def _lockstep_nsm(params: ModelParams, w_exc0: float, seed: int, ids: range, for
         return (terminal, survive), seg, ~terminal
 
     live = np.arange(m if w_exc0 > 0.0 and (params.beta > 0.0 or forced is not None) else 0)
-    rounds = lockstep.fluctuation_rounds(params, seed, ids, live, (w.copy(), np.zeros(m)), reduce, forced)
-    return decay_times, *map(lockstep.trajectory_order, rounds)
+    first = (np.arange(m), np.zeros(m, dtype=np.int64), w.copy(), np.zeros(m))
+    rounds = lockstep.fluctuation_rounds(params, seed, ids, live, reduce, forced)
+    return decay_times, *lockstep.joined_rounds(params.gamma, first, rounds)
 
 
 def _nsm_occupation(segments, gamma: float, grid: np.ndarray, traj: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -25,11 +25,13 @@ Draw order per trajectory (part of the reproducibility contract):
   drawn at once, then the attribution uniform if a check hit, from the
   stream's ``Generator`` (``_driven_hits``).
 
-Both engines return emissions and segments ``(traj, k_start, table)``: from
+Both engines give emissions and segments ``(traj, k_start, table)``: from
 step ``k_start`` on, a trajectory's occupation is row ``table`` of the
-plan's ``occ``.  ``run_driven_ensemble`` runs the model's engine over groups
-of ids and bins through ``lockstep.segment_bin_means``;
-``run_driven_trajectory`` runs it over the one id of its stream.
+plan's ``occ``; the nsm engine hands them over a fluctuation round at a
+time, and its callers keep the rows they read.  ``run_driven_ensemble`` runs
+the model's engine over groups of ids and bins through
+``lockstep.segment_bin_means``; ``run_driven_trajectory`` runs it over the
+one id of its stream.
 """
 
 from __future__ import annotations
@@ -186,7 +188,14 @@ class _DrivenPlan:
 
 
 def _driven_plan(params: ModelParams, drive: DriveParams, initial_state: Optional[QubitState]) -> _DrivenPlan:
-    """The plan of a driven run from ``initial_state`` (ground when None), which must be two-level."""
+    """The plan of a driven run from ``initial_state`` (ground when None), which must be two-level.
+
+    A nonzero ``params.omega_rabi`` must be the drive's: the engines read ``drive.omega_rabi`` only.
+    """
+    if params.omega_rabi and params.omega_rabi != drive.omega_rabi:
+        raise ValueError(
+            f"drive mismatch: params.omega_rabi = {params.omega_rabi!r} but drive.omega_rabi = {drive.omega_rabi!r}"
+        )
     initial = QubitState.ground() if initial_state is None else initial_state
     if initial.w_photon != 0.0:
         raise ValueError("photon component present: driven runs start two-level")
@@ -255,9 +264,10 @@ def _lockstep_driven_nsm(plan: _DrivenPlan, seed: int, ids: range):
     against the table's occupation there and, on the to-ground branch only,
     the photon.
 
-    Returns the rounds of ``lockstep.fluctuation_rounds``: fluctuations
-    ``(traj, t, gap, drop, to_ground, emitted, p_exc)`` and segments
-    ``(traj, k_start, table)``.
+    Returns the segments from step 0 and the rounds of
+    ``lockstep.fluctuation_rounds``: fluctuations ``(traj, t, gap, to_ground,
+    emitted, p_exc)`` and segments ``(traj, k_start, table)``.  The rounds
+    are computed as they are read.
     """
     n, dt = plan.params.n_steps, plan.params.dt
     m = len(ids)
@@ -281,7 +291,8 @@ def _lockstep_driven_nsm(plan: _DrivenPlan, seed: int, ids: range):
         return (to_ground, emitted, p_exc), (b, table[live]), np.ones(live.size, dtype=bool)
 
     live = np.arange(m if plan.params.beta > 0.0 else 0)
-    return lockstep.fluctuation_rounds(plan.params, seed, ids, live, (table.copy(),), reduce)
+    first = (np.arange(m), k0.copy(), table.copy())
+    return first, lockstep.fluctuation_rounds(plan.params, seed, ids, live, reduce)
 
 
 def run_driven_trajectory(
@@ -302,17 +313,16 @@ def run_driven_trajectory(
     """
     ids = lockstep.stream_ids(stream, "run_driven_trajectory")
     plan = _driven_plan(params, drive, initial_state)
-    occ, n, nsm = plan.occ, params.n_steps, params.model is Model.NSM
-    engine = _lockstep_driven_nsm if nsm else _driven_step_engine
-    events, segments = map(lockstep.trajectory_order, engine(plan, stream.root_seed, ids))
+    occ, n = plan.occ, params.n_steps
     nsm_events: tuple = ()
-    if nsm:
+    if params.model is Model.NSM:
+        events, segments = lockstep.joined_rounds(params.gamma, *_lockstep_driven_nsm(plan, stream.root_seed, ids))
         _, t_c, gap, drop, to_ground, emitted, p_exc = events
         outcomes = [(NsmOutcome.RESET_TO_EXCITED, NsmOutcome.JUMP_TO_GROUND)[b] for b in to_ground.tolist()]
         nsm_events = tuple(map(NsmEvent, t_c.tolist(), gap.tolist(), drop.tolist(), outcomes))
         t, occ_before = t_c[emitted], p_exc[emitted]
     else:  # the occupation at the start of the emission's step
-        traj, t, k = events
+        (traj, t, k), segments = map(lockstep.trajectory_order, _driven_step_engine(plan, stream.root_seed, ids))
         occ_before = lockstep.segment_occupation(occ, segments, n, traj, k)
     rows = (t, np.full(t.size, lockstep.KIND_CODE[EventKind.PHOTON_DETECTION]), occ_before, np.zeros(t.size))
     series = None
@@ -338,10 +348,13 @@ def run_driven_trajectory(
 
 @dataclass(frozen=True)
 class DrivenGroup:
-    """The drops of the trajectories ``ids`` of a driven run, in trajectory order, as ``DrivenEnsemble`` has them."""
+    """The emissions of the trajectories ``ids`` of a driven run, in trajectory order, as ``DrivenEnsemble`` has them.
+
+    ``drop_emission`` holds the nsm occupation drop at each emission (empty for qmop/swf).
+    """
 
     ids: range
-    drop_all: np.ndarray
+    emission_times: np.ndarray
     drop_emission: np.ndarray
 
 
@@ -350,8 +363,9 @@ class DrivenEnsemble:
     """Aggregated driven run: binned occupation plus the raw emission log.
 
     ``drop_all`` / ``drop_emission`` hold the nsm occupation drops at every
-    fluctuation and at emissions only (empty for qmop/swf, None when handed
-    to a consumer); the bin fields are None for a run without bins.
+    fluctuation and at emissions only (empty for qmop/swf); the bin fields
+    are None for a run without bins.  When the emissions went to a consumer,
+    ``emission_times`` is empty and the drop fields are None.
     """
 
     n_traj: int
@@ -383,35 +397,48 @@ def run_driven_ensemble(
     ``lockstep.run_groups``, as decay runs do; each group's segments fill its
     rows of one bin matrix (``lockstep.segment_bin_means``) and its
     emissions go through ``lockstep.trajectory_order``.  With ``on_group``,
-    each group's drops go to it as a ``DrivenGroup`` as soon as the group is
-    computed and are not kept: the returned ensemble's drop fields are None.
+    each group's emissions go to it as a ``DrivenGroup`` as soon as the group
+    is computed and are not kept: an nsm group then keeps only its emission
+    rows, and its segments only for bins.
     """
     plan = _driven_plan(params, drive, initial_state)
     n_steps, occ, nsm = params.n_steps, plan.occ, params.model is Model.NSM
-    engine = _lockstep_driven_nsm if nsm else _driven_step_engine
+    streamed = on_group is not None
 
     def group(ids: range, vals: np.ndarray):
-        events, segments = engine(plan, params.seed, ids)
+        if nsm:
+            first, rounds = _lockstep_driven_nsm(plan, params.seed, ids)
+            events, segments = [], [first]
+            for (traj, t, gap, _, emitted, _), seg in rounds:
+                # a consumer gets the emission rows only; a joined run keeps every gap, for drop_all
+                events.append((traj[emitted], t[emitted], gap[emitted]) if streamed else (traj, t, gap, emitted))
+                if bin_steps:
+                    segments.append(seg)
+        else:
+            events, segments = _driven_step_engine(plan, params.seed, ids)
         if bin_steps:
             segments = lockstep.trajectory_order(segments)
             occupation = partial(lockstep.segment_occupation, occ, segments, n_steps)
             vals[:] = lockstep.segment_bin_means(segments, len(ids), n_steps, bin_steps, occ, segments[2], occupation)
-        if nsm:
-            # the emissions and drops only: the other columns, and without bins the segments, are never joined
-            events = [(traj, t, drop, emitted) for traj, t, _, drop, _, emitted, _ in events]
-            _, t, drop, emitted = lockstep.trajectory_order(events)
-            t, drops = t[emitted], (drop, drop[emitted])
-        else:
+        if not nsm:
             t, drops = lockstep.trajectory_order(events)[1], (np.empty(0), np.empty(0))
-        if on_group is None:
+        elif streamed:  # the rows are the emissions
+            t, gap = lockstep.trajectory_order(events)[1:]
+            drops = (lockstep.occupation_drops(params.gamma, gap),)
+        else:
+            _, t, gap, emitted = lockstep.trajectory_order(events)
+            drop = lockstep.occupation_drops(params.gamma, gap)
+            t, drops = t[emitted], (drop, drop[emitted])
+        if not streamed:
             return t, *drops
-        on_group(DrivenGroup(ids, *drops))
-        return (t,)
+        on_group(DrivenGroup(ids, t, drops[-1]))
+        return ()
 
     n_bins = n_steps // bin_steps if bin_steps else 0
-    vals, em_times, *drops = lockstep.run_groups(group, params.n_traj, lockstep.GROUP_SIZE, n_bins)
+    vals, *columns = lockstep.run_groups(group, params.n_traj, lockstep.GROUP_SIZE, n_bins)
     centers, mean, _, se = lockstep.bin_statistics(vals, bin_steps, params.dt) if bin_steps else (None,) * 4
-    return DrivenEnsemble(params.n_traj, params.dt, params.t_max, centers, mean, se, em_times, *(drops or (None, None)))
+    em_times, *drops = columns or (np.empty(0), None, None)
+    return DrivenEnsemble(params.n_traj, params.dt, params.t_max, centers, mean, se, em_times, *drops)
 
 
 @dataclass(frozen=True)
@@ -423,22 +450,40 @@ class FluorescenceSeries:
     se: np.ndarray
 
 
+class EmissionCounts:
+    """Emissions counted in ``round(t_max / bin_width)`` bins of ``bin_width`` from 0, an array of times at a time.
+
+    Integer counts added in parts are the counts of the joined times, in any
+    order; ``n_emissions`` also counts the times past the last edge.
+    """
+
+    def __init__(self, bin_width: float, t_max: float):
+        if not bin_width > 0.0:
+            raise ValueError(f"bin_width must be > 0, got {bin_width}")
+        n_bins = max(1, int(round(t_max / bin_width)))
+        self.bin_width = bin_width
+        self.edges = np.linspace(0.0, n_bins * bin_width, n_bins + 1)
+        self.counts = np.zeros(n_bins, dtype=np.int64)
+        self.n_emissions = 0
+
+    def add(self, times: np.ndarray) -> None:
+        self.counts += np.histogram(times, bins=self.edges)[0]
+        self.n_emissions += times.size
+
+    def series(self, n_traj: int) -> FluorescenceSeries:
+        """The emission rate per atom of ``n_traj`` trajectories, from the counts so far."""
+        if n_traj < 1:
+            raise ValueError("empty ensemble")
+        scale = n_traj * self.bin_width
+        return FluorescenceSeries((self.edges[:-1] + self.edges[1:]) / 2.0, self.counts / scale, np.sqrt(self.counts) / scale)
+
+
 def fluorescence_from_times(
     emission_times: np.ndarray, n_traj: int, bin_width: float, t_max: float
 ) -> FluorescenceSeries:
-    if not bin_width > 0.0:
-        raise ValueError(f"bin_width must be > 0, got {bin_width}")
-    if n_traj < 1:
-        raise ValueError("empty ensemble")
-    n_bins = max(1, int(round(t_max / bin_width)))
-    edges = np.linspace(0.0, n_bins * bin_width, n_bins + 1)
-    counts, _ = np.histogram(emission_times, bins=edges)
-    scale = n_traj * bin_width
-    return FluorescenceSeries(
-        bin_centers=(edges[:-1] + edges[1:]) / 2.0,
-        intensity=counts / scale,
-        se=np.sqrt(counts) / scale,
-    )
+    counts = EmissionCounts(bin_width, t_max)
+    counts.add(emission_times)
+    return counts.series(n_traj)
 
 
 def _emission_times_of(record: TrajectoryRecord) -> List[float]:

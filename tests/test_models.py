@@ -771,7 +771,7 @@ class TestStreamCursors:
         pairs.clear()
         p = ModelParams(gamma=0.5, dt=0.01, t_max=4.0, n_traj=1, seed=7, model="nsm", beta=8.0, omega_rabi=4.0)
         plan = rabi._driven_plan(p, rabi.DriveParams(omega_rabi=4.0), QubitState.ground())
-        rabi._lockstep_driven_nsm(plan, p.seed, range(300))
+        lockstep.joined_rounds(p.gamma, *rabi._lockstep_driven_nsm(plan, p.seed, range(300)))
         for requested, start in ((decay_pairs, 2**64 - 300), (pairs, 0)):
             # every stream, and windows slid past their first eight counters
             assert {i for i, _ in requested} == set(range(start, start + 300))

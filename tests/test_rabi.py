@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qdecay.core import EventKind, ModelParams, QubitState, TrajectoryEvent, Tra
 from qdecay.rabi import (
     DriveParams,
     DropCounts,
+    EmissionCounts,
     drop_histogram_from_samples,
     fluorescence_fluctuation_histogram,
     fluorescence_from_times,
@@ -118,6 +120,16 @@ class TestDrivenTrajectory:
         p = driven_params(omega=10.0, dt=0.0125)
         with pytest.raises(ValueError, match="step too large"):
             run_driven_trajectory(p, DriveParams(omega_rabi=10.0), derive_stream(0, 0))
+
+    def test_runner_rejects_a_drive_that_is_not_the_params(self):
+        for params_omega, drive_omega in ((5.0, 2.0), (2.0, 0.0)):
+            p = driven_params(omega=params_omega)
+            with pytest.raises(ValueError, match=f"params.omega_rabi = {params_omega} but drive.omega_rabi = {drive_omega}"):
+                run_driven_trajectory(p, DriveParams(omega_rabi=drive_omega), derive_stream(0, 0))
+        # params without a drive (omega_rabi 0) take the given one
+        drive = DriveParams(omega_rabi=2.0)
+        rec = run_driven_trajectory(driven_params(omega=0.0), drive, derive_stream(0, 1), record_steps=True)
+        assert_same_record(rec, run_driven_trajectory(driven_params(), drive, derive_stream(0, 1), record_steps=True))
 
     def test_nsm_gap_bookkeeping(self):
         p = driven_params(model="nsm", gamma=0.5, beta=1.0, omega=4.0, dt=0.01, t_max=30.0)
@@ -298,15 +310,17 @@ class TestDrivenEnsemble:
         assert np.array_equal(with_bins.occupation_se, one_group.occupation_se)
         assert without.bin_centers is None and without.occupation_mean is None and without.occupation_se is None
         assert without.emission_times.size > 0
-        # a consumer gets each group's drops in id order, as the join has them bit for bit, and they are not kept
-        handed = []
-        streamed = run_driven_ensemble(p, drive, bin_steps=20, on_group=handed.append)
-        assert [g.ids for g in handed] == [range(lo, min(lo + group, p.n_traj)) for lo in range(0, p.n_traj, group)]
-        for name in ("drop_all", "drop_emission"):
-            joined = np.concatenate([getattr(g, name) for g in handed])
-            assert joined.dtype == np.float64 and joined.tobytes() == getattr(with_bins, name).tobytes()
-            assert getattr(streamed, name) is None
-        assert streamed.emission_times.tobytes() == with_bins.emission_times.tobytes()
+        # a consumer gets each group's emissions in id order, as the join has them bit for bit, and they are not kept
+        for bin_steps in (20, None):
+            handed = []
+            streamed = run_driven_ensemble(p, drive, bin_steps=bin_steps, on_group=handed.append)
+            assert [g.ids for g in handed] == [range(lo, min(lo + group, p.n_traj)) for lo in range(0, p.n_traj, group)]
+            for name in ("emission_times", "drop_emission"):
+                joined = np.concatenate([getattr(g, name) for g in handed])
+                assert joined.dtype == np.float64 and joined.tobytes() == getattr(with_bins, name).tobytes()
+            assert streamed.emission_times.size == 0 and streamed.drop_all is None and streamed.drop_emission is None
+        assert streamed.bin_centers is None
+        streamed = run_driven_ensemble(p, drive, bin_steps=20, on_group=lambda g: None)
         assert streamed.occupation_mean.tobytes() == with_bins.occupation_mean.tobytes()
         assert streamed.occupation_se.tobytes() == with_bins.occupation_se.tobytes()
         assert np.array_equal(streamed.bin_centers, with_bins.bin_centers)
@@ -317,9 +331,41 @@ class TestDrivenEnsemble:
         handed = []
         streamed = run_driven_ensemble(p, DriveParams(omega_rabi=4.0), bin_steps=None, on_group=handed.append)
         assert [g.ids for g in handed] == [range(0, 64), range(64, 128), range(128, 150)]
-        assert all(g.drop_all.size == g.drop_emission.size == 0 for g in handed)
+        assert all(g.drop_emission.size == 0 for g in handed)
         joined = run_driven_ensemble(p, DriveParams(omega_rabi=4.0), bin_steps=None)
-        assert streamed.emission_times.tobytes() == joined.emission_times.tobytes() and joined.emission_times.size
+        times = np.concatenate([g.emission_times for g in handed])
+        assert times.tobytes() == joined.emission_times.tobytes() and joined.emission_times.size
+        assert streamed.emission_times.size == 0
+
+    @pytest.mark.parametrize("model", ["qmop", "swf", "nsm"])
+    def test_ensemble_rejects_a_drive_that_is_not_the_params(self, model):
+        p = driven_params(model=model, beta=0.5, omega=5.0, dt=0.01, t_max=1.0, n_traj=4)
+        for on_group in (None, lambda g: None):
+            with pytest.raises(ValueError, match="params.omega_rabi = 5.0 but drive.omega_rabi = 4.0"):
+                run_driven_ensemble(p, DriveParams(omega_rabi=4.0), on_group=on_group)
+
+    def test_streamed_nsm_group_keeps_no_column_per_fluctuation(self):
+        # one lock-step group without bins keeps its emission rows (about one
+        # fluctuation in seven emits here) and the plan's per-step tables,
+        # which a longer t_max also grows and which are left out; a single
+        # float64 column per fluctuation would add 8 B each
+        def traced(t_max):
+            p = driven_params(model="nsm", beta=0.5, t_max=t_max, n_traj=lockstep.GROUP_SIZE, seed=21)
+            drive = DriveParams(omega_rabi=p.omega_rabi)
+            plan = rabi._driven_plan(p, drive, None)
+            tables = plan.occ.nbytes + plan.jump_prob.nbytes + plan.photon_w.nbytes
+            n_fluct = run_driven_ensemble(p, drive, bin_steps=None).drop_all.size
+            tracemalloc.start()
+            try:
+                run_driven_ensemble(p, drive, bin_steps=None, on_group=lambda g: None)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return n_fluct, peak - tables
+
+        (n_short, short), (n_long, long) = traced(25.0), traced(50.0)
+        assert n_long > 1.9 * n_short
+        assert (long - short) / (n_long - n_short) < 8.0, (long - short) / (n_long - n_short)
 
     def test_runner_takes_only_rngstreams(self):
         drive = DriveParams(omega_rabi=4.0)
@@ -387,6 +433,29 @@ class TestFluorescence:
         a = fluorescence_intensity(recs, gamma=1.0, bin_width=0.5)
         b = fluorescence_from_times(np.array(times), 1, 0.5, 2.0)
         assert np.array_equal(a.intensity, b.intensity)
+
+    def test_counts_added_in_parts_are_the_one_shot_counts(self):
+        rng = np.random.default_rng(4)
+        bin_width, t_max = 0.25, 10.0
+        edges = np.arange(41) * bin_width
+        # times at and beside every edge, and past the last one
+        times = np.concatenate([rng.random(5000) * t_max, edges, np.nextafter(edges, 20.0), np.nextafter(edges, -1.0), [10.5]])
+        times = times[times >= 0.0]
+        whole = fluorescence_from_times(times, 7, bin_width, t_max)
+        counts = EmissionCounts(bin_width, t_max)
+        for part in np.split(times, [0, 7, 7, 2000, 4093]):
+            counts.add(part)
+        series = counts.series(7)
+        for name in ("bin_centers", "intensity", "se"):
+            assert getattr(series, name).tobytes() == getattr(whole, name).tobytes()
+        assert counts.counts.dtype == np.int64 and counts.counts.sum() == (times <= t_max).sum()
+        assert counts.n_emissions == times.size > counts.counts.sum()
+
+    def test_counts_reject_bad_width_or_ensemble(self):
+        with pytest.raises(ValueError, match="bin_width"):
+            EmissionCounts(0.0, 1.0)
+        with pytest.raises(ValueError, match="empty ensemble"):
+            EmissionCounts(0.5, 1.0).series(0)
 
 
 class TestDropHistogram:

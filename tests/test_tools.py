@@ -1,7 +1,10 @@
+import importlib.util
 import os
 import shutil
 import subprocess
 import sys
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMPARE = os.path.join(ROOT, "tools", "compare_outputs.py")
@@ -30,3 +33,20 @@ def test_compare_outputs_names_the_files_that_differ(tmp_path):
     assert differ[-1].endswith(" in 62 run directories, 56 differ")
     assert all(line.startswith("differs: ") and line.endswith("/summary.json") for line in differ[:-1])
     assert "differs: decay-nsm-steps/json/summary.json" in differ
+
+
+def test_library_case_hashes_what_a_streamed_driven_run_hands_over(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("compare_outputs", COMPARE)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "CONFIGS", {})  # the library case only
+    tool.run_tree(ROOT, str(tmp_path))
+    for model in ("qmop", "swf", "nsm"):
+        run_dir = tmp_path / f"bins-rabi-{model}"
+        # a full lock-step group of 2048 and a partial one of 52, handed over as the join has them
+        assert np.load(run_dir / "streamed.ids.npy").tolist() == [[0, 2048], [2048, 2100]]
+        for name in ("emission_times", "drop_emission"):
+            handed, joined = np.load(run_dir / f"streamed.{name}.npy"), np.load(run_dir / f"{name}.npy")
+            assert handed.dtype == np.float64 and handed.tobytes() == joined.tobytes()
+        assert np.load(run_dir / "emission_times.npy").size > 0
+        assert (np.load(run_dir / "drop_emission.npy").size > 0) == (model == "nsm")

@@ -20,7 +20,9 @@ calls ``models.run_decay_ensemble`` and ``rabi.run_driven_ensemble`` with
 group and a partial one, and saves every array of the returned summary (the
 bin centers, means, variances and standard errors, the joined decay or
 emission times and drops, and the decoded event columns) as ``.npy`` files.
-It then compares the sha256 of every file the runs wrote.  It exits 0 when
+Each driven model also runs without bins with an ``on_group`` consumer, as
+``qdecay rabi`` does, and the ids, emission times and drops it was handed,
+joined, are saved as ``streamed.*.npy``.  It then compares the sha256 of every file the runs wrote.  It exits 0 when
 every file is identical, 1 naming each file that differs or that only one
 tree wrote, and 2 when a run fails.
 """
@@ -133,7 +135,19 @@ for run_dir, (ensemble, cfg, bin_steps) in library.items():
     if ensemble == "decay":
         result = models.run_decay_ensemble(p, bin_steps=bin_steps)
     else:
-        result = rabi.run_driven_ensemble(p, rabi.DriveParams(omega_rabi=p.omega_rabi), bin_steps=bin_steps)
+        drive = rabi.DriveParams(omega_rabi=p.omega_rabi)
+        result = rabi.run_driven_ensemble(p, drive, bin_steps=bin_steps)
+        handed = []
+        streamed = rabi.run_driven_ensemble(p, drive, bin_steps=None, on_group=handed.append)
+        # a tree whose groups hand over no emission times joins them into the returned ensemble
+        times = [g.emission_times for g in handed] if hasattr(handed[0], "emission_times") else [streamed.emission_times]
+        joined = {
+            "ids": np.array([(g.ids.start, g.ids.stop) for g in handed]),
+            "emission_times": np.concatenate(times),
+            "drop_emission": np.concatenate([g.drop_emission for g in handed]),
+        }
+        for name, value in joined.items():
+            np.save(os.path.join(out, run_dir, f"streamed.{name}.npy"), value)
     for field in dataclasses.fields(result):
         value = getattr(result, field.name)
         if isinstance(value, models.EventTable):
