@@ -19,11 +19,15 @@ counter ``(p // 4 + 1, 0, 0, 0)``.  ``philox_uniforms`` evaluates those
 blocks for many ``(key, counter)`` pairs at once in numpy and returns the
 same doubles as ``RngStream.generator().random()``, bit for bit, so an
 engine reads any position of any stream without a ``Generator``; the
-qmop/swf decay engine and both nsm engines (decay and driven) read every
-draw this way, for a whole ensemble or for the one stream of a
-single-trajectory runner.  ``rekeyed_generators`` serves the readers that
-still need a real ``Generator`` (the driven qmop/swf hit reader, homodyne):
-it re-keys one bit generator per trajectory instead of building a new one.
+qmop/swf decay engine, both nsm engines (decay and driven) and the homodyne
+point process below 10 pulses per step read every draw this way, for a
+whole ensemble or for the one stream of a single-trajectory runner.
+``rekeyed_generators`` serves the readers that still need a real
+``Generator``: the driven qmop/swf hit reader, homodyne white noise, and
+the homodyne point process where numpy's samplers do not multiply or
+invert uniforms (from 10 pulses per step on, or a step count past the
+binomial inversion limit).  It re-keys one bit generator per trajectory
+instead of building a new one.  Only these load ``numpy.random``.
 """
 
 from __future__ import annotations

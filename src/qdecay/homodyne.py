@@ -10,6 +10,17 @@ The same increment drives the recorded signal and the state back-action.
 Between kicks the qubit follows the deterministic no-jump propagation lifted
 to density matrices, which for pure states reduces to the two-level no-jump
 map of the decay engines.
+
+Trajectory ``i`` draws its noise from the stream ``(seed, i)`` in the order
+of numpy's samplers: white noise is ``Generator.standard_normal`` (numpy's
+ziggurat), and the point process is ``poisson(beta*dt, n_steps)`` then
+``binomial(counts, 0.5)``.  Below a mean of 10 pulses per step those two
+samplers are float64 arithmetic on the stream's uniforms, multiplication
+(Knuth) and inversion (Kachitvichyanukul & Schmeiser), so the engine reads
+the uniforms by Philox position (``core.philox_uniforms``) and runs the same
+arithmetic, bit for bit, without ``numpy.random``.  White noise, and the
+point process where numpy samples otherwise, draw through a re-keyed
+``Generator`` (``core.rekeyed_generators``).
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import ModelParams, QubitState, RngStream, as_generator, rekeyed_generators
+from .core import ModelParams, QubitState, RngStream, as_generator, philox_uniforms, rekeyed_generators
 
 _SQRT2 = math.sqrt(2.0)
 BLOCK_SIZE = 512  # trajectories per lock-step block of iter_homodyne_records
@@ -253,6 +264,227 @@ def _pulses(gen, n: int, dt: float, beta: float) -> Tuple[np.ndarray, np.ndarray
     return counts, 2 * heads - counts
 
 
+# numpy's samplers (numpy/random/src/distributions/distributions.c): poisson
+# multiplies uniforms below this mean and runs PTRS from it on; binomial
+# inverts its CDF while n*p is at most this, else runs BTPE.
+_POISSON_MULT_MAX = 10.0
+_BINOMIAL_INVERSION_MAX = 30.0
+# The position reader takes as many trajectories at a time as make about
+# this many draws, a nonzero count weighing eight (its columns), and reads at
+# most _READ_DRAWS draws of each at once.  At 500 steps that is 204
+# trajectories at 0.1 pulses per step, 52 at 1 and 26 at 5.
+_READ_BUDGET = 200_000
+_READ_DRAWS = 2048
+
+
+def _widened(steps: np.ndarray, counts: np.ndarray, top: int):
+    """``steps`` and ``counts``, widened when a count of ``top`` does not fit their dtype."""
+    wide = np.promote_types(counts.dtype, np.min_scalar_type(-1 - top))
+    if wide == counts.dtype:
+        return steps, counts
+    return steps.astype(wide), counts.astype(wide)
+
+
+def _generator_pulses(params: ModelParams, steps, counts, rows):
+    """Fill row ``j`` of the block through ``_pulses`` on ``gen`` for each ``(j, gen)`` of ``rows``."""
+    for j, gen in rows:
+        c, net = _pulses(gen, params.n_steps, params.dt, params.beta)
+        steps, counts = _widened(steps, counts, int(c.max(initial=0)))
+        steps[:, j], counts[j] = net, c
+    return steps, counts
+
+
+def _window(seed: int, ids: np.ndarray, pos: int, n_ctr: int) -> np.ndarray:
+    """Draws ``pos`` to ``pos + 4*n_ctr - 1`` of each stream ``(seed, ids[r])``, row ``r``; ``pos % 4 == 0``."""
+    ctrs = np.arange(pos // 4 + 1, pos // 4 + n_ctr + 1)
+    return philox_uniforms(seed, ids[:, None], ctrs).reshape(ids.size, 4 * n_ctr)
+
+
+def _runs(mask: np.ndarray):
+    """``(row, start, stop)`` of each maximal run of True in a row of ``mask``, in row-major order."""
+    edges = np.flatnonzero(np.diff(mask, axis=1, prepend=False, append=False))
+    row, start = np.divmod(edges[0::2], mask.shape[1] + 1)
+    return row, start, start + edges[1::2] - edges[0::2]
+
+
+def _sample_runs(u: np.ndarray, ends: np.ndarray, enlam: float, carry: np.ndarray):
+    """The runs of each row's draws that end no sample, ``(row, start, stop)`` in row-major order.
+
+    A sample multiplies its draws from 1.0, row ``r``'s first from
+    ``carry[r]``, and ends at the first product at most ``enlam``.  A draw
+    at most ``enlam`` (``ends``) always ends its sample: the product is at
+    most 1 and rounding is monotone.  So only the runs of the other draws
+    are walked, one draw of every run at a time, and split where a sample
+    ends inside one (marked in ``ends`` too); a run of one draw away from
+    the window's edges holds no end.  Also returns the product of each
+    row's sample still open at the window's end.
+    """
+    m, w = u.shape
+    row, start, stop = _runs(~ends)
+    length = stop - start
+    walk = np.flatnonzero((length > 1) | (start == 0) | (stop == w))
+    walk = walk[np.argsort(-length[walk], kind="stable")]  # the runs still walked are a prefix
+    first, prod = row[walk] * w + start[walk], np.where(start[walk] == 0, carry[row[walk]], 1.0)
+    n_walked = np.searchsorted(-length[walk], -np.arange(length[walk[0]] if walk.size else 0))
+    flat_u, hits = u.reshape(-1), []
+    for d, k in enumerate(n_walked.tolist()):
+        at, p = first[:k] + d, prod[:k]
+        p *= flat_u[at]
+        hit = np.flatnonzero(p <= enlam)
+        p[hit] = 1.0
+        hits.append(at[hit])
+    out = np.ones(m)
+    open_end = stop[walk] == w
+    out[row[walk[open_end]]] = prod[open_end]
+    hits = np.sort(np.concatenate(hits)) if hits else np.zeros(0, dtype=np.int64)
+    ends.reshape(-1)[hits] = True
+    hit_row, hit_col = np.divmod(hits, w)
+    i = np.searchsorted(row * w + stop, hits, side="right")
+    row, start, stop = np.insert(row, i, hit_row), np.insert(start, i + 1, hit_col + 1), np.insert(stop, i, hit_col)
+    kept = stop > start
+    return row[kept], start[kept], stop[kept], out
+
+
+def _inverted_heads(c: np.ndarray, u: np.ndarray):
+    """numpy's ``binomial(c, 0.5)`` by inversion, count ``c[i]`` on the draw ``u[i]``.
+
+    Inversion walks the CDF from X = 0 (Kachitvichyanukul & Schmeiser,
+    CACM 31, 216, 1988), in numpy's float64 operations and order.  Returns
+    the heads and a mask of the draws that pass numpy's bound on X, which
+    numpy would follow with another draw.
+    """
+    p = q = 0.5
+    table = range(int(c.max(initial=0)) + 1)
+    px = np.array([math.exp(k * math.log(q)) for k in table])[c]
+    bound = np.array([int(min(k, k * p + 10.0 * math.sqrt(k * p * q + 1))) for k in table], dtype=np.int64)[c]
+    heads, past = np.zeros(c.size, dtype=np.int64), np.zeros(c.size, dtype=bool)
+    live = np.flatnonzero(u > px)
+    u, px, c, bound, x = u[live], px[live], c[live], bound[live], 0
+    while live.size:  # every live draw is at the same X
+        x += 1
+        heads[live] = x
+        past[live[x > bound]] = True
+        u -= px
+        px = ((c - x + 1) * p * px) / (x * q)
+        go = (u > px) & (x <= bound)
+        live, u, px, c, bound = live[go], u[go], px[go], c[go], bound[go]
+    return heads, past
+
+
+def _read_pulses(seed: int, ids: np.ndarray, n: int, lam: float):
+    """numpy's ``poisson(lam, n)`` then ``binomial(counts, 0.5)`` on each stream ``(seed, ids[r])``, by position.
+
+    For 0 < lam < 10 numpy multiplies uniforms (Knuth, TAOCP vol. 2,
+    3.4.1): a sample ends at its first draw whose running product is at
+    most ``exp(-lam)`` and counts its draws but that one, that is the run
+    of other draws before its end.  Then each nonzero count takes one draw
+    of the inversion (``_inverted_heads``).  The rows still drawing read
+    windows from one position on.  A row's sample still open at a window's
+    end carries its draws and their product into the next; a row done
+    with its samples takes the draws of its nonzero counts from the
+    window, as far as it reaches.
+
+    Returns the nonzero samples ``(row, step, count)`` in row and step
+    order, their heads, and a mask of the rows that numpy samples
+    otherwise: a count past numpy's inversion limit, or a draw past its
+    bound.  Their samples are not meaningful.
+    """
+    enlam = math.exp(-lam)
+    m = ids.size
+    have = np.zeros(m, dtype=np.int64)  # samples each row has
+    open_n, open_prod = np.zeros(m, dtype=np.int64), np.ones(m)
+    n_items = np.zeros(m, dtype=np.int64)  # nonzero samples, each a binomial draw
+    first_item = np.zeros(m, dtype=np.int64)  # position of the first of them
+    drawn = np.zeros(m, dtype=np.int64)  # binomial draws taken
+    rows, pos, found, items = np.arange(m), 0, [], []
+    while rows.size:
+        s = n - have[rows]
+        # the draws of the samples lacked, with their binomial draws and a margin of
+        # four standard deviations, or the binomial draws lacked
+        need = np.where(
+            s > 0,
+            s * (2.0 + lam - enlam) + n_items[rows] + 4.0 * np.sqrt(2.0 * lam * s) + 4.0,
+            n_items[rows] - drawn[rows],
+        )
+        n_ctr = min(_READ_DRAWS, int(need.max())) // 4 + 1
+        u = _window(seed, ids[rows], pos, n_ctr)
+        w = u.shape[1]
+        ends = u <= enlam
+        row, start, stop, prod = _sample_runs(u, ends, enlam, open_prod[rows])
+        length = stop - start
+        # the draws of a row's runs up to each run, and the index of the end that closes it
+        cum = np.cumsum(length)
+        n_run = np.bincount(row, minlength=rows.size)
+        cum -= np.repeat(np.concatenate(([0], cum))[np.cumsum(n_run) - n_run], n_run)
+        step = have[rows][row] + stop - cum
+        count = length + np.where(start == 0, open_n[rows][row], 0)
+        kept = (stop < w) & (step < n)
+        # a sample open at the window's start that ends at its first draw comes first
+        at_first = np.flatnonzero(ends[:, 0] & (open_n[rows] > 0) & (s > 0))
+        found.append((rows[at_first], have[rows][at_first], open_n[rows][at_first]))
+        found.append((rows[row[kept]], step[kept], count[kept]))
+        n_items[rows] += np.bincount(at_first, minlength=rows.size) + np.bincount(row[kept], minlength=rows.size)
+        n_ends = w - np.bincount(row, weights=length, minlength=rows.size).astype(np.int64)
+        done = (s > 0) & (n_ends >= s)
+        # a done row's last end comes after its kept runs and the ends it lacked
+        kept_len = np.bincount(row[kept], weights=length[kept], minlength=rows.size).astype(np.int64)
+        first_item[rows[done]] = pos + (s + kept_len)[done]
+        have[rows] += np.minimum(n_ends, s)
+        open_n[rows] = 0
+        open_n[rows[row[stop == w]]] = count[stop == w]
+        open_prod[rows] = prod
+        # the binomial draws in the window of the rows done with their samples
+        j0 = drawn[rows]
+        k = np.where(have[rows] >= n, np.clip(pos + w - first_item[rows], 0, n_items[rows]) - j0, 0)
+        r = np.repeat(np.arange(rows.size), k)
+        j = j0[r] + np.arange(r.size) - np.repeat(np.cumsum(k) - k, k)
+        items.append((rows[r], j, u[r, first_item[rows][r] + j - pos]))
+        drawn[rows] += k
+        pos += w
+        rows = rows[(have[rows] < n) | (drawn[rows] < n_items[rows])]
+    row, step, c = (np.concatenate(col) for col in zip(*found))
+    order = np.argsort(row, kind="stable")
+    row, step, c = row[order], step[order], c[order]
+    # item j of row r is its j-th nonzero sample
+    u = np.empty(c.size)
+    item_row, j, draw = (np.concatenate(col) for col in zip(*items))
+    u[(np.cumsum(n_items) - n_items)[item_row] + j] = draw
+    bad = np.zeros(m, dtype=bool)
+    bad[row[c * 0.5 > _BINOMIAL_INVERSION_MAX]] = True
+    inverted = np.flatnonzero(~bad[row])
+    heads = np.zeros(c.size, dtype=np.int64)
+    heads[inverted], past = _inverted_heads(c[inverted], u[inverted])
+    bad[row[inverted[past]]] = True
+    return row, step, c, heads, bad
+
+
+def _pulse_noise(params: ModelParams, seed: int, ids: range):
+    """The point process's ``(steps, counts)`` on the streams ``(seed, i)``, ``i`` in ``ids``.
+
+    Bit for bit what ``_pulses`` draws from each stream's ``Generator``:
+    below a mean of 10 pulses per step the counts and heads are read by
+    position (``_read_pulses``), a sub-block of about ``_READ_BUDGET``
+    draws at a time, and written straight into the narrow block arrays.  A
+    trajectory that numpy samples by another method, or every one from a
+    mean of 10 on, goes through ``_pulses`` on its re-keyed ``Generator``;
+    only these import ``numpy.random``.
+    """
+    n, m, lam = params.n_steps, len(ids), params.beta * params.dt
+    steps, counts = np.zeros((n, m), dtype=np.int8), np.zeros((m, n), dtype=np.int8)
+    redo = list(range(m)) if lam >= _POISSON_MULT_MAX else []
+    # a trajectory draws n*(1 + lam) uniforms for its counts and n*(1 - exp(-lam)) for its heads
+    rows = max(1, int(_READ_BUDGET / (n * (2.0 + lam - math.exp(-lam) + 8.0 * (1.0 - math.exp(-lam))))))
+    for lo in range(0, m if 0.0 < lam < _POISSON_MULT_MAX else 0, rows):
+        sub = ids.start + lo + np.arange(min(rows, m - lo), dtype=np.uint64)
+        row, step, c, heads, bad = _read_pulses(seed, sub, n, lam)
+        steps, counts = _widened(steps, counts, int(c.max(initial=0)))
+        counts[lo + row, step] = c
+        steps[step, lo + row] = 2 * heads - c
+        redo.extend((lo + np.flatnonzero(bad)).tolist())
+    gens = (gen for _, gen in rekeyed_generators(seed, (ids[j] for j in redo)))
+    return _generator_pulses(params, steps, counts, zip(redo, gens))
+
+
 # ---------------------------------------------------------------------------
 # trajectory runner (lock-step over a block of trajectories)
 # ---------------------------------------------------------------------------
@@ -312,37 +544,42 @@ def _initial_rho(initial_state: Optional[QubitState]) -> DensityMatrix2:
     return DensityMatrix2.from_state(initial_state)
 
 
-def _lockstep_run(params, noise_model, theta, kick, rho0, m, gens):
-    """Advance a block of ``m`` trajectories in lock step, vectorized across them.
+def _block_noise(params, noise_model, seed: int, ids: range, gens=None):
+    """The step-major noise of the trajectories ``ids`` and, for the point process, their counts.
 
-    ``gens`` yields the ``m`` trajectories' generators in order; each is read
-    to the end of its noise before the next is requested.  Every operation is
-    elementwise over the block, so results per trajectory are identical
-    however trajectories are grouped into blocks.
-
-    The noise is held step-major, row ``k`` for step ``k``, and the increment
-    is ``scale * steps[k]``: the Wiener increments with scale 1, or the net
-    pulse counts with scale ``kick``, in the narrowest signed integer dtype
-    that holds the block's largest count (``kick_counts`` too).  Either
-    product is the float the sampler returns, bit for bit.
+    Row ``k`` holds step ``k``: the Wiener increments, or the net pulse
+    counts, in the narrowest signed integer dtype that holds the block's
+    largest count (the counts too).  Scaled by ``kick``, a net count is the
+    float ``point_process_increments`` returns, bit for bit.  ``gens``
+    yields the trajectories' generators in order, each read to the end of
+    its noise before the next is requested.  When it is None, white noise
+    draws from the re-keyed streams ``(seed, i)`` and the point process
+    reads them by position (``_pulse_noise``).
     """
-    n_steps = params.n_steps
-    dt = params.dt
-    counts = None
+    n_steps, m = params.n_steps, len(ids)
+    if gens is None and noise_model is NoiseModel.NSM_POINT_PROCESS:
+        return _pulse_noise(params, seed, ids)
+    if gens is None:
+        gens = (gen for _, gen in rekeyed_generators(seed, ids))
     if noise_model is NoiseModel.WHITE:
-        steps, scale = np.empty((n_steps, m)), 1.0
+        steps = np.empty((n_steps, m))
         for j, gen in enumerate(gens):
-            steps[:, j] = white_noise_increments(gen, n_steps, dt)
-    else:
-        steps, scale = np.empty((n_steps, m), dtype=np.int8), kick
-        counts = np.empty((m, n_steps), dtype=np.int8)
-        for j, gen in enumerate(gens):
-            c, net = _pulses(gen, n_steps, dt, params.beta)
-            wide = np.promote_types(counts.dtype, np.min_scalar_type(-1 - int(c.max(initial=0))))
-            if wide != counts.dtype:
-                steps, counts = steps.astype(wide), counts.astype(wide)
-            steps[:, j], counts[j] = net, c
+            steps[:, j] = white_noise_increments(gen, n_steps, params.dt)
+        return steps, None
+    zeros = np.zeros((n_steps, m), dtype=np.int8), np.zeros((m, n_steps), dtype=np.int8)
+    return _generator_pulses(params, *zeros, enumerate(gens))
 
+
+def _lockstep_run(params, theta, rho0, steps, scale):
+    """Advance a block of trajectories in lock step, vectorized across them.
+
+    Step ``k``'s increments are ``scale * steps[k]``, one per trajectory
+    (``_block_noise``).  Every operation is elementwise over the block, so
+    results per trajectory are identical however trajectories are grouped
+    into blocks.  Returns the current and the dipole, a row per trajectory.
+    """
+    n_steps, m = steps.shape
+    dt = params.dt
     ee = np.full(m, rho0.rho_ee)
     gg = np.full(m, rho0.rho_gg)
     re = np.full(m, rho0.rho_eg.real)
@@ -368,7 +605,7 @@ def _lockstep_run(params, noise_model, theta, kick, rho0, m, gens):
         gg = gg / t2
         re, im = x * (re * cos_p - im * sin_p) / t2, x * (re * sin_p + im * cos_p) / t2
 
-    return cur, sig, counts
+    return cur, sig
 
 
 def resolve_kick(params: ModelParams, noise_model: NoiseModel, kick: Optional[float]) -> float:
@@ -407,16 +644,22 @@ def run_homodyne_trajectory(
     no-jump drift.  The white model draws dW ~ Normal(0, dt); the point
     process model sums +-kick pulses at rate beta, with kick defaulting to
     1/sqrt(beta) so both models share the same lag-0 autocorrelation.
+    ``stream`` is a ``derive_stream(seed, i)`` stream, whose point process
+    is read by position as in the ensemble, or a ``Generator`` (or a test
+    double) to draw from; both give the same record from the same stream.
     """
     noise_model = NoiseModel(noise_model)
     _warn_long_window(params)
     kick_val = resolve_kick(params, noise_model, kick)
-    gen = as_generator(stream)
     rho0 = _initial_rho(initial_state)
-    cur, sig, counts = _lockstep_run(params, noise_model, theta, kick_val, rho0, 1, [gen])
+    if isinstance(stream, RngStream):
+        ids, seed, gens = range(stream.stream_id, stream.stream_id + 1), stream.root_seed, None
+    else:
+        ids, seed, gens = range(1), None, [as_generator(stream)]
+    steps, counts = _block_noise(params, noise_model, seed, ids, gens)
+    cur, sig = _lockstep_run(params, theta, rho0, steps, 1.0 if noise_model is NoiseModel.WHITE else kick_val)
     times = np.arange(params.n_steps) * params.dt
-    traj_id = stream.stream_id if isinstance(stream, RngStream) else 0
-    block = HomodyneBlock(range(traj_id, traj_id + 1), times, cur, sig, noise_model, counts)
+    block = HomodyneBlock(ids, times, cur, sig, noise_model, counts)
     return next(block.records())
 
 
@@ -443,9 +686,11 @@ def iter_homodyne_records(
     rho0 = _initial_rho(initial_state)
     times = np.arange(params.n_steps) * params.dt
 
+    scale = 1.0 if noise_model is NoiseModel.WHITE else kick_val
+
     def run_block(ids: range) -> HomodyneBlock:
-        gens = (gen for _, gen in rekeyed_generators(params.seed, ids))
-        cur, sig, counts = _lockstep_run(params, noise_model, theta, kick_val, rho0, len(ids), gens)
+        steps, counts = _block_noise(params, noise_model, params.seed, ids)
+        cur, sig = _lockstep_run(params, theta, rho0, steps, scale)
         return HomodyneBlock(ids, times, cur, sig, noise_model, counts)
 
     blocks = [range(lo, min(lo + BLOCK_SIZE, params.n_traj)) for lo in range(0, params.n_traj, BLOCK_SIZE)]

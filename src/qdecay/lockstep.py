@@ -78,8 +78,11 @@ def _joined_columns(tuples: list):
 
 
 def math_map(fn, x: np.ndarray) -> np.ndarray:
-    """``fn`` from ``math`` over ``x``: numpy's transcendentals may round differently."""
-    return np.fromiter(map(fn, x.tolist()), float, x.size)
+    """``fn`` from ``math`` over the 1-D ``x``: numpy's transcendentals may round differently.
+
+    The buffer yields the same Python floats as ``x.tolist()`` without building the list.
+    """
+    return np.fromiter(map(fn, memoryview(x)), float, x.size)
 
 
 def truncated_exponential_times(rate: float, width, v: np.ndarray) -> np.ndarray:

@@ -124,10 +124,11 @@ def torrey_occupation(omega_rabi: float, gamma: float, t):
 # ---------------------------------------------------------------------------
 
 
-def _driven_table(params: ModelParams, omega: float, start: QubitState, model: Model):
-    """``(occ, jump_prob, photon_w)`` of the between-jump evolution from ``start``.
+def _driven_table(params: ModelParams, omega: float, start: QubitState, occ: np.ndarray, live: np.ndarray) -> None:
+    """Fill ``occ`` and ``live`` with the between-jump evolution from ``start``.
 
-    The amplitudes stay unnormalized on the step grid (rotation then decay
+    ``live`` is ``photon_w`` under nsm and ``jump_prob`` under qmop/swf.  The
+    amplitudes stay unnormalized on the step grid (rotation then decay
     factor per step, which is linear).
     """
     n = params.n_steps
@@ -154,18 +155,13 @@ def _driven_table(params: ModelParams, omega: float, start: QubitState, model: M
 
     w_e = np.abs(amp_e) ** 2
     w_g = np.abs(amp_g) ** 2
-    w_rot = np.abs(rot_e) ** 2
-    if model is Model.NSM:
-        occ = w_e / norm0
-        jump_prob = np.zeros(n)
-        photon_w = (norm0 - w_e - w_g) / norm0
+    if params.model is Model.NSM:
+        np.divide(w_e, norm0, out=occ)
+        np.divide(norm0 - w_e - w_g, norm0, out=live)
     else:
         total = w_e + w_g
-        occ = w_e / total
-        occ_rot = w_rot / total[:n]
-        jump_prob = occ_rot * jump_strength(model, params.gamma, dt)
-        photon_w = np.zeros(n + 1)
-    return occ, jump_prob, photon_w
+        np.divide(w_e, total, out=occ)
+        np.multiply(np.abs(rot_e) ** 2 / total[:n], jump_strength(params.model, params.gamma, dt), out=live)
 
 
 @dataclass(frozen=True)
@@ -183,8 +179,8 @@ class _DrivenPlan:
 
     params: ModelParams
     occ: np.ndarray  # (3, n_steps + 1)
-    jump_prob: np.ndarray  # (3, n_steps), zero under nsm
-    photon_w: np.ndarray  # (3, n_steps + 1), zero under qmop/swf
+    jump_prob: np.ndarray  # (3, n_steps), a broadcast zero under nsm
+    photon_w: np.ndarray  # (3, n_steps + 1), a broadcast zero under qmop/swf
 
 
 def _driven_plan(params: ModelParams, drive: DriveParams, initial_state: Optional[QubitState]) -> _DrivenPlan:
@@ -204,9 +200,17 @@ def _driven_plan(params: ModelParams, drive: DriveParams, initial_state: Optiona
             f"step too large: dt*max(gamma, omega_rabi) = "
             f"{params.dt * max(params.gamma, drive.omega_rabi):g} exceeds {MAX_DRIVEN_STEP}"
         )
-    starts = (initial, QubitState.excited(), QubitState.ground())
-    rows = [_driven_table(params, drive.omega_rabi, start, params.model) for start in starts]
-    return _DrivenPlan(params, *map(np.stack, zip(*rows)))
+    n = params.n_steps
+    # the model's one live table; the other one is all zeros, a view of one float
+    jump_prob, photon_w = np.broadcast_to(0.0, (3, n)), np.broadcast_to(0.0, (3, n + 1))
+    if params.model is Model.NSM:
+        photon_w = live = np.empty((3, n + 1))
+    else:
+        jump_prob = live = np.empty((3, n))
+    occ = np.empty((3, n + 1))
+    for row, start in enumerate((initial, QubitState.excited(), QubitState.ground())):
+        _driven_table(params, drive.omega_rabi, start, occ[row], live[row])
+    return _DrivenPlan(params, occ, jump_prob, photon_w)
 
 
 def _driven_hits(plan: _DrivenPlan, seed: int, ids: range):

@@ -1,6 +1,9 @@
 import collections
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -34,6 +37,7 @@ from qdecay.homodyne import (
 )
 
 SQ2 = math.sqrt(2.0)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 camp = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
 
@@ -354,9 +358,9 @@ class TestOneBlockAtATime:
 
         def spy(*args):
             alive.append([ref() is not None for ref in refs])
-            cur, sig, counts = run(*args)
+            cur, sig = run(*args)
             refs[:] = [weakref.ref(cur), weakref.ref(sig)]
-            return cur, sig, counts
+            return cur, sig
 
         monkeypatch.setattr(homodyne, "_lockstep_run", spy)
         return alive
@@ -420,6 +424,113 @@ class TestLockstepNoise:
                 assert expected.dtype == np.int64 and np.array_equal(rec_counts, expected)
                 assert np.iinfo(rec_counts.dtype).max >= expected.max()
         assert dtypes == {"white": [], "dense": [np.int16] * 3, "widening": [np.int16, np.int8, np.int8]}[case]
+
+
+class TestPositionReader:
+    """The point process read by Philox position against ``point_process_increments`` on a ``Generator``."""
+
+    @staticmethod
+    def oracle(p, ids):
+        """Each stream's ``(counts, net kicks)`` as ``numpy.random`` draws them, rows in id order."""
+        rows = [point_process_increments(derive_stream(p.seed, i).generator(), p.n_steps, p.dt, p.beta, 1.0) for i in ids]
+        return np.array([c for _, c in rows]), np.array([net for net, _ in rows]).astype(np.int64)
+
+    def assert_reads(self, p, ids, expected):
+        steps, counts = homodyne._pulse_noise(p, p.seed, ids)
+        expected_counts, expected_net = expected
+        assert np.array_equal(counts, expected_counts) and np.array_equal(steps.T, expected_net)
+        assert counts.dtype == steps.dtype == np.min_scalar_type(-1 - int(expected_counts.max()))
+
+    def assert_reads_the_oracle(self, p, ids):
+        self.assert_reads(p, ids, self.oracle(p, ids))
+
+    def count_redraws(self, monkeypatch):
+        """The generators ``_pulses`` is called on from now on."""
+        pulses, redrawn = homodyne._pulses, []
+        monkeypatch.setattr(homodyne, "_pulses", lambda gen, *a: redrawn.append(gen) or pulses(gen, *a))
+        return redrawn
+
+    @pytest.mark.parametrize("lam", [0.0, 0.01, 0.1, 1.0, 5.0, 9.99, 10.0])
+    def test_records_match_the_generator_engine(self, lam):
+        # beta*dt = lam; at lam 0 nothing is drawn and the kick must be given
+        p = _quiet_params(model="nsm", beta=lam / 0.01, dt=0.01, t_max=0.6, n_traj=9, seed=5)
+        kick = 0.05
+        recs = run_homodyne_ensemble(p, "nsm_point_process", theta=0.3, kick=kick)
+        for i in (0, 4, 8):
+            via_gen = run_homodyne_trajectory(p, "nsm_point_process", derive_stream(p.seed, i).generator(), theta=0.3, kick=kick)
+            via_stream = run_homodyne_trajectory(p, "nsm_point_process", derive_stream(p.seed, i), theta=0.3, kick=kick)
+            for rec in (recs[i], via_stream):
+                assert np.array_equal(bits(rec.current), bits(via_gen.current))
+                assert np.array_equal(bits(rec.sigma_x), bits(via_gen.sigma_x))
+                assert np.array_equal(rec.kick_counts, via_gen.kick_counts)
+        assert (recs[0].kick_counts.any()) == (lam > 0.0)
+
+    @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0, 5.0, 9.99])
+    def test_partial_sub_blocks_up_to_the_last_stream(self, lam, monkeypatch):
+        # sub-blocks of 8, 8 and 5 trajectories: about 8.5 trajectories' draws each
+        p = _quiet_params(model="nsm", beta=lam / 0.01, dt=0.01, t_max=0.4, seed=2**64 - 1)
+        monkeypatch.setattr(homodyne, "_READ_BUDGET", 8.5 * p.n_steps * (10.0 + lam - 9.0 * math.exp(-lam)))
+        read, sizes = homodyne._read_pulses, []
+        monkeypatch.setattr(homodyne, "_read_pulses", lambda seed, ids, *a: sizes.append(ids.size) or read(seed, ids, *a))
+        self.assert_reads_the_oracle(p, range(2**64 - 21, 2**64))
+        assert sizes == [8, 8, 5]
+
+    @pytest.mark.parametrize("draws", [4, 8, 36])
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 9.99])
+    def test_short_windows_refill(self, draws, lam, monkeypatch):
+        # windows shorter than one sample at lam 9.99 carry its draws and product across
+        monkeypatch.setattr(homodyne, "_READ_DRAWS", draws)
+        p = _quiet_params(model="nsm", beta=lam / 0.01, dt=0.01, t_max=0.6, seed=11)
+        windows = []
+        read = homodyne._window
+        monkeypatch.setattr(homodyne, "_window", lambda *a: windows.append(a[3]) or read(*a))
+        self.assert_reads_the_oracle(p, range(3, 16))
+        assert len(windows) >= 3 and max(windows) == draws // 4 + 1
+
+    def test_counts_past_a_lowered_inversion_limit_take_the_generator(self, monkeypatch):
+        # numpy inverts up to c*p = 30; a lower limit sends every stream with a
+        # count above 2 through _pulses, which must give the same bytes
+        p = _quiet_params(model="nsm", beta=100.0, dt=0.01, t_max=0.5, seed=4)
+        ids = range(20)
+        expected = self.oracle(p, ids)
+        redrawn = self.count_redraws(monkeypatch)
+        self.assert_reads(p, ids, expected)
+        assert not redrawn
+        monkeypatch.setattr(homodyne, "_BINOMIAL_INVERSION_MAX", 1.0)
+        self.assert_reads(p, ids, expected)
+        assert len(redrawn) == int((expected[0].max(axis=1) > 2).sum()) > 0
+
+    def test_a_draw_past_the_bound_takes_the_generator(self, monkeypatch):
+        # numpy draws again when X passes min(c, c*p + 10*sqrt(c*p*q + 1)), as at
+        # c = 11 on the largest uniform; flag the first inverted draw of a block so
+        p = _quiet_params(model="nsm", beta=10.0, dt=0.01, t_max=0.5, seed=4)
+        heads, past = homodyne._inverted_heads(np.array([11, 11]), np.array([np.nextafter(1.0, 0.0), 0.5]))
+        assert past.tolist() == [True, False]
+        inverted = homodyne._inverted_heads
+
+        def flag_first(c, u):
+            heads, past = inverted(c, u)
+            past[0] = True
+            return heads, past
+
+        expected = self.oracle(p, range(30))
+        monkeypatch.setattr(homodyne, "_inverted_heads", flag_first)
+        redrawn = self.count_redraws(monkeypatch)
+        self.assert_reads(p, range(30), expected)
+        assert len(redrawn) == 1
+
+    def test_point_process_runs_without_numpy_random(self, tmp_path):
+        # only white noise (and means from 10 pulses per step on) load numpy.random
+        child = "import sys\nfrom qdecay.cli import main\nprint(main(sys.argv[1:]), 'numpy.random' in sys.modules)\n"
+        loaded = {}
+        for noise in ("nsm_point_process", "white"):
+            cfg = tmp_path / f"{noise}.json"
+            cfg.write_text(json.dumps({"noise": noise, "gamma": 0.01, "beta": 10.0, "dt": 0.01, "t_max": 0.2, "n_traj": 20, "seed": 7}))
+            argv = ["homodyne", "--config", str(cfg), "--out-dir", str(tmp_path / noise)]
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env, timeout=120)
+            loaded[noise] = proc.stdout.split()[-2:]
+        assert loaded == {"nsm_point_process": ["0", "False"], "white": ["0", "True"]}, proc.stderr
 
 
 class TestNoiseSamplers:

@@ -616,6 +616,14 @@ class TestBatchedStepEngine:
         expected = [_truncated_exponential_time(rate, width, x) for x in v]
         assert lockstep.truncated_exponential_times(rate, width, np.array(v, dtype=float)).tolist() == expected
 
+    def test_math_map_is_math_over_a_list_of_floats(self):
+        # contiguous, strided, reversed and empty inputs: the buffer yields tolist()'s floats
+        x = np.random.default_rng(3).uniform(-0.9, 5.0, 301)
+        for view in (x, x[::3], x[::-2], x[:0]):
+            for fn in (math.expm1, math.log1p, math.exp):
+                expected = np.array([fn(v) for v in view.tolist()], dtype=float)
+                assert lockstep.math_map(fn, view).tobytes() == expected.tobytes()
+
     def test_superposition_varies_jump_probability(self):
         from qdecay.core import Model
         from qdecay.models import _step_plan

@@ -344,6 +344,16 @@ class TestDrivenEnsemble:
             with pytest.raises(ValueError, match="params.omega_rabi = 5.0 but drive.omega_rabi = 4.0"):
                 run_driven_ensemble(p, DriveParams(omega_rabi=4.0), on_group=on_group)
 
+    @pytest.mark.parametrize("model", ["qmop", "swf", "nsm"])
+    def test_plan_holds_one_live_table(self, model):
+        # jump_prob is read under qmop/swf and photon_w under nsm; the other is a zero view
+        p = driven_params(model=model, beta=0.5, t_max=2.0)
+        plan = rabi._driven_plan(p, DriveParams(omega_rabi=p.omega_rabi), None)
+        live, zero = (plan.photon_w, plan.jump_prob) if model == "nsm" else (plan.jump_prob, plan.photon_w)
+        assert plan.occ.shape == plan.photon_w.shape == (3, p.n_steps + 1) and plan.jump_prob.shape == (3, p.n_steps)
+        assert zero.strides == (0, 0) and not zero.any()
+        assert live.flags.owndata and live[:, 1:].all() and plan.occ.flags.owndata
+
     def test_streamed_nsm_group_keeps_no_column_per_fluctuation(self):
         # one lock-step group without bins keeps its emission rows (about one
         # fluctuation in seven emits here) and the plan's per-step tables,
@@ -353,7 +363,7 @@ class TestDrivenEnsemble:
             p = driven_params(model="nsm", beta=0.5, t_max=t_max, n_traj=lockstep.GROUP_SIZE, seed=21)
             drive = DriveParams(omega_rabi=p.omega_rabi)
             plan = rabi._driven_plan(p, drive, None)
-            tables = plan.occ.nbytes + plan.jump_prob.nbytes + plan.photon_w.nbytes
+            tables = plan.occ.nbytes + plan.photon_w.nbytes  # an nsm plan's jump_prob is a broadcast zero
             n_fluct = run_driven_ensemble(p, drive, bin_steps=None).drop_all.size
             tracemalloc.start()
             try:
