@@ -18,9 +18,11 @@ ziggurat), and the point process is ``poisson(beta*dt, n_steps)`` then
 samplers are float64 arithmetic on the stream's uniforms, multiplication
 (Knuth) and inversion (Kachitvichyanukul & Schmeiser), so the engine reads
 the uniforms by Philox position (``core.philox_uniforms``) and runs the same
-arithmetic, bit for bit, without ``numpy.random``.  White noise, and the
-point process where numpy samples otherwise, draw through a re-keyed
-``Generator`` (``core.rekeyed_generators``).
+arithmetic, bit for bit, without ``numpy.random``.  It reads each
+trajectory in one window from draw 0, and again in a window twice as long
+when the first falls short.  White noise, and the point process where
+numpy samples otherwise, draw through a re-keyed ``Generator``
+(``core.rekeyed_generators``).
 """
 
 from __future__ import annotations
@@ -270,11 +272,12 @@ def _pulses(gen, n: int, dt: float, beta: float) -> Tuple[np.ndarray, np.ndarray
 _POISSON_MULT_MAX = 10.0
 _BINOMIAL_INVERSION_MAX = 30.0
 # The position reader takes as many trajectories at a time as make about
-# this many draws, a nonzero count weighing eight (its columns), and reads at
-# most _READ_DRAWS draws of each at once.  At 500 steps that is 204
-# trajectories at 0.1 pulses per step, 52 at 1 and 26 at 5.
+# this many draws, a nonzero count weighing eight: at 500 steps that is 204
+# trajectories at 0.1 pulses per step, 52 at 1 and 26 at 5.  It reads each
+# trajectory in one window of its mean draws plus _READ_MARGIN standard
+# deviations.
 _READ_BUDGET = 200_000
-_READ_DRAWS = 2048
+_READ_MARGIN = 4.0
 
 
 def _widened(steps: np.ndarray, counts: np.ndarray, top: int):
@@ -292,57 +295,6 @@ def _generator_pulses(params: ModelParams, steps, counts, rows):
         steps, counts = _widened(steps, counts, int(c.max(initial=0)))
         steps[:, j], counts[j] = net, c
     return steps, counts
-
-
-def _window(seed: int, ids: np.ndarray, pos: int, n_ctr: int) -> np.ndarray:
-    """Draws ``pos`` to ``pos + 4*n_ctr - 1`` of each stream ``(seed, ids[r])``, row ``r``; ``pos % 4 == 0``."""
-    ctrs = np.arange(pos // 4 + 1, pos // 4 + n_ctr + 1)
-    return philox_uniforms(seed, ids[:, None], ctrs).reshape(ids.size, 4 * n_ctr)
-
-
-def _runs(mask: np.ndarray):
-    """``(row, start, stop)`` of each maximal run of True in a row of ``mask``, in row-major order."""
-    edges = np.flatnonzero(np.diff(mask, axis=1, prepend=False, append=False))
-    row, start = np.divmod(edges[0::2], mask.shape[1] + 1)
-    return row, start, start + edges[1::2] - edges[0::2]
-
-
-def _sample_runs(u: np.ndarray, ends: np.ndarray, enlam: float, carry: np.ndarray):
-    """The runs of each row's draws that end no sample, ``(row, start, stop)`` in row-major order.
-
-    A sample multiplies its draws from 1.0, row ``r``'s first from
-    ``carry[r]``, and ends at the first product at most ``enlam``.  A draw
-    at most ``enlam`` (``ends``) always ends its sample: the product is at
-    most 1 and rounding is monotone.  So only the runs of the other draws
-    are walked, one draw of every run at a time, and split where a sample
-    ends inside one (marked in ``ends`` too); a run of one draw away from
-    the window's edges holds no end.  Also returns the product of each
-    row's sample still open at the window's end.
-    """
-    m, w = u.shape
-    row, start, stop = _runs(~ends)
-    length = stop - start
-    walk = np.flatnonzero((length > 1) | (start == 0) | (stop == w))
-    walk = walk[np.argsort(-length[walk], kind="stable")]  # the runs still walked are a prefix
-    first, prod = row[walk] * w + start[walk], np.where(start[walk] == 0, carry[row[walk]], 1.0)
-    n_walked = np.searchsorted(-length[walk], -np.arange(length[walk[0]] if walk.size else 0))
-    flat_u, hits = u.reshape(-1), []
-    for d, k in enumerate(n_walked.tolist()):
-        at, p = first[:k] + d, prod[:k]
-        p *= flat_u[at]
-        hit = np.flatnonzero(p <= enlam)
-        p[hit] = 1.0
-        hits.append(at[hit])
-    out = np.ones(m)
-    open_end = stop[walk] == w
-    out[row[walk[open_end]]] = prod[open_end]
-    hits = np.sort(np.concatenate(hits)) if hits else np.zeros(0, dtype=np.int64)
-    ends.reshape(-1)[hits] = True
-    hit_row, hit_col = np.divmod(hits, w)
-    i = np.searchsorted(row * w + stop, hits, side="right")
-    row, start, stop = np.insert(row, i, hit_row), np.insert(start, i + 1, hit_col + 1), np.insert(stop, i, hit_col)
-    kept = stop > start
-    return row[kept], start[kept], stop[kept], out
 
 
 def _inverted_heads(c: np.ndarray, u: np.ndarray):
@@ -371,18 +323,60 @@ def _inverted_heads(c: np.ndarray, u: np.ndarray):
     return heads, past
 
 
+def _read_window(seed: int, ids: np.ndarray, n: int, enlam: float, n_ctr: int):
+    """``_read_pulses``'s samples in draws 0 to ``4*n_ctr - 1`` of each stream ``(seed, ids[r])``.
+
+    Returns a mask of the rows whose window holds their ``n`` samples and a
+    binomial draw per nonzero count, and those rows' nonzero samples
+    ``(row, step, count)`` in row and step order, with their binomial draws.
+    """
+    m = ids.size
+    u = philox_uniforms(seed, ids[:, None], np.arange(1, n_ctr + 1)).reshape(m, 4 * n_ctr)
+    w, flat_u = u.shape[1], u.reshape(-1)
+    # True at the draws that end a sample, before each row's draws and after the last
+    e = np.ones(m * (w + 1) + 1, dtype=bool)
+    np.less_equal(u, enlam, out=e[:-1].reshape(m, w + 1)[:, 1:])
+    # a draw at most enlam ends its sample (the product is at most 1 and rounding is
+    # monotone), so only the runs of the other draws are walked, one draw of every
+    # run at a time, and marked where a sample ends; a run of one draw holds no end
+    start, stop = np.flatnonzero(e[1:] != e[:-1]).reshape(-1, 2).T + 1
+    walk = np.flatnonzero(stop - start > 1)
+    walk = walk[np.argsort(start[walk] - stop[walk])]  # longest first: the runs still walked are a prefix
+    at, length = start[walk] - start[walk] // (w + 1) - 1, stop[walk] - start[walk]
+    prod, hits = np.ones(walk.size), []
+    for d, k in enumerate(np.searchsorted(-length, -np.arange(length.max(initial=0))).tolist()):
+        i, p = at[:k] + d, prod[:k]
+        p *= flat_u[i]
+        hit = np.flatnonzero(p <= enlam)
+        p[hit] = 1.0
+        hits.append(i[hit])
+    hits = np.concatenate(hits) if hits else np.zeros(0, dtype=np.int64)
+    e[hits + hits // w + 1] = True
+    # a nonzero sample is a run of draws before its end; its step counts the row's ends before it
+    start, stop = np.flatnonzero(e[1:] != e[:-1]).reshape(-1, 2).T + 1
+    row, length = start // (w + 1), stop - start
+    n_ends = w - np.bincount(row, length, m).astype(np.int64)
+    step = stop - row - 1 - np.cumsum(length) - (np.cumsum(n_ends) - n_ends)[row]
+    kept = step < n
+    # a row's binomial draws follow its n-th end: after its n ends and its kept samples' draws
+    n_items = np.bincount(row[kept], minlength=m)
+    first_item = n + np.bincount(row[kept], length[kept], m).astype(np.int64)
+    full = (n_ends >= n) & (first_item + n_items <= w)
+    sel = np.flatnonzero(kept & full[row])
+    r = row[sel]
+    return full, r, step[sel], length[sel], u[r, first_item[r] + np.arange(r.size) - np.searchsorted(r, r)]
+
+
 def _read_pulses(seed: int, ids: np.ndarray, n: int, lam: float):
     """numpy's ``poisson(lam, n)`` then ``binomial(counts, 0.5)`` on each stream ``(seed, ids[r])``, by position.
 
     For 0 < lam < 10 numpy multiplies uniforms (Knuth, TAOCP vol. 2,
     3.4.1): a sample ends at its first draw whose running product is at
-    most ``exp(-lam)`` and counts its draws but that one, that is the run
-    of other draws before its end.  Then each nonzero count takes one draw
-    of the inversion (``_inverted_heads``).  The rows still drawing read
-    windows from one position on.  A row's sample still open at a window's
-    end carries its draws and their product into the next; a row done
-    with its samples takes the draws of its nonzero counts from the
-    window, as far as it reaches.
+    most ``exp(-lam)`` and counts its draws but that one.  Then each
+    nonzero count takes one draw of the inversion (``_inverted_heads``).
+    Each row is read in one window from draw 0 (``_read_window``), of its
+    mean draws plus ``_READ_MARGIN`` standard deviations; a row whose
+    window falls short is read again from draw 0, in one twice as long.
 
     Returns the nonzero samples ``(row, step, count)`` in row and step
     order, their heads, and a mask of the rows that numpy samples
@@ -390,66 +384,18 @@ def _read_pulses(seed: int, ids: np.ndarray, n: int, lam: float):
     bound.  Their samples are not meaningful.
     """
     enlam = math.exp(-lam)
-    m = ids.size
-    have = np.zeros(m, dtype=np.int64)  # samples each row has
-    open_n, open_prod = np.zeros(m, dtype=np.int64), np.ones(m)
-    n_items = np.zeros(m, dtype=np.int64)  # nonzero samples, each a binomial draw
-    first_item = np.zeros(m, dtype=np.int64)  # position of the first of them
-    drawn = np.zeros(m, dtype=np.int64)  # binomial draws taken
-    rows, pos, found, items = np.arange(m), 0, [], []
+    # a step draws 1 + X for its count X ~ Poisson(lam), and one more for its heads when X > 0
+    mean, var = 2.0 + lam - enlam, lam + enlam * (1.0 - enlam) + 2.0 * lam * enlam
+    n_ctr = max(1, int(n * mean + _READ_MARGIN * math.sqrt(n * var)) // 4 + 1)
+    rows, found = np.arange(ids.size), []
     while rows.size:
-        s = n - have[rows]
-        # the draws of the samples lacked, with their binomial draws and a margin of
-        # four standard deviations, or the binomial draws lacked
-        need = np.where(
-            s > 0,
-            s * (2.0 + lam - enlam) + n_items[rows] + 4.0 * np.sqrt(2.0 * lam * s) + 4.0,
-            n_items[rows] - drawn[rows],
-        )
-        n_ctr = min(_READ_DRAWS, int(need.max())) // 4 + 1
-        u = _window(seed, ids[rows], pos, n_ctr)
-        w = u.shape[1]
-        ends = u <= enlam
-        row, start, stop, prod = _sample_runs(u, ends, enlam, open_prod[rows])
-        length = stop - start
-        # the draws of a row's runs up to each run, and the index of the end that closes it
-        cum = np.cumsum(length)
-        n_run = np.bincount(row, minlength=rows.size)
-        cum -= np.repeat(np.concatenate(([0], cum))[np.cumsum(n_run) - n_run], n_run)
-        step = have[rows][row] + stop - cum
-        count = length + np.where(start == 0, open_n[rows][row], 0)
-        kept = (stop < w) & (step < n)
-        # a sample open at the window's start that ends at its first draw comes first
-        at_first = np.flatnonzero(ends[:, 0] & (open_n[rows] > 0) & (s > 0))
-        found.append((rows[at_first], have[rows][at_first], open_n[rows][at_first]))
-        found.append((rows[row[kept]], step[kept], count[kept]))
-        n_items[rows] += np.bincount(at_first, minlength=rows.size) + np.bincount(row[kept], minlength=rows.size)
-        n_ends = w - np.bincount(row, weights=length, minlength=rows.size).astype(np.int64)
-        done = (s > 0) & (n_ends >= s)
-        # a done row's last end comes after its kept runs and the ends it lacked
-        kept_len = np.bincount(row[kept], weights=length[kept], minlength=rows.size).astype(np.int64)
-        first_item[rows[done]] = pos + (s + kept_len)[done]
-        have[rows] += np.minimum(n_ends, s)
-        open_n[rows] = 0
-        open_n[rows[row[stop == w]]] = count[stop == w]
-        open_prod[rows] = prod
-        # the binomial draws in the window of the rows done with their samples
-        j0 = drawn[rows]
-        k = np.where(have[rows] >= n, np.clip(pos + w - first_item[rows], 0, n_items[rows]) - j0, 0)
-        r = np.repeat(np.arange(rows.size), k)
-        j = j0[r] + np.arange(r.size) - np.repeat(np.cumsum(k) - k, k)
-        items.append((rows[r], j, u[r, first_item[rows][r] + j - pos]))
-        drawn[rows] += k
-        pos += w
-        rows = rows[(have[rows] < n) | (drawn[rows] < n_items[rows])]
-    row, step, c = (np.concatenate(col) for col in zip(*found))
+        full, row, step, c, u = _read_window(seed, ids[rows], n, enlam, n_ctr)
+        found.append((rows[row], step, c, u))
+        rows, n_ctr = rows[~full], 2 * n_ctr
+    row, step, c, u = (np.concatenate(col) for col in zip(*found))
     order = np.argsort(row, kind="stable")
-    row, step, c = row[order], step[order], c[order]
-    # item j of row r is its j-th nonzero sample
-    u = np.empty(c.size)
-    item_row, j, draw = (np.concatenate(col) for col in zip(*items))
-    u[(np.cumsum(n_items) - n_items)[item_row] + j] = draw
-    bad = np.zeros(m, dtype=bool)
+    row, step, c, u = row[order], step[order], c[order], u[order]
+    bad = np.zeros(ids.size, dtype=bool)
     bad[row[c * 0.5 > _BINOMIAL_INVERSION_MAX]] = True
     inverted = np.flatnonzero(~bad[row])
     heads = np.zeros(c.size, dtype=np.int64)
@@ -464,10 +410,12 @@ def _pulse_noise(params: ModelParams, seed: int, ids: range):
     Bit for bit what ``_pulses`` draws from each stream's ``Generator``:
     below a mean of 10 pulses per step the counts and heads are read by
     position (``_read_pulses``), a sub-block of about ``_READ_BUDGET``
-    draws at a time, and written straight into the narrow block arrays.  A
-    trajectory that numpy samples by another method, or every one from a
-    mean of 10 on, goes through ``_pulses`` on its re-keyed ``Generator``;
-    only these import ``numpy.random``.
+    draws at a time, and written straight into the narrow block arrays.
+    Each trajectory is read in one window from draw 0, and read again in a
+    window twice as long when that falls short.  A trajectory that numpy
+    samples by another method, or every one from a mean of 10 on, goes
+    through ``_pulses`` on its re-keyed ``Generator``; only these import
+    ``numpy.random``.
     """
     n, m, lam = params.n_steps, len(ids), params.beta * params.dt
     steps, counts = np.zeros((n, m), dtype=np.int8), np.zeros((m, n), dtype=np.int8)

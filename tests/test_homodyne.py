@@ -475,17 +475,34 @@ class TestPositionReader:
         self.assert_reads_the_oracle(p, range(2**64 - 21, 2**64))
         assert sizes == [8, 8, 5]
 
-    @pytest.mark.parametrize("draws", [4, 8, 36])
-    @pytest.mark.parametrize("lam", [0.1, 1.0, 9.99])
-    def test_short_windows_refill(self, draws, lam, monkeypatch):
-        # windows shorter than one sample at lam 9.99 carry its draws and product across
-        monkeypatch.setattr(homodyne, "_READ_DRAWS", draws)
+    def count_reads(self, monkeypatch):
+        """The ``(rows, draws)`` of each window read by position from now on."""
+        read, reads = homodyne.philox_uniforms, []
+
+        def spy(seed, ids, ctrs):
+            reads.append((ids.shape[0], 4 * ctrs.size))
+            return read(seed, ids, ctrs)
+
+        monkeypatch.setattr(homodyne, "philox_uniforms", spy)
+        return reads
+
+    @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0, 5.0, 9.99])
+    def test_short_windows_are_read_again(self, lam, monkeypatch):
+        # a margin far below the mean makes every first window 4 draws long, too short
+        # for 60 samples: every row is read again from draw 0, in windows twice as long
+        monkeypatch.setattr(homodyne, "_READ_MARGIN", -1e9)
         p = _quiet_params(model="nsm", beta=lam / 0.01, dt=0.01, t_max=0.6, seed=11)
-        windows = []
-        read = homodyne._window
-        monkeypatch.setattr(homodyne, "_window", lambda *a: windows.append(a[3]) or read(*a))
+        reads = self.count_reads(monkeypatch)
         self.assert_reads_the_oracle(p, range(3, 16))
-        assert len(windows) >= 3 and max(windows) == draws // 4 + 1
+        assert reads[:2] == [(13, 4), (13, 8)]
+        assert [d for _, d in reads] == [4 * 2**k for k in range(len(reads))]
+
+    @pytest.mark.parametrize("beta, t_max", [(100.0, 8.0), (200.0, 8.0), (500.0, 4.0), (999.0, 3.0)])
+    def test_rows_longer_than_2048_draws(self, beta, t_max, monkeypatch):
+        p = _quiet_params(model="nsm", beta=beta, dt=0.01, t_max=t_max, seed=9)
+        reads = self.count_reads(monkeypatch)
+        self.assert_reads_the_oracle(p, range(12))
+        assert min(d for _, d in reads) > 2048
 
     def test_counts_past_a_lowered_inversion_limit_take_the_generator(self, monkeypatch):
         # numpy inverts up to c*p = 30; a lower limit sends every stream with a

@@ -8,12 +8,14 @@ each tree, in a fresh interpreter, the script runs a fixed matrix of small
 runs: ``decay`` qmop/swf/nsm with and without ``record_steps`` (and qmop
 runs whose times print in exponent notation and whose tables hold no row,
 at gamma 0), ``homodyne`` with white noise and the nsm point process (at
-theta 0 and 0.7, with 0.1, 5 and about 200 pulses per step, and over three
-engine blocks), and ``rabi`` qmop/swf/nsm, each in CSV and JSON.  The point
-process below 10 pulses per step is read by Philox position, and from 10 on
-drawn through ``numpy.random``, so both paths are covered.  Every case runs
-at omega0 = omega1 = 0 but three, which run at omega0 0.3 and omega1 1.1:
-homodyne white and point-process runs at theta 0.4, and a rabi qmop run.
+theta 0 and 0.7, with 0.1, 5 and about 200 pulses per step, over three
+engine blocks, and at 1 pulse per step over 800 steps, whose trajectories
+each read more than 2,048 draws), and ``rabi`` qmop/swf/nsm, each in CSV
+and JSON.  The point process below 10 pulses per step is read by Philox
+position, and from 10 on drawn through ``numpy.random``, so both paths are
+covered.  Every case runs at omega0 = omega1 = 0 but three, which run at
+omega0 0.3 and omega1 1.1: homodyne white and point-process runs at theta
+0.4, and a rabi qmop run.
 Decay nsm with and without ``record_steps`` and rabi qmop/nsm also run over
 two lock-step groups, rabi nsm over three, and decay qmop/swf with and
 without ``record_steps`` over two blocks.  A library case then
@@ -63,6 +65,11 @@ CONFIGS = {
     "homodyne-pp-theta": ("homodyne", dict(_HOMODYNE, noise="nsm_point_process", beta=10.0, theta=0.7)),
     # 5 pulses per step: samples of several draws each, read by Philox position
     "homodyne-pp-five": ("homodyne", dict(_HOMODYNE, noise="nsm_point_process", beta=500.0)),
+    # 1 pulse per step over 800 steps: about 2,100 draws per trajectory, read by position
+    "homodyne-pp-long": (
+        "homodyne",
+        dict(_HOMODYNE, noise="nsm_point_process", beta=100.0, t_max=8.0, n_traj=30, max_lag=20),
+    ),
     # about 200 pulses per step: the engine's pulse counts do not fit int8, and
     # numpy's Poisson sampler is not the one read by position
     "homodyne-pp-dense": ("homodyne", dict(_HOMODYNE, noise="nsm_point_process", beta=2e4)),
