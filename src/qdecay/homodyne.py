@@ -11,22 +11,24 @@ Between kicks the qubit follows the deterministic no-jump propagation lifted
 to density matrices, which for pure states reduces to the two-level no-jump
 map of the decay engines.
 
-Trajectory ``i`` draws its noise from the stream ``(seed, i)`` in the order
-of numpy's samplers: white noise is ``Generator.standard_normal`` (numpy's
-ziggurat), and the point process is ``poisson(beta*dt, n_steps)`` then
-``binomial(counts, 0.5)``.  Below a mean of 10 pulses per step those two
-samplers are float64 arithmetic on the stream's uniforms, multiplication
-(Knuth) and inversion (Kachitvichyanukul & Schmeiser), so the engine reads
-the uniforms by Philox position (``core.philox_uniforms``) and runs the same
-arithmetic, bit for bit, without ``numpy.random``.  It reads each
-trajectory in one window from draw 0, and again in a window twice as long
-when the first falls short.  White noise, and the point process where
-numpy samples otherwise, draw through a re-keyed ``Generator``
-(``core.rekeyed_generators``).
+One block runner makes every record: trajectory ``i`` of the ensemble, or
+``run_homodyne_trajectory`` on ``derive_stream(seed, i)``, draws its noise
+from the stream ``(seed, i)`` in the order of numpy's samplers: white noise
+is ``Generator.standard_normal`` (numpy's ziggurat), and the point process
+is ``poisson(beta*dt, n_steps)`` then ``binomial(counts, 0.5)``.  Below a
+mean of 10 pulses per step those two samplers are float64 arithmetic on the
+stream's uniforms, multiplication (Knuth) and inversion (Kachitvichyanukul
+& Schmeiser), so the engine reads the uniforms by Philox position
+(``core.philox_uniforms``) and runs the same arithmetic, bit for bit,
+without ``numpy.random``.  It reads each trajectory in one window from draw
+0, and again in a window twice as long when the first falls short.  White
+noise, and the point process where numpy samples otherwise, draw through a
+re-keyed ``Generator`` (``core.rekeyed_generators``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -35,7 +37,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import ModelParams, QubitState, RngStream, as_generator, philox_uniforms, rekeyed_generators
+from . import lockstep
+from .core import ModelParams, QubitState, as_generator, philox_uniforms, rekeyed_generators
 
 _SQRT2 = math.sqrt(2.0)
 BLOCK_SIZE = 512  # trajectories per lock-step block of iter_homodyne_records
@@ -288,15 +291,6 @@ def _widened(steps: np.ndarray, counts: np.ndarray, top: int):
     return steps.astype(wide), counts.astype(wide)
 
 
-def _generator_pulses(params: ModelParams, steps, counts, rows):
-    """Fill row ``j`` of the block through ``_pulses`` on ``gen`` for each ``(j, gen)`` of ``rows``."""
-    for j, gen in rows:
-        c, net = _pulses(gen, params.n_steps, params.dt, params.beta)
-        steps, counts = _widened(steps, counts, int(c.max(initial=0)))
-        steps[:, j], counts[j] = net, c
-    return steps, counts
-
-
 def _inverted_heads(c: np.ndarray, u: np.ndarray):
     """numpy's ``binomial(c, 0.5)`` by inversion, count ``c[i]`` on the draw ``u[i]``.
 
@@ -378,10 +372,10 @@ def _read_pulses(seed: int, ids: np.ndarray, n: int, lam: float):
     mean draws plus ``_READ_MARGIN`` standard deviations; a row whose
     window falls short is read again from draw 0, in one twice as long.
 
-    Returns the nonzero samples ``(row, step, count)`` in row and step
-    order, their heads, and a mask of the rows that numpy samples
-    otherwise: a count past numpy's inversion limit, or a draw past its
-    bound.  Their samples are not meaningful.
+    Returns the nonzero samples ``(row, step, count)`` in window order
+    (row and step order within a window), their heads, and a mask of the
+    rows that numpy samples otherwise: a count past numpy's inversion
+    limit, or a draw past its bound.  Their samples are not meaningful.
     """
     enlam = math.exp(-lam)
     # a step draws 1 + X for its count X ~ Poisson(lam), and one more for its heads when X > 0
@@ -393,8 +387,6 @@ def _read_pulses(seed: int, ids: np.ndarray, n: int, lam: float):
         found.append((rows[row], step, c, u))
         rows, n_ctr = rows[~full], 2 * n_ctr
     row, step, c, u = (np.concatenate(col) for col in zip(*found))
-    order = np.argsort(row, kind="stable")
-    row, step, c, u = row[order], step[order], c[order], u[order]
     bad = np.zeros(ids.size, dtype=bool)
     bad[row[c * 0.5 > _BINOMIAL_INVERSION_MAX]] = True
     inverted = np.flatnonzero(~bad[row])
@@ -429,8 +421,12 @@ def _pulse_noise(params: ModelParams, seed: int, ids: range):
         counts[lo + row, step] = c
         steps[step, lo + row] = 2 * heads - c
         redo.extend((lo + np.flatnonzero(bad)).tolist())
-    gens = (gen for _, gen in rekeyed_generators(seed, (ids[j] for j in redo)))
-    return _generator_pulses(params, steps, counts, zip(redo, gens))
+    # zip asks redo first, so an empty redo never starts the generator
+    for j, (_, gen) in zip(redo, rekeyed_generators(seed, (ids[j] for j in redo))):
+        c, net = _pulses(gen, n, params.dt, params.beta)
+        steps, counts = _widened(steps, counts, int(c.max(initial=0)))
+        steps[:, j], counts[j] = net, c
+    return steps, counts
 
 
 # ---------------------------------------------------------------------------
@@ -485,37 +481,26 @@ class HomodyneBlock:
 
 
 def _initial_rho(initial_state: Optional[QubitState]) -> DensityMatrix2:
-    if initial_state is None:
-        return DensityMatrix2.from_state(
-            QubitState.superposition(1.0 / _SQRT2, 1.0 / _SQRT2)
-        )
-    return DensityMatrix2.from_state(initial_state)
+    """The state ``initial_state`` starts in, by default the equal superposition."""
+    equal = QubitState.superposition(1.0 / _SQRT2, 1.0 / _SQRT2)
+    return DensityMatrix2.from_state(equal if initial_state is None else initial_state)
 
 
-def _block_noise(params, noise_model, seed: int, ids: range, gens=None):
-    """The step-major noise of the trajectories ``ids`` and, for the point process, their counts.
+def _block_noise(params, noise_model, seed: int, ids: range):
+    """The step-major noise of the streams ``(seed, i)``, ``i`` in ``ids``, and the point process's counts.
 
-    Row ``k`` holds step ``k``: the Wiener increments, or the net pulse
-    counts, in the narrowest signed integer dtype that holds the block's
-    largest count (the counts too).  Scaled by ``kick``, a net count is the
-    float ``point_process_increments`` returns, bit for bit.  ``gens``
-    yields the trajectories' generators in order, each read to the end of
-    its noise before the next is requested.  When it is None, white noise
-    draws from the re-keyed streams ``(seed, i)`` and the point process
-    reads them by position (``_pulse_noise``).
+    Row ``k`` holds step ``k``: the Wiener increments from each stream's
+    re-keyed ``Generator``, or the net pulse counts read by position
+    (``_pulse_noise``) in the narrowest signed integer dtype that holds the
+    block's largest count (the counts too).  Scaled by ``kick``, a net count
+    is the float ``point_process_increments`` returns, bit for bit.
     """
-    n_steps, m = params.n_steps, len(ids)
-    if gens is None and noise_model is NoiseModel.NSM_POINT_PROCESS:
+    if noise_model is NoiseModel.NSM_POINT_PROCESS:
         return _pulse_noise(params, seed, ids)
-    if gens is None:
-        gens = (gen for _, gen in rekeyed_generators(seed, ids))
-    if noise_model is NoiseModel.WHITE:
-        steps = np.empty((n_steps, m))
-        for j, gen in enumerate(gens):
-            steps[:, j] = white_noise_increments(gen, n_steps, params.dt)
-        return steps, None
-    zeros = np.zeros((n_steps, m), dtype=np.int8), np.zeros((m, n_steps), dtype=np.int8)
-    return _generator_pulses(params, *zeros, enumerate(gens))
+    steps = np.empty((params.n_steps, len(ids)))
+    for j, (_, gen) in enumerate(rekeyed_generators(seed, ids)):
+        steps[:, j] = white_noise_increments(gen, params.n_steps, params.dt)
+    return steps, None
 
 
 def _lockstep_run(params, theta, rho0, steps, scale):
@@ -567,13 +552,33 @@ def resolve_kick(params: ModelParams, noise_model: NoiseModel, kick: Optional[fl
     return default_kick(params.beta)
 
 
-def _warn_long_window(params: ModelParams) -> None:
+def _block_runner(params, noise_model, seed: int, theta=0.0, kick=None, initial_state=None):
+    """``run_block(ids)``: the engine over the streams ``(seed, i)``, ``i`` in ``ids``, as a ``HomodyneBlock``.
+
+    Each entry point calls it at its own call: a bad argument raises there,
+    and the long-window warning names the entry point's caller.
+    """
+    noise_model = NoiseModel(noise_model)
     if params.gamma * params.t_max > 0.1:
-        warnings.warn(
-            f"homodyne window gamma*t_max = {params.gamma * params.t_max:g} is not "
-            "small; the detection model assumes the window is well inside the lifetime",
-            stacklevel=3,
-        )
+        window = f"homodyne window gamma*t_max = {params.gamma * params.t_max:g} is not small"
+        warnings.warn(f"{window}; the detection model assumes the window is well inside the lifetime", stacklevel=3)
+    scale = 1.0 if noise_model is NoiseModel.WHITE else resolve_kick(params, noise_model, kick)
+    rho0 = _initial_rho(initial_state)
+    times = np.arange(params.n_steps) * params.dt
+
+    def run_block(ids: range) -> HomodyneBlock:
+        steps, counts = _block_noise(params, noise_model, seed, ids)
+        cur, sig = _lockstep_run(params, theta, rho0, steps, scale)
+        return HomodyneBlock(ids, times, cur, sig, noise_model, counts)
+
+    return run_block
+
+
+def _records(run_block, n_traj: int) -> Iterator[HomodyneRecord]:
+    """The records of ``run_block`` over ``range(n_traj)``, ``BLOCK_SIZE`` ids at a time, each run when reached."""
+    blocks = map(run_block, (range(lo, min(lo + BLOCK_SIZE, n_traj)) for lo in range(0, n_traj, BLOCK_SIZE)))
+    # map hands each block straight to its records generator, which drops it when exhausted
+    return itertools.chain.from_iterable(map(HomodyneBlock.records, blocks))
 
 
 def run_homodyne_trajectory(
@@ -592,23 +597,12 @@ def run_homodyne_trajectory(
     no-jump drift.  The white model draws dW ~ Normal(0, dt); the point
     process model sums +-kick pulses at rate beta, with kick defaulting to
     1/sqrt(beta) so both models share the same lag-0 autocorrelation.
-    ``stream`` is a ``derive_stream(seed, i)`` stream, whose point process
-    is read by position as in the ensemble, or a ``Generator`` (or a test
-    double) to draw from; both give the same record from the same stream.
+    ``stream`` must be an ``RngStream`` (``derive_stream(seed, i)``); the
+    result is trajectory ``i`` of the ensemble, the block runner over that id.
     """
-    noise_model = NoiseModel(noise_model)
-    _warn_long_window(params)
-    kick_val = resolve_kick(params, noise_model, kick)
-    rho0 = _initial_rho(initial_state)
-    if isinstance(stream, RngStream):
-        ids, seed, gens = range(stream.stream_id, stream.stream_id + 1), stream.root_seed, None
-    else:
-        ids, seed, gens = range(1), None, [as_generator(stream)]
-    steps, counts = _block_noise(params, noise_model, seed, ids, gens)
-    cur, sig = _lockstep_run(params, theta, rho0, steps, 1.0 if noise_model is NoiseModel.WHITE else kick_val)
-    times = np.arange(params.n_steps) * params.dt
-    block = HomodyneBlock(ids, times, cur, sig, noise_model, counts)
-    return next(block.records())
+    ids = lockstep.stream_ids(stream, "run_homodyne_trajectory")
+    run_block = _block_runner(params, noise_model, stream.root_seed, theta, kick, initial_state)
+    return next(run_block(ids).records())
 
 
 def iter_homodyne_records(
@@ -623,33 +617,18 @@ def iter_homodyne_records(
     Trajectory i uses substream (seed, i), so the stream of records is
     byte-identical for any ``BLOCK_SIZE``.  Each record's ``block`` is its
     lock-step block of ``BLOCK_SIZE`` trajectories; every block shares one
-    ``times`` array.  A record keeps its whole block alive, so the stream
-    holds one block at a time only if the caller lets go of the previous
-    record before it asks for the next: a ``for`` loop target or a ``zip``
-    tuple still holds the last item while the next one is computed.
+    ``times`` array.  The call checks the arguments and warns of a long
+    window; each block runs when its first record is asked for.  A record
+    keeps its whole block alive, so the stream holds one block at a time only
+    if the caller lets go of the previous record first: a ``for`` loop target
+    or a ``zip`` tuple still holds the last item while the next is computed.
     """
-    noise_model = NoiseModel(noise_model)
-    _warn_long_window(params)
-    kick_val = resolve_kick(params, noise_model, kick)
-    rho0 = _initial_rho(initial_state)
-    times = np.arange(params.n_steps) * params.dt
-
-    scale = 1.0 if noise_model is NoiseModel.WHITE else kick_val
-
-    def run_block(ids: range) -> HomodyneBlock:
-        steps, counts = _block_noise(params, noise_model, params.seed, ids)
-        cur, sig = _lockstep_run(params, theta, rho0, steps, scale)
-        return HomodyneBlock(ids, times, cur, sig, noise_model, counts)
-
-    blocks = [range(lo, min(lo + BLOCK_SIZE, params.n_traj)) for lo in range(0, params.n_traj, BLOCK_SIZE)]
-    # map hands each block straight to its records generator, which drops it when exhausted
-    for records in map(HomodyneBlock.records, map(run_block, blocks)):
-        yield from records
+    return _records(_block_runner(params, noise_model, params.seed, theta, kick, initial_state), params.n_traj)
 
 
 def run_homodyne_ensemble(params, noise_model, **kwargs) -> List[HomodyneRecord]:
     """Materialize the full record list (convenience for modest ensembles)."""
-    return list(iter_homodyne_records(params, noise_model, **kwargs))
+    return list(_records(_block_runner(params, noise_model, params.seed, **kwargs), params.n_traj))
 
 
 # ---------------------------------------------------------------------------

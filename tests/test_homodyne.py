@@ -294,6 +294,38 @@ class TestHomodyneTrajectory:
         with pytest.warns(UserWarning, match="lifetime"):
             run_homodyne_trajectory(p, "white", derive_stream(4, 0))
 
+    @pytest.mark.parametrize("entry", ["trajectory", "records", "ensemble"])
+    def test_long_window_warning_names_the_caller(self, entry):
+        # iter_homodyne_records warns at its call, before any record is asked for
+        p = ModelParams(gamma=1.0, dt=0.01, t_max=5.0, n_traj=1, seed=0)
+        calls = {
+            "trajectory": lambda: run_homodyne_trajectory(p, "white", derive_stream(4, 0)),
+            "records": lambda: iter_homodyne_records(p, "white"),
+            "ensemble": lambda: run_homodyne_ensemble(p, "white"),
+        }
+        with pytest.warns(UserWarning, match="lifetime") as caught:
+            calls[entry]()
+        assert [os.path.abspath(w.filename) for w in caught] == [os.path.abspath(__file__)]
+
+    def test_records_check_their_arguments_at_the_call(self):
+        p = _quiet_params(model="nsm", beta=1.0)
+        with pytest.raises(ValueError, match="bogus"):
+            iter_homodyne_records(p, "bogus")
+        with pytest.raises(ValueError, match="kick must be >= 0"):
+            iter_homodyne_records(p, "nsm_point_process", kick=-1.0)
+
+    def test_takes_only_a_derive_stream_stream(self):
+        class Increments:
+            random = None  # as_generator takes any object with a ``random`` attribute
+
+            def standard_normal(self, n):
+                return np.zeros(n)
+
+        p = _quiet_params()
+        for stream in (derive_stream(0, 0).generator(), np.random.default_rng(0), Increments()):
+            with pytest.raises(TypeError, match="derive_stream"):
+                run_homodyne_trajectory(p, "white", stream)
+
     def test_matches_reference_state_loop(self):
         # the vectorized runner against a scalar reference built from the
         # public increment + projection + drift pieces, same noise stream
@@ -321,25 +353,16 @@ class TestHomodyneTrajectory:
     def test_back_action_step_is_the_engine_kick(self):
         # at gamma 0 and omega0 = omega1 = 0 the engine's drift only divides by
         # the trace, so back_action_step plus that division is the whole step
-        class Increments:
-            random = None  # as_generator takes any stream with a ``random`` attribute
-
-            def __init__(self, z):
-                self.z = z
-
-            def standard_normal(self, n):
-                return self.z[:n]
-
         p = _quiet_params(gamma=0.0, dt=0.01, t_max=2.0)
         z = np.random.default_rng(23).uniform(-1.0, 1.0, p.n_steps)  # |dW| = |z| sqrt(dt) <= 0.1
         start = QubitState.superposition(0.6, 0.8j)
-        rec = run_homodyne_trajectory(p, "white", Increments(z), initial_state=start)
-
         dws = z * math.sqrt(p.dt)
+        (current,), (sigma_x,) = homodyne._lockstep_run(p, 0.0, DensityMatrix2.from_state(start), dws[:, None], 1.0)
+
         rho, clipped = DensityMatrix2.from_state(start), 0
         for k, dw in enumerate(dws.tolist()):
-            assert bits(rec.sigma_x[k]) == bits(rho.sigma_x())
-            assert bits(rec.current[k]) == bits(rho.sigma_x() + dw / p.dt)
+            assert bits(sigma_x[k]) == bits(rho.sigma_x())
+            assert bits(current[k]) == bits(rho.sigma_x() + dw / p.dt)
             clipped += np.linalg.eigvalsh(rho.as_array() + back_action_increment(rho, dw))[0] < 0.0
             rho = back_action_step(rho, dw)
             t2 = rho.rho_ee + rho.rho_gg
@@ -454,15 +477,16 @@ class TestPositionReader:
     def test_records_match_the_generator_engine(self, lam):
         # beta*dt = lam; at lam 0 nothing is drawn and the kick must be given
         p = _quiet_params(model="nsm", beta=lam / 0.01, dt=0.01, t_max=0.6, n_traj=9, seed=5)
-        kick = 0.05
+        kick, ids = 0.05, (0, 4, 8)
         recs = run_homodyne_ensemble(p, "nsm_point_process", theta=0.3, kick=kick)
-        for i in (0, 4, 8):
-            via_gen = run_homodyne_trajectory(p, "nsm_point_process", derive_stream(p.seed, i).generator(), theta=0.3, kick=kick)
-            via_stream = run_homodyne_trajectory(p, "nsm_point_process", derive_stream(p.seed, i), theta=0.3, kick=kick)
-            for rec in (recs[i], via_stream):
-                assert np.array_equal(bits(rec.current), bits(via_gen.current))
-                assert np.array_equal(bits(rec.sigma_x), bits(via_gen.sigma_x))
-                assert np.array_equal(rec.kick_counts, via_gen.kick_counts)
+        gens = (derive_stream(p.seed, i).generator() for i in ids)
+        cur, sig, counts = homodyne_block(p, NoiseModel.NSM_POINT_PROCESS, 0.3, kick, _initial_rho(None), gens)
+        for j, i in enumerate(ids):
+            solo = run_homodyne_trajectory(p, "nsm_point_process", derive_stream(p.seed, i), theta=0.3, kick=kick)
+            for rec in (recs[i], solo):
+                assert np.array_equal(bits(rec.current), bits(cur[j]))
+                assert np.array_equal(bits(rec.sigma_x), bits(sig[j]))
+                assert np.array_equal(rec.kick_counts, counts[j])
         assert (recs[0].kick_counts.any()) == (lam > 0.0)
 
     @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0, 5.0, 9.99])

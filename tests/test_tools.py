@@ -30,7 +30,7 @@ def test_compare_outputs_names_the_files_that_differ(tmp_path):
     proc = compare(ROOT, str(tmp_path))
     assert proc.returncode == 1
     differ = proc.stdout.strip().splitlines()
-    assert differ[-1].endswith(" in 66 run directories, 60 differ")
+    assert differ[-1].endswith(" in 68 run directories, 60 differ")
     assert all(line.startswith("differs: ") and line.endswith("/summary.json") for line in differ[:-1])
     assert "differs: decay-nsm-steps/json/summary.json" in differ
 

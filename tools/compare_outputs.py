@@ -26,9 +26,13 @@ bin centers, means, variances and standard errors, the joined decay or
 emission times and drops, and the decoded event columns) as ``.npy`` files.
 Each driven model also runs without bins with an ``on_group`` consumer, as
 ``qdecay rabi`` does, and the ids, emission times and drops it was handed,
-joined, are saved as ``streamed.*.npy``.  It then compares the sha256 of every file the runs wrote.  It exits 0 when
-every file is identical, 1 naming each file that differs or that only one
-tree wrote, and 2 when a run fails.
+joined, are saved as ``streamed.*.npy``.  Two more library runs call
+``homodyne.run_homodyne_trajectory`` on ``derive_stream(seed, i)`` for a
+few ids, up to the last 64-bit one, with white noise and with the point
+process at theta 0.3, and save each record's ``current``, ``sigma_x`` and
+``kick_counts`` as ``traj<i>.*.npy``.  It then compares the sha256 of every
+file the runs wrote.  It exits 0 when every file is identical, 1 naming
+each file that differs or that only one tree wrote, and 2 when a run fails.
 """
 
 from __future__ import annotations
@@ -112,9 +116,13 @@ CONFIGS = {
 }
 FORMATS = ("csv", "json")
 
+_TRAJECTORY = {"gamma": 0.01, "dt": 0.01, "t_max": 1.0, "seed": 7}
+_TRAJECTORY_IDS = [0, 5, 2**64 - 1]
+
 # name -> (ensemble, params, bin_steps) of the library case: 8244 qmop/swf decay trajectories are
 # a full block of 8192 and a partial one of 52, 2100 nsm decay or driven ones a full lock-step
-# group of 2048 and a partial one of 52; 7-step bins leave a longer last bin
+# group of 2048 and a partial one of 52; 7-step bins leave a longer last bin.  A "trajectory"
+# case takes (noise, theta, ids) in place of bin_steps.
 LIBRARY = {
     "bins-decay-qmop": ("decay", dict(_DECAY, model="qmop", t_max=0.5, n_traj=8244), 7),
     "bins-decay-swf": ("decay", dict(_DECAY, model="swf", t_max=0.5, n_traj=8244), 7),
@@ -122,6 +130,12 @@ LIBRARY = {
     "bins-rabi-qmop": ("rabi", dict(_RABI, model="qmop", t_max=2.0, n_traj=2100), 7),
     "bins-rabi-swf": ("rabi", dict(_RABI, model="swf", t_max=2.0, n_traj=2100), 7),
     "bins-rabi-nsm": ("rabi", dict(_RABI, model="nsm", beta=0.5, t_max=2.0, n_traj=2100), 7),
+    "trajectory-homodyne-white": ("trajectory", _TRAJECTORY, ("white", 0.0, _TRAJECTORY_IDS)),
+    "trajectory-homodyne-pp": (
+        "trajectory",
+        dict(_TRAJECTORY, beta=10.0),
+        ("nsm_point_process", 0.3, _TRAJECTORY_IDS),
+    ),
 }
 
 # Runs every case of argv[3] and the library case argv[4] (JSON) with the qdecay of argv[1]/src, under argv[2].
@@ -131,8 +145,8 @@ import numpy as np
 sys.dont_write_bytecode = True
 root, out, cases, library = sys.argv[1], sys.argv[2], json.loads(sys.argv[3]), json.loads(sys.argv[4])
 sys.path.insert(0, os.path.join(root, "src"))
-from qdecay import cli, models, rabi
-from qdecay.core import ModelParams
+from qdecay import cli, homodyne, models, rabi
+from qdecay.core import ModelParams, derive_stream
 if not os.path.abspath(cli.__file__).startswith(os.path.join(root, "src", "")):
     sys.exit(f"qdecay imported from {cli.__file__}, not from {root}/src")
 for run_dir, command, cfg, fmt in cases:
@@ -144,6 +158,14 @@ for run_dir, command, cfg, fmt in cases:
         sys.exit(f"{run_dir}: qdecay {command} exited {rc}")
 for run_dir, (ensemble, cfg, bin_steps) in library.items():
     p = ModelParams(**cfg)
+    if ensemble == "trajectory":
+        noise, theta, ids = bin_steps
+        for i in ids:
+            rec = homodyne.run_homodyne_trajectory(p, noise, derive_stream(p.seed, i), theta=theta)
+            for name in ("current", "sigma_x", "kick_counts"):
+                if getattr(rec, name) is not None:
+                    np.save(os.path.join(out, run_dir, f"traj{i}.{name}.npy"), getattr(rec, name))
+        continue
     if ensemble == "decay":
         result = models.run_decay_ensemble(p, bin_steps=bin_steps)
     else:
