@@ -622,7 +622,7 @@ def cmd_analyze(out_dir: str, strict: bool) -> int:
             }
 
     gated = [c["pass"] for c in checks.values() if "pass" in c]
-    report = {"source": out_dir, "checks": checks, "pass": bool(all(gated)) if gated else True}
+    report = {"checks": checks, "pass": bool(all(gated)) if gated else True}
     _write_json(os.path.join(out_dir, "report.json"), report)
     if strict and not report["pass"]:
         return EXIT_ANALYSIS
@@ -686,9 +686,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if "out_dir" not in cfg or not cfg["out_dir"]:
             raise ConfigError("out_dir: required (config key or --out-dir)")
         return {"decay": cmd_decay, "homodyne": cmd_homodyne, "rabi": cmd_rabi}[args.command](cfg)
-    except (ConfigError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

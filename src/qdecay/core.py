@@ -294,6 +294,8 @@ def philox_uniforms(root_seed: int, stream_ids, counters) -> np.ndarray:
     ``Generator.random()`` maps it.  Pairs are processed in cache-sized
     chunks with in-place ufuncs, each read straight from the broadcast:
     whole rows of its last axis, or slices of one row longer than a chunk.
+    Every caller passes a scalar, 1-D or 2-D broadcast; one of more
+    dimensions is reshaped to ``(rows, row)`` too, which may copy it.
     """
     if not 0 <= int(root_seed) <= _U64_MAX:
         raise ValueError(f"root_seed must fit in 64 bits, got {root_seed}")
@@ -302,12 +304,7 @@ def philox_uniforms(root_seed: int, stream_ids, counters) -> np.ndarray:
     out = np.empty(shape + (4,))
     if ids.size == 0:
         return out
-    if ids.ndim > 2:
-        # one (rows, row) plane at a time: merging the leading axes of a broadcast can copy it
-        for plane in np.ndindex(shape[:-2]):
-            out[plane] = philox_uniforms(root_seed, ids[plane], ctrs[plane])
-        return out
-    # (rows, row) views of the broadcast; a scalar or 1-D broadcast is one row
+    # (rows, row) views of a 2-D broadcast; a scalar or 1-D one is one row
     row = shape[-1] if shape else 1
     ids, ctrs, out = ids.reshape(-1, row), ctrs.reshape(-1, row), out.reshape(-1, row, 4)
     n_rows = ids.shape[0]

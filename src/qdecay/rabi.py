@@ -127,8 +127,8 @@ def torrey_occupation(omega_rabi: float, gamma: float, t):
 def _driven_table(params: ModelParams, omega: float, start: QubitState, occ: np.ndarray, live: np.ndarray) -> None:
     """Fill ``occ`` and ``live`` with the between-jump evolution from ``start``.
 
-    ``live`` is ``photon_w`` under nsm and ``jump_prob`` under qmop/swf.  The
-    amplitudes stay unnormalized on the step grid (rotation then decay
+    ``live`` is the plan's per-step table of the model (see ``_DrivenPlan``).
+    The amplitudes stay unnormalized on the step grid (rotation then decay
     factor per step, which is linear).
     """
     n = params.n_steps
@@ -170,17 +170,17 @@ class _DrivenPlan:
 
     Row 0 starts from the initial state, row 1 from excited (an nsm reset)
     and row 2 from ground (an emission, or an nsm reduction onto ground); a
-    segment's table is its row.  ``occ`` is the occupation at step starts
-    and ``jump_prob`` the per-step qmop/swf emission check.  Under nsm the
-    amplitudes stay unitary-weighted, so ``occ`` is also the Born weight of
-    the excited branch, and ``photon_w`` tracks the weight leaked to the
-    continuum since the segment start.
+    segment's table is its row.  ``occ`` is the occupation at step starts.
+    ``live`` is the model's one per-step table: under qmop/swf the emission
+    check of each step, ``(3, n_steps)``; under nsm, whose amplitudes stay
+    unitary-weighted so that ``occ`` is also the Born weight of the excited
+    branch, the weight leaked to the continuum since the segment start,
+    ``(3, n_steps + 1)``.
     """
 
     params: ModelParams
     occ: np.ndarray  # (3, n_steps + 1)
-    jump_prob: np.ndarray  # (3, n_steps), a broadcast zero under nsm
-    photon_w: np.ndarray  # (3, n_steps + 1), a broadcast zero under qmop/swf
+    live: np.ndarray
 
 
 def _driven_plan(params: ModelParams, drive: DriveParams, initial_state: Optional[QubitState]) -> _DrivenPlan:
@@ -201,16 +201,10 @@ def _driven_plan(params: ModelParams, drive: DriveParams, initial_state: Optiona
             f"{params.dt * max(params.gamma, drive.omega_rabi):g} exceeds {MAX_DRIVEN_STEP}"
         )
     n = params.n_steps
-    # the model's one live table; the other one is all zeros, a view of one float
-    jump_prob, photon_w = np.broadcast_to(0.0, (3, n)), np.broadcast_to(0.0, (3, n + 1))
-    if params.model is Model.NSM:
-        photon_w = live = np.empty((3, n + 1))
-    else:
-        jump_prob = live = np.empty((3, n))
-    occ = np.empty((3, n + 1))
+    occ, live = np.empty((3, n + 1)), np.empty((3, n + 1 if params.model is Model.NSM else n))
     for row, start in enumerate((initial, QubitState.excited(), QubitState.ground())):
         _driven_table(params, drive.omega_rabi, start, occ[row], live[row])
-    return _DrivenPlan(params, occ, jump_prob, photon_w)
+    return _DrivenPlan(params, occ, live)
 
 
 def _driven_hits(plan: _DrivenPlan, seed: int, ids: range):
@@ -225,7 +219,7 @@ def _driven_hits(plan: _DrivenPlan, seed: int, ids: range):
     n = plan.params.n_steps
     traj, steps, uniforms = [], [], []
     for row, (_, gen) in enumerate(rekeyed_generators(seed, ids)):
-        prob, k0 = plan.jump_prob[0], 0
+        prob, k0 = plan.live[0], 0
         while k0 < n:
             hit = gen.random(n - k0) < prob[: n - k0]
             j = int(hit.argmax())
@@ -234,7 +228,7 @@ def _driven_hits(plan: _DrivenPlan, seed: int, ids: range):
             traj.append(row)
             steps.append(k0 + j)
             uniforms.append(gen.random())
-            prob, k0 = plan.jump_prob[2], k0 + j + 1
+            prob, k0 = plan.live[2], k0 + j + 1
     return np.array(traj, dtype=np.int64), np.array(steps, dtype=np.int64), np.array(uniforms)
 
 
@@ -287,7 +281,7 @@ def _lockstep_driven_nsm(plan: _DrivenPlan, seed: int, ids: range):
         ground = np.flatnonzero(to_ground)
         ground_branch = 1.0 - p_exc[ground]
         p_photon = np.zeros(ground.size)
-        np.divide(plan.photon_w[cur[ground], (b - start)[ground]], ground_branch, out=p_photon, where=ground_branch > 0.0)
+        np.divide(plan.live[cur[ground], (b - start)[ground]], ground_branch, out=p_photon, where=ground_branch > 0.0)
         emitted = np.zeros(live.size, dtype=bool)
         emitted[ground] = draws.take(live[ground], 1) < p_photon
         table[live] = np.where(to_ground, 2, 1)
@@ -398,45 +392,41 @@ def run_driven_ensemble(
     leaving only the emission times and drops.  Trajectory i uses substream
     (seed, i) and the groups are joined in trajectory order.  The model's
     engine runs serially over ``lockstep.GROUP_SIZE`` ids at a time through
-    ``lockstep.run_groups``, as decay runs do; each group's segments fill its
-    rows of one bin matrix (``lockstep.segment_bin_means``) and its
-    emissions go through ``lockstep.trajectory_order``.  With ``on_group``,
-    each group's emissions go to it as a ``DrivenGroup`` as soon as the group
-    is computed and are not kept: an nsm group then keeps only its emission
-    rows, and its segments only for bins.
+    ``lockstep.run_groups``, as decay runs do.  A group keeps its emission
+    rows ``(traj, t, gap)`` (``(traj, t, k)`` under qmop/swf), its segments
+    only for bins and the ``(traj, gap)`` of every fluctuation only for a
+    joined nsm run's ``drop_all``.  One tail orders the emissions, computes
+    ``drop_emission`` and hands a ``DrivenGroup`` to ``on_group``, keeping
+    nothing, or returns the emission times and both drop columns.
     """
     plan = _driven_plan(params, drive, initial_state)
     n_steps, occ, nsm = params.n_steps, plan.occ, params.model is Model.NSM
     streamed = on_group is not None
 
     def group(ids: range, vals: np.ndarray):
+        gaps = []  # (traj, gap) of every fluctuation, for a joined nsm run's drop_all
         if nsm:
             first, rounds = _lockstep_driven_nsm(plan, params.seed, ids)
             events, segments = [], [first]
             for (traj, t, gap, _, emitted, _), seg in rounds:
-                # a consumer gets the emission rows only; a joined run keeps every gap, for drop_all
-                events.append((traj[emitted], t[emitted], gap[emitted]) if streamed else (traj, t, gap, emitted))
+                events.append((traj[emitted], t[emitted], gap[emitted]))
+                if not streamed:
+                    gaps.append((traj, gap))
                 if bin_steps:
                     segments.append(seg)
-        else:
+        else:  # emission rows (traj, t, k)
             events, segments = _driven_step_engine(plan, params.seed, ids)
         if bin_steps:
             segments = lockstep.trajectory_order(segments)
             occupation = partial(lockstep.segment_occupation, occ, segments, n_steps)
             vals[:] = lockstep.segment_bin_means(segments, len(ids), n_steps, bin_steps, occ, segments[2], occupation)
-        if not nsm:
-            t, drops = lockstep.trajectory_order(events)[1], (np.empty(0), np.empty(0))
-        elif streamed:  # the rows are the emissions
-            t, gap = lockstep.trajectory_order(events)[1:]
-            drops = (lockstep.occupation_drops(params.gamma, gap),)
-        else:
-            _, t, gap, emitted = lockstep.trajectory_order(events)
-            drop = lockstep.occupation_drops(params.gamma, gap)
-            t, drops = t[emitted], (drop, drop[emitted])
-        if not streamed:
-            return t, *drops
-        on_group(DrivenGroup(ids, t, drops[-1]))
-        return ()
+        _, t, gap = lockstep.trajectory_order(events)
+        drop_emission = lockstep.occupation_drops(params.gamma, gap) if nsm else np.empty(0)
+        if streamed:
+            on_group(DrivenGroup(ids, t, drop_emission))
+            return ()
+        drop_all = lockstep.occupation_drops(params.gamma, lockstep.trajectory_order(gaps)[1]) if nsm else np.empty(0)
+        return t, drop_all, drop_emission
 
     n_bins = n_steps // bin_steps if bin_steps else 0
     vals, *columns = lockstep.run_groups(group, params.n_traj, lockstep.GROUP_SIZE, n_bins)

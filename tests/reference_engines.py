@@ -216,7 +216,7 @@ def _single_driven_nsm(plan: _DrivenPlan, gen):
                 row = 1
             else:
                 ground_branch = 1.0 - p_exc
-                p_photon = float(plan.photon_w[row, idx]) / ground_branch if ground_branch > 0.0 else 0.0
+                p_photon = float(plan.live[row, idx]) / ground_branch if ground_branch > 0.0 else 0.0
                 fluctuations.append((t_c, gap, a, True))
                 if gen.random() < p_photon:
                     emissions.append((t_c, p_exc))
@@ -271,7 +271,7 @@ def _single_driven_step(plan: _DrivenPlan, gen):
     while k0 < n:
         rem = n - k0
         u = np.asarray(gen.random(rem))
-        hits = u < plan.jump_prob[row, :rem]
+        hits = u < plan.live[row, :rem]
         if not hits.any():
             series[k0:] = plan.occ[row, : rem + 1]
             return emissions, series

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import shutil
 import threading
 import tracemalloc
 from enum import EnumMeta
@@ -19,9 +20,11 @@ from qdecay.cli import (
     _NO_DEFAULT,
     _REQUIRED,
     SCHEMAS,
+    ConfigError,
     EncodedColumn,
     SchemaError,
     _shared_values,
+    cmd_analyze,
     load_config,
     main,
     read_table,
@@ -943,6 +946,23 @@ class TestAnalyze:
     def test_missing_run_dir(self, tmp_path):
         assert main(["analyze", "--out-dir", str(tmp_path / "nope")]) == 2
 
+    def test_schema_error_prints_one_error_line(self, tmp_path, capsys):
+        with pytest.raises(SchemaError):
+            cmd_analyze(str(tmp_path), False)
+        assert main(["analyze", "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith("summary.json: missing (not a run directory?)\n")
+
+    def test_report_holds_no_path(self, tmp_path):
+        # one run directory analyzed at two paths writes the same report bytes
+        cfg = write_cfg(tmp_path, dict(DECAY_CFG, n_traj=200, t_max=10.0))
+        first, second = str(tmp_path / "run"), str(tmp_path / "moved" / "elsewhere")
+        assert main(["decay", "--config", cfg, "--out-dir", first]) == 0
+        shutil.copytree(first, second)
+        assert main(["analyze", "--out-dir", first]) == 0 and main(["analyze", "--out-dir", second]) == 0
+        report = read_bytes(first, "report.json")
+        assert report == read_bytes(second, "report.json") and str(tmp_path).encode() not in report
+
     @pytest.mark.parametrize("first, second", [("csv", "json"), ("json", "csv")])
     def test_rerun_in_other_format_leaves_no_stale_table(self, tmp_path, first, second):
         out = str(tmp_path / "run")
@@ -1081,6 +1101,14 @@ class TestConfigErrors:
         path.write_text(json.dumps({k: v for k, v in DECAY_CFG.items() if k != "gamma"}))
         assert main(["decay", "--config", str(path), "--out-dir", str(tmp_path / "x")]) == 2
         assert "gamma" in capsys.readouterr().err
+
+    def test_config_error_prints_one_error_line(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, dict(DECAY_CFG, gamma="one"))
+        with pytest.raises(ConfigError):
+            load_config(cfg, "decay", {})
+        assert main(["decay", "--config", cfg, "--out-dir", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma: ") and err.count("\n") == 1
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["decay", "--config", str(tmp_path / "none.json"), "--out-dir", "x"]) == 3

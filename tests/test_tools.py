@@ -21,7 +21,7 @@ def test_compare_outputs_of_one_tree_is_identical():
 
 
 def test_compare_outputs_names_the_files_that_differ(tmp_path):
-    # a tree whose summary.json is indented differently, and nothing else
+    # a tree whose JSON files (summary.json, and report.json from analyze) are indented differently, and nothing else
     shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src")
     cli = tmp_path / "src" / "qdecay" / "cli.py"
     text = cli.read_text()
@@ -30,9 +30,10 @@ def test_compare_outputs_names_the_files_that_differ(tmp_path):
     proc = compare(ROOT, str(tmp_path))
     assert proc.returncode == 1
     differ = proc.stdout.strip().splitlines()
-    assert differ[-1].endswith(" in 68 run directories, 60 differ")
-    assert all(line.startswith("differs: ") and line.endswith("/summary.json") for line in differ[:-1])
-    assert "differs: decay-nsm-steps/json/summary.json" in differ
+    assert differ[-1].endswith(" in 68 run directories, 120 differ")
+    json_files = ("/summary.json", "/report.json")
+    assert all(line.startswith("differs: ") and line.endswith(json_files) for line in differ[:-1])
+    assert {"differs: decay-nsm-steps/json/summary.json", "differs: decay-nsm-steps/json/report.json"} <= set(differ)
 
 
 def test_library_case_hashes_what_a_streamed_driven_run_hands_over(tmp_path, monkeypatch):

@@ -11,9 +11,10 @@ at gamma 0), ``homodyne`` with white noise and the nsm point process (at
 theta 0 and 0.7, with 0.1, 5 and about 200 pulses per step, over three
 engine blocks, and at 1 pulse per step over 800 steps, whose trajectories
 each read more than 2,048 draws), and ``rabi`` qmop/swf/nsm, each in CSV
-and JSON.  The point process below 10 pulses per step is read by Philox
-position, and from 10 on drawn through ``numpy.random``, so both paths are
-covered.  Every case runs at omega0 = omega1 = 0 but three, which run at
+and JSON and each followed by ``analyze`` on its run directory, so the
+``report.json`` it writes is compared too.  The point process below 10
+pulses per step is read by Philox position, and from 10 on drawn through
+``numpy.random``, so both paths are covered.  Every case runs at omega0 = omega1 = 0 but three, which run at
 omega0 0.3 and omega1 1.1: homodyne white and point-process runs at theta
 0.4, and a rabi qmop run.
 Decay nsm with and without ``record_steps`` and rabi qmop/nsm also run over
@@ -156,6 +157,9 @@ for run_dir, command, cfg, fmt in cases:
     rc = cli.main([command, "--config", path, "--out-dir", os.path.join(out, run_dir), "--format", fmt])
     if rc != 0:
         sys.exit(f"{run_dir}: qdecay {command} exited {rc}")
+    rc = cli.main(["analyze", "--out-dir", os.path.join(out, run_dir)])
+    if rc != 0:
+        sys.exit(f"{run_dir}: qdecay analyze exited {rc}")
 for run_dir, (ensemble, cfg, bin_steps) in library.items():
     p = ModelParams(**cfg)
     if ensemble == "trajectory":
